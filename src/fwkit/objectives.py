@@ -1,7 +1,9 @@
 """Differentiable objectives, their constants, and problem builders.
 
 Objectives expose ``eval(x) -> (value, gradient)`` plus enough curvature
-information for exact line search on quadratics.  ``build_instance``
+information for exact line search on quadratics.  The two that see x only
+through a design matrix A (``LeastSquares``, ``FactoredQuadratic``) also
+take the images A x and A d from a caller that tracks them.  ``build_instance``
 assembles the benchmark families (LASSO, minimum enclosing ball dual, SVM
 dual, max-clique, matrix completion, simplex distance, interior/boundary
 quadratics, ball quadratic, block products) into ``ProblemInstance``
@@ -49,9 +51,11 @@ class FactoredQuadratic:
         self.sign = int(sign)
         self.shape = (n,)
 
-    def eval(self, x):
+    def eval(self, x, ax=None):
+        """(value, gradient); ``ax``, when given, is the image A x held by the caller."""
         x = _finite(x)
-        ax = self.a @ x
+        if ax is None:
+            ax = self.a @ x
         val = self.sign * float(ax @ ax) + float(self.b @ x) + self.c
         grad = 2.0 * self.sign * (self.a.T @ ax) + self.b
         return val, grad
@@ -66,8 +70,9 @@ class FactoredQuadratic:
         _, smin = _sigma_extremes(self.a)
         return 2.0 * smin ** 2
 
-    def curvature_along(self, d):
-        ad = self.a @ d
+    def curvature_along(self, d, ad=None):
+        if ad is None:
+            ad = self.a @ d
         return 2.0 * self.sign * float(ad @ ad)
 
 
@@ -83,9 +88,10 @@ class LeastSquares:
             raise InputError("residual target has wrong dimension")
         self.shape = (self.a.shape[1],)
 
-    def eval(self, x):
+    def eval(self, x, ax=None):
+        """(value, gradient); ``ax``, when given, is the image A x held by the caller."""
         x = _finite(x)
-        r = self.a @ x - self.b
+        r = (self.a @ x if ax is None else ax) - self.b
         return float(r @ r), 2.0 * (self.a.T @ r)
 
     def lipschitz_upper(self):
@@ -98,8 +104,9 @@ class LeastSquares:
         _, smin = _sigma_extremes(self.a)
         return 2.0 * smin ** 2
 
-    def curvature_along(self, d):
-        ad = self.a @ d
+    def curvature_along(self, d, ad=None):
+        if ad is None:
+            ad = self.a @ d
         return 2.0 * float(ad @ ad)
 
 

@@ -320,10 +320,10 @@ def top_singular_triple(a):
             rho = rho_new
             break
         w = w_new
-        rho = rho_new
+        rho_prev, rho = rho, rho_new
     else:
         raise NumericalError("power iteration did not converge",
-                             residual=abs(rho_new - rho))
+                             residual=abs(rho - rho_prev))
     sigma = np.sqrt(rho)
     if m >= n:
         v = w

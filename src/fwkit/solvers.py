@@ -22,11 +22,15 @@ from . import regions as rg
 from .atoms import ActiveSet, SignedUnitAtom, StepDescriptor, apply_step, \
     away_step_cap, reconstruct_point, select_away_vertex
 from .errors import CapabilityError, InputError, NumericalError
-from .objectives import compose_with_atoms
+from .objectives import FactoredQuadratic, LeastSquares, compose_with_atoms
 from .stepsizes import BlockDiminishing, Diminishing, compute_step
 
 _POLYTOPAL = (rg.Simplex, rg.L1Ball, rg.Box, rg.LinfBall, rg.BasePolytope,
               rg.VertexHull)
+
+
+# steps between recomputations of a tracked image A x from x (see _AffineImage)
+_RESYNC_EVERY = 64
 
 
 def _is_polytopal(region):
@@ -139,6 +143,42 @@ class _Tracer:
             self.good_steps += 1
 
 
+class _AffineImage:
+    """The image A x of the iterate, kept beside x for objectives seen through A.
+
+    A step moves it by the image of its direction, built from atom images: a
+    signed-unit atom's image is a scaled column of A, so those steps cost
+    O(m) and an iteration reads A once, in the gradient's A^T r.  Rounding
+    drift is bounded by recomputing A x from x every ``_RESYNC_EVERY`` steps;
+    ``drift_max`` is the largest ||A x (tracked) - A x|| seen at a re-sync.
+    """
+
+    def __init__(self, a, x):
+        self.a = a
+        self.ax = a @ x
+        self.steps = 0  # steps since A x was last computed from x
+        self.resyncs = 0
+        self.drift_max = 0.0
+
+    def of(self, atom):
+        if atom.tag == "signed_unit":
+            return (atom.sign * atom.scale) * self.a[:, atom.index]
+        return self.a @ atom.densify()
+
+    def move(self, ax, x):
+        self.ax = ax
+        self.steps += 1
+        if self.steps >= _RESYNC_EVERY:
+            self.resync(x)
+
+    def resync(self, x):
+        exact = self.a @ x
+        self.drift_max = max(self.drift_max, float(np.linalg.norm(self.ax - exact)))
+        self.ax = exact
+        self.steps = 0
+        self.resyncs += 1
+
+
 def _base_meta(instance, config):
     return {
         "family": instance.family,
@@ -214,12 +254,14 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
         atom = _initial_atom(region, rng)
         active = ActiveSet.from_atom(atom)
         x = atom.densify().copy()
+    image = _AffineImage(obj.a, x) if isinstance(obj, (LeastSquares, FactoredQuadratic)) \
+        else None
     tracer = _Tracer(config)
     termination = "MaxIter"
     k = 0
     try:
         while True:
-            f, g = obj.eval(x)
+            f, g = obj.eval(x) if image is None else obj.eval(x, ax=image.ax)
             if inexact is not None:
                 exact_atom, s_atom = inexact.query(g, x)
             else:
@@ -228,6 +270,9 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
             gap = float(np.vdot(g, x) - np.vdot(g, s))
             rec = tracer.make(k, f, gap, len(active), x)
             if gap <= config.gap_tol:
+                if image is not None and image.steps:
+                    image.resync(x)  # GapTol only on a gap from an exact A x
+                    continue
                 termination = "GapTol"
                 tracer.push(rec, terminal=True)
                 break
@@ -279,11 +324,19 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
                     tracer.push(rec)
                     k += 1
                     continue
+                if image is not None and image.steps:
+                    image.resync(x)
+                    continue
                 # stationary over the current atoms; the gap check above governs
                 termination = "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
                 tracer.push(rec, terminal=True)
                 break
-            alpha = compute_step(rule, k, obj, x, g, d, alpha_max)
+            ad = None
+            if image is not None:
+                # d runs from x or v (the away atom) to s or x; so does A d
+                head = image.ax if kind == "Away" else image.of(s_atom)
+                ad = head - (image.ax if kind == "FW" else image.of(v_atom))
+            alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f, ad=ad)
             if alpha <= 0.0:
                 termination = "NumericalError"
                 tracer.push(rec, terminal=True)
@@ -291,8 +344,12 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
             apply_step(active, step, alpha)
             if kind == "FW" and alpha >= 1.0:
                 x = s_used.copy()
+                if image is not None:
+                    image.move(head, x)
             else:
                 x = x + alpha * d
+                if image is not None:
+                    image.move(image.ax + alpha * ad, x)
             recorded_kind = kind
             if kind in ("Away", "Pairwise") and alpha >= alpha_max:
                 recorded_kind = "Drop"
@@ -304,6 +361,9 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
         termination = "NumericalError"
     meta = _base_meta(instance, config)
     meta["x_final"] = x
+    if image is not None:
+        meta["affine_resyncs"] = image.resyncs
+        meta["affine_drift_max"] = image.drift_max
     if inexact is not None:
         meta["inexact_mode"] = inexact.schedule.mode
         meta["inexact_delta"] = inexact.schedule.delta
@@ -364,7 +424,7 @@ def solve_fdfw(instance, config):
                 termination = "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
                 tracer.push(rec, terminal=True)
                 break
-            alpha = compute_step(rule, k, obj, x, g, d, alpha_max)
+            alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f)
             if alpha <= 0.0:
                 termination = "NumericalError"
                 tracer.push(rec, terminal=True)
@@ -529,7 +589,7 @@ def solve_bcfw(instance, config):
             else:
                 d_full = np.zeros_like(x)
                 d_full[sl] = d_bl
-                alpha = compute_step(rule, k, obj, x, g, d_full, 1.0)
+                alpha = compute_step(rule, k, obj, x, g, d_full, 1.0, f=f)
             if alpha > 0.0:
                 x = x.copy()
                 x[sl] = x[sl] + alpha * d_bl

@@ -1,0 +1,215 @@
+"""The quadratic fast path: closed-form line search and the tracked image A x.
+
+With the objective value at x in hand, the exact, Armijo and backtracking
+rules probe phi(alpha) = f + alpha <g,d> + alpha^2 c / 2 instead of
+evaluating f; for objectives of the form ||A x - b||^2 the atomic solvers
+also keep A x beside x and move it with atom images.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import fwkit as fw
+from fwkit.objectives import (BlockSeparable, LeastSquares, Quadratic,
+                              ShiftedNormSquare, exact_linesearch_quadratic)
+from fwkit.stepsizes import (Armijo, BacktrackingL, ExactLine, _model,
+                             compute_step, stepsize_armijo,
+                             stepsize_backtracking_L)
+
+FAST = settings(max_examples=60, deadline=None)
+
+
+def _vectors(draw, n, lo=-3.0, hi=3.0):
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+
+@st.composite
+def cases(draw):
+    """(objective, x, d, alpha_max) with a random quadratic of each family."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["least_squares", "quadratic", "shifted", "block"]))
+    if kind == "least_squares":
+        m = draw(st.integers(1, 5))
+        obj = LeastSquares(_vectors(draw, m * n).reshape(m, n), _vectors(draw, m))
+    elif kind == "quadratic":  # indefinite in general
+        q = _vectors(draw, n * n).reshape(n, n)
+        obj = Quadratic(0.5 * (q + q.T), _vectors(draw, n), draw(st.floats(-3.0, 3.0)))
+    elif kind == "shifted":
+        obj = ShiftedNormSquare(_vectors(draw, n))
+    else:
+        m = draw(st.integers(1, 4))
+        obj = BlockSeparable([LeastSquares(_vectors(draw, m * n).reshape(m, n),
+                                           _vectors(draw, m)),
+                              ShiftedNormSquare(_vectors(draw, n))])
+    dim = obj.shape[0]
+    x = _vectors(draw, dim)
+    d = _vectors(draw, dim)
+    assume(np.linalg.norm(d) > 1e-3)
+    return obj, x, d, draw(st.floats(1e-3, 2.0))
+
+
+def _scale(f0, slope, c, alpha):
+    return abs(f0) + abs(alpha * slope) + abs(0.5 * alpha * alpha * c)
+
+
+@FAST
+@given(cases(), st.one_of(st.just(0.0), st.floats(1e-6, 2.0)))
+def test_model_matches_evaluation_along_the_line(case, alpha):
+    # alpha is 0 or well above the rounding of x + alpha d, which evaluation also sees
+    obj, x, d, _ = case
+    f0, g = obj.eval(x)
+    slope = float(g @ d)
+    c = obj.curvature_along(d)
+    phi = _model(f0, slope, c)
+    truth = obj.eval(x + alpha * d)[0]
+    assert abs(phi(alpha) - truth) <= 1e-9 * max(_scale(f0, slope, c, alpha), 1e-300)
+
+
+@FAST
+@given(cases(), st.floats(0.1, 0.9), st.floats(1e-3, 0.49))
+def test_armijo_step_passes_sufficient_decrease_on_the_real_objective(case, delta, gamma):
+    obj, x, d, alpha_max = case
+    f0, g = obj.eval(x)
+    slope = float(g @ d)
+    c = obj.curvature_along(d)
+    assume(slope < -1e-6 * max(_scale(f0, slope, c, alpha_max), 1.0))
+    alpha = compute_step(Armijo(delta, gamma), 0, obj, x, g, d, alpha_max, f=f0)
+    assert 0.0 < alpha <= alpha_max
+    f1 = obj.eval(x + alpha * d)[0]
+    assert f1 <= f0 + gamma * alpha * slope + 1e-9 * _scale(f0, slope, c, alpha)
+    assert alpha == stepsize_armijo(obj, x, d, alpha_max, delta, gamma)
+
+
+@FAST
+@given(cases())
+def test_exact_step_equals_exact_linesearch_quadratic(case):
+    obj, x, d, alpha_max = case
+    f0, g = obj.eval(x)
+    slope = float(g @ d)
+    c = obj.curvature_along(d)
+    if c <= 0.0:
+        # endpoint comparison: stay off rounding-level ties (exact ties are tested below)
+        move = alpha_max * slope + 0.5 * alpha_max * alpha_max * c
+        assume(abs(move) > 1e-9 * max(_scale(f0, slope, c, alpha_max), 1e-300))
+    alpha = compute_step(ExactLine(), 0, obj, x, g, d, alpha_max, f=f0)
+    assert alpha == exact_linesearch_quadratic(obj, x, d, alpha_max)
+
+
+@pytest.mark.parametrize("b,expected", [((0.0, 1.0), 0.0), ((1.0, 0.0), 0.0),
+                                        ((-1.0, 0.0), 3.0)])
+def test_exact_step_flat_direction_prefers_zero_on_ties(b, expected):
+    # c = 0 along d = e_1, so f moves by alpha * b[0]: a tie (b[0] = 0) and an
+    # increase both give 0, a decrease gives alpha_max
+    obj = Quadratic(np.array([[0.0, 0.0], [0.0, -1.0]]), np.array(b))
+    x = np.array([0.3, 0.7])
+    d = np.array([1.0, 0.0])
+    f0, g = obj.eval(x)
+    assert obj.curvature_along(d) == 0.0
+    alpha = compute_step(ExactLine(), 0, obj, x, g, d, 3.0, f=f0)
+    assert alpha == exact_linesearch_quadratic(obj, x, d, 3.0) == expected
+
+
+@FAST
+@given(cases(), st.floats(0.05, 50.0))
+def test_backtracking_closed_form_matches_evaluated_probes(case, l0):
+    obj, x, d, alpha_max = case
+    f0, g = obj.eval(x)
+    slope = float(g @ d)
+    assume(slope < -1e-6 * max(abs(f0), 1.0))
+    fast, probed = BacktrackingL(L0=l0), BacktrackingL(L0=l0)
+    alpha = compute_step(fast, 0, obj, x, g, d, alpha_max, f=f0)
+    want, lhat = stepsize_backtracking_L(probed, g, d, alpha_max, obj, x)
+    assert alpha == pytest.approx(want, rel=1e-12)
+    assert fast.lhat == pytest.approx(lhat, rel=1e-12)
+
+
+def _armijo_by_evaluation(obj, x, d, alpha_max, delta, gamma):
+    f0, g = obj.eval(x)
+    slope = float(g @ d)
+    alpha = alpha_max
+    while obj.eval(x + alpha * d)[0] > f0 + gamma * alpha * slope:
+        alpha *= delta
+    return alpha
+
+
+def _backtracking_by_evaluation(l0, g, d, alpha_max, obj, x):
+    slope, dd = float(g @ d), float(d @ d)
+    f0 = obj.eval(x)[0]
+    lhat = l0 * 0.5
+    while True:
+        alpha = min(-slope / (lhat * dd), alpha_max)
+        model = f0 + alpha * slope + 0.5 * lhat * alpha * alpha * dd
+        if obj.eval(x + alpha * d)[0] <= model + 1e-12 * max(1.0, abs(f0)):
+            return alpha, lhat
+        lhat *= 2.0
+
+
+def test_direct_callers_keep_signatures_and_results():
+    assert list(inspect.signature(stepsize_armijo).parameters) == \
+        ["obj", "x", "d", "alpha_max", "delta", "gamma"]
+    assert list(inspect.signature(stepsize_backtracking_L).parameters) == \
+        ["rule", "g", "d", "alpha_max", "obj", "x"]
+    assert list(inspect.signature(exact_linesearch_quadratic).parameters) == \
+        ["obj", "x", "d", "alpha_max"]
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        a = rng.standard_normal((6, 4))
+        obj = LeastSquares(a, rng.standard_normal(6))
+        x = rng.standard_normal(4)
+        f0, g = obj.eval(x)
+        d = -g + 0.1 * rng.standard_normal(4)
+        assert stepsize_armijo(obj, x, d, 1.0, 0.5, 0.1) == \
+            _armijo_by_evaluation(obj, x, d, 1.0, 0.5, 0.1)
+        rule = BacktrackingL(L0=3.0)
+        assert stepsize_backtracking_L(rule, g, d, 1.0, obj, x) == \
+            _backtracking_by_evaluation(3.0, g, d, 1.0, obj, x)
+        c = obj.curvature_along(d)
+        assert exact_linesearch_quadratic(obj, x, d, 1.0) == \
+            float(np.clip(-float(g @ d) / c, 0.0, 1.0))
+
+
+def test_curvature_from_a_tracked_image_matches():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((7, 5))
+    obj = LeastSquares(a, rng.standard_normal(7))
+    x, d = rng.standard_normal(5), rng.standard_normal(5)
+    assert obj.curvature_along(d, ad=a @ d) == obj.curvature_along(d)
+    assert obj.eval(x, ax=a @ x)[0] == obj.eval(x)[0]
+    assert np.array_equal(obj.eval(x, ax=a @ x)[1], obj.eval(x)[1])
+
+
+def _lasso_run(variant, rule, max_iter, gap_tol):
+    inst = fw.build_instance("lasso", m=40, n=120, tau=1.0, seed=3)
+    config = fw.SolverConfig(variant=variant, stepsize=rule, max_iter=max_iter,
+                             gap_tol=gap_tol, seed=3)
+    return inst, fw.solve(inst, config)
+
+
+def test_tracked_image_drift_stays_bounded_over_a_long_pairwise_run():
+    inst, report = _lasso_run("PFW", ExactLine(), 5000, 1e-300)
+    assert len(report.records) == 5001
+    assert report.meta["affine_resyncs"] >= 5000 // 64
+    b = inst.objective.b
+    assert report.meta["affine_drift_max"] <= 1e-10 * max(1.0, float(np.linalg.norm(b)))
+
+
+@pytest.mark.parametrize("variant,gap_tol", [("FW", 1e-2), ("AFW", 1e-4), ("PFW", 1e-6)])
+def test_gap_tolerance_is_declared_on_an_exact_image(variant, gap_tol):
+    inst, report = _lasso_run(variant, ExactLine(), 3000, gap_tol)
+    assert report.termination == "GapTol"
+    # the last record's f comes from A x recomputed from x, so it is f(x) to the bit
+    assert report.records[-1].f == inst.objective.eval(report.x_final)[0]
+
+
+def test_image_counters_only_on_tracked_objectives():
+    _, report = _lasso_run("AFW", ExactLine(), 200, 1e-8)
+    assert report.meta["affine_resyncs"] >= 1
+    assert report.meta["affine_drift_max"] >= 0.0
+    inst = fw.build_instance("simplex_distance", n=8)
+    report = fw.solve(inst, fw.SolverConfig(variant="AFW", stepsize=ExactLine(),
+                                            max_iter=50, gap_tol=1e-8))
+    assert "affine_resyncs" not in report.meta

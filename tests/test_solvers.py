@@ -348,11 +348,11 @@ def test_numerical_error_aborts_with_partial_report(monkeypatch):
     calls = {"n": 0}
     original = sv.compute_step
 
-    def flaky(rule, k, obj, x, g, d, alpha_max):
+    def flaky(rule, k, obj, x, g, d, alpha_max, **kwargs):
         calls["n"] += 1
         if calls["n"] > 3:
             raise NumericalError("synthetic failure")
-        return original(rule, k, obj, x, g, d, alpha_max)
+        return original(rule, k, obj, x, g, d, alpha_max, **kwargs)
 
     monkeypatch.setattr(sv, "compute_step", flaky)
     report = solve(inst, cfg("FW", LipschitzDep(inst.L), max_iter=50, gap_tol=1e-300))
