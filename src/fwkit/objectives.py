@@ -3,7 +3,10 @@
 Objectives expose ``eval(x) -> (value, gradient)`` plus enough curvature
 information for exact line search on quadratics.  The two that see x only
 through a design matrix A (``LeastSquares``, ``FactoredQuadratic``) also
-take the images A x and A d from a caller that tracks them.  ``build_instance``
+take the images A x and A d from a caller that tracks them, and give the
+value alone from A x (``value``, O(m) plus O(n) for a linear term): a solver
+that also tracks the gradient, which is affine in x, needs no A^T r pass
+for f.  ``build_instance``
 assembles the benchmark families (LASSO, minimum enclosing ball dual, SVM
 dual, max-clique, matrix completion, simplex distance, interior/boundary
 quadratics, ball quadratic, block products) into ``ProblemInstance``
@@ -18,7 +21,7 @@ from .errors import InputError
 
 def _finite(x):
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("non-finite input point")
     return x
 
@@ -60,6 +63,11 @@ class FactoredQuadratic:
         grad = 2.0 * self.sign * (self.a.T @ ax) + self.b
         return val, grad
 
+    def value(self, x, ax):
+        """The value of ``eval(x, ax=ax)`` without its gradient."""
+        x = _finite(x)
+        return self.sign * float(ax @ ax) + float(self.b @ x) + self.c
+
     def lipschitz_upper(self):
         smax, _ = _sigma_extremes(self.a)
         return 2.0 * smax ** 2
@@ -93,6 +101,12 @@ class LeastSquares:
         x = _finite(x)
         r = (self.a @ x if ax is None else ax) - self.b
         return float(r @ r), 2.0 * (self.a.T @ r)
+
+    def value(self, x, ax):
+        """The value of ``eval(x, ax=ax)`` without its gradient."""
+        _finite(x)
+        r = ax - self.b
+        return float(r @ r)
 
     def lipschitz_upper(self):
         smax, _ = _sigma_extremes(self.a)

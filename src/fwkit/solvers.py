@@ -20,7 +20,7 @@ import numpy as np
 
 from . import regions as rg
 from .atoms import ActiveSet, SignedUnitAtom, StepDescriptor, apply_step, \
-    away_step_cap, reconstruct_point, select_away_vertex
+    atoms_equal, away_step_cap, reconstruct_point, select_away_vertex
 from .errors import CapabilityError, InputError, NumericalError
 from .objectives import FactoredQuadratic, LeastSquares, compose_with_atoms
 from .stepsizes import BlockDiminishing, Diminishing, compute_step
@@ -31,6 +31,13 @@ _POLYTOPAL = (rg.Simplex, rg.L1Ball, rg.Box, rg.LinfBall, rg.BasePolytope,
 
 # steps between recomputations of a tracked image A x from x (see _AffineImage)
 _RESYNC_EVERY = 64
+# entries of A from which _AffineImage tracks the gradient too (see there).
+# Tracked over evaluated run time, median of paired runs on a 2-vCPU Xeon VM
+# (4 MiB L2, BLAS on one thread): 1.03-1.05 on AFW/PFW/EFW at 900 entries
+# (n = 30 simplex quadratics), 0.96-1.02 at 4800 and 0.89-1.08 from 1e4 to
+# 1e5 on lasso FW/AFW/PFW (A in cache, an A^T r pass ~20 us), and 0.47 (FW),
+# 0.74 (AFW), 0.96 (PFW) at 4e5 (lasso 200x2000), where A leaves the cache.
+_TRACK_GRADIENT_MIN = 4096
 
 
 def _is_polytopal(region):
@@ -103,7 +110,7 @@ class SolveReport:
 def _support_set(x, tol=1e-12):
     if x.ndim != 1 or x.size > 4096:
         return None
-    return frozenset(int(i) for i in np.flatnonzero(np.abs(x) > tol))
+    return frozenset(np.flatnonzero(np.abs(x) > tol).tolist())
 
 
 class _Tracer:
@@ -144,29 +151,101 @@ class _Tracer:
 
 
 class _AffineImage:
-    """The image A x of the iterate, kept beside x for objectives seen through A.
+    """The image A x of the iterate, and its gradient, kept beside x for f seen through A.
 
-    A step moves it by the image of its direction, built from atom images: a
+    A step moves A x by the image of its direction, built from atom images: a
     signed-unit atom's image is a scaled column of A, so those steps cost
-    O(m) and an iteration reads A once, in the gradient's A^T r.  Rounding
-    drift is bounded by recomputing A x from x every ``_RESYNC_EVERY`` steps;
-    ``drift_max`` is the largest ||A x (tracked) - A x|| seen at a re-sync.
+    O(m).  f is quadratic, so its gradient is affine in x and moves with the
+    gradients at the atoms a step runs between:
+
+        FW        g' = (1 - alpha) g + alpha grad(s)     (alpha = 1: grad(s))
+        Away      g' = (1 + alpha) g - alpha grad(v)
+        Pairwise  g' = g + alpha (grad(s) - grad(v))
+
+    Each atom's gradient costs one A^T r pass (an ``eval`` at the atom, on its
+    image), made once per solve and cached with the image; the value comes
+    from A x in O(m) (``value``).  The cache lives as long as this object,
+    which the solve owns.  On a small A an A^T r pass is cheaper than the
+    cache's bookkeeping, so below ``_TRACK_GRADIENT_MIN`` entries only A x is
+    tracked and every iteration evaluates the gradient.
+
+    Rounding drift is bounded by recomputing A x (and g) from x every
+    ``_RESYNC_EVERY`` steps; ``drift_max`` and ``grad_drift_max`` are the
+    largest ||A x (tracked) - A x|| and ||g (tracked) - g|| seen at a re-sync.
+    ``grad_passes`` counts the full gradient passes: the evaluations at
+    iterates (the first, re-syncs, and every iteration when g is not
+    tracked) and at atoms.
     """
 
-    def __init__(self, a, x):
-        self.a = a
-        self.ax = a @ x
+    def __init__(self, obj, x, track=None):
+        self.obj = obj
+        self.a = obj.a
+        self.ax = self.a @ x
+        self.track = self.a.size >= _TRACK_GRADIENT_MIN if track is None else track
+        self.g = None  # tracked gradient at x; None until first evaluated
+        self._atoms = {}  # atom key -> [atom, image, gradient or None]
+        self._ends = None, None  # entries of the step ``direction`` priced last
         self.steps = 0  # steps since A x was last computed from x
         self.resyncs = 0
         self.drift_max = 0.0
+        self.grad_drift_max = 0.0
+        self.grad_passes = 0
 
-    def of(self, atom):
+    def _eval(self, x, ax):
+        self.grad_passes += 1
+        return self.obj.eval(x, ax=ax)
+
+    def value_and_grad(self, x):
+        """(f, g) at x: from the tracked state when g is tracked, else one evaluation."""
+        if self.g is None:
+            f, g = self._eval(x, self.ax)
+            if self.track:
+                self.g = g
+            return f, g
+        return self.obj.value(x, self.ax), self.g
+
+    def _image(self, atom):
         if atom.tag == "signed_unit":
             return (atom.sign * atom.scale) * self.a[:, atom.index]
         return self.a @ atom.densify()
 
-    def move(self, ax, x):
-        self.ax = ax
+    def _entry(self, atom):
+        """[atom, image, gradient or None]; cached when g is tracked."""
+        if not self.track:
+            return [atom, self._image(atom), None]
+        key = atom._key()
+        entry = self._atoms.get(key)
+        if entry is None or not atoms_equal(entry[0], atom):
+            entry = self._atoms[key] = [atom, self._image(atom), None]
+        return entry
+
+    def _grad(self, entry):
+        """The gradient of f at an entry's atom, from its image; once per atom and solve."""
+        if entry[2] is None:
+            entry[2] = self._eval(entry[0].densify(), entry[1])[1]
+        return entry[2]
+
+    def direction(self, kind, s_atom, v_atom):
+        """A d for a step of ``kind``: d runs from x or v (the away atom) to s or x."""
+        s = None if kind == "Away" else self._entry(s_atom)
+        v = None if kind == "FW" else self._entry(v_atom)
+        self._ends = s, v
+        return (self.ax if s is None else s[1]) - (self.ax if v is None else v[1])
+
+    def move(self, kind, alpha, ad, x):
+        """Follow the step last priced by ``direction``, of size alpha, to x."""
+        s, v = self._ends
+        full = kind == "FW" and alpha >= 1.0
+        self.ax = s[1].copy() if full else self.ax + alpha * ad  # cached arrays stay unshared
+        if self.g is not None:
+            if full:
+                self.g = self._grad(s).copy()
+            elif kind == "FW":
+                self.g = (1.0 - alpha) * self.g + alpha * self._grad(s)
+            elif kind == "Away":
+                self.g = (1.0 + alpha) * self.g - alpha * self._grad(v)
+            else:
+                self.g = self.g + alpha * (self._grad(s) - self._grad(v))
         self.steps += 1
         if self.steps >= _RESYNC_EVERY:
             self.resync(x)
@@ -175,6 +254,11 @@ class _AffineImage:
         exact = self.a @ x
         self.drift_max = max(self.drift_max, float(np.linalg.norm(self.ax - exact)))
         self.ax = exact
+        if self.g is not None:
+            g = self._eval(x, exact)[1]
+            self.grad_drift_max = max(self.grad_drift_max,
+                                      float(np.linalg.norm(self.g - g)))
+            self.g = g
         self.steps = 0
         self.resyncs += 1
 
@@ -254,14 +338,19 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
         atom = _initial_atom(region, rng)
         active = ActiveSet.from_atom(atom)
         x = atom.densify().copy()
-    image = _AffineImage(obj.a, x) if isinstance(obj, (LeastSquares, FactoredQuadratic)) \
+    image = _AffineImage(obj, x) if isinstance(obj, (LeastSquares, FactoredQuadratic)) \
         else None
     tracer = _Tracer(config)
     termination = "MaxIter"
     k = 0
+    evals = 0  # gradient passes when there is no image to count them
     try:
         while True:
-            f, g = obj.eval(x) if image is None else obj.eval(x, ax=image.ax)
+            if image is None:
+                f, g = obj.eval(x)
+                evals += 1
+            else:
+                f, g = image.value_and_grad(x)
             if inexact is not None:
                 exact_atom, s_atom = inexact.query(g, x)
             else:
@@ -271,7 +360,7 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
             rec = tracer.make(k, f, gap, len(active), x)
             if gap <= config.gap_tol:
                 if image is not None and image.steps:
-                    image.resync(x)  # GapTol only on a gap from an exact A x
+                    image.resync(x)  # GapTol only on a gap from an exact A x and g
                     continue
                 termination = "GapTol"
                 tracer.push(rec, terminal=True)
@@ -331,11 +420,7 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
                 termination = "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
                 tracer.push(rec, terminal=True)
                 break
-            ad = None
-            if image is not None:
-                # d runs from x or v (the away atom) to s or x; so does A d
-                head = image.ax if kind == "Away" else image.of(s_atom)
-                ad = head - (image.ax if kind == "FW" else image.of(v_atom))
+            ad = None if image is None else image.direction(kind, s_atom, step.away)
             alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f, ad=ad)
             if alpha <= 0.0:
                 termination = "NumericalError"
@@ -344,12 +429,10 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
             apply_step(active, step, alpha)
             if kind == "FW" and alpha >= 1.0:
                 x = s_used.copy()
-                if image is not None:
-                    image.move(head, x)
             else:
                 x = x + alpha * d
-                if image is not None:
-                    image.move(image.ax + alpha * ad, x)
+            if image is not None:
+                image.move(kind, alpha, ad, x)
             recorded_kind = kind
             if kind in ("Away", "Pairwise") and alpha >= alpha_max:
                 recorded_kind = "Drop"
@@ -361,9 +444,11 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
         termination = "NumericalError"
     meta = _base_meta(instance, config)
     meta["x_final"] = x
+    meta["grad_passes"] = evals if image is None else image.grad_passes
     if image is not None:
         meta["affine_resyncs"] = image.resyncs
         meta["affine_drift_max"] = image.drift_max
+        meta["grad_drift_max"] = image.grad_drift_max
     if inexact is not None:
         meta["inexact_mode"] = inexact.schedule.mode
         meta["inexact_delta"] = inexact.schedule.delta

@@ -1,9 +1,10 @@
-"""The quadratic fast path: closed-form line search and the tracked image A x.
+"""The quadratic fast path: closed-form line search, the tracked A x and gradient.
 
 With the objective value at x in hand, the exact, Armijo and backtracking
 rules probe phi(alpha) = f + alpha <g,d> + alpha^2 c / 2 instead of
 evaluating f; for objectives of the form ||A x - b||^2 the atomic solvers
-also keep A x beside x and move it with atom images.
+also keep A x beside x and move it with atom images, and on a large enough
+A they move the gradient with the gradients at the atoms.
 """
 
 import inspect
@@ -14,8 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fwkit as fw
-from fwkit.objectives import (BlockSeparable, LeastSquares, Quadratic,
-                              ShiftedNormSquare, exact_linesearch_quadratic)
+from fwkit import solvers
+from fwkit.atoms import ActiveSet, StepDescriptor, apply_step, away_step_cap
+from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
+                              ProblemInstance, Quadratic, ShiftedNormSquare,
+                              exact_linesearch_quadratic)
+from fwkit.regions import L1Ball, Simplex
 from fwkit.stepsizes import (Armijo, BacktrackingL, ExactLine, _model,
                              compute_step, stepsize_armijo,
                              stepsize_backtracking_L)
@@ -195,6 +200,7 @@ def test_tracked_image_drift_stays_bounded_over_a_long_pairwise_run():
     assert report.meta["affine_resyncs"] >= 5000 // 64
     b = inst.objective.b
     assert report.meta["affine_drift_max"] <= 1e-10 * max(1.0, float(np.linalg.norm(b)))
+    assert report.meta["grad_drift_max"] <= 1e-10 * max(1.0, float(np.linalg.norm(b)))
 
 
 @pytest.mark.parametrize("variant,gap_tol", [("FW", 1e-2), ("AFW", 1e-4), ("PFW", 1e-6)])
@@ -213,3 +219,145 @@ def test_image_counters_only_on_tracked_objectives():
     report = fw.solve(inst, fw.SolverConfig(variant="AFW", stepsize=ExactLine(),
                                             max_iter=50, gap_tol=1e-8))
     assert "affine_resyncs" not in report.meta
+
+
+# --- the tracked gradient -------------------------------------------------
+
+
+@st.composite
+def tracked_objectives(draw):
+    """(objective, region): least squares or a factored quadratic of either sign."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    a = _vectors(draw, m * n).reshape(m, n)
+    kind = draw(st.sampled_from(["least_squares", "factored+", "factored-"]))
+    if kind == "least_squares":
+        obj = LeastSquares(a, _vectors(draw, m))
+    else:
+        obj = FactoredQuadratic(a, _vectors(draw, n), draw(st.floats(-3.0, 3.0)),
+                                sign=+1 if kind == "factored+" else -1)
+    if draw(st.booleans()):
+        return obj, L1Ball(draw(st.floats(0.25, 3.0)), n)
+    return obj, Simplex(n)
+
+
+@FAST
+@given(tracked_objectives(), st.data())
+def test_tracked_gradient_follows_random_steps(case, data):
+    # an away step of size alpha scales the rounding already in g (and in x)
+    # by 1 + alpha, so the bound grows by that factor until the next re-sync;
+    # FW and pairwise steps leave it at 1e-12 max(1, ||g||)
+    obj, region = case
+
+    def draw_vector():
+        return np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=region.n,
+                                           max_size=region.n)))
+
+    atom = region.lmo(draw_vector())
+    active = ActiveSet.from_atom(atom)
+    x = atom.densify().copy()
+    image = solvers._AffineImage(obj, x, track=True)
+    image.value_and_grad(x)
+    growth = 1.0
+    steps = data.draw(st.integers(1, solvers._RESYNC_EVERY + 8))  # crosses a re-sync
+    for _ in range(steps):
+        s_atom = region.lmo(draw_vector())
+        pos = data.draw(st.integers(0, len(active) - 1))
+        v_atom, w_v = active.atoms[pos], float(active.weights[pos])
+        kind = data.draw(st.sampled_from(["FW", "Away", "Pairwise"]))
+        if kind == "Away" and w_v >= 1.0:
+            kind = "FW"
+        if kind == "FW":
+            step, d, alpha_max = StepDescriptor("FW", toward=s_atom), s_atom.densify() - x, 1.0
+        elif kind == "Away":
+            step, d = StepDescriptor("Away", away=v_atom), x - v_atom.densify()
+            alpha_max = away_step_cap(w_v)
+        else:
+            step = StepDescriptor("Pairwise", toward=s_atom, away=v_atom)
+            d, alpha_max = s_atom.densify() - v_atom.densify(), w_v
+        if not np.any(d):
+            continue
+        alpha = alpha_max * data.draw(st.sampled_from([1.0, 0.5, 1e-3]) | st.floats(1e-3, 1.0))
+        ad = image.direction(kind, s_atom, step.away)
+        apply_step(active, step, alpha)
+        x = s_atom.densify().copy() if kind == "FW" and alpha >= 1.0 else x + alpha * d
+        image.move(kind, alpha, ad, x)
+        growth = 1.0 if image.steps == 0 else growth * (1.0 + alpha if kind == "Away" else 1.0)
+        _, g = image.value_and_grad(x)
+        want = obj.eval(x)[1]
+        assert np.linalg.norm(g - want) <= 1e-12 * max(1.0, float(np.linalg.norm(want))) * growth
+    assert image.grad_passes <= 1 + 2 * steps + image.resyncs
+
+
+def _tracked_instance(kind, seed):
+    """An instance whose A is large enough for the solvers to track the gradient."""
+    m, n = 40, 120
+    if kind == "lasso":
+        return fw.build_instance("lasso", m=m, n=n, tau=1.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) / np.sqrt(m)
+    sign = +1 if kind == "factored+" else -1
+    obj = FactoredQuadratic(a, rng.standard_normal(n), 0.5, sign=sign)
+    region = Simplex(n)
+    return ProblemInstance(obj, region, obj.lipschitz_upper(), 0.0, region.diameter())
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["lasso", "factored+", "factored-"]), st.integers(0, 10 ** 6),
+       st.sampled_from(["FW", "AFW", "PFW"]),
+       st.sampled_from([ExactLine(), Armijo(), BacktrackingL(L0=10.0)]),
+       st.sampled_from([1e-2, 1e-4]))
+def test_gap_tolerance_gap_is_the_gap_of_a_fresh_evaluation(kind, seed, variant, rule, gap_tol):
+    if variant == "FW":
+        gap_tol = 1e-2  # FW's sublinear rate needs far more steps for 1e-4
+    inst = _tracked_instance(kind, seed)
+    obj = inst.objective
+    assert obj.a.size >= solvers._TRACK_GRADIENT_MIN
+    report = fw.solve(inst, fw.SolverConfig(variant=variant, stepsize=rule, max_iter=5000,
+                                            gap_tol=gap_tol, seed=seed))
+    if kind == "lasso":
+        assert report.termination == "GapTol"
+    if report.termination != "GapTol":
+        return
+    x = report.x_final
+    f, g = obj.eval(x)
+    s = inst.region.lmo(g).densify()
+    last = report.records[-1]
+    assert last.gap == float(np.vdot(g, x) - np.vdot(g, s))
+    assert last.f == f
+
+
+def test_gradient_passes_fall_to_one_per_atom_plus_resyncs():
+    _, report = _lasso_run("FW", ExactLine(), 3000, 1e-2)
+    coords = set().union(*(r.support for r in report.records))
+    assert report.termination == "GapTol"
+    assert report.meta["grad_passes"] < len(report.records) / 10
+    # the first evaluation, the re-syncs and the atoms +/- tau e_i moved toward
+    assert report.meta["grad_passes"] <= 1 + report.meta["affine_resyncs"] + 2 * len(coords)
+
+
+def test_no_gradient_cache_outlives_a_solve():
+    inst = fw.build_instance("lasso", m=40, n=120, tau=1.0, seed=4)
+    obj = inst.objective
+    attrs = dict(vars(obj))
+    config = fw.SolverConfig(variant="AFW", stepsize=ExactLine(), max_iter=2000,
+                             gap_tol=1e-6, seed=4)
+    first, second = fw.solve(inst, config), fw.solve(inst, config)
+    for key in ("grad_passes", "affine_resyncs", "grad_drift_max", "affine_drift_max"):
+        assert first.meta[key] == second.meta[key]
+    assert [r.f for r in first.records] == [r.f for r in second.records]
+    assert vars(obj).keys() == attrs.keys()
+    assert all(vars(obj)[key] is value for key, value in attrs.items())
+
+
+def test_small_designs_evaluate_the_gradient_every_iteration():
+    inst = fw.build_instance("boundary_quadratic", n=12, seed=2)
+    assert inst.objective.a.size < solvers._TRACK_GRADIENT_MIN
+    report = fw.solve(inst, fw.SolverConfig(variant="AFW", stepsize=ExactLine(),
+                                            max_iter=500, gap_tol=1e-8))
+    assert report.meta["grad_drift_max"] == 0.0
+    # one pass per loop turn: every record, plus a turn per GapTol re-sync
+    assert len(report.records) <= report.meta["grad_passes"] <= len(report.records) + 1
+    inst = fw.build_instance("simplex_distance", n=8)
+    report = fw.solve(inst, fw.SolverConfig(variant="FW", stepsize=ExactLine(),
+                                            max_iter=50, gap_tol=1e-8))
+    assert report.meta["grad_passes"] == len(report.records)
