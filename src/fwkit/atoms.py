@@ -6,6 +6,13 @@ scaled coordinate vector, and a scaled rank-one matrix u v^T.  An
 ``ActiveSet`` keeps a list of pairwise-distinct atoms together with convex
 weights and supports the three step updates (toward, away, pairwise) used
 by the solvers, dropping atoms whose weight falls below ``WEIGHT_PRUNE``.
+
+While every atom of a set is a ``SignedUnitAtom`` (the atoms of the simplex
+and the L1 ball), the set also keeps their coordinate indices and signed
+scales as two arrays.  The away vertex and the point the set represents
+are then one vectorised pass over those arrays, with the same values, tie
+rule and accumulation order as the per-atom loop that dense and rank-one
+sets keep.
 """
 
 import numpy as np
@@ -24,7 +31,7 @@ class DenseAtom:
 
     def __init__(self, vector):
         v = np.asarray(vector, dtype=float)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InputError("dense atom has non-finite entries")
         self.vector = v
         self.shape = v.shape
@@ -149,6 +156,11 @@ class ActiveSet:
     Invariants: weights nonnegative and summing to one (within 1e-10), no
     two atoms structurally equal, at least one atom.  The set is a value
     type owned by a single solver; step application mutates it in place.
+
+    While every atom is signed-unit, ``_idx`` (intp) and ``_coef``
+    (sign * scale) hold the atoms' coordinates and signed scales, element
+    by element with ``atoms``; otherwise both are None.  Assigning
+    ``weights`` alone leaves them valid, since they depend on the atoms only.
     """
 
     def __init__(self, atoms, weights):
@@ -162,7 +174,7 @@ class ActiveSet:
         for a in self.atoms[1:]:
             if a.shape != shape:
                 raise InputError("atoms have mismatched dimensions")
-        if np.any(self.weights < -1e-12):
+        if (self.weights < -1e-12).any():
             raise ContractViolation("negative weight in active set")
         s = self.weights.sum()
         if abs(s - 1.0) > 1e-10:
@@ -172,6 +184,11 @@ class ActiveSet:
             self._index.setdefault(a._key(), []).append(pos)
         if any(len(b) > 1 for b in self._index.values()):
             raise ContractViolation("duplicate atoms in active set")
+        if all(a.tag == "signed_unit" for a in self.atoms):
+            self._idx = np.array([a.index for a in self.atoms], dtype=np.intp)
+            self._coef = np.array([a.sign * a.scale for a in self.atoms])
+        else:
+            self._idx = self._coef = None
 
     @classmethod
     def from_atom(cls, atom):
@@ -194,17 +211,27 @@ class ActiveSet:
         self.atoms.append(atom)
         self.weights = np.append(self.weights, weight)
         self._index.setdefault(atom._key(), []).append(len(self.atoms) - 1)
+        if self._idx is None:
+            return
+        if atom.tag == "signed_unit":
+            self._idx = np.append(self._idx, atom.index)
+            self._coef = np.append(self._coef, atom.sign * atom.scale)
+        else:
+            self._idx = self._coef = None
 
     def _prune_and_renormalize(self):
         w = self.weights
-        if np.any(w < -1e-9):
+        if (w < -1e-9).any():
             raise ContractViolation("weight went negative beyond tolerance")
         keep = w > WEIGHT_PRUNE
-        if not np.all(keep):
-            if not np.any(keep):
+        if not keep.all():
+            if not keep.any():
                 raise ContractViolation("all weights vanished")
             self.atoms = [a for a, k in zip(self.atoms, keep) if k]
             self.weights = w[keep]
+            if self._idx is not None:
+                self._idx = self._idx[keep]
+                self._coef = self._coef[keep]
             self._index = {}
             for pos, a in enumerate(self.atoms):
                 self._index.setdefault(a._key(), []).append(pos)
@@ -214,6 +241,10 @@ class ActiveSet:
 def reconstruct_point(active_set):
     """Dense point Sum_i w_i * densify(atom_i) represented by the set."""
     x = np.zeros(active_set.atoms[0].shape)
+    if active_set._idx is not None:
+        # unbuffered and in atom order: the same sums as the loop below
+        np.add.at(x, active_set._idx, active_set.weights * active_set._coef)
+        return x
     for a, w in zip(active_set.atoms, active_set.weights):
         if a.tag == "signed_unit":
             x[a.index] += w * a.sign * a.scale
@@ -225,9 +256,24 @@ def reconstruct_point(active_set):
 def select_away_vertex(active_set, g):
     """Active atom maximizing <g, atom>; ties go to the earliest-inserted atom.
 
-    Returns (atom, weight, position).
+    Returns (atom, weight, position).  On a signed-unit set this is one
+    argmax over g[idx] * coef, which returns the first maximum; g[i] *
+    (sign * scale) equals the loop's g[i] * sign * scale bit for bit, as
+    negation is exact.  A first maximum of positive weight is also the first
+    maximum over the positive-weight atoms, so only when a weight-0 atom
+    wins (or the maximum is NaN or -inf) does the per-atom loop decide.
     """
     g = np.asarray(g, dtype=float)
+    if active_set._idx is not None:
+        vals = g[active_set._idx] * active_set._coef
+        pos = int(vals.argmax())
+        w = active_set.weights[pos]
+        if w > 0.0 and vals[pos] > -np.inf:
+            return active_set.atoms[pos], float(w), pos
+    return _select_away_loop(active_set, g)
+
+
+def _select_away_loop(active_set, g):
     best_pos = None
     best_val = -np.inf
     for pos, (a, w) in enumerate(zip(active_set.atoms, active_set.weights)):

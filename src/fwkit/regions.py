@@ -25,7 +25,7 @@ def _check_gradient(g, shape):
     g = np.asarray(g, dtype=float)
     if g.shape != shape:
         raise InputError("gradient shape %s does not match region %s" % (g.shape, shape))
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise InputError("gradient has non-finite entries")
     return g
 

@@ -402,7 +402,7 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
                 dg = dg_fw
                 alpha_max = 1.0
                 step = StepDescriptor("FW", toward=s_atom)
-            if not np.any(d) or (inexact is not None and dg >= 0.0):
+            if not d.any() or (inexact is not None and dg >= 0.0):
                 if inexact is not None:
                     # the degraded oracle may stall an iteration; the error
                     # budget shrinks with k, so progress resumes on its own
@@ -573,7 +573,7 @@ def solve_efw(instance, config, initial_active=None):
             if active.find(s_atom) is None:
                 active._append(s_atom, 0.0)
             lam = _correction_weights(obj, active, config)
-            active.weights = lam
+            active.weights = lam  # one weight per atom: the atoms' index arrays stay valid
             active._prune_and_renormalize()
             x_new = reconstruct_point(active)
             d = x_new - x

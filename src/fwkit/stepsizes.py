@@ -171,7 +171,7 @@ def _quadratic_step(rule, obj, g, d, alpha_max, f, ad):
     c = ``obj.curvature_along(d)``, so every probe is closed form; ``ad``
     (the image A d, when the solver tracks A x) makes c an O(m) product.
     """
-    if not np.any(d):
+    if not np.asarray(d).any():
         raise InputError("direction must be nonzero")
     slope = float(np.vdot(g, d))
     if rule.name == "backtracking" and not _backtracking_descends(slope, g, d):

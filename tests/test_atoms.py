@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwkit.atoms import (ActiveSet, DenseAtom, RankOneAtom, SignedUnitAtom,
                          StepDescriptor, apply_step, atoms_equal, away_step_cap,
@@ -172,3 +174,143 @@ def test_weight_pruning_threshold():
     active = ActiveSet([unit(0, 3), unit(1, 3)], [1.0 - 1e-13, 1e-13])
     apply_step(active, StepDescriptor("FW", toward=unit(0, 3)), 0.5)
     assert len(active) == 1  # the dead atom is pruned
+
+
+# ---------------------------------------------------------------------------
+# Properties of the active set under random step sequences.  The per-atom
+# loops below are the reference the array-backed fast paths must reproduce
+# bit for bit.
+
+def _away_reference(active, g):
+    best_pos = None
+    best_val = -np.inf
+    for pos, (a, w) in enumerate(zip(active.atoms, active.weights)):
+        if w <= 0.0:
+            continue
+        if a.tag == "signed_unit":
+            val = g[a.index] * a.sign * a.scale
+        else:
+            val = float(np.vdot(g, a.densify()))
+        if val > best_val:
+            best_val = val
+            best_pos = pos
+    return active.atoms[best_pos], float(active.weights[best_pos]), best_pos
+
+
+def _point_reference(active):
+    x = np.zeros(active.atoms[0].shape)
+    for a, w in zip(active.atoms, active.weights):
+        if a.tag == "signed_unit":
+            x[a.index] += w * a.sign * a.scale
+        else:
+            x += w * a.densify()
+    return x
+
+
+# few distinct values, so that <g, atom> ties exactly (-0.0 against 0.0 too)
+_G_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+_FRACTIONS = st.one_of(st.just(1.0), st.floats(1e-3, 1.0))
+
+
+def _check_invariants(active, g):
+    assert (active.weights >= 0.0).all()
+    assert abs(active.weights.sum() - 1.0) <= 1e-10
+    assert len(active) == active.weights.size >= 1
+    for i, a in enumerate(active.atoms):
+        for b in active.atoms[i + 1:]:
+            assert not atoms_equal(a, b)
+    if active._idx is None:
+        assert active._coef is None
+    else:
+        assert all(a.tag == "signed_unit" for a in active.atoms)
+        assert active._idx.dtype == np.intp
+        assert active._idx.tolist() == [a.index for a in active.atoms]
+        assert active._coef.tolist() == [a.sign * a.scale for a in active.atoms]
+    if any(a.tag != "signed_unit" for a in active.atoms):
+        assert active._idx is None
+    atom, w, pos = select_away_vertex(active, g)
+    ref_atom, ref_w, ref_pos = _away_reference(active, g)
+    assert (atom, w, pos) == (ref_atom, ref_w, ref_pos)
+    assert reconstruct_point(active).tobytes() == _point_reference(active).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_step_sequences_keep_arrays_in_step_with_atoms(n, with_dense, data):
+    def draw_atom():
+        a = unit(data.draw(st.integers(0, n - 1)), n,
+                 scale=data.draw(st.sampled_from([1.0, 2.0])),
+                 sign=data.draw(st.sampled_from([-1, 1])))
+        if with_dense and data.draw(st.integers(0, 9)) == 0:
+            return DenseAtom(a.densify())
+        return a
+
+    def draw_g():
+        return np.array(data.draw(st.lists(_G_VALUES, min_size=n, max_size=n)))
+
+    active = ActiveSet.from_atom(draw_atom())
+    _check_invariants(active, draw_g())
+    for _ in range(data.draw(st.integers(1, 25))):
+        kind = data.draw(st.sampled_from(["FW", "Away", "Pairwise", "EFW"]))
+        pos = data.draw(st.integers(0, len(active) - 1))
+        atom, w = active.atoms[pos], float(active.weights[pos])
+        if kind == "FW":
+            apply_step(active, StepDescriptor("FW", toward=draw_atom()),
+                       data.draw(_FRACTIONS))
+        elif kind == "Away" and w < 0.9:  # caps near w/(1-w) = inf amplify rounding
+            apply_step(active, StepDescriptor("Away", away=atom),
+                       data.draw(_FRACTIONS) * away_step_cap(w))
+        elif kind == "Pairwise":
+            toward = draw_atom()
+            if atoms_equal(toward, atom):
+                continue
+            apply_step(active, StepDescriptor("Pairwise", toward=toward, away=atom),
+                       data.draw(_FRACTIONS) * w)
+        elif kind == "EFW":
+            # as solve_efw: append the new atom at weight 0, reassign all the
+            # weights (some zero), then prune
+            s_atom = draw_atom()
+            if active.find(s_atom) is None:
+                active._append(s_atom, 0.0)
+                _check_invariants(active, draw_g())
+            raw = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                                              min_size=len(active), max_size=len(active))))
+            if not raw.any():
+                raw[-1] = 1.0
+            active.weights = raw / raw.sum()
+            _check_invariants(active, draw_g())
+            active._prune_and_renormalize()
+        _check_invariants(active, draw_g())
+
+
+def test_signed_unit_arrays_and_mixed_sets():
+    active = ActiveSet([unit(3, 5, 2.0, -1), unit(0, 5)], [0.25, 0.75])
+    assert active._idx.tolist() == [3, 0] and active._coef.tolist() == [-2.0, 1.0]
+    assert active.copy()._idx is not active._idx
+    apply_step(active, StepDescriptor("FW", toward=DenseAtom(np.ones(5) / 5)), 0.5)
+    assert active._idx is None and active._coef is None
+    g = np.array([1.0, 0.0, 0.0, -1.0, 3.0])
+    assert select_away_vertex(active, g) == _away_reference(active, g)
+    assert np.array_equal(reconstruct_point(active), _point_reference(active))
+
+
+def test_select_away_vertex_nonfinite_gradient_matches_loop():
+    active = ActiveSet([unit(0, 3), unit(1, 3), unit(2, 3)], [0.2, 0.3, 0.5])
+    # NaN values are never a maximum; the loop skips them
+    g = np.array([np.nan, 1.0, 2.0])
+    assert select_away_vertex(active, g) == _away_reference(active, g)
+    g = np.array([1.0, np.nan, -np.inf])
+    assert select_away_vertex(active, g) == _away_reference(active, g)
+    with pytest.raises(ContractViolation):
+        select_away_vertex(active, np.full(3, -np.inf))
+    with pytest.raises(ContractViolation):
+        select_away_vertex(active, np.full(3, np.nan))
+
+
+def test_select_away_vertex_skips_zero_weights():
+    active = ActiveSet([unit(0, 3), unit(1, 3)], [1.0, 0.0])
+    atom, w, pos = select_away_vertex(active, np.array([0.0, 5.0, 0.0]))
+    assert (atom.index, w, pos) == (0, 1.0, 0)
+    active.weights = np.zeros(2)
+    with pytest.raises(ContractViolation):
+        select_away_vertex(active, np.array([0.0, 5.0, 0.0]))
