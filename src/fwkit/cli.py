@@ -111,8 +111,6 @@ def _validate(cfg, base_dir="."):
         _fail("solver %s is incompatible with family %s" % (variant, family))
     if variant in ("AFW", "PFW", "EFW") and family in ("matcomp", "ball_quadratic"):
         _fail("solver %s needs a polytopal region; family %s is not" % (variant, family))
-    if variant == "EFW" and family == "product":
-        _fail("the corrective solve does not support block-separable objectives")
     if sol.get("inexact") and variant not in ("FW", "AFW", "PFW"):
         _fail("the inexact oracle applies to FW/AFW/PFW only")
     return prob, sol, cfg.get("checks", []), out, params, data

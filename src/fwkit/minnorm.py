@@ -1,11 +1,19 @@
-"""Wolfe's min-norm-point method over the convex hull of explicit vertices.
+"""Wolfe's corral method: the min-norm point of explicit vertices, and the
+fully corrective step's reoptimisation over the active atoms.
 
-Minimizes 1/2 ||x||^2 over conv(vertices) by maintaining a corral: the
-major cycle inserts the vertex minimizing <x, v>, the minor cycle jumps to
-the least-norm point of the corral's affine hull (normal equations),
-clipping the move at the boundary of the convex hull and evicting atoms
-whose affine coefficient is nonpositive.  Terminates when
-<x, x - s> <= gap_tol for the incoming vertex s.
+Both minimize a quadratic phi over the convex hull of a few atoms: phi is
+1/2 ||x||^2 for the min-norm point, and f(V lam) for the fully corrective
+Frank-Wolfe step.  On weights lam that sum to one the gradient of such a phi
+is ``mat @ lam`` with ``mat[i, j] = <v_i, grad(v_j)>`` (the Gram matrix of
+the vertices for the min-norm point), so one minor cycle serves both
+(``corral_step``): it moves to the stationary point of phi on the corral's
+affine hull (the KKT system of ``_affine_min_coeffs``), clipping the move at
+the boundary of the hull and evicting atoms whose affine coefficient is
+nonpositive.  Where phi is not convex along that move, the cycle runs down
+the descending side to the boundary instead, so no cycle raises phi.  The
+major cycle inserts the atom of least gradient entry; ``solve_wolfe_mnp``
+stops when <x, x - s> <= gap_tol for the incoming vertex s, and
+``corral_weights`` when the weights' FW gap is within its tolerance.
 """
 
 import time
@@ -18,35 +26,139 @@ from .solvers import IterationRecord, SolveReport
 _COEFF_ZERO = 1e-12
 
 
-def _affine_min_coeffs(points):
-    """Coefficients of argmin ||sum_i beta_i p_i|| with sum beta = 1.
+def _affine_min_coeffs(mat):
+    """(beta, None): a stationary point of phi on sum beta = 1, or (None, d).
 
-    Solves the KKT system of the affine least-norm problem.  Rank-deficient
-    corrals go through least squares (any affine representation of the
-    unique minimizer works); if the constraint still cannot be met, the
-    atom with the largest normal-equation residual is reported for removal
-    by returning its index.
+    Solves the KKT system [2 mat, 1; 1^T, 0] (beta, nu) = (0, 1).  Singular
+    systems go through least squares (any affine representation of a
+    stationary point works).  If the constraint still cannot be met, phi
+    has no stationary point on the affine hull: it falls without bound
+    along a direction of zero curvature, and the system's null vector gives
+    that direction d (with sum d = 0) in place of beta.
     """
-    k = points.shape[0]
-    gram = points @ points.T
+    k = mat.shape[0]
     kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * gram
+    kkt[:k, :k] = 2.0 * mat
     kkt[:k, k] = 1.0
     kkt[k, :k] = 1.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
+    scale = 1e-8 * max(1.0, np.abs(mat).max())
     try:
         sol = np.linalg.solve(kkt, rhs)
         residual = kkt @ sol - rhs
-        if np.max(np.abs(residual)) <= 1e-8 * max(1.0, np.abs(gram).max()):
+        if np.max(np.abs(residual)) <= scale:
             return sol[:k], None
     except np.linalg.LinAlgError:
         pass
     sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     residual = kkt @ sol - rhs
-    if np.max(np.abs(residual)) <= 1e-8 * max(1.0, np.abs(gram).max()):
+    if np.max(np.abs(residual)) <= scale:
         return sol[:k], None
-    return None, int(np.argmax(np.abs(residual[:k])))
+    d = np.linalg.svd(kkt)[2][-1, :k]
+    return None, d - d.mean()
+
+
+def corral_step(mat, lam):
+    """One minor cycle on a corral: ``mat`` is its k x k matrix, lam its weights.
+
+    Returns (lam, keep).  keep is None when the corral is settled: lam is
+    the affine stationary point beta, all of whose coefficients are
+    positive, or the minimum along the ray below, or a point the steps
+    below cannot descend from.  Otherwise keep marks the atoms that stay
+    and lam holds their weights, renormalized: lam moved toward beta (or
+    along the ray) until a coefficient reached zero, or took the
+    Frank-Wolfe step below.
+
+    Moving to beta lowers phi only where phi curves up along d = beta - lam.
+    Where d^T mat d <= 0 (f not convex there), or phi has no stationary
+    point on the affine hull, the cycle runs along the descending sign of d
+    (of the zero-curvature direction in the latter case) to the boundary of
+    the hull, stopping short only at a minimum along the way.  If a weight-0
+    atom blocks that ray, it steps toward the corral's atom of least
+    gradient entry instead, as a Frank-Wolfe step with exact line search.
+    No cycle raises phi.
+    """
+    beta, d = _affine_min_coeffs(mat)
+    if beta is not None:
+        d = beta - lam
+        d -= d.mean()  # sum d = 0 to rounding in |d|, so mat's linear part drops out
+        if d @ (mat @ d) > 0.0 or not (d < 0.0).any():
+            if (beta > _COEFF_ZERO).all():
+                return beta, None
+            shrink = beta <= _COEFF_ZERO
+            denom = lam[shrink] - beta[shrink]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(denom > 0, lam[shrink] / denom, np.inf)
+            theta = float(min(1.0, np.min(ratios)))
+            lam = (1.0 - theta) * lam + theta * beta
+            return _evict(lam, np.flatnonzero(shrink)[int(np.argmin(ratios))])
+    grad = mat @ lam
+    slope = grad @ d
+    if slope > 0.0:
+        d, slope = -d, -slope
+    fall = d < 0.0
+    ratios = np.full(d.size, np.inf)
+    ratios[fall] = lam[fall] / -d[fall]
+    drop = int(np.argmin(ratios))
+    t = ratios[drop]
+    ray = t > 0.0
+    if not ray:
+        j = int(np.argmin(grad))
+        d = -lam
+        d[j] += 1.0
+        slope = grad[j] - grad @ lam
+        if not slope < 0.0:
+            return lam, None
+        t = 1.0
+    curv = d @ (mat @ d)
+    if curv > 0.0 and -slope < t * curv:
+        lam = lam + (-slope / curv) * d
+        # on the ray this is a minimum along the only direction left; after
+        # a Frank-Wolfe step every weight is positive and the cycles go on
+        return (lam, None) if ray else (lam, np.ones(lam.size, dtype=bool))
+    return _evict(lam + t * d, drop)
+
+
+def _evict(lam, drop):
+    """Zero the weights at rounding level, forcing ``drop`` out if none is; renormalize."""
+    lam[lam <= _COEFF_ZERO] = 0.0
+    keep = lam > 0.0
+    if keep.all():
+        keep[drop] = False  # the ratio-defining atom leaves despite rounding
+    lam = lam[keep]
+    return lam / lam.sum(), keep
+
+
+def corral_weights(mat, lam, tol, max_cycles):
+    """Minimize phi over the weight simplex by the corral method, from lam.
+
+    ``mat @ lam`` is phi's gradient at weights lam (see the module
+    docstring).  Minor cycles first settle the corral of lam's positive
+    weights; each major cycle then adds the atom of least gradient entry,
+    until the weights' FW gap ``(mat @ lam) @ lam - min(mat @ lam)`` is at
+    most ``tol``, the least entry already belongs to the corral (the gap is
+    then at its rounding floor), or ``max_cycles`` minor cycles have run.
+    Returns (lam, minor cycles run).
+    """
+    lam = np.array(lam, dtype=float)
+    corral = np.flatnonzero(lam > 0.0)
+    cycles = 0
+    while cycles < max_cycles:
+        cycles += 1
+        sub, keep = corral_step(mat[np.ix_(corral, corral)], lam[corral])
+        if keep is not None:
+            lam[corral[~keep]] = 0.0
+            corral = corral[keep]
+        lam[corral] = sub
+        if keep is not None:
+            continue
+        grad = mat @ lam
+        j = int(np.argmin(grad))
+        if grad @ lam - grad[j] <= tol or lam[j] > 0.0:
+            break
+        corral = np.append(corral, j)
+    return lam, cycles
 
 
 def solve_wolfe_mnp(vertices, config):
@@ -110,32 +222,13 @@ def solve_wolfe_mnp(vertices, config):
                 meta = {"x_final": x, "family": "min_norm_point",
                         "variant": "WolfeMNP", "f_star": None}
                 return SolveReport(records, None, "NumericalError", majors, meta)
-            beta, bad = _affine_min_coeffs(pts[corral])
-            if beta is None:
-                corral.pop(bad)
-                lam = np.delete(lam, bad)
-                lam = lam / lam.sum()
-                continue
-            if np.all(beta > _COEFF_ZERO):
-                lam = beta
-                x = lam @ pts[corral]
-                break
-            shrink = beta <= _COEFF_ZERO
-            denom = lam[shrink] - beta[shrink]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(denom > 0, lam[shrink] / denom, np.inf)
-            theta = float(min(1.0, np.min(ratios)))
-            lam = (1.0 - theta) * lam + theta * beta
-            lam[lam <= _COEFF_ZERO] = 0.0
-            keep = lam > 0.0
-            if keep.all():
-                # force out the ratio-defining atom despite rounding
-                drop_local = np.flatnonzero(shrink)[int(np.argmin(ratios))]
-                keep[drop_local] = False
-            corral = [c for c, k_ in zip(corral, keep) if k_]
-            lam = lam[keep]
-            lam = lam / lam.sum()
+            sub = pts[corral]
+            lam, keep = corral_step(sub @ sub.T, lam)
+            if keep is not None:
+                corral = [c for c, k_ in zip(corral, keep) if k_]
             x = lam @ pts[corral]
+            if keep is None:
+                break
     meta = {"x_final": x, "family": "min_norm_point", "variant": "WolfeMNP",
             "f_star": None, "corral": list(corral), "weights": lam.copy()}
     return SolveReport(records, None, termination, majors, meta)

@@ -295,7 +295,7 @@ def exact_linesearch_quadratic(obj, x, d, alpha_max):
     slope = float(np.vdot(g, d))
     c = curv(d)
     if c > 0.0:
-        return float(np.clip(-slope / c, 0.0, alpha_max))
+        return min(max(-slope / c, 0.0), alpha_max)
     f1, _ = obj.eval(x + alpha_max * d)
     return 0.0 if f0 <= f1 else float(alpha_max)
 
@@ -580,25 +580,3 @@ def compose_with_linear(obj, m):
         return Quadratic(m.T @ obj.q @ m, m.T @ obj.b, obj.c)
     raise InputError("cannot compose variant %r with a linear map" % obj.variant)
 
-
-def compose_with_atoms(obj, atoms):
-    """Objective on simplex weights lam -> f(sum_i lam_i atom_i).
-
-    Used by the fully corrective solver; stays inside the quadratic variants
-    so inner exact line search keeps its closed form.
-    """
-    if atoms[0].densify().ndim == 1:
-        v = np.column_stack([a.densify() for a in atoms])
-        if obj.variant == "least_squares":
-            return LeastSquares(obj.a @ v, obj.b)
-        if obj.variant == "factored_quadratic":
-            return FactoredQuadratic(obj.a @ v, v.T @ obj.b, obj.c, obj.sign)
-        if obj.variant == "shifted_norm_square":
-            return LeastSquares(v, obj.center)
-        if obj.variant == "quadratic":
-            return Quadratic(v.T @ obj.q @ v, v.T @ obj.b, obj.c)
-        raise InputError("cannot restrict variant %r to an atom hull" % obj.variant)
-    if obj.variant == "matrix_completion":
-        cols = np.column_stack([a.densify()[obj.rows, obj.cols] for a in atoms])
-        return LeastSquares(cols, obj.values)
-    raise InputError("cannot restrict variant %r to an atom hull" % obj.variant)

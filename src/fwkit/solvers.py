@@ -2,7 +2,9 @@
 
 One driver per variant: classic FW, away-step (AFW), pairwise (PFW),
 in-face (FDFW), fully corrective (EFW), block coordinate (BCFW), and
-Wolfe's min-norm-point method (see ``minnorm``).  Every run produces a
+Wolfe's min-norm-point method (see ``minnorm``).  EFW's correction and the
+min-norm point share Wolfe's corral method: both minimize a quadratic over
+the hull of a few atoms with ``minnorm``'s minor cycle.  Every run produces a
 ``SolveReport`` with a per-iteration trace: objective, FW gap, step kind
 and size, support size, and good-step classification.
 
@@ -19,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regions as rg
-from .atoms import ActiveSet, SignedUnitAtom, StepDescriptor, apply_step, \
-    atoms_equal, away_step_cap, reconstruct_point, select_away_vertex
+from .atoms import ActiveSet, StepDescriptor, apply_step, atoms_equal, \
+    away_step_cap, reconstruct_point, select_away_vertex
 from .errors import CapabilityError, InputError, NumericalError
-from .objectives import FactoredQuadratic, LeastSquares, compose_with_atoms
+from .objectives import FactoredQuadratic, LeastSquares
 from .stepsizes import BlockDiminishing, Diminishing, compute_step
 
 _POLYTOPAL = (rg.Simplex, rg.L1Ball, rg.Box, rg.LinfBall, rg.BasePolytope,
@@ -33,7 +35,7 @@ _POLYTOPAL = (rg.Simplex, rg.L1Ball, rg.Box, rg.LinfBall, rg.BasePolytope,
 _RESYNC_EVERY = 64
 # entries of A from which _AffineImage tracks the gradient too (see there).
 # Tracked over evaluated run time, median of paired runs on a 2-vCPU Xeon VM
-# (4 MiB L2, BLAS on one thread): 1.03-1.05 on AFW/PFW/EFW at 900 entries
+# (4 MiB L2, BLAS on one thread): 1.03-1.05 on AFW/PFW at 900 entries
 # (n = 30 simplex quadratics), 0.96-1.02 at 4800 and 0.89-1.08 from 1e4 to
 # 1e5 on lasso FW/AFW/PFW (A in cache, an A^T r pass ~20 us), and 0.47 (FW),
 # 0.74 (AFW), 0.96 (PFW) at 4e5 (lasso 200x2000), where A leaves the cache.
@@ -540,7 +542,18 @@ def solve_fdfw(instance, config):
 
 
 def solve_efw(instance, config, initial_active=None):
-    """Fully corrective variant: reoptimize over the active atoms each round."""
+    """Fully corrective variant: reoptimize over the active atoms each round.
+
+    Each round minimizes f over the convex hull of the active atoms, warm
+    started from the current weights, by Wolfe's corral method
+    (``minnorm.corral_weights``) down to a weights' FW gap of
+    max(efw_inner_tol, gap_tol / 10): a hull that contains the optimum is
+    corrected to it in one round.  f is quadratic, so the gradient of the
+    weights' objective is M lam with M_ij = <v_i, grad f(v_j)>, built from
+    gradients at the atoms (``_AtomGradients``).
+    """
+    from .minnorm import corral_weights
+
     obj, region = instance.objective, instance.region
     if not _is_polytopal(region):
         raise CapabilityError("EFW needs a polytopal region")
@@ -552,12 +565,17 @@ def solve_efw(instance, config, initial_active=None):
         atom = _initial_atom(region, rng)
         active = ActiveSet.from_atom(atom)
         x = atom.densify().copy()
+    grads = _AtomGradients(obj)
+    inner_tol = max(config.efw_inner_tol, 0.1 * config.gap_tol)
     tracer = _Tracer(config)
     termination = "MaxIter"
     k = 0
+    evals = 0
+    cycles = 0
     try:
         while True:
             f, g = obj.eval(x)
+            evals += 1
             s_atom = region.lmo(g)
             s = s_atom.densify()
             gap = float(np.vdot(g, x) - np.vdot(g, s))
@@ -572,7 +590,12 @@ def solve_efw(instance, config, initial_active=None):
                 break
             if active.find(s_atom) is None:
                 active._append(s_atom, 0.0)
-            lam = _correction_weights(obj, active, config)
+            mat = grads.matrix(active)
+            if not np.isfinite(mat).all():
+                raise NumericalError("non-finite gradient at an active atom")
+            lam, used = corral_weights(mat, active.weights, inner_tol,
+                                       max(200, 40 * len(active)))
+            cycles += used
             active.weights = lam  # one weight per atom: the atoms' index arrays stay valid
             active._prune_and_renormalize()
             x_new = reconstruct_point(active)
@@ -586,42 +609,40 @@ def solve_efw(instance, config, initial_active=None):
         termination = "NumericalError"
     meta = _base_meta(instance, config)
     meta["x_final"] = x
+    meta["grad_passes"] = evals + grads.passes
+    meta["correction_cycles"] = cycles
     return SolveReport(tracer.records, active, termination, tracer.good_steps, meta)
 
 
-def _correction_weights(obj, active, config):
-    """Approximately minimize f over conv(active atoms) via an inner AFW.
+class _AtomGradients:
+    """Gradients of f at atoms, one evaluation per distinct atom and solve.
 
-    The inner tolerance couples to the outer stopping tolerance so a hull
-    containing the optimum is corrected to it in a single round.
+    On weights lam that sum to one, f(sum_j lam_j v_j) has the gradient
+    M lam with M_ij = <v_i, grad f(v_j)>, because f is quadratic and its
+    gradient affine.  ``matrix`` builds M over an active set from the cached
+    gradients: on signed-unit atoms row i is coef_i times the gradients'
+    entries at idx_i, with no dense atom formed.  The cache lives as long
+    as this object, which one solve owns; ``passes`` counts the evaluations.
     """
-    from .objectives import ProblemInstance
-    from .stepsizes import ExactLine
 
-    m = len(active)
-    inner_obj = compose_with_atoms(obj, active.atoms)
-    inner_region = rg.Simplex(m)
-    atoms = []
-    weights = []
-    for i, w in enumerate(active.weights):
-        if w > 0.0:
-            atoms.append(SignedUnitAtom(i, +1, 1.0, m))
-            weights.append(w)
-    weights = np.asarray(weights)
-    inner_active = ActiveSet(atoms, weights / weights.sum())
-    inner_instance = ProblemInstance(inner_obj, inner_region, L=1.0, mu=0.0,
-                                     D=inner_region.diameter(), family="efw_inner")
-    inner_config = SolverConfig(
-        variant="AFW", stepsize=ExactLine(),
-        max_iter=max(200, 40 * m),
-        gap_tol=max(config.efw_inner_tol, 0.1 * config.gap_tol),
-        seed=config.seed, record_every=10 ** 9)
-    report = _run_atomic(inner_instance, inner_config, away=True, pairwise=False,
-                         initial_active=inner_active)
-    if report.termination == "NumericalError":
-        raise NumericalError("inner correction solve failed")
-    lam = report.meta["x_final"]
-    return np.maximum(lam, 0.0)
+    def __init__(self, obj):
+        self.obj = obj
+        self._atoms = {}  # atom key -> (atom, gradient at the atom)
+        self.passes = 0
+
+    def _grad(self, atom):
+        key = atom._key()
+        entry = self._atoms.get(key)
+        if entry is None or not atoms_equal(entry[0], atom):
+            self.passes += 1
+            entry = self._atoms[key] = (atom, self.obj.eval(atom.densify())[1].ravel())
+        return entry[1]
+
+    def matrix(self, active):
+        grads = np.array([self._grad(a) for a in active.atoms])
+        if active._idx is not None:
+            return active._coef[:, None] * grads[:, active._idx].T
+        return np.array([a.densify().ravel() for a in active.atoms]) @ grads.T
 
 
 def solve_bcfw(instance, config):

@@ -182,7 +182,7 @@ def _quadratic_step(rule, obj, g, d, alpha_max, f, ad):
         if not alpha_max > 0:
             raise InputError("alpha_max must be positive")
         if c > 0.0:
-            return float(np.clip(-slope / c, 0.0, alpha_max))
+            return min(max(-slope / c, 0.0), alpha_max)
         return 0.0 if f <= phi(alpha_max) else float(alpha_max)
     if rule.name == "armijo":
         return _armijo(phi, f, slope, alpha_max, rule.delta, rule.gamma)

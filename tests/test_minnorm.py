@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fwkit.minnorm import hull_distance, solve_wolfe_mnp
+from fwkit.minnorm import corral_step, hull_distance, solve_wolfe_mnp
 from fwkit.objectives import FactoredQuadratic, ProblemInstance
 from fwkit.regions import Simplex
 from fwkit.solvers import SolverConfig, solve
@@ -82,3 +82,15 @@ def test_hull_distance_point_to_triangle():
     a = np.array([[0.0, 0.0]])
     b = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert hull_distance(a, b) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
+
+
+def test_minor_cycle_blocked_by_a_weight_zero_atom_still_descends():
+    # phi = -||lam||^2: the affine stationary point (1/3, 1/3, 1/3) is a
+    # maximum, and the descending side of the line through it would lower the
+    # weight-0 third atom; the cycle steps to the vertex of least gradient
+    mat = -2.0 * np.eye(3)
+    lam = np.array([0.7, 0.3, 0.0])
+    new, keep = corral_step(mat, lam)
+    assert keep.tolist() == [True, False, False]
+    assert new.tolist() == [1.0]
+    assert 0.5 * lam @ mat @ lam == pytest.approx(-0.58, abs=1e-15)

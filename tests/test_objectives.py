@@ -5,9 +5,8 @@ from fwkit.errors import InputError
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               MatrixCompletionLoss, ProblemInstance, Quadratic,
                               ShiftedNormSquare, build_instance,
-                              compose_with_atoms, compose_with_linear,
+                              compose_with_linear,
                               exact_linesearch_quadratic)
-from fwkit.atoms import SignedUnitAtom
 from fwkit.regions import Simplex
 
 
@@ -259,23 +258,3 @@ def test_compose_with_linear_matches_pointwise():
             v2, g2 = obj.eval(m @ y)
             assert v1 == pytest.approx(v2, rel=1e-10, abs=1e-10)
             assert np.allclose(g1, m.T @ g2, atol=1e-9)
-
-
-def test_compose_with_atoms_matches_pointwise():
-    rng = np.random.default_rng(12)
-    atoms = [SignedUnitAtom(i, +1, 1.0, 5) for i in (0, 2, 4)]
-    v = np.column_stack([a.densify() for a in atoms])
-    objectives = [
-        LeastSquares(rng.standard_normal((3, 5)), rng.standard_normal(3)),
-        FactoredQuadratic(rng.standard_normal((4, 5)), rng.standard_normal(5), 0.2, -1),
-        ShiftedNormSquare(rng.standard_normal(5)),
-    ]
-    for obj in objectives:
-        comp = compose_with_atoms(obj, atoms)
-        for _ in range(10):
-            lam = rng.random(3)
-            lam /= lam.sum()
-            v1, g1 = comp.eval(lam)
-            v2, g2 = obj.eval(v @ lam)
-            assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
-            assert np.allclose(g1, v.T @ g2, atol=1e-10)

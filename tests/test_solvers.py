@@ -1,11 +1,18 @@
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fwkit.atoms import ActiveSet, SignedUnitAtom
+from fwkit import solvers
+from fwkit.atoms import ActiveSet, DenseAtom, SignedUnitAtom
 from fwkit.diagnostics import fit_geometric_rate
 from fwkit.errors import CapabilityError
-from fwkit.objectives import (BlockSeparable, ProblemInstance,
-                              ShiftedNormSquare, build_instance)
+from fwkit.minnorm import corral_weights
+from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
+                              ProblemInstance, Quadratic, ShiftedNormSquare,
+                              build_instance)
 from fwkit.regions import Box, NuclearBall, ProductRegion, Simplex
 from fwkit.solvers import SolverConfig, reference_f_star, solve
 from fwkit.stepsizes import Diminishing, ExactLine, LipschitzDep
@@ -178,6 +185,145 @@ def test_efw_prunes_zero_weight_atoms():
     report = solve(inst, cfg("EFW", ExactLine(), gap_tol=1e-11))
     assert report.termination == "GapTol"
     assert len(report.active_set) <= 8
+
+
+def _afw_correction(obj, atoms, weights):
+    """Reference: minimize f(V lam) over the weight simplex by a long AFW run.
+
+    This is how the fully corrective step used to correct: f composed with
+    the atoms as a quadratic in the weights, solved by AFW with exact line
+    search from the warm weights.  The composition reads f's constant,
+    linear and quadratic parts off evaluations at 0 and at the unit vectors.
+    Returns the run's last f and gap: f - gap is a lower bound on the
+    minimum, as f is convex.
+    """
+    n = obj.shape[0]
+    f0, g0 = obj.eval(np.zeros(n))
+    hess = np.column_stack([obj.eval(e)[1] - g0 for e in np.eye(n)])
+    v = np.column_stack([a.densify() for a in atoms])
+    q = v.T @ (0.25 * (hess + hess.T)) @ v
+    inner = ProblemInstance(Quadratic(0.5 * (q + q.T), v.T @ g0, f0), Simplex(len(atoms)),
+                            1.0, 0.0, np.sqrt(2.0), family="efw_reference")
+    keep = weights > 0.0
+    start = ActiveSet([SignedUnitAtom(i, +1, 1.0, len(atoms)) for i in np.flatnonzero(keep)],
+                      weights[keep] / weights[keep].sum())
+    report = solve(inner, cfg("AFW", ExactLine(), max_iter=20000, gap_tol=1e-13,
+                              record_every=10 ** 9), initial_active=start)
+    return report.records[-1].f, report.records[-1].gap
+
+
+@st.composite
+def corrections(draw):
+    """(objective, atoms, warm weights): a convex quadratic and a few distinct atoms."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["least_squares", "factored", "shifted", "psd"]))
+    if kind == "least_squares":
+        m = draw(st.integers(1, 5))
+        obj = LeastSquares(rng.standard_normal((m, n)), rng.standard_normal(m))
+    elif kind == "factored":  # a linear term: on a rank-deficient A, f falls along lines
+        m = draw(st.integers(1, 5))
+        obj = FactoredQuadratic(rng.standard_normal((m, n)), rng.standard_normal(n),
+                                float(rng.standard_normal()), sign=+1)
+    elif kind == "shifted":
+        obj = ShiftedNormSquare(rng.standard_normal(n))
+    else:
+        b = rng.standard_normal((draw(st.integers(1, n)), n))
+        obj = Quadratic(b.T @ b, rng.standard_normal(n), float(rng.standard_normal()))
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        slots = rng.permutation(2 * n)[:k]
+        scale = float(rng.uniform(0.5, 2.0))
+        atoms = [SignedUnitAtom(c % n, 1 - 2 * (c // n), scale, n) for c in slots]
+    else:
+        atoms = [DenseAtom(rng.standard_normal(n)) for _ in range(k)]
+    weights = rng.random(len(atoms)) * (rng.random(len(atoms)) < 0.7)
+    weights[draw(st.integers(0, len(atoms) - 1))] += 0.1
+    return obj, atoms, weights / weights.sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrections())
+def test_corral_correction_minimizes_over_the_hull(case):
+    obj, atoms, weights = case
+    tol = 1e-10
+    active = ActiveSet(atoms, weights)
+    mat = solvers._AtomGradients(obj).matrix(active)
+    lam, cycles = corral_weights(mat, weights, tol, max(200, 40 * len(atoms)))
+    assert cycles >= 1
+    assert (lam >= 0.0).all() and abs(lam.sum() - 1.0) <= 1e-12
+    v = np.column_stack([a.densify() for a in atoms])
+    f, g = obj.eval(v @ lam)
+    scores = v.T @ g
+    scale = max(1.0, abs(f), float(np.abs(scores).max()))
+    assert scores @ lam - scores.min() <= tol + 1e-13 * scale
+    assert f <= obj.eval(v @ weights)[0] + 1e-14 * scale
+    # within 1e-9 of the reference where it converged; the reference can
+    # stop short of the minimum (an AFW run 4e-8 above it after 20000 steps
+    # was seen), so below it only its own certificate bounds f
+    f_ref, gap_ref = _afw_correction(obj, atoms, weights)
+    assert f_ref - gap_ref - 1e-12 * scale <= f <= f_ref + 1e-9 * max(1.0, abs(f))
+
+
+def test_efw_descends_on_a_concave_objective():
+    # f = -||x||^2: the corral's affine stationary point (1/2, 1/2) is its
+    # maximum, f = -0.5; the correction runs down to the vertex instead
+    inst = ProblemInstance(Quadratic(-np.eye(4)), Simplex(4), 2.0, 0.0, np.sqrt(2.0),
+                           family="concave")
+    start = ActiveSet([SignedUnitAtom(0, +1, 1.0, 4), SignedUnitAtom(1, +1, 1.0, 4)],
+                      np.array([0.7, 0.3]))
+    report = solve(inst, cfg("EFW", ExactLine(), max_iter=50), initial_active=start)
+    assert [r.f for r in report.records] == pytest.approx([-0.58, -1.0], abs=1e-15)
+    assert report.termination == "GapTol"
+
+
+@pytest.mark.parametrize("n, f_final, outer", [(6, -0.875, 4), (10, -0.875, 4), (20, -0.9, 5)])
+def test_efw_max_clique_reaches_the_pinned_clique(n, f_final, outer):
+    # f = -(1 - 1/(2k)) at the barycentre of a k-clique; values pinned from
+    # the nested-AFW correction this replaced
+    rng = np.random.default_rng(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p, on in zip(pairs, rng.random(len(pairs)) < 0.5) if on]
+    inst = build_instance("max_clique", n=n, edges=edges)
+    report = solve(inst, cfg("EFW", ExactLine(), max_iter=200, seed=n))
+    assert report.termination == "GapTol"
+    assert len(report.records) == outer
+    assert report.records[-1].f == pytest.approx(f_final, abs=1e-12)
+
+
+def test_efw_gradient_cache_dies_with_the_solve():
+    inst = build_instance("boundary_quadratic", n=12, seed=3)
+    obj = inst.objective
+    attrs = dict(vars(obj))
+    config = cfg("EFW", ExactLine(), gap_tol=1e-8)
+    first, second = solve(inst, config), solve(inst, config)
+    gc.collect()
+    assert not any(isinstance(o, solvers._AtomGradients) for o in gc.get_objects())
+    assert vars(obj).keys() == attrs.keys()
+    assert all(vars(obj)[key] is value for key, value in attrs.items())
+    assert [r.f for r in first.records] == [r.f for r in second.records]
+    for key in ("grad_passes", "correction_cycles"):
+        assert first.meta[key] == second.meta[key]
+
+
+def test_efw_counts_one_gradient_per_round_and_per_atom(monkeypatch):
+    inst = build_instance("interior_quadratic", n=12, seed=5)
+    answers = []
+    lmo = inst.region.lmo
+
+    def recording_lmo(g):
+        answers.append(lmo(g))
+        return answers[-1]
+
+    monkeypatch.setattr(inst.region, "lmo", recording_lmo)
+    report = solve(inst, cfg("EFW", ExactLine(), gap_tol=1e-8))
+    assert report.termination == "GapTol"
+    # the first answer is the initial vertex; the last one, at the stopping
+    # round, joins no active set
+    met = {(a.index, a.sign) for a in answers[:-1]}
+    rounds = len(report.records)
+    assert report.meta["grad_passes"] == rounds + len(met)
+    assert report.meta["correction_cycles"] >= rounds - 1
 
 
 def test_sparsity_bound_support_at_most_k_plus_one():
