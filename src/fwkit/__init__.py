@@ -31,8 +31,8 @@ from .regions import (BasePolytope, Box, InexactSchedule, L1Ball, L2Ball,
                       max_feasible_step, minimal_face_vertices,
                       pyramidal_width_bruteforce, top_singular_triple)
 from .solvers import (IterationRecord, SolveReport, SolverConfig,
-                      reference_f_star, solve, solve_afw, solve_bcfw,
-                      solve_efw, solve_fdfw, solve_fw, solve_pfw)
+                      reference_f_star, solve, solve_bcfw, solve_efw,
+                      solve_fdfw)
 from .stepsizes import (Armijo, BacktrackingL, BlockDiminishing, Diminishing,
                         ExactLine, LipschitzDep, rule_from_name,
                         stepsize_armijo, stepsize_backtracking_L,

@@ -262,11 +262,6 @@ class BlockSeparable:
                    for i, p in enumerate(self.parts))
 
 
-def eval_objective(obj, x):
-    """(value, gradient) of an objective at x."""
-    return obj.eval(x)
-
-
 def lipschitz_upper(obj):
     """Upper bound on the gradient's Lipschitz constant."""
     return obj.lipschitz_upper()

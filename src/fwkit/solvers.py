@@ -24,7 +24,7 @@ from . import regions as rg
 from .atoms import ActiveSet, StepDescriptor, apply_step, atoms_equal, \
     away_step_cap, reconstruct_point, select_away_vertex
 from .errors import CapabilityError, InputError, NumericalError
-from .objectives import FactoredQuadratic, LeastSquares
+from .objectives import BlockSeparable, FactoredQuadratic, LeastSquares
 from .stepsizes import BlockDiminishing, Diminishing, compute_step
 
 _POLYTOPAL = (rg.Simplex, rg.L1Ball, rg.Box, rg.LinfBall, rg.BasePolytope,
@@ -289,14 +289,8 @@ def _initial_atom(region, rng):
 def solve(instance, config, inexact=None, initial_active=None):
     """Run the solver selected by ``config.variant`` on a problem instance."""
     variant = config.variant
-    if variant == "FW":
-        return _run_atomic(instance, config, away=False, pairwise=False,
-                           inexact=inexact, initial_active=initial_active)
-    if variant == "AFW":
-        return _run_atomic(instance, config, away=True, pairwise=False,
-                           inexact=inexact, initial_active=initial_active)
-    if variant == "PFW":
-        return _run_atomic(instance, config, away=True, pairwise=True,
+    if variant in ("FW", "AFW", "PFW"):
+        return _run_atomic(instance, config, away=variant != "FW", pairwise=variant == "PFW",
                            inexact=inexact, initial_active=initial_active)
     if variant == "FDFW":
         return solve_fdfw(instance, config)
@@ -311,19 +305,6 @@ def solve(instance, config, inexact=None, initial_active=None):
             raise CapabilityError("WolfeMNP needs an explicit vertex list")
         return solve_wolfe_mnp(instance.region.points, config)
     raise InputError("unknown solver variant %r" % variant)
-
-
-def solve_fw(instance, config, inexact=None):
-    return _run_atomic(instance, config, away=False, pairwise=False, inexact=inexact)
-
-
-def solve_afw(instance, config, initial_active=None):
-    return _run_atomic(instance, config, away=True, pairwise=False,
-                       initial_active=initial_active)
-
-
-def solve_pfw(instance, config):
-    return _run_atomic(instance, config, away=True, pairwise=True)
 
 
 def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=None):
@@ -646,38 +627,55 @@ class _AtomGradients:
 
 
 def solve_bcfw(instance, config):
-    """Block coordinate FW: a uniformly random block takes a FW step each round."""
+    """Block coordinate FW (Lacoste-Julien et al., 2013): a random block steps each round.
+
+    A step on block i changes only its value, gradient, LMO vertex, gap term
+    and support, so these are cached per block and a step with alpha > 0
+    refreshes block i alone.  f and the gap sum the cached terms in block
+    order, as ``BlockSeparable.eval`` does; the step rules get the
+    full-length g and direction, as block slices' dot products round apart.
+    """
     obj, region = instance.objective, instance.region
     if not isinstance(region, rg.ProductRegion):
         raise CapabilityError("BCFW needs a product region")
+    if not isinstance(obj, BlockSeparable) or list(obj.sizes) != region.sizes:
+        raise CapabilityError("BCFW needs a BlockSeparable objective on the region's blocks")
     m = len(region.blocks)
-    rule = config.stepsize if config.stepsize.name != "diminishing" else None
-    if rule is None:
+    rule = copy.deepcopy(config.stepsize)
+    if rule.name in ("diminishing", "block_diminishing"):
         rule = BlockDiminishing(m=m)
-    else:
-        rule = copy.deepcopy(rule)
-        if rule.name == "block_diminishing":
-            rule.m = m
     rng = np.random.default_rng(config.seed)
-    parts = []
-    for i, b in enumerate(region.blocks):
-        g0 = rng.standard_normal(b.shape)
-        parts.append(b.lmo(g0).densify())
-    x = np.concatenate(parts)
+    x = np.concatenate([b.lmo(rng.standard_normal(b.shape)).densify() for b in region.blocks])
+    g = np.zeros(obj.shape)
+    slices = [region.block_slice(i) for i in range(m)]
+    vals, verts, gaps, sups = ([None] * m for _ in range(4))  # per block
+
+    def refresh(i):
+        sl = slices[i]
+        xi = x[sl]
+        vals[i], g[sl] = obj.parts[i].eval(xi)
+        verts[i] = region.blocks[i].lmo(g[sl]).densify()
+        gaps[i] = float(g[sl] @ xi - g[sl] @ verts[i])
+        sups[i] = frozenset((np.flatnonzero(np.abs(xi) > 1e-12) + sl.start).tolist())
+
+    def totals():
+        f = gap = 0.0
+        for i in range(m):
+            f += vals[i]
+            gap += gaps[i]
+        support = frozenset().union(*sups) if x.size <= 4096 else None
+        return f, gap, sum(map(len, sups)), support
+
     tracer = _Tracer(config)
     termination = "MaxIter"
     k = 0
+    block_evals = m
     try:
+        for i in range(m):
+            refresh(i)
+        f, gap, support_size, support = totals()
         while True:
-            f, g = obj.eval(x)
-            block_atoms = []
-            gap = 0.0
-            for i, b in enumerate(region.blocks):
-                sl = region.block_slice(i)
-                a = b.lmo(g[sl])
-                block_atoms.append(a)
-                gap += float(g[sl] @ x[sl] - g[sl] @ a.densify())
-            rec = tracer.make(k, f, gap, int(np.sum(np.abs(x) > 1e-12)), x)
+            rec = tracer.make(k, f, gap, support_size, x, support)
             if gap <= config.gap_tol:
                 termination = "GapTol"
                 tracer.push(rec, terminal=True)
@@ -687,20 +685,23 @@ def solve_bcfw(instance, config):
                 tracer.push(rec, terminal=True)
                 break
             i = int(rng.integers(m))
-            sl = region.block_slice(i)
-            d_bl = block_atoms[i].densify() - x[sl]
+            sl = slices[i]
+            d_bl = verts[i] - x[sl]
             dg = float(g[sl] @ d_bl)
-            if not np.any(d_bl) or dg >= 0.0:
+            if not d_bl.any() or dg >= 0.0:
                 alpha = 0.0
             else:
-                d_full = np.zeros_like(x)
-                d_full[sl] = d_bl
+                d_full = None
+                if rule.name != "block_diminishing":
+                    d_full = np.zeros_like(x)
+                    d_full[sl] = d_bl
                 alpha = compute_step(rule, k, obj, x, g, d_full, 1.0, f=f)
             if alpha > 0.0:
-                x = x.copy()
                 x[sl] = x[sl] + alpha * d_bl
-            tracer.mark_step(rec, "Block(%d)" % i, alpha, dg,
-                             np.linalg.norm(d_bl), 1.0)
+                refresh(i)
+                block_evals += 1
+                f, gap, support_size, support = totals()
+            tracer.mark_step(rec, "Block(%d)" % i, alpha, dg, np.linalg.norm(d_bl), 1.0)
             tracer.push(rec)
             k += 1
     except NumericalError:
@@ -708,6 +709,7 @@ def solve_bcfw(instance, config):
     meta = _base_meta(instance, config)
     meta["x_final"] = x
     meta["blocks"] = m
+    meta["block_evals"] = block_evals
     return SolveReport(tracer.records, None, termination, tracer.good_steps, meta)
 
 

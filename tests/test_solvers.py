@@ -1,3 +1,4 @@
+import copy
 import gc
 
 import numpy as np
@@ -15,7 +16,8 @@ from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               build_instance)
 from fwkit.regions import Box, NuclearBall, ProductRegion, Simplex
 from fwkit.solvers import SolverConfig, reference_f_star, solve
-from fwkit.stepsizes import Diminishing, ExactLine, LipschitzDep
+from fwkit.stepsizes import (Armijo, BacktrackingL, BlockDiminishing, Diminishing,
+                             ExactLine, LipschitzDep, compute_step)
 
 
 def cfg(variant, rule, **kw):
@@ -396,6 +398,9 @@ def test_bcfw_zero_gradient_block_is_a_zero_step():
     for prev, nxt, rec in zip(fs[:-1], fs[1:], report.records[:-1]):
         if rec.alpha == 0.0 and rec.kind != "stop":
             assert nxt == prev
+    # a zero step evaluates nothing: one evaluation per block, then per moved step
+    moved = sum(1 for r in report.records if r.alpha > 0.0)
+    assert zero_steps and report.meta["block_evals"] == 2 + moved
 
 
 def test_bcfw_with_per_block_lipschitz_rule_is_monotone():
@@ -430,6 +435,124 @@ def test_bcfw_mean_rate_bound_small():
     big_k = np.mean([t[0] for t in traces]) + kappa
     for k in range(1, length):
         assert mean_h[k] <= 2 * big_k * m / (k + 2 * m) + 1e-9
+
+
+def _bcfw_full_evaluation(instance, config):
+    """BCFW that evaluates f and runs every block LMO on each iteration.
+
+    The reference for ``solve_bcfw``, whose per-block caches must reproduce
+    its (records, termination, x_final) bit for bit.
+    """
+    obj, region = instance.objective, instance.region
+    m = len(region.blocks)
+    rule = config.stepsize if config.stepsize.name != "diminishing" else None
+    if rule is None:
+        rule = BlockDiminishing(m=m)
+    else:
+        rule = copy.deepcopy(rule)
+        if rule.name == "block_diminishing":
+            rule.m = m
+    rng = np.random.default_rng(config.seed)
+    x = np.concatenate([b.lmo(rng.standard_normal(b.shape)).densify()
+                        for b in region.blocks])
+    tracer = solvers._Tracer(config)
+    termination = "MaxIter"
+    k = 0
+    while True:
+        f, g = obj.eval(x)
+        block_atoms = []
+        gap = 0.0
+        for i, b in enumerate(region.blocks):
+            sl = region.block_slice(i)
+            a = b.lmo(g[sl])
+            block_atoms.append(a)
+            gap += float(g[sl] @ x[sl] - g[sl] @ a.densify())
+        rec = tracer.make(k, f, gap, int(np.sum(np.abs(x) > 1e-12)), x)
+        if gap <= config.gap_tol:
+            termination = "GapTol"
+            tracer.push(rec, terminal=True)
+            break
+        if k >= config.max_iter:
+            tracer.push(rec, terminal=True)
+            break
+        i = int(rng.integers(m))
+        sl = region.block_slice(i)
+        d_bl = block_atoms[i].densify() - x[sl]
+        dg = float(g[sl] @ d_bl)
+        if not np.any(d_bl) or dg >= 0.0:
+            alpha = 0.0
+        else:
+            d_full = np.zeros_like(x)
+            d_full[sl] = d_bl
+            alpha = compute_step(rule, k, obj, x, g, d_full, 1.0, f=f)
+        if alpha > 0.0:
+            x = x.copy()
+            x[sl] = x[sl] + alpha * d_bl
+        tracer.mark_step(rec, "Block(%d)" % i, alpha, dg, np.linalg.norm(d_bl), 1.0)
+        tracer.push(rec)
+        k += 1
+    return tracer.records, termination, x
+
+
+def _record_bits(rec):
+    floats = tuple(float(v).hex() for v in (rec.f, rec.gap, rec.alpha, rec.dg,
+                                             rec.dnorm, rec.alpha_max))
+    return (rec.k, rec.kind, rec.support_size, rec.support, rec.good) + floats
+
+
+@st.composite
+def block_products(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for n in sizes:
+        if draw(st.booleans()):
+            parts.append(ShiftedNormSquare(rng.random(n) / n))
+        else:
+            b = rng.standard_normal((draw(st.integers(1, n)), n))
+            parts.append(Quadratic(b.T @ b, rng.standard_normal(n)))
+    obj = BlockSeparable(parts)
+    region = ProductRegion([Simplex(n) for n in sizes])
+    inst = ProblemInstance(obj, region, obj.lipschitz_upper(), 0.0, region.diameter(),
+                           family="product")
+    rule = draw(st.sampled_from([
+        Diminishing, BlockDiminishing, ExactLine, Armijo,
+        lambda: BacktrackingL(L0=float(rng.choice([0.1, 1.0, 10.0]))),
+        lambda: LipschitzDep(max(obj.lipschitz_upper(), 1e-3))]))()
+    config = SolverConfig(variant="BCFW", stepsize=rule, max_iter=draw(st.integers(1, 80)),
+                          gap_tol=draw(st.sampled_from([1e-1, 1e-3, 1e-300])),
+                          seed=draw(st.integers(0, 1000)))
+    return inst, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_products())
+def test_bcfw_block_caches_reproduce_the_full_evaluation_bit_for_bit(case):
+    inst, config = case
+    records, termination, x = _bcfw_full_evaluation(inst, config)
+    report = solve(inst, config)
+    assert report.termination == termination
+    assert [_record_bits(r) for r in report.records] == [_record_bits(r) for r in records]
+    assert report.x_final.tobytes() == x.tobytes()
+
+
+def test_bcfw_counts_one_block_evaluation_per_block_and_moved_step():
+    inst = build_instance("product", b=4, n=12)
+    report = solve(inst, cfg("BCFW", ExactLine(), max_iter=300, gap_tol=1e-12, seed=5))
+    moved = sum(1 for r in report.records if r.alpha > 0.0)
+    assert report.termination == "GapTol"
+    assert report.meta["block_evals"] == 4 + moved == 50
+
+
+def test_bcfw_needs_a_block_separable_objective_with_the_region_blocks():
+    region = ProductRegion([Simplex(3), Simplex(3)])
+    for obj in (ShiftedNormSquare(np.zeros(6)),
+                BlockSeparable([ShiftedNormSquare(np.zeros(2)),
+                                ShiftedNormSquare(np.zeros(4))]),
+                BlockSeparable([ShiftedNormSquare(np.zeros(6))])):
+        inst = ProblemInstance(obj, region, 2.0, 2.0, region.diameter(), family="product")
+        with pytest.raises(CapabilityError):
+            solve(inst, cfg("BCFW", Diminishing()))
 
 
 def test_afw_rejects_nonpolytopal_region():
