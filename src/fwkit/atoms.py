@@ -11,8 +11,12 @@ While every atom of a set is a ``SignedUnitAtom`` (the atoms of the simplex
 and the L1 ball), the set also keeps their coordinate indices and signed
 scales as two arrays.  The away vertex and the point the set represents
 are then one vectorised pass over those arrays, with the same values, tie
-rule and accumulation order as the per-atom loop that dense and rank-one
-sets keep.
+rule and accumulation order as the per-atom loop.  While every atom is a
+dense vector (the greedy vertices of a base polytope, the vertices of a
+hull), the set keeps them stacked as the rows of one array, and the away
+vertex is one matrix-vector product; its values round apart from the
+loop's per-atom dot products, by the last bits of a sum.  Matrix and
+rank-one sets keep the per-atom loop.
 """
 
 import numpy as np
@@ -159,8 +163,10 @@ class ActiveSet:
 
     While every atom is signed-unit, ``_idx`` (intp) and ``_coef``
     (sign * scale) hold the atoms' coordinates and signed scales, element
-    by element with ``atoms``; otherwise both are None.  Assigning
-    ``weights`` alone leaves them valid, since they depend on the atoms only.
+    by element with ``atoms``; otherwise both are None.  While every atom
+    is a 1-D ``DenseAtom``, ``_rows`` holds their vectors as the rows of a
+    k x n array; otherwise it is None.  Assigning ``weights`` alone leaves
+    these arrays valid, since they depend on the atoms only.
     """
 
     def __init__(self, atoms, weights):
@@ -189,6 +195,10 @@ class ActiveSet:
             self._coef = np.array([a.sign * a.scale for a in self.atoms])
         else:
             self._idx = self._coef = None
+        if all(_is_dense_vector(a) for a in self.atoms):
+            self._rows = np.array([a.vector for a in self.atoms])
+        else:
+            self._rows = None
 
     @classmethod
     def from_atom(cls, atom):
@@ -211,13 +221,17 @@ class ActiveSet:
         self.atoms.append(atom)
         self.weights = np.append(self.weights, weight)
         self._index.setdefault(atom._key(), []).append(len(self.atoms) - 1)
-        if self._idx is None:
-            return
-        if atom.tag == "signed_unit":
-            self._idx = np.append(self._idx, atom.index)
-            self._coef = np.append(self._coef, atom.sign * atom.scale)
-        else:
-            self._idx = self._coef = None
+        if self._idx is not None:
+            if atom.tag == "signed_unit":
+                self._idx = np.append(self._idx, atom.index)
+                self._coef = np.append(self._coef, atom.sign * atom.scale)
+            else:
+                self._idx = self._coef = None
+        if self._rows is not None:
+            if _is_dense_vector(atom):
+                self._rows = np.vstack((self._rows, atom.vector))
+            else:
+                self._rows = None
 
     def _prune_and_renormalize(self):
         w = self.weights
@@ -232,10 +246,16 @@ class ActiveSet:
             if self._idx is not None:
                 self._idx = self._idx[keep]
                 self._coef = self._coef[keep]
+            if self._rows is not None:
+                self._rows = self._rows[keep]
             self._index = {}
             for pos, a in enumerate(self.atoms):
                 self._index.setdefault(a._key(), []).append(pos)
         self.weights /= self.weights.sum()
+
+
+def _is_dense_vector(atom):
+    return atom.tag == "dense" and atom.vector.ndim == 1
 
 
 def reconstruct_point(active_set):
@@ -259,17 +279,24 @@ def select_away_vertex(active_set, g):
     Returns (atom, weight, position).  On a signed-unit set this is one
     argmax over g[idx] * coef, which returns the first maximum; g[i] *
     (sign * scale) equals the loop's g[i] * sign * scale bit for bit, as
-    negation is exact.  A first maximum of positive weight is also the first
-    maximum over the positive-weight atoms, so only when a weight-0 atom
-    wins (or the maximum is NaN or -inf) does the per-atom loop decide.
+    negation is exact.  On a set of dense vectors it is one argmax over
+    rows @ g, whose values may differ from the loop's ``np.vdot`` in the
+    last bits (so a near-tie within rounding can go the other way).  A
+    first maximum of positive weight is also the first maximum over the
+    positive-weight atoms, so only when a weight-0 atom wins (or the maximum
+    is NaN or -inf) does the per-atom loop decide.
     """
     g = np.asarray(g, dtype=float)
     if active_set._idx is not None:
         vals = g[active_set._idx] * active_set._coef
-        pos = int(vals.argmax())
-        w = active_set.weights[pos]
-        if w > 0.0 and vals[pos] > -np.inf:
-            return active_set.atoms[pos], float(w), pos
+    elif active_set._rows is not None:
+        vals = active_set._rows @ g
+    else:
+        return _select_away_loop(active_set, g)
+    pos = int(vals.argmax())
+    w = active_set.weights[pos]
+    if w > 0.0 and vals[pos] > -np.inf:
+        return active_set.atoms[pos], float(w), pos
     return _select_away_loop(active_set, g)
 
 

@@ -325,32 +325,63 @@ def cardinality_cap_oracle(n, cap):
     def oracle(subset):
         return float(min(len(subset), cap))
 
+    def greedy(order):
+        s = np.zeros(n)
+        s[order[:max(cap, 0)]] = 1.0
+        return s
+
+    oracle.greedy = greedy
     return oracle
 
 
 def modular_oracle(costs):
     """Modular r(A) = sum of costs over A."""
     costs = np.asarray(costs, dtype=float)
+    if costs.ndim != 1 or not np.isfinite(costs).all():
+        raise InputError("modular costs must be a finite vector")
 
     def oracle(subset):
         return float(sum(costs[i] for i in subset))
 
+    def greedy(order):
+        return costs.copy()
+
+    oracle.greedy = greedy
     return oracle
 
 
 def graph_cut_oracle(n, edges):
     """Submodular cut function of a weighted undirected graph.
 
-    ``edges`` is a list of (u, v, weight) triples with 0-based endpoints.
+    ``edges`` is a list of (u, v, weight) triples with 0-based endpoints and
+    finite nonnegative weights (a negative weight makes the cut function
+    not submodular).
     """
     table = [(int(u), int(v), float(w)) for u, v, w in edges]
-    for u, v, _ in table:
+    for u, v, w in table:
         if not (0 <= u < n and 0 <= v < n):
             raise InputError("edge endpoint out of range")
+        if not 0.0 <= w < np.inf:
+            raise InputError("edge weight must be finite and nonnegative, got %r" % w)
+    # self-loops are never cut
+    ends = np.array([(u, v) for u, v, _ in table if u != v], dtype=np.intp).reshape(-1, 2)
+    weights = np.array([w for u, v, w in table if u != v])
 
     def oracle(subset):
         return float(sum(w for u, v, w in table if (u in subset) != (v in subset)))
 
+    def greedy(order):
+        # along the order an edge adds +w to the gain of its earlier endpoint
+        # and -w to that of its later one
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        u_first = rank[ends[:, 0]] < rank[ends[:, 1]]
+        first = np.where(u_first, ends[:, 0], ends[:, 1])
+        last = np.where(u_first, ends[:, 1], ends[:, 0])
+        return (np.bincount(first, weights, minlength=n)
+                - np.bincount(last, weights, minlength=n))
+
+    oracle.greedy = greedy
     return oracle
 
 

@@ -346,7 +346,16 @@ class BasePolytope:
     """Base polytope of a submodular function r with r(empty) = 0.
 
     ``oracle`` maps a frozenset of indices in range(n) to a float.  Linear
-    minimization runs the greedy algorithm on the negated gradient.
+    minimization runs the greedy algorithm on the negated gradient: the
+    marginal gains of r along the elements sorted by increasing gradient.
+
+    An oracle may carry a ``greedy(order)`` attribute that returns those
+    gains (entry j the gain of element j) along a permutation ``order`` in
+    one pass; the built-in set functions of ``fwkit.objectives`` do.  It is
+    read once, here, so rebinding ``oracle`` later leaves the LMO as it is.
+    Without it the LMO asks ``oracle`` about the n prefixes of the order
+    (``base_polytope_greedy``), as membership, the ratio test, the vertex
+    enumeration and the diameter always do.
     """
 
     def __init__(self, oracle, n):
@@ -356,6 +365,12 @@ class BasePolytope:
         if abs(val) > 1e-12:
             raise InputError("submodular oracle must satisfy r(empty) = 0")
         self.oracle = oracle
+        self._greedy = getattr(oracle, "greedy", None)
+        if self._greedy is not None:
+            shape = np.shape(self._greedy(np.arange(self.n)))
+            if shape != self.shape:
+                raise InputError("set function's greedy gains have shape %s, expected %s"
+                                 % (shape, self.shape))
         self._rv = None  # cached r(V)
 
     def total(self):
@@ -365,7 +380,9 @@ class BasePolytope:
 
     def lmo(self, g):
         g = _check_gradient(g, self.shape)
-        return DenseAtom(base_polytope_greedy(self.oracle, -g))
+        if self._greedy is None:
+            return DenseAtom(base_polytope_greedy(self.oracle, -g))
+        return DenseAtom(self._greedy(_greedy_order(-g)))
 
     def diameter(self):
         verts = self.vertices(limit=512)
@@ -435,18 +452,23 @@ class BasePolytope:
         return alpha
 
 
+def _greedy_order(w):
+    """Elements by decreasing weight, ties by lower index first."""
+    w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise InputError("weight vector has non-finite entries")
+    return np.argsort(-w, kind="stable")
+
+
 def base_polytope_greedy(oracle, w):
     """Greedy maximizer of <w, s> over the base polytope of ``oracle``.
 
     Sorts the weights in decreasing order (ties by lower index first) and
-    returns the vector of marginal gains along that ordering; its entries
-    sum to r(V) exactly.
+    returns the vector of marginal gains along that ordering, one oracle
+    call per prefix; its entries sum to r(V) exactly.
     """
-    w = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise InputError("weight vector has non-finite entries")
-    order = np.argsort(-w, kind="stable")
-    s = np.zeros(w.size)
+    order = _greedy_order(w)
+    s = np.zeros(order.size)
     prefix = set()
     prev = float(oracle(frozenset()))
     for j in order:

@@ -602,8 +602,9 @@ class _AtomGradients:
     M lam with M_ij = <v_i, grad f(v_j)>, because f is quadratic and its
     gradient affine.  ``matrix`` builds M over an active set from the cached
     gradients: on signed-unit atoms row i is coef_i times the gradients'
-    entries at idx_i, with no dense atom formed.  The cache lives as long
-    as this object, which one solve owns; ``passes`` counts the evaluations.
+    entries at idx_i, with no dense atom formed; on dense vectors it is the
+    set's stacked rows times the gradients.  The cache lives as long as
+    this object, which one solve owns; ``passes`` counts the evaluations.
     """
 
     def __init__(self, obj):
@@ -623,6 +624,8 @@ class _AtomGradients:
         grads = np.array([self._grad(a) for a in active.atoms])
         if active._idx is not None:
             return active._coef[:, None] * grads[:, active._idx].T
+        if active._rows is not None:
+            return active._rows @ grads.T
         return np.array([a.densify().ravel() for a in active.atoms]) @ grads.T
 
 

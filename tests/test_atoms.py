@@ -207,12 +207,24 @@ def _point_reference(active):
     return x
 
 
-# few distinct values, so that <g, atom> ties exactly (-0.0 against 0.0 too)
+# few distinct values, so that <g, atom> ties exactly (-0.0 against 0.0 too);
+# dense atoms draw their entries from a like set, so that every sum in
+# rows @ g is exact and the stacked product equals the loop's np.vdot
 _G_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+_ENTRY_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 _FRACTIONS = st.one_of(st.just(1.0), st.floats(1e-3, 1.0))
 
 
-def _check_invariants(active, g):
+def _check_rows(active):
+    if active._rows is None:
+        return
+    assert all(a.tag == "dense" and a.vector.ndim == 1 for a in active.atoms)
+    stacked = np.array([a.vector for a in active.atoms])
+    assert active._rows.shape == stacked.shape
+    assert active._rows.tobytes() == stacked.tobytes()
+
+
+def _check_invariants(active, g, all_dense=False):
     assert (active.weights >= 0.0).all()
     assert abs(active.weights.sum() - 1.0) <= 1e-10
     assert len(active) == active.weights.size >= 1
@@ -228,6 +240,13 @@ def _check_invariants(active, g):
         assert active._coef.tolist() == [a.sign * a.scale for a in active.atoms]
     if any(a.tag != "signed_unit" for a in active.atoms):
         assert active._idx is None
+    _check_rows(active)
+    if all_dense:
+        assert active._rows is not None
+    copied = active.copy()
+    _check_rows(copied)
+    if active._rows is not None:
+        assert copied._rows is not None and copied._rows is not active._rows
     atom, w, pos = select_away_vertex(active, g)
     ref_atom, ref_w, ref_pos = _away_reference(active, g)
     assert (atom, w, pos) == (ref_atom, ref_w, ref_pos)
@@ -235,13 +254,18 @@ def _check_invariants(active, g):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4), st.booleans(), st.data())
-def test_step_sequences_keep_arrays_in_step_with_atoms(n, with_dense, data):
+@given(st.integers(1, 4), st.sampled_from(["unit", "mixed", "dense", "dense"]), st.data())
+def test_step_sequences_keep_arrays_in_step_with_atoms(n, mode, data):
+    all_dense = mode == "dense"
+
     def draw_atom():
+        if all_dense and data.draw(st.booleans()):
+            return DenseAtom(np.array(data.draw(st.lists(_ENTRY_VALUES, min_size=n,
+                                                         max_size=n))))
         a = unit(data.draw(st.integers(0, n - 1)), n,
                  scale=data.draw(st.sampled_from([1.0, 2.0])),
                  sign=data.draw(st.sampled_from([-1, 1])))
-        if with_dense and data.draw(st.integers(0, 9)) == 0:
+        if all_dense or (mode == "mixed" and data.draw(st.integers(0, 9)) == 0):
             return DenseAtom(a.densify())
         return a
 
@@ -249,7 +273,7 @@ def test_step_sequences_keep_arrays_in_step_with_atoms(n, with_dense, data):
         return np.array(data.draw(st.lists(_G_VALUES, min_size=n, max_size=n)))
 
     active = ActiveSet.from_atom(draw_atom())
-    _check_invariants(active, draw_g())
+    _check_invariants(active, draw_g(), all_dense)
     for _ in range(data.draw(st.integers(1, 25))):
         kind = data.draw(st.sampled_from(["FW", "Away", "Pairwise", "EFW"]))
         pos = data.draw(st.integers(0, len(active) - 1))
@@ -272,15 +296,15 @@ def test_step_sequences_keep_arrays_in_step_with_atoms(n, with_dense, data):
             s_atom = draw_atom()
             if active.find(s_atom) is None:
                 active._append(s_atom, 0.0)
-                _check_invariants(active, draw_g())
+                _check_invariants(active, draw_g(), all_dense)
             raw = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
                                               min_size=len(active), max_size=len(active))))
             if not raw.any():
                 raw[-1] = 1.0
             active.weights = raw / raw.sum()
-            _check_invariants(active, draw_g())
+            _check_invariants(active, draw_g(), all_dense)
             active._prune_and_renormalize()
-        _check_invariants(active, draw_g())
+        _check_invariants(active, draw_g(), all_dense)
 
 
 def test_signed_unit_arrays_and_mixed_sets():
@@ -292,6 +316,29 @@ def test_signed_unit_arrays_and_mixed_sets():
     g = np.array([1.0, 0.0, 0.0, -1.0, 3.0])
     assert select_away_vertex(active, g) == _away_reference(active, g)
     assert np.array_equal(reconstruct_point(active), _point_reference(active))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_dense_rows_for_vectors_only():
+    rows = ActiveSet([DenseAtom([1.0, 0.0]), DenseAtom([0.5, 0.5]), DenseAtom([0.0, 1.0])],
+                     [0.25, 0.25, 0.5])
+    assert rows._rows.tolist() == [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
+    assert rows.copy()._rows is not rows._rows
+    # inf * 0.0 is NaN, which sends the choice to the loop; it skips NaN values
+    for g in ([np.inf, -1.0], [2.0, np.inf]):
+        g = np.array(g)
+        assert select_away_vertex(rows, g) == _away_reference(rows, g)
+    for g in ([np.nan, 1.0], [-1.0, -np.inf]):
+        with pytest.raises(ContractViolation):
+            select_away_vertex(rows, np.array(g))
+    matrices = ActiveSet([DenseAtom(np.eye(2)), DenseAtom(np.ones((2, 2)))], [0.5, 0.5])
+    assert matrices._rows is None
+    g = np.array([[1.0, 0.0], [0.0, 3.0]])
+    assert select_away_vertex(matrices, g) == _away_reference(matrices, g)
+    apply_step(rows, StepDescriptor("FW", toward=unit(1, 2)), 0.5)
+    assert rows._rows is None
+    g = np.array([1.0, 2.0])
+    assert select_away_vertex(rows, g) == _away_reference(rows, g)
 
 
 def test_select_away_vertex_nonfinite_gradient_matches_loop():

@@ -2,9 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwkit.errors import CapabilityError, InputError
-from fwkit.objectives import cardinality_cap_oracle, graph_cut_oracle, modular_oracle
+from fwkit.objectives import (ProblemInstance, ShiftedNormSquare, build_instance,
+                              cardinality_cap_oracle, graph_cut_oracle, modular_oracle)
+from fwkit.solvers import SolverConfig, solve
+from fwkit.stepsizes import ExactLine
 from fwkit.regions import (BasePolytope, Box, InexactSchedule, L1Ball, L2Ball,
                            LinfBall, NuclearBall, ProductRegion, Simplex,
                            base_polytope_greedy, face_away_vertex,
@@ -162,6 +167,113 @@ def test_greedy_output_in_base_polytope():
             for k in range(1, 5):
                 for subset in itertools.combinations(range(5), k):
                     assert s[list(subset)].sum() <= oracle(frozenset(subset)) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The closed-form greedy of the built-in set functions against the prefix
+# greedy, which asks the set function about every prefix of the order.
+
+# few distinct weights, so that the greedy order has ties
+_TIE_WEIGHTS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_closed_form_greedy_matches_prefix_greedy(n, data):
+    w = np.array(data.draw(st.lists(st.one_of(_TIE_WEIGHTS, st.floats(-5.0, 5.0)),
+                                    min_size=n, max_size=n)))
+    # self-loops and parallel edges allowed, weights 0 included
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                         st.one_of(st.just(0.0), st.just(1.0),
+                                                   st.floats(0.0, 3.0))),
+                               max_size=3 * n))
+    costs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    cap = data.draw(st.integers(0, n + 2))
+    order = np.argsort(-w, kind="stable")
+    # the gains differ from the prefix differences by the rounding of sums
+    # of at most |E| (cut) or n (modular) terms; the cap's are integers
+    cut_tol = 1e-14 * max(1.0, sum(e[2] for e in edges))
+    modular_tol = 1e-14 * max(1.0, float(np.abs(costs).sum()))
+    for oracle, tol in ((graph_cut_oracle(n, edges), cut_tol),
+                        (modular_oracle(costs), modular_tol),
+                        (cardinality_cap_oracle(n, cap), 0.0)):
+        ref = base_polytope_greedy(oracle, w)
+        gains = oracle.greedy(order)
+        assert gains.shape == (n,)
+        assert np.abs(gains - ref).max() <= tol
+        atom = BasePolytope(oracle, n).lmo(-w)
+        assert atom.vector.tobytes() == gains.tobytes()
+
+
+def _counting(oracle):
+    calls = []
+
+    def plain(subset):
+        calls.append(subset)
+        return oracle(subset)
+
+    return plain, calls
+
+
+def test_plain_set_function_keeps_prefix_greedy():
+    plain, calls = _counting(graph_cut_oracle(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 4, 1.1),
+                                                   (4, 0, 0.2), (3, 3, 5.0)]))
+    region = BasePolytope(plain, 5)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        g = rng.standard_normal(5)
+        del calls[:]
+        atom = region.lmo(g)
+        assert len(calls) == 6  # r(empty) and the five prefixes
+        assert atom.vector.tobytes() == base_polytope_greedy(plain, -g).tobytes()
+
+
+def test_rebinding_the_oracle_leaves_the_lmo_unchanged():
+    region = BasePolytope(graph_cut_oracle(4, [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 3.0)]), 4)
+    g = np.array([0.3, -1.0, 0.3, 2.0])
+    before = region.lmo(g).vector
+    region.oracle, calls = _counting(region.oracle)  # as a tracer wraps it
+    assert region.lmo(g).vector.tobytes() == before.tobytes()
+    assert calls == []
+
+
+def test_set_function_inputs_rejected_at_construction():
+    with pytest.raises(InputError):
+        build_instance("base_polytope_norm", oracle="modular", n=3, costs=[1.0, 2.0])
+    with pytest.raises(InputError):
+        BasePolytope(modular_oracle([1.0, 2.0, 3.0, 4.0]), 3)
+    with pytest.raises(InputError):
+        modular_oracle([1.0, np.nan])
+    for w in (-0.5, np.nan, np.inf):
+        with pytest.raises(InputError):
+            graph_cut_oracle(3, [(0, 1, 1.0), (1, 2, w)])
+
+
+def _ring_plus_random_edges(rng, n):
+    edges = [(u, (u + 1) % n, float(rng.uniform(0.5, 2.0))) for u in range(n)]
+    for u in range(n):
+        for v in range(u + 2, n):
+            if rng.random() < 0.2 and (u, v) != (0, n - 1):
+                edges.append((u, v, float(rng.uniform(0.5, 2.0))))
+    return edges
+
+
+@pytest.mark.parametrize("n, gap_tol", [(12, 1e-6), (30, 5e-2)])
+def test_afw_on_closed_form_greedy_matches_prefix_greedy(n, gap_tol):
+    # same run through the prefix greedy: the termination and the iteration
+    # count agree, and f within 1e-12 of max(1, |f|) (f is near 0 here)
+    config = SolverConfig(variant="AFW", stepsize=ExactLine(), gap_tol=gap_tol, seed=0)
+    for seed in range(10):
+        edges = _ring_plus_random_edges(np.random.default_rng([n, seed]), n)
+        inst = build_instance("base_polytope_norm", oracle="graph_cut", n=n, edges=edges)
+        plain, _ = _counting(graph_cut_oracle(n, edges))
+        ref_inst = ProblemInstance(ShiftedNormSquare(np.zeros(n)), BasePolytope(plain, n),
+                                   inst.L, inst.mu, inst.D, family="base_polytope_norm")
+        report, ref = solve(inst, config), solve(ref_inst, config)
+        assert report.termination == ref.termination == "GapTol"
+        assert len(report.records) == len(ref.records)
+        f, f_ref = report.records[-1].f, ref.records[-1].f
+        assert abs(f - f_ref) <= 1e-12 * max(1.0, abs(f_ref))
 
 
 def test_fw_gap_examples():
