@@ -28,7 +28,18 @@ WEIGHT_PRUNE = 1e-12  # weights below this are dropped and the set renormalized
 _BUCKET_DECIMALS = 9  # rounding used for the dedup hash buckets
 
 
-class DenseAtom:
+class _Keyed:
+    """Memoises an atom's dedup key: atoms are not changed after construction."""
+
+    _k = None
+
+    def _key(self):
+        if self._k is None:
+            self._k = self._make_key()
+        return self._k
+
+
+class DenseAtom(_Keyed):
     """Extreme point stored as an explicit vector or matrix."""
 
     tag = "dense"
@@ -43,14 +54,14 @@ class DenseAtom:
     def densify(self):
         return self.vector
 
-    def _key(self):
+    def _make_key(self):
         return ("d",) + self.shape + (self.vector.round(_BUCKET_DECIMALS).tobytes(),)
 
     def __repr__(self):
         return "DenseAtom(%s)" % (self.vector,)
 
 
-class SignedUnitAtom:
+class SignedUnitAtom(_Keyed):
     """Extreme point +/- scale * e_index of a scaled cross-polytope or simplex."""
 
     tag = "signed_unit"
@@ -73,14 +84,14 @@ class SignedUnitAtom:
         v[self.index] = self.sign * self.scale
         return v
 
-    def _key(self):
+    def _make_key(self):
         return ("u", self.dim, self.index, self.sign, round(self.scale, _BUCKET_DECIMALS))
 
     def __repr__(self):
         return "SignedUnitAtom(i=%d, sign=%+d, scale=%g)" % (self.index, self.sign, self.scale)
 
 
-class RankOneAtom:
+class RankOneAtom(_Keyed):
     """Extreme point scale * u v^T of the nuclear-norm ball (|u| = |v| = 1)."""
 
     tag = "rank_one"
@@ -100,7 +111,7 @@ class RankOneAtom:
     def densify(self):
         return self.scale * np.outer(self.u, self.v)
 
-    def _key(self):
+    def _make_key(self):
         return ("r", self.shape,
                 self.u.round(_BUCKET_DECIMALS).tobytes(),
                 self.v.round(_BUCKET_DECIMALS).tobytes(),
@@ -219,22 +230,25 @@ class ActiveSet:
 
     def _append(self, atom, weight):
         self.atoms.append(atom)
-        self.weights = np.append(self.weights, weight)
+        self.weights = np.concatenate((self.weights, (weight,)))
         self._index.setdefault(atom._key(), []).append(len(self.atoms) - 1)
         if self._idx is not None:
             if atom.tag == "signed_unit":
-                self._idx = np.append(self._idx, atom.index)
-                self._coef = np.append(self._coef, atom.sign * atom.scale)
+                self._idx = np.concatenate((self._idx, (atom.index,)))
+                self._coef = np.concatenate((self._coef, (atom.sign * atom.scale,)))
             else:
                 self._idx = self._coef = None
         if self._rows is not None:
             if _is_dense_vector(atom):
-                self._rows = np.vstack((self._rows, atom.vector))
+                self._rows = np.concatenate((self._rows, atom.vector[None]))
             else:
                 self._rows = None
 
     def _prune_and_renormalize(self):
         w = self.weights
+        if w.min() > WEIGHT_PRUNE:  # nothing to prune; False on a NaN weight
+            w /= w.sum()
+            return
         if (w < -1e-9).any():
             raise ContractViolation("weight went negative beyond tolerance")
         keep = w > WEIGHT_PRUNE

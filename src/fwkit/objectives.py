@@ -258,8 +258,13 @@ class BlockSeparable:
         return min(p.strong_convexity_lower() for p in self.parts)
 
     def curvature_along(self, d):
-        return sum(p.curvature_along(d[self.block_slice(i)])
-                   for i, p in enumerate(self.parts))
+        # a zero block adds an exact +-0.0, so summing over the blocks where d
+        # is nonzero (in block order) keeps the sum's bits
+        total = 0.0
+        hit = np.searchsorted(self.offsets, np.flatnonzero(d), side="right") - 1
+        for i in np.unique(hit).tolist():
+            total += self.parts[i].curvature_along(d[self.block_slice(i)])
+        return total
 
 
 def lipschitz_upper(obj):

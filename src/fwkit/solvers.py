@@ -15,6 +15,7 @@ gradient, so sparsity bounds hold from the start.
 """
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -109,27 +110,56 @@ class SolveReport:
         return np.array([r.f - f_star for r in self.records])
 
 
-def _support_set(x, tol=1e-12):
-    if x.ndim != 1 or x.size > 4096:
+_SUPPORT_TOL = 1e-12
+_SUPPORT_MAX = 4096  # records of larger or non-vector iterates hold no support
+
+
+def _support_set(x, tol=_SUPPORT_TOL):
+    """{i : |x_i| > tol} as a frozenset: a record's support, built afresh."""
+    if x.ndim != 1 or x.size > _SUPPORT_MAX:
         return None
     return frozenset(np.flatnonzero(np.abs(x) > tol).tolist())
 
 
+def _norm(d):
+    """||d||: the sqrt(d . d) that ``np.linalg.norm`` takes of a real array, bit for bit."""
+    v = d.ravel()
+    return math.sqrt(v.dot(v))
+
+
 class _Tracer:
-    """Collects records and termination bookkeeping for one run."""
+    """Collects records and termination bookkeeping for one run.
+
+    A record's support is ``_support_set`` of its iterate.  Most steps keep
+    the support of the step before, so the tracer keeps the last support
+    mask: while a new mask has the same bytes, the record shares the last
+    record's frozenset, and one is built only when the support moves.
+    """
 
     def __init__(self, config):
         self.config = config
         self.records = []
         self.good_steps = 0
         self.t0 = time.perf_counter_ns()
+        self._mask = None  # bytes of the last support mask |x| > tol
+        self._support = None  # the frozenset built from that mask
+
+    def _support_of(self, x):
+        if x.ndim != 1 or x.size > _SUPPORT_MAX:
+            return None
+        mask = np.abs(x) > _SUPPORT_TOL
+        key = mask.tobytes()
+        if key != self._mask:
+            self._mask = key
+            self._support = frozenset(np.flatnonzero(mask).tolist())
+        return self._support
 
     def make(self, k, f, gap, support_size, x, support=None):
         return IterationRecord(
             k=k, kind="stop", alpha=0.0, f=float(f), gap=float(gap),
             support_size=int(support_size),
             elapsed_ns=time.perf_counter_ns() - self.t0,
-            support=support if support is not None else _support_set(x),
+            support=support if support is not None else self._support_of(x),
             x=x.copy() if self.config.store_points else None)
 
     def push(self, rec, terminal=False):
@@ -174,16 +204,20 @@ class _AffineImage:
     Rounding drift is bounded by recomputing A x (and g) from x every
     ``_RESYNC_EVERY`` steps; ``drift_max`` and ``grad_drift_max`` are the
     largest ||A x (tracked) - A x|| and ||g (tracked) - g|| seen at a re-sync.
+    Given the solve's active set, a re-sync also measures how far x has
+    drifted from the point the set represents: ``active_drift_max`` is the
+    largest ||x - reconstruct_point(active)||.
     ``grad_passes`` counts the full gradient passes: the evaluations at
     iterates (the first, re-syncs, and every iteration when g is not
     tracked) and at atoms.
     """
 
-    def __init__(self, obj, x, track=None):
+    def __init__(self, obj, x, track=None, active=None):
         self.obj = obj
         self.a = obj.a
         self.ax = self.a @ x
         self.track = self.a.size >= _TRACK_GRADIENT_MIN if track is None else track
+        self.active = active
         self.g = None  # tracked gradient at x; None until first evaluated
         self._atoms = {}  # atom key -> [atom, image, gradient or None]
         self._ends = None, None  # entries of the step ``direction`` priced last
@@ -191,6 +225,7 @@ class _AffineImage:
         self.resyncs = 0
         self.drift_max = 0.0
         self.grad_drift_max = 0.0
+        self.active_drift_max = 0.0
         self.grad_passes = 0
 
     def _eval(self, x, ax):
@@ -235,32 +270,44 @@ class _AffineImage:
         return (self.ax if s is None else s[1]) - (self.ax if v is None else v[1])
 
     def move(self, kind, alpha, ad, x):
-        """Follow the step last priced by ``direction``, of size alpha, to x."""
+        """Follow the step last priced by ``direction``, of size alpha, to x.
+
+        A x and g move in place, with the elementwise operations (and so
+        the bits) of ``ax + alpha ad`` and the formulas above; they are this
+        object's own arrays, never cached ones.
+        """
         s, v = self._ends
-        full = kind == "FW" and alpha >= 1.0
-        self.ax = s[1].copy() if full else self.ax + alpha * ad  # cached arrays stay unshared
-        if self.g is not None:
-            if full:
+        if kind == "FW" and alpha >= 1.0:
+            self.ax = s[1].copy()
+            if self.g is not None:
                 self.g = self._grad(s).copy()
-            elif kind == "FW":
-                self.g = (1.0 - alpha) * self.g + alpha * self._grad(s)
-            elif kind == "Away":
-                self.g = (1.0 + alpha) * self.g - alpha * self._grad(v)
-            else:
-                self.g = self.g + alpha * (self._grad(s) - self._grad(v))
+        else:
+            self.ax += alpha * ad
+            g = self.g
+            if g is not None:
+                if kind == "FW":
+                    g *= 1.0 - alpha
+                    g += alpha * self._grad(s)
+                elif kind == "Away":
+                    g *= 1.0 + alpha
+                    g -= alpha * self._grad(v)
+                else:
+                    g += alpha * (self._grad(s) - self._grad(v))
         self.steps += 1
         if self.steps >= _RESYNC_EVERY:
             self.resync(x)
 
     def resync(self, x):
         exact = self.a @ x
-        self.drift_max = max(self.drift_max, float(np.linalg.norm(self.ax - exact)))
+        self.drift_max = max(self.drift_max, _norm(self.ax - exact))
         self.ax = exact
         if self.g is not None:
             g = self._eval(x, exact)[1]
-            self.grad_drift_max = max(self.grad_drift_max,
-                                      float(np.linalg.norm(self.g - g)))
+            self.grad_drift_max = max(self.grad_drift_max, _norm(self.g - g))
             self.g = g
+        if self.active is not None:
+            self.active_drift_max = max(self.active_drift_max,
+                                        _norm(x - reconstruct_point(self.active)))
         self.steps = 0
         self.resyncs += 1
 
@@ -321,8 +368,8 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
         atom = _initial_atom(region, rng)
         active = ActiveSet.from_atom(atom)
         x = atom.densify().copy()
-    image = _AffineImage(obj, x) if isinstance(obj, (LeastSquares, FactoredQuadratic)) \
-        else None
+    image = _AffineImage(obj, x, active=active) \
+        if isinstance(obj, (LeastSquares, FactoredQuadratic)) else None
     tracer = _Tracer(config)
     termination = "MaxIter"
     k = 0
@@ -391,7 +438,7 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
                     # budget shrinks with k, so progress resumes on its own
                     rec.kind = kind
                     rec.dg = float(dg)
-                    rec.dnorm = float(np.linalg.norm(d.ravel()))
+                    rec.dnorm = _norm(d)
                     rec.alpha_max = float(alpha_max)
                     tracer.push(rec)
                     k += 1
@@ -404,7 +451,7 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
                 tracer.push(rec, terminal=True)
                 break
             ad = None if image is None else image.direction(kind, s_atom, step.away)
-            alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f, ad=ad)
+            alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f, ad=ad, slope=dg)
             if alpha <= 0.0:
                 termination = "NumericalError"
                 tracer.push(rec, terminal=True)
@@ -419,8 +466,7 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
             recorded_kind = kind
             if kind in ("Away", "Pairwise") and alpha >= alpha_max:
                 recorded_kind = "Drop"
-            tracer.mark_step(rec, recorded_kind, alpha, dg, np.linalg.norm(d.ravel()),
-                             alpha_max)
+            tracer.mark_step(rec, recorded_kind, alpha, dg, _norm(d), alpha_max)
             tracer.push(rec)
             k += 1
     except NumericalError:
@@ -432,6 +478,7 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
         meta["affine_resyncs"] = image.resyncs
         meta["affine_drift_max"] = image.drift_max
         meta["grad_drift_max"] = image.grad_drift_max
+        meta["active_drift_max"] = image.active_drift_max
     if inexact is not None:
         meta["inexact_mode"] = inexact.schedule.mode
         meta["inexact_delta"] = inexact.schedule.delta
@@ -492,7 +539,7 @@ def solve_fdfw(instance, config):
                 termination = "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
                 tracer.push(rec, terminal=True)
                 break
-            alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f)
+            alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f, slope=dg)
             if alpha <= 0.0:
                 termination = "NumericalError"
                 tracer.push(rec, terminal=True)
@@ -512,7 +559,7 @@ def solve_fdfw(instance, config):
             recorded_kind = kind
             if kind == "InFace" and alpha >= alpha_max:
                 recorded_kind = "Drop"
-            tracer.mark_step(rec, recorded_kind, alpha, dg, np.linalg.norm(d), alpha_max)
+            tracer.mark_step(rec, recorded_kind, alpha, dg, _norm(d), alpha_max)
             tracer.push(rec)
             k += 1
     except NumericalError:
@@ -582,7 +629,7 @@ def solve_efw(instance, config, initial_active=None):
             x_new = reconstruct_point(active)
             d = x_new - x
             dg = float(np.vdot(g, d))
-            tracer.mark_step(rec, "FullCorrective", 1.0, dg, np.linalg.norm(d.ravel()), 1.0)
+            tracer.mark_step(rec, "FullCorrective", 1.0, dg, _norm(d), 1.0)
             tracer.push(rec)
             x = x_new
             k += 1
@@ -654,20 +701,26 @@ def solve_bcfw(instance, config):
     vals, verts, gaps, sups = ([None] * m for _ in range(4))  # per block
 
     def refresh(i):
+        """Recompute block i's cached terms; True when its support moved."""
         sl = slices[i]
         xi = x[sl]
         vals[i], g[sl] = obj.parts[i].eval(xi)
         verts[i] = region.blocks[i].lmo(g[sl]).densify()
         gaps[i] = float(g[sl] @ xi - g[sl] @ verts[i])
-        sups[i] = frozenset((np.flatnonzero(np.abs(xi) > 1e-12) + sl.start).tolist())
+        sup = frozenset((np.flatnonzero(np.abs(xi) > _SUPPORT_TOL) + sl.start).tolist())
+        moved = sup != sups[i]
+        sups[i] = sup
+        return moved
 
     def totals():
         f = gap = 0.0
         for i in range(m):
             f += vals[i]
             gap += gaps[i]
-        support = frozenset().union(*sups) if x.size <= 4096 else None
-        return f, gap, sum(map(len, sups)), support
+        return f, gap, sum(map(len, sups))
+
+    def union():
+        return frozenset().union(*sups) if x.size <= _SUPPORT_MAX else None
 
     tracer = _Tracer(config)
     termination = "MaxIter"
@@ -676,7 +729,8 @@ def solve_bcfw(instance, config):
     try:
         for i in range(m):
             refresh(i)
-        f, gap, support_size, support = totals()
+        f, gap, support_size = totals()
+        support = union()
         while True:
             rec = tracer.make(k, f, gap, support_size, x, support)
             if gap <= config.gap_tol:
@@ -701,10 +755,11 @@ def solve_bcfw(instance, config):
                 alpha = compute_step(rule, k, obj, x, g, d_full, 1.0, f=f)
             if alpha > 0.0:
                 x[sl] = x[sl] + alpha * d_bl
-                refresh(i)
+                if refresh(i):
+                    support = union()  # else the last record's set, shared
                 block_evals += 1
-                f, gap, support_size, support = totals()
-            tracer.mark_step(rec, "Block(%d)" % i, alpha, dg, np.linalg.norm(d_bl), 1.0)
+                f, gap, support_size = totals()
+            tracer.mark_step(rec, "Block(%d)" % i, alpha, dg, _norm(d_bl), 1.0)
             tracer.push(rec)
             k += 1
     except NumericalError:

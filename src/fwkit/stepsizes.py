@@ -9,6 +9,7 @@ probe f along the direction in closed form from the value and gradient the
 solver already holds and one curvature value.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,13 +97,23 @@ def stepsize_lipschitz(g, d, L, alpha_max):
 
 
 def _armijo(phi, f0, slope, alpha_max, delta, gamma):
-    """Largest delta^m * alpha_max with phi(alpha) <= f0 + gamma * alpha * slope."""
+    """Largest delta^m * alpha_max with phi(alpha) <= f0 + gamma * alpha * slope.
+
+    After 101 probes the search goes on only while the required decrease
+    is still visible in floating point (f0 + gamma alpha slope < f0): a
+    descent direction with a tiny slope can need more probes, but below
+    that floor no probe can show a sufficient decrease.
+    """
     alpha = float(alpha_max)
     for _ in range(101):
         if phi(alpha) <= f0 + gamma * alpha * slope:
             return alpha
         alpha *= delta
-    raise NumericalError("armijo backtracking hit its cap; direction may not descend")
+    while alpha < math.inf and f0 + gamma * alpha * slope < f0:
+        if phi(alpha) <= f0 + gamma * alpha * slope:
+            return alpha
+        alpha *= delta
+    raise NumericalError("armijo backtracking hit its floor; direction may not descend")
 
 
 def _backtrack(rule, phi, f0, slope, dd, alpha_max):
@@ -164,16 +175,19 @@ def stepsize_backtracking_L(rule, g, d, alpha_max, obj, x):
     return _backtrack(rule, _probe(obj, x, d), f0, slope, float(np.vdot(d, d)), alpha_max)
 
 
-def _quadratic_step(rule, obj, g, d, alpha_max, f, ad):
+def _quadratic_step(rule, obj, g, d, alpha_max, f, ad, slope):
     """Exact, Armijo or backtracking step on a quadratic, without evaluating f.
 
     Along d a quadratic is phi(alpha) = f + alpha <g,d> + alpha^2 c / 2 with
     c = ``obj.curvature_along(d)``, so every probe is closed form; ``ad``
     (the image A d, when the solver tracks A x) makes c an O(m) product.
+    A given ``slope`` stands for a nonzero d's <g,d>, as ``compute_step``
+    documents.
     """
-    if not np.asarray(d).any():
-        raise InputError("direction must be nonzero")
-    slope = float(np.vdot(g, d))
+    if slope is None:
+        if not np.asarray(d).any():
+            raise InputError("direction must be nonzero")
+        slope = float(np.vdot(g, d))
     if rule.name == "backtracking" and not _backtracking_descends(slope, g, d):
         return 0.0
     c = obj.curvature_along(d) if ad is None else obj.curvature_along(d, ad=ad)
@@ -189,14 +203,16 @@ def _quadratic_step(rule, obj, g, d, alpha_max, f, ad):
     return _backtrack(rule, phi, f, slope, float(np.vdot(d, d)), alpha_max)[0]
 
 
-def compute_step(rule, k, obj, x, g, d, alpha_max, f, ad=None):
+def compute_step(rule, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
     """Dispatch a stepsize rule; returns alpha in [0, alpha_max].
 
     ``f`` and ``g`` are the value and gradient at x, which the solver
     already holds.  On objectives exposing ``curvature_along`` (quadratics)
     the exact, Armijo and backtracking rules probe f along d in closed form
     and evaluate nothing; ``ad`` is the image A d when the solver tracks
-    A x (see ``_quadratic_step``).
+    A x (see ``_quadratic_step``).  ``slope``, when given, is
+    ``float(np.vdot(g, d))`` for a d the caller has checked is nonzero;
+    the closed-form rules then take it instead of computing it again.
     """
     if rule.name == "diminishing":
         return min(stepsize_diminishing(k), alpha_max)
@@ -208,7 +224,7 @@ def compute_step(rule, k, obj, x, g, d, alpha_max, f, ad=None):
     if rule.name not in ("exact", "armijo", "backtracking"):
         raise InputError("unknown stepsize rule %r" % rule.name)
     if getattr(obj, "curvature_along", None) is not None:
-        return _quadratic_step(rule, obj, g, d, alpha_max, f, ad)
+        return _quadratic_step(rule, obj, g, d, alpha_max, f, ad, slope)
     if rule.name == "armijo":
         return stepsize_armijo(obj, x, d, alpha_max, rule.delta, rule.gamma)
     if rule.name == "backtracking":

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwkit.atoms import (ActiveSet, DenseAtom, RankOneAtom, SignedUnitAtom,
+from fwkit.atoms import (WEIGHT_PRUNE, ActiveSet, DenseAtom, RankOneAtom, SignedUnitAtom,
                          StepDescriptor, apply_step, atoms_equal, away_step_cap,
                          reconstruct_point, select_away_vertex)
 from fwkit.errors import ContractViolation, InputError
+from fwkit.objectives import graph_cut_oracle
+from fwkit.regions import BasePolytope
 
 
 def unit(i, n, scale=1.0, sign=+1):
@@ -176,6 +178,26 @@ def test_weight_pruning_threshold():
     assert len(active) == 1  # the dead atom is pruned
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(1e-13, 1.0), st.sampled_from([0.0, 1e-12, np.nan])),
+                min_size=1, max_size=6))
+def test_prune_and_renormalize_matches_the_reference_bit_for_bit(raw):
+    # a set with no weight at or below WEIGHT_PRUNE skips the pruning pass;
+    # a NaN weight takes the full path, which drops it
+    w = np.array(raw)
+    keep = w > WEIGHT_PRUNE
+    if not keep.any():
+        return
+    atoms = [unit(i, len(raw)) for i in range(len(raw))]
+    active = ActiveSet(atoms, np.full(len(raw), 1.0 / len(raw)))
+    active.weights = w.copy()  # the atoms' arrays stay valid (see ActiveSet)
+    active._prune_and_renormalize()
+    want = w[keep] / w[keep].sum()
+    assert active.weights.tobytes() == want.tobytes()
+    assert active.atoms == [a for a, k in zip(atoms, keep) if k]
+    assert active._idx.tolist() == [a.index for a in active.atoms]
+
+
 # ---------------------------------------------------------------------------
 # Properties of the active set under random step sequences.  The per-atom
 # loops below are the reference the array-backed fast paths must reproduce
@@ -339,6 +361,36 @@ def test_dense_rows_for_vectors_only():
     assert rows._rows is None
     g = np.array([1.0, 2.0])
     assert select_away_vertex(rows, g) == _away_reference(rows, g)
+
+
+def test_dense_atom_key_is_computed_once_per_atom(monkeypatch):
+    # a step toward a new greedy vertex of a graph-cut base polytope looks it
+    # up, appends it and prunes: one key computation for the atom, none for
+    # the atoms already keyed
+    calls = []
+    make_key = DenseAtom._make_key
+
+    def counting(atom):
+        calls.append(atom)
+        return make_key(atom)
+
+    monkeypatch.setattr(DenseAtom, "_make_key", counting)
+    rng = np.random.default_rng(2)
+    cut = BasePolytope(graph_cut_oracle(8, [(i, (i + 1) % 8, 1.0 + i) for i in range(8)]), 8)
+    atoms = [cut.lmo(rng.standard_normal(8)) for _ in range(6)]  # greedy vertices
+    atoms = [a for i, a in enumerate(atoms)
+             if not any(atoms_equal(a, b) for b in atoms[:i])]
+    assert len(atoms) >= 3
+    active = ActiveSet.from_atom(atoms[0])
+    for atom in atoms[1:]:
+        calls.clear()
+        apply_step(active, StepDescriptor("FW", toward=atom), 0.3)
+        assert calls == [atom]
+        assert active.find(atom) == len(active) - 1
+        assert calls == [atom]
+    calls.clear()
+    apply_step(active, StepDescriptor("Pairwise", toward=atoms[1], away=atoms[0]), 0.01)
+    assert calls == []
 
 
 def test_select_away_vertex_nonfinite_gradient_matches_loop():

@@ -129,6 +129,28 @@ def test_strong_convexity_inequality():
             assert fy >= lower - 1e-9 * max(1.0, abs(lower)), name
 
 
+def test_block_curvature_skips_zero_blocks_bit_for_bit():
+    # BCFW's direction is nonzero in one block: its curvature is that block's
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((4, 3))
+    obj = BlockSeparable([ShiftedNormSquare(rng.standard_normal(2)),
+                          Quadratic(b.T @ b, rng.standard_normal(3)),
+                          LeastSquares(rng.standard_normal((3, 4)), rng.standard_normal(3))])
+    for i, part in enumerate(obj.parts):
+        sl = obj.block_slice(i)
+        d = np.zeros(obj.shape)
+        d[sl] = rng.standard_normal(sl.stop - sl.start)
+        d[sl.start] = 0.0  # a block is zero only when all of it is
+        got = obj.curvature_along(d)
+        assert type(got) is float
+        assert got.hex() == float(part.curvature_along(d[sl])).hex()
+    d = rng.standard_normal(obj.shape)
+    d[obj.block_slice(1)] = 0.0
+    want = 0.0 + obj.parts[0].curvature_along(d[:2]) + obj.parts[2].curvature_along(d[5:])
+    assert obj.curvature_along(d).hex() == want.hex()
+    assert obj.curvature_along(np.zeros(obj.shape)) == 0.0
+
+
 def test_exact_linesearch_cases():
     obj = ShiftedNormSquare(np.zeros(2))
     x = np.array([1.0, 0.0])

@@ -11,12 +11,14 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fwkit as fw
 from fwkit import solvers
-from fwkit.atoms import ActiveSet, StepDescriptor, apply_step, away_step_cap
+from fwkit.atoms import (ActiveSet, StepDescriptor, apply_step, away_step_cap,
+                         reconstruct_point)
+from fwkit.errors import ContractViolation, NumericalError
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               ProblemInstance, Quadratic, ShiftedNormSquare,
                               exact_linesearch_quadratic)
@@ -61,6 +63,34 @@ def _scale(f0, slope, c, alpha):
     return abs(f0) + abs(alpha * slope) + abs(0.5 * alpha * alpha * c)
 
 
+def _step_or_error(rule, obj, x, g, d, alpha_max, f0, **kwargs):
+    """repr of the step or of the error: equal reprs are equal bits (and signs of 0)."""
+    try:
+        return repr(compute_step(rule, 0, obj, x, g, d, alpha_max, f=f0, **kwargs))
+    except (ContractViolation, NumericalError) as exc:
+        return repr(exc)
+
+
+@FAST
+@given(cases(), st.sampled_from(["exact", "armijo", "backtracking"]),
+       st.floats(0.1, 0.9), st.floats(1e-3, 0.49), st.floats(0.05, 50.0))
+def test_given_slope_gives_the_rule_s_own_step_bit_for_bit(case, name, delta, gamma, l0):
+    # the solvers pass the <g, d> they already hold; the rules must not move a bit
+    obj, x, d, alpha_max = case
+    f0, g = obj.eval(x)
+
+    def rule():
+        return {"exact": ExactLine(), "armijo": Armijo(delta, gamma),
+                "backtracking": BacktrackingL(L0=l0)}[name]
+
+    own, given_slope = rule(), rule()
+    want = _step_or_error(own, obj, x, g, d, alpha_max, f0)
+    got = _step_or_error(given_slope, obj, x, g, d, alpha_max, f0,
+                         slope=float(np.vdot(g, d)))
+    assert got == want
+    assert given_slope == own  # backtracking's estimate too
+
+
 @FAST
 @given(cases(), st.one_of(st.just(0.0), st.floats(1e-6, 2.0)))
 def test_model_matches_evaluation_along_the_line(case, alpha):
@@ -76,6 +106,9 @@ def test_model_matches_evaluation_along_the_line(case, alpha):
 
 @FAST
 @given(cases(), st.floats(0.1, 0.9), st.floats(1e-3, 0.49))
+# a descending direction whose steps that pass lie below delta^100 (see test_stepsizes)
+@example(case=(ShiftedNormSquare(np.zeros(4)), np.array([-1e-5, 0.0, 0.0, 0.0]),
+               np.array([1.0, 0.0, 0.0, 0.0]), 1.0), delta=0.8984375, gamma=0.25)
 def test_armijo_step_passes_sufficient_decrease_on_the_real_objective(case, delta, gamma):
     obj, x, d, alpha_max = case
     f0, g = obj.eval(x)
@@ -286,6 +319,21 @@ def test_tracked_gradient_follows_random_steps(case, data):
         want = obj.eval(x)[1]
         assert np.linalg.norm(g - want) <= 1e-12 * max(1.0, float(np.linalg.norm(want))) * growth
     assert image.grad_passes <= 1 + 2 * steps + image.resyncs
+
+
+def test_active_set_drift_is_measured_at_resyncs_and_stays_small():
+    # x moves by x + alpha d while the weights are renormalized on their own;
+    # 20000 pairwise steps on lasso 40x120 drifted 1.5e-14 apart (4.2e-12 on
+    # lasso 200x2000)
+    inst = fw.build_instance("lasso", m=40, n=120, tau=1.0, seed=3)
+    report = solvers.solve(inst, solvers.SolverConfig(
+        variant="PFW", stepsize=ExactLine(), max_iter=20000, gap_tol=1e-300, seed=1))
+    assert report.termination == "MaxIter"
+    assert report.meta["affine_resyncs"] == 20000 // solvers._RESYNC_EVERY
+    drift = report.meta["active_drift_max"]
+    assert 0.0 < drift <= 1e-12
+    final = np.linalg.norm(report.x_final - reconstruct_point(report.active_set))
+    assert final <= 1e-12
 
 
 def _tracked_instance(kind, seed):

@@ -14,7 +14,7 @@ from fwkit.minnorm import corral_weights
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               ProblemInstance, Quadratic, ShiftedNormSquare,
                               build_instance)
-from fwkit.regions import Box, NuclearBall, ProductRegion, Simplex
+from fwkit.regions import Box, L1Ball, NuclearBall, ProductRegion, Simplex
 from fwkit.solvers import SolverConfig, reference_f_star, solve
 from fwkit.stepsizes import (Armijo, BacktrackingL, BlockDiminishing, Diminishing,
                              ExactLine, LipschitzDep, compute_step)
@@ -534,6 +534,44 @@ def test_bcfw_block_caches_reproduce_the_full_evaluation_bit_for_bit(case):
     assert report.termination == termination
     assert [_record_bits(r) for r in report.records] == [_record_bits(r) for r in records]
     assert report.x_final.tobytes() == x.tobytes()
+
+
+@st.composite
+def support_runs(draw):
+    """A small FW/AFW/PFW/FDFW/EFW run on a simplex, l1 ball or box, storing points."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["simplex", "l1", "box"]))
+    if kind == "simplex":
+        region = Simplex(n)
+    elif kind == "l1":
+        region = L1Ball(draw(st.sampled_from([0.5, 1.0, 3.0])), n)
+    else:
+        lower = rng.choice([0.0, -1.0], n)
+        region = Box(lower, lower + rng.uniform(0.5, 2.0, n))
+    if draw(st.booleans()):
+        obj = ShiftedNormSquare(rng.standard_normal(n))
+    else:
+        m = draw(st.integers(1, 6))
+        obj = LeastSquares(rng.standard_normal((m, n)), rng.standard_normal(m))
+    inst = ProblemInstance(obj, region, 1.0, 0.0, 1.0, family="support")
+    variant = draw(st.sampled_from(["FW", "AFW", "PFW", "EFW"]
+                                   + (["FDFW"] if kind != "l1" else [])))
+    rule = draw(st.sampled_from([ExactLine, Diminishing, Armijo]))()
+    config = SolverConfig(variant=variant, stepsize=rule, max_iter=draw(st.integers(1, 60)),
+                          gap_tol=1e-12, seed=draw(st.integers(0, 1000)), store_points=True)
+    return inst, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(support_runs())
+def test_records_share_a_support_while_it_does_not_move(case):
+    inst, config = case
+    records = solve(inst, config).records
+    for prev, rec in zip([None] + records, records):
+        assert rec.support == solvers._support_set(rec.x)
+        if prev is not None and rec.support == prev.support:
+            assert rec.support is prev.support
 
 
 def test_bcfw_counts_one_block_evaluation_per_block_and_moved_step():

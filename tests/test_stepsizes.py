@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fwkit.errors import ContractViolation, InputError
+from fwkit.errors import ContractViolation, InputError, NumericalError
 from fwkit.objectives import FactoredQuadratic, LeastSquares, ShiftedNormSquare
-from fwkit.stepsizes import (Armijo, BacktrackingL, stepsize_armijo,
+from fwkit.stepsizes import (Armijo, BacktrackingL, _armijo, compute_step, stepsize_armijo,
                              stepsize_backtracking_L, stepsize_diminishing,
                              stepsize_lipschitz)
 
@@ -61,6 +61,44 @@ def test_armijo_tiny_gamma_accepts_alpha_max_at_minimizer():
     obj = _scalar_square()
     a = stepsize_armijo(obj, np.array([1.0]), np.array([-1.0]), 1.0, delta=0.5, gamma=1e-9)
     assert a == 1.0
+
+
+def test_armijo_searches_past_101_probes_on_a_descending_direction():
+    # slope -2e-5: the steps that pass lie at or below 1.5e-5, under
+    # delta^100 = 2.2e-5, so the search needs probe 102 or later
+    obj = ShiftedNormSquare(np.zeros(4))
+    x = np.array([-1e-5, 0.0, 0.0, 0.0])
+    d = np.array([1.0, 0.0, 0.0, 0.0])
+    delta, gamma = 0.8984375, 0.25
+    f0, g = obj.eval(x)
+    fast = compute_step(Armijo(delta, gamma), 0, obj, x, g, d, 1.0, f=f0)
+    probed = stepsize_armijo(obj, x, d, 1.0, delta, gamma)
+    assert fast == probed
+    assert 0.0 < probed < delta ** 100
+    assert obj.eval(x + probed * d)[0] <= f0 + gamma * probed * float(g @ d)
+    assert obj.eval(x + (probed / delta) * d)[0] > f0 + gamma * (probed / delta) * float(g @ d)
+
+
+def test_armijo_probes_down_to_the_floating_point_floor_then_raises():
+    # phi stays above f0: past probe 101 the search shrinks alpha until
+    # f0 + gamma alpha slope rounds to f0, probes the last alpha above that, and raises
+    f0, slope, delta, gamma = 1.0, -1.0, 0.9, 0.25
+    probes = []
+
+    def above(alpha):
+        probes.append(alpha)
+        return f0 + 1e-3
+
+    with pytest.raises(NumericalError):
+        _armijo(above, f0, slope, 1.0, delta, gamma)
+    assert len(probes) > 101
+    assert f0 + gamma * probes[-1] * slope < f0
+    assert f0 + gamma * (probes[-1] * delta) * slope == f0
+    # at a minimizer the slope is 0: no decrease can show, so probe 101 is the last
+    probes.clear()
+    with pytest.raises(NumericalError):
+        _armijo(above, f0, 0.0, 1.0, delta, gamma)
+    assert len(probes) == 101
 
 
 def test_armijo_output_satisfies_sufficient_decrease():
