@@ -30,9 +30,8 @@ from .regions import (BasePolytope, Box, InexactSchedule, L1Ball, L2Ball,
                       face_away_vertex, fw_gap, lmo, make_inexact_lmo,
                       max_feasible_step, minimal_face_vertices,
                       pyramidal_width_bruteforce, top_singular_triple)
-from .solvers import (IterationRecord, SolveReport, SolverConfig,
-                      reference_f_star, solve, solve_bcfw, solve_efw,
-                      solve_fdfw)
+from .solvers import (CAPABILITIES, IterationRecord, SolveReport,
+                      SolverConfig, check_capability, reference_f_star, solve)
 from .stepsizes import (Armijo, BacktrackingL, BlockDiminishing, Diminishing,
                         ExactLine, LipschitzDep, rule_from_name,
                         stepsize_armijo, stepsize_backtracking_L,

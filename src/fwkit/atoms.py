@@ -144,14 +144,13 @@ def atoms_equal(a, b, tol=ATOM_TOL):
 class StepDescriptor:
     """A solver step: its kind plus the atoms it moves toward / away from.
 
-    Kinds: FW, Away, Pairwise, InFace, Drop, FullCorrective, Block(i).
-    FW and FullCorrective carry ``toward`` only, Away carries ``away`` only,
-    Pairwise carries both.
+    Kinds: FW carries ``toward`` only, Away carries ``away`` only, Pairwise
+    carries both.
     """
 
-    def __init__(self, kind, toward=None, away=None, block=None):
-        if kind in ("FW", "FullCorrective") and (toward is None or away is not None):
-            raise InputError("%s steps carry a toward atom only" % kind)
+    def __init__(self, kind, toward=None, away=None):
+        if kind == "FW" and (toward is None or away is not None):
+            raise InputError("FW steps carry a toward atom only")
         if kind == "Away" and (away is None or toward is not None):
             raise InputError("away steps carry an away atom only")
         if kind == "Pairwise" and (toward is None or away is None):
@@ -159,7 +158,6 @@ class StepDescriptor:
         self.kind = kind
         self.toward = toward
         self.away = away
-        self.block = block
 
     def __repr__(self):
         return "StepDescriptor(%s)" % self.kind
@@ -345,14 +343,13 @@ def apply_step(active_set, step, alpha):
     FW:       weights scale by (1-alpha), toward gains alpha.
     Away:     weights scale by (1+alpha), away loses alpha; alpha_max = w/(1-w).
     Pairwise: alpha moves from away to toward; alpha_max = w_away.
-    InFace steps are treated like Away.  Weights below 1e-12 are dropped and
-    the set renormalized.
+    Weights below 1e-12 are dropped and the set renormalized.
     """
     if not alpha > 0:
         raise ContractViolation("stepsize must be positive")
     kind = step.kind
     eps = 1e-12
-    if kind in ("FW", "FullCorrective"):
+    if kind == "FW":
         if alpha > 1.0 + eps:
             raise ContractViolation("FW stepsize exceeds 1")
         alpha = min(alpha, 1.0)
@@ -362,7 +359,7 @@ def apply_step(active_set, step, alpha):
             active_set._append(step.toward, alpha)
         else:
             active_set.weights[pos] += alpha
-    elif kind in ("Away", "InFace"):
+    elif kind == "Away":
         pos = active_set.find(step.away)
         if pos is None:
             raise ContractViolation("away atom not in active set")

@@ -23,10 +23,9 @@ from . import diagnostics as dg
 from . import objectives as ob
 from . import regions as rg
 from .errors import CapabilityError, FwkitError, InputError
-from .solvers import SolverConfig, reference_f_star, solve
+from .solvers import CAPABILITIES, SolverConfig, check_capability, reference_f_star, solve
 from .stepsizes import rule_from_name
 
-_VARIANTS = ("FW", "AFW", "PFW", "FDFW", "EFW", "BCFW", "WolfeMNP")
 _STEPSIZES = ("diminishing", "exact", "armijo", "lipschitz", "backtracking",
               "block_diminishing")
 _FAMILIES = ("lasso", "meb_dual", "svm_dual", "max_clique", "matcomp",
@@ -36,6 +35,10 @@ _FAMILIES = ("lasso", "meb_dual", "svm_dual", "max_clique", "matcomp",
 _CHECKS = ("sublinear_bound", "lower_bound", "inexact_rate",
            "strongly_convex_domain", "min_gap_rate", "nonconvex_min_gap",
            "per_step_guarantees")
+# checks that read f* (reference_f_star supplies it where the family has none), and L
+_NEEDS_F_STAR = ("sublinear_bound", "lower_bound", "inexact_rate",
+                 "strongly_convex_domain", "per_step_guarantees")
+_NEEDS_L = ("sublinear_bound", "min_gap_rate", "per_step_guarantees")
 
 
 class ConfigError(Exception):
@@ -67,7 +70,7 @@ def _validate(cfg, base_dir="."):
     if prob.get("family") not in _FAMILIES:
         _fail("unknown problem family %r" % prob.get("family"))
     sol = cfg["solver"]
-    if sol.get("variant") not in _VARIANTS:
+    if sol.get("variant") not in CAPABILITIES:
         _fail("unknown solver variant %r" % sol.get("variant"))
     step = sol.get("stepsize", "diminishing")
     if step not in _STEPSIZES:
@@ -87,6 +90,9 @@ def _validate(cfg, base_dir="."):
             _fail("check inexact_rate needs a decaying inexact oracle")
         if check == "per_step_guarantees" and sol.get("stepsize") != "lipschitz":
             _fail("check per_step_guarantees needs the lipschitz stepsize")
+        if sol["variant"] == "WolfeMNP" and (check in _NEEDS_F_STAR or check in _NEEDS_L):
+            _fail("check %s reads f* or L of the instance's f; WolfeMNP records "
+                  "1/2 ||x||^2" % check)
     out = cfg["output"]
     if "prefix" not in out:
         _fail("output block needs a prefix")
@@ -99,21 +105,27 @@ def _validate(cfg, base_dir="."):
         if not os.path.exists(path):
             _fail("referenced data file %r does not exist" % rel)
         data[key] = path
-    family = prob["family"]
-    variant = sol["variant"]
-    compatible = {
-        "FDFW": ("simplex_distance", "interior_quadratic", "boundary_quadratic",
-                 "meb_dual", "svm_dual", "max_clique"),
-        "BCFW": ("product",),
-        "WolfeMNP": ("min_norm_point",),
-    }
-    if variant in compatible and family not in compatible[variant]:
-        _fail("solver %s is incompatible with family %s" % (variant, family))
-    if variant in ("AFW", "PFW", "EFW") and family in ("matcomp", "ball_quadratic"):
-        _fail("solver %s needs a polytopal region; family %s is not" % (variant, family))
-    if sol.get("inexact") and variant not in ("FW", "AFW", "PFW"):
-        _fail("the inexact oracle applies to FW/AFW/PFW only")
     return prob, sol, cfg.get("checks", []), out, params, data
+
+
+def _prepare(path, needs_f_star=False):
+    """A config file's validated blocks, instance, solver config and inexact oracle.
+
+    A variant, or an f* reference for the checks, that cannot run on the
+    instance is refused here, before any solve.
+    """
+    cfg = _load_config(path)
+    prob, sol, checks, out, params, data = _validate(cfg, os.path.dirname(path) or ".")
+    instance = _build_problem(prob, params, data)
+    check_capability(instance, sol["variant"], inexact=bool(sol.get("inexact")))
+    if instance.f_star is None and (needs_f_star or any(c in _NEEDS_F_STAR for c in checks)):
+        try:
+            check_capability(instance, "AFW")  # the solver of reference_f_star
+        except CapabilityError as exc:
+            _fail("f* is unknown for family %s and its reference run cannot start: %s"
+                  % (instance.family, exc))
+    return prob, sol, checks, out, instance, _solver_config(sol, instance), \
+        _maybe_inexact(sol, instance)
 
 
 def _build_problem(prob, params, data):
@@ -243,11 +255,7 @@ def _write_report(report, check_results, prefix):
 
 def cmd_run(args):
     try:
-        cfg = _load_config(args.config)
-        prob, sol, checks, out, params, data = _validate(cfg, os.path.dirname(args.config) or ".")
-        instance = _build_problem(prob, params, data)
-        config = _solver_config(sol, instance)
-        inexact = _maybe_inexact(sol, instance)
+        prob, sol, checks, out, instance, config, inexact = _prepare(args.config)
     except (ConfigError, InputError, CapabilityError, KeyError, TypeError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -255,10 +263,7 @@ def cmd_run(args):
     os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
     try:
         report = solve(instance, config, inexact=inexact)
-        needs_fstar = any(c in ("sublinear_bound", "lower_bound", "inexact_rate",
-                                "strongly_convex_domain", "per_step_guarantees")
-                          for c in checks)
-        report = _ensure_f_star(instance, report, needs_fstar)
+        report = _ensure_f_star(instance, report, any(c in _NEEDS_F_STAR for c in checks))
         results = _run_checks(report, checks)
     except FwkitError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
@@ -273,11 +278,7 @@ def cmd_run(args):
 
 
 def _compare_one(path):
-    cfg = _load_config(path)
-    prob, sol, checks, out, params, data = _validate(cfg, os.path.dirname(path) or ".")
-    instance = _build_problem(prob, params, data)
-    config = _solver_config(sol, instance)
-    inexact = _maybe_inexact(sol, instance)
+    prob, sol, checks, out, instance, config, inexact = _prepare(path, needs_f_star=True)
     report = solve(instance, config, inexact=inexact)
     report = _ensure_f_star(instance, report, True)
     try:

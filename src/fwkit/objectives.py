@@ -138,9 +138,15 @@ class Quadratic:
         n = self.q.shape[0]
         if self.q.shape != (n, n):
             raise InputError("Q must be square")
-        if np.max(np.abs(self.q - self.q.T)) > 1e-10:
+        if not np.isfinite(self.q).all():
+            raise InputError("Q has non-finite entries")
+        if not np.max(np.abs(self.q - self.q.T)) <= 1e-10:  # False on a NaN too
             raise InputError("Q must be symmetric")
         self.b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
+        if self.b.shape != (n,):
+            raise InputError("linear term has wrong dimension")
+        if not np.isfinite(self.b).all():
+            raise InputError("linear term has non-finite entries")
         self.c = float(c)
         self.shape = (n,)
 

@@ -1,12 +1,13 @@
 """Frank-Wolfe solver family.
 
-One driver per variant: classic FW, away-step (AFW), pairwise (PFW),
-in-face (FDFW), fully corrective (EFW), block coordinate (BCFW), and
-Wolfe's min-norm-point method (see ``minnorm``).  EFW's correction and the
-min-norm point share Wolfe's corral method: both minimize a quadratic over
-the hull of a few atoms with ``minnorm``'s minor cycle.  Every run produces a
-``SolveReport`` with a per-iteration trace: objective, FW gap, step kind
-and size, support size, and good-step classification.
+``solve`` runs every variant, on what ``CAPABILITIES`` lets it run on.
+Classic FW, away-step (AFW), pairwise (PFW) and fully corrective (EFW)
+share one driver; in-face (FDFW), block coordinate (BCFW) and Wolfe's
+min-norm point (see ``minnorm``) keep their own loops.  EFW's correction
+and the min-norm point share ``minnorm``'s minor cycle of Wolfe's corral
+method.  Every run produces a ``SolveReport`` with a per-iteration trace:
+objective, FW gap, step kind and size, support size, and good-step
+classification.
 
 A record at index k describes the state x_k plus the step taken from it;
 the final record marks the stopping state with kind "stop" and alpha 0.
@@ -18,6 +19,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .atoms import ActiveSet, StepDescriptor, apply_step, atoms_equal, \
     away_step_cap, reconstruct_point, select_away_vertex
 from .errors import CapabilityError, InputError, NumericalError
 from .objectives import BlockSeparable, FactoredQuadratic, LeastSquares
-from .stepsizes import BlockDiminishing, Diminishing, compute_step
+from .stepsizes import BlockDiminishing, Diminishing, ExactLine, compute_step
 
 _POLYTOPAL = (rg.Simplex, rg.L1Ball, rg.Box, rg.LinfBall, rg.BasePolytope,
               rg.VertexHull)
@@ -49,6 +51,46 @@ def _is_polytopal(region):
     if isinstance(region, rg.ProductRegion):
         return all(_is_polytopal(b) for b in region.blocks)
     return False
+
+
+class Capability(NamedTuple):
+    """A variant's needs: a predicate on the instance, its wording, and if it takes inexact LMOs."""
+
+    needs: object
+    wording: str
+    inexact: bool
+
+
+def _on_blocks(instance):
+    region, obj = instance.region, instance.objective
+    return (isinstance(region, rg.ProductRegion) and isinstance(obj, BlockSeparable)
+            and list(obj.sizes) == region.sizes)
+
+
+_POLYTOPE = Capability(lambda inst: _is_polytopal(inst.region), "a polytopal region", True)
+CAPABILITIES = {
+    "FW": Capability(lambda inst: True, "", True),
+    "AFW": _POLYTOPE,
+    "PFW": _POLYTOPE,
+    "EFW": _POLYTOPE._replace(inexact=False),
+    "FDFW": Capability(lambda inst: isinstance(inst.region, (rg.Simplex, rg.Box)),
+                       "a simplex or box region", False),
+    "BCFW": Capability(_on_blocks, "a product region and a BlockSeparable objective on "
+                       "its blocks", False),
+    "WolfeMNP": Capability(lambda inst: isinstance(inst.region, rg.VertexHull),
+                           "an explicit vertex list (a VertexHull region)", False),
+}
+
+
+def check_capability(instance, variant, inexact=False):
+    """Raise ``CapabilityError`` unless ``variant`` runs on ``instance`` (inexact LMO if set)."""
+    cap = CAPABILITIES.get(variant)
+    if cap is None:
+        raise InputError("unknown solver variant %r" % variant)
+    if not cap.needs(instance):
+        raise CapabilityError("%s needs %s" % (variant, cap.wording))
+    if inexact and not cap.inexact:
+        raise CapabilityError("%s takes no inexact oracle" % variant)
 
 
 @dataclass
@@ -174,7 +216,7 @@ class _Tracer:
         rec.alpha_max = float(alpha_max)
         if kind == "FW":
             rec.good = alpha >= 1.0 or alpha < alpha_max
-        elif kind in ("FullCorrective",) or kind.startswith("Block"):
+        elif kind == "FullCorrective" or kind.startswith("Block"):
             rec.good = True
         else:
             rec.good = alpha < alpha_max
@@ -182,24 +224,72 @@ class _Tracer:
             self.good_steps += 1
 
 
+class _AtomCache:
+    """One solve's entries [atom, image A v or None, gradient of f at v or None].
+
+    The image is made with the entry when the solve tracks A x (``a`` is
+    given).  The gradient is filled on first use, on the image when there
+    is one, else by ``eval(v)``; ``passes`` counts these evaluations.  A
+    lookup goes by the atom's memoised key, confirmed with ``atoms_equal``.
+
+    f is quadratic, so on weights lam that sum to one f(sum_j lam_j v_j) has
+    the gradient M lam with M_ij = <v_i, grad f(v_j)>.  ``matrix`` builds M
+    over an active set: on signed-unit atoms row i is coef_i times the
+    gradients' entries at idx_i; on dense vectors, the stacked rows times
+    the gradients.
+    """
+
+    def __init__(self, obj, a=None):
+        self.obj = obj
+        self.a = a
+        self._atoms = {}  # atom key -> [atom, image or None, gradient or None]
+        self.passes = 0
+
+    def entry(self, atom):
+        key = atom._key()
+        entry = self._atoms.get(key)
+        if entry is None or not atoms_equal(entry[0], atom):
+            image = None
+            if self.a is not None:
+                image = (atom.sign * atom.scale) * self.a[:, atom.index] \
+                    if atom.tag == "signed_unit" else self.a @ atom.densify()
+            entry = self._atoms[key] = [atom, image, None]
+        return entry
+
+    def grad(self, entry):
+        if entry[2] is None:
+            self.passes += 1
+            v = entry[0].densify()
+            entry[2] = (self.obj.eval(v) if entry[1] is None
+                        else self.obj.eval(v, ax=entry[1]))[1]
+        return entry[2]
+
+    def matrix(self, active):
+        grads = np.array([self.grad(self.entry(a)) for a in active.atoms])
+        if active._idx is not None:
+            return active._coef[:, None] * grads[:, active._idx].T
+        if active._rows is not None:
+            return active._rows @ grads.T
+        return np.array([a.densify().ravel() for a in active.atoms]) @ grads.T
+
+
 class _AffineImage:
     """The image A x of the iterate, and its gradient, kept beside x for f seen through A.
 
-    A step moves A x by the image of its direction, built from atom images: a
-    signed-unit atom's image is a scaled column of A, so those steps cost
-    O(m).  f is quadratic, so its gradient is affine in x and moves with the
-    gradients at the atoms a step runs between:
+    A step moves A x by the image of its direction, built from the atom
+    images in the solve's ``_AtomCache``: a signed-unit atom's image is a
+    scaled column of A, so those steps cost O(m).  f is quadratic, so its
+    gradient is affine in x and moves with the gradients at the atoms a step
+    runs between:
 
         FW        g' = (1 - alpha) g + alpha grad(s)     (alpha = 1: grad(s))
         Away      g' = (1 + alpha) g - alpha grad(v)
         Pairwise  g' = g + alpha (grad(s) - grad(v))
 
-    Each atom's gradient costs one A^T r pass (an ``eval`` at the atom, on its
-    image), made once per solve and cached with the image; the value comes
-    from A x in O(m) (``value``).  The cache lives as long as this object,
-    which the solve owns.  On a small A an A^T r pass is cheaper than the
-    cache's bookkeeping, so below ``_TRACK_GRADIENT_MIN`` entries only A x is
-    tracked and every iteration evaluates the gradient.
+    Each atom's gradient costs one A^T r pass, made once per solve by the
+    cache; the value comes from A x in O(m) (``value``).  On a small A an
+    A^T r pass is cheaper than moving g, so below ``_TRACK_GRADIENT_MIN``
+    entries only A x is tracked and every iteration evaluates the gradient.
 
     Rounding drift is bounded by recomputing A x (and g) from x every
     ``_RESYNC_EVERY`` steps; ``drift_max`` and ``grad_drift_max`` are the
@@ -207,29 +297,33 @@ class _AffineImage:
     Given the solve's active set, a re-sync also measures how far x has
     drifted from the point the set represents: ``active_drift_max`` is the
     largest ||x - reconstruct_point(active)||.
-    ``grad_passes`` counts the full gradient passes: the evaluations at
-    iterates (the first, re-syncs, and every iteration when g is not
-    tracked) and at atoms.
+    ``evals`` counts the evaluations at iterates (the first, re-syncs, and
+    every iteration when g is not tracked); ``grad_passes`` adds those at
+    atoms.
     """
 
-    def __init__(self, obj, x, track=None, active=None):
-        self.obj = obj
-        self.a = obj.a
+    def __init__(self, cache, x, track=None, active=None):
+        self.obj = cache.obj
+        self.a = cache.a
+        self.cache = cache
         self.ax = self.a @ x
         self.track = self.a.size >= _TRACK_GRADIENT_MIN if track is None else track
         self.active = active
         self.g = None  # tracked gradient at x; None until first evaluated
-        self._atoms = {}  # atom key -> [atom, image, gradient or None]
-        self._ends = None, None  # entries of the step ``direction`` priced last
+        self._ends = None, None  # cache entries of the step ``direction`` priced last
         self.steps = 0  # steps since A x was last computed from x
         self.resyncs = 0
         self.drift_max = 0.0
         self.grad_drift_max = 0.0
         self.active_drift_max = 0.0
-        self.grad_passes = 0
+        self.evals = 0
+
+    @property
+    def grad_passes(self):
+        return self.evals + self.cache.passes
 
     def _eval(self, x, ax):
-        self.grad_passes += 1
+        self.evals += 1
         return self.obj.eval(x, ax=ax)
 
     def value_and_grad(self, x):
@@ -241,31 +335,10 @@ class _AffineImage:
             return f, g
         return self.obj.value(x, self.ax), self.g
 
-    def _image(self, atom):
-        if atom.tag == "signed_unit":
-            return (atom.sign * atom.scale) * self.a[:, atom.index]
-        return self.a @ atom.densify()
-
-    def _entry(self, atom):
-        """[atom, image, gradient or None]; cached when g is tracked."""
-        if not self.track:
-            return [atom, self._image(atom), None]
-        key = atom._key()
-        entry = self._atoms.get(key)
-        if entry is None or not atoms_equal(entry[0], atom):
-            entry = self._atoms[key] = [atom, self._image(atom), None]
-        return entry
-
-    def _grad(self, entry):
-        """The gradient of f at an entry's atom, from its image; once per atom and solve."""
-        if entry[2] is None:
-            entry[2] = self._eval(entry[0].densify(), entry[1])[1]
-        return entry[2]
-
     def direction(self, kind, s_atom, v_atom):
         """A d for a step of ``kind``: d runs from x or v (the away atom) to s or x."""
-        s = None if kind == "Away" else self._entry(s_atom)
-        v = None if kind == "FW" else self._entry(v_atom)
+        s = None if kind == "Away" else self.cache.entry(s_atom)
+        v = None if kind == "FW" else self.cache.entry(v_atom)
         self._ends = s, v
         return (self.ax if s is None else s[1]) - (self.ax if v is None else v[1])
 
@@ -277,22 +350,23 @@ class _AffineImage:
         object's own arrays, never cached ones.
         """
         s, v = self._ends
+        grad = self.cache.grad
         if kind == "FW" and alpha >= 1.0:
             self.ax = s[1].copy()
             if self.g is not None:
-                self.g = self._grad(s).copy()
+                self.g = grad(s).copy()
         else:
             self.ax += alpha * ad
             g = self.g
             if g is not None:
                 if kind == "FW":
                     g *= 1.0 - alpha
-                    g += alpha * self._grad(s)
+                    g += alpha * grad(s)
                 elif kind == "Away":
                     g *= 1.0 + alpha
-                    g -= alpha * self._grad(v)
+                    g -= alpha * grad(v)
                 else:
-                    g += alpha * (self._grad(s) - self._grad(v))
+                    g += alpha * (grad(s) - grad(v))
         self.steps += 1
         if self.steps >= _RESYNC_EVERY:
             self.resync(x)
@@ -334,31 +408,37 @@ def _initial_atom(region, rng):
 
 
 def solve(instance, config, inexact=None, initial_active=None):
-    """Run the solver selected by ``config.variant`` on a problem instance."""
+    """Run ``config.variant`` on a problem instance, after ``check_capability``.
+
+    ``initial_active`` starts FW, AFW, PFW and EFW from a given active set.
+    """
     variant = config.variant
-    if variant in ("FW", "AFW", "PFW"):
-        return _run_atomic(instance, config, away=variant != "FW", pairwise=variant == "PFW",
-                           inexact=inexact, initial_active=initial_active)
+    check_capability(instance, variant, inexact is not None)
+    if variant in ("FW", "AFW", "PFW", "EFW"):
+        return _run_atomic(instance, config, inexact=inexact, initial_active=initial_active)
     if variant == "FDFW":
-        return solve_fdfw(instance, config)
-    if variant == "EFW":
-        return solve_efw(instance, config, initial_active=initial_active)
+        return _solve_fdfw(instance, config)
     if variant == "BCFW":
-        return solve_bcfw(instance, config)
-    if variant == "WolfeMNP":
-        from .minnorm import solve_wolfe_mnp
+        return _solve_bcfw(instance, config)
+    from .minnorm import solve_wolfe_mnp
 
-        if not isinstance(instance.region, rg.VertexHull):
-            raise CapabilityError("WolfeMNP needs an explicit vertex list")
-        return solve_wolfe_mnp(instance.region.points, config)
-    raise InputError("unknown solver variant %r" % variant)
+    return solve_wolfe_mnp(instance.region.points, config)
 
 
-def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=None):
-    """Shared driver for FW / AFW / PFW over an atom-tracking active set."""
+def _run_atomic(instance, config, inexact=None, initial_active=None):
+    """Shared driver of FW / AFW / PFW / EFW over an atom-tracking active set.
+
+    The variants share the start, the evaluation, the LMO, the gap, the
+    record and the termination; they differ in the move from the active
+    set.  FW steps toward the LMO atom s, AFW may step away from the active
+    atom v maximizing <g, v> instead, PFW moves weight from v to s, and EFW
+    re-optimizes all the weights (``_correct``).  x jumps each EFW round, so
+    EFW evaluates f at x afresh and tracks no A x.
+    """
     obj, region = instance.objective, instance.region
-    if away and not _is_polytopal(region):
-        raise CapabilityError("away/pairwise variants need a polytopal region")
+    corrective = config.variant == "EFW"
+    away = config.variant == "AFW"  # PFW always takes its pairwise step
+    pairwise = config.variant == "PFW"
     rule = copy.deepcopy(config.stepsize)
     rng = np.random.default_rng(config.seed)
     if initial_active is not None:
@@ -368,12 +448,15 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
         atom = _initial_atom(region, rng)
         active = ActiveSet.from_atom(atom)
         x = atom.densify().copy()
-    image = _AffineImage(obj, x, active=active) \
-        if isinstance(obj, (LeastSquares, FactoredQuadratic)) else None
+    tracks = not corrective and isinstance(obj, (LeastSquares, FactoredQuadratic))
+    cache = _AtomCache(obj, obj.a if tracks else None)
+    image = _AffineImage(cache, x, active=active) if tracks else None
+    inner_tol = max(config.efw_inner_tol, 0.1 * config.gap_tol)
     tracer = _Tracer(config)
     termination = "MaxIter"
     k = 0
-    evals = 0  # gradient passes when there is no image to count them
+    evals = 0  # gradient passes at iterates when there is no image to count them
+    cycles = 0  # EFW's corral cycles
     try:
         while True:
             if image is None:
@@ -399,39 +482,32 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
                 termination = "MaxIter"
                 tracer.push(rec, terminal=True)
                 break
-            if s_atom is not exact_atom:
-                s_used = s_atom.densify()
-            else:
-                s_used = s
-            d_fw = s_used - x
-            dg_fw = float(np.vdot(g, d_fw))
-            kind = "FW"
-            if away:
+            if corrective:
+                cycles += _correct(active, s_atom, cache, inner_tol)
+                x_new = reconstruct_point(active)
+                d = x_new - x
+                tracer.mark_step(rec, "FullCorrective", 1.0, float(np.vdot(g, d)), _norm(d), 1.0)
+                tracer.push(rec)
+                x = x_new
+                k += 1
+                continue
+            s_used = s if s_atom is exact_atom else s_atom.densify()
+            v_atom = None
+            if pairwise:
                 v_atom, w_v, _ = select_away_vertex(active, g)
-                d_aw = x - v_atom.densify()
-                dg_aw = float(np.vdot(g, d_aw))
-                if pairwise:
-                    kind = "Pairwise"
-                    d = s_used - v_atom.densify()
-                    dg = float(np.vdot(g, d))
-                    alpha_max = float(w_v)
-                    step = StepDescriptor("Pairwise", toward=s_atom, away=v_atom)
-                elif -dg_aw > -dg_fw and w_v < 1.0:
-                    kind = "Away"
-                    d = d_aw
-                    dg = dg_aw
-                    alpha_max = away_step_cap(w_v)
-                    step = StepDescriptor("Away", away=v_atom)
-                else:
-                    d = d_fw
-                    dg = dg_fw
-                    alpha_max = 1.0
-                    step = StepDescriptor("FW", toward=s_atom)
+                kind, d, alpha_max = "Pairwise", s_used - v_atom.densify(), float(w_v)
+                dg = float(np.vdot(g, d))
             else:
-                d = d_fw
-                dg = dg_fw
-                alpha_max = 1.0
-                step = StepDescriptor("FW", toward=s_atom)
+                kind, d, alpha_max = "FW", s_used - x, 1.0
+                dg = float(np.vdot(g, d))
+                if away:
+                    v_atom, w_v, _ = select_away_vertex(active, g)
+                    d_aw = x - v_atom.densify()
+                    dg_aw = float(np.vdot(g, d_aw))
+                    if -dg_aw > -dg and w_v < 1.0:
+                        kind, d, dg, alpha_max = "Away", d_aw, dg_aw, away_step_cap(w_v)
+            step = StepDescriptor(kind, toward=None if kind == "Away" else s_atom,
+                                  away=None if kind == "FW" else v_atom)
             if not d.any() or (inexact is not None and dg >= 0.0):
                 if inexact is not None:
                     # the degraded oracle may stall an iteration; the error
@@ -450,22 +526,17 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
                 termination = "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
                 tracer.push(rec, terminal=True)
                 break
-            ad = None if image is None else image.direction(kind, s_atom, step.away)
+            ad = None if image is None else image.direction(kind, s_atom, v_atom)
             alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f, ad=ad, slope=dg)
             if alpha <= 0.0:
                 termination = "NumericalError"
                 tracer.push(rec, terminal=True)
                 break
             apply_step(active, step, alpha)
-            if kind == "FW" and alpha >= 1.0:
-                x = s_used.copy()
-            else:
-                x = x + alpha * d
+            x = s_used.copy() if kind == "FW" and alpha >= 1.0 else x + alpha * d
             if image is not None:
                 image.move(kind, alpha, ad, x)
-            recorded_kind = kind
-            if kind in ("Away", "Pairwise") and alpha >= alpha_max:
-                recorded_kind = "Drop"
+            recorded_kind = "Drop" if kind != "FW" and alpha >= alpha_max else kind
             tracer.mark_step(rec, recorded_kind, alpha, dg, _norm(d), alpha_max)
             tracer.push(rec)
             k += 1
@@ -473,24 +544,45 @@ def _run_atomic(instance, config, away, pairwise, inexact=None, initial_active=N
         termination = "NumericalError"
     meta = _base_meta(instance, config)
     meta["x_final"] = x
-    meta["grad_passes"] = evals if image is None else image.grad_passes
+    meta["grad_passes"] = evals + cache.passes if image is None else image.grad_passes
+    if corrective:
+        meta["correction_cycles"] = cycles
     if image is not None:
-        meta["affine_resyncs"] = image.resyncs
-        meta["affine_drift_max"] = image.drift_max
-        meta["grad_drift_max"] = image.grad_drift_max
-        meta["active_drift_max"] = image.active_drift_max
+        meta.update(affine_resyncs=image.resyncs, affine_drift_max=image.drift_max,
+                    grad_drift_max=image.grad_drift_max,
+                    active_drift_max=image.active_drift_max)
     if inexact is not None:
-        meta["inexact_mode"] = inexact.schedule.mode
-        meta["inexact_delta"] = inexact.schedule.delta
-        meta["inexact_kappa"] = inexact.schedule.kappa_upper
+        sched = inexact.schedule
+        meta.update(inexact_mode=sched.mode, inexact_delta=sched.delta,
+                    inexact_kappa=sched.kappa_upper)
     return SolveReport(tracer.records, active, termination, tracer.good_steps, meta)
 
 
-def solve_fdfw(instance, config):
+def _correct(active, s_atom, cache, inner_tol):
+    """EFW's round: s joins at weight 0, then f is minimized over the hull of the active atoms.
+
+    Wolfe's corral method (``minnorm.corral_weights``), warm started from
+    the current weights, runs down to a weights' FW gap of ``inner_tol`` on
+    the weights' gradient M lam (``_AtomCache.matrix``): a hull that
+    contains the optimum is corrected to it in one round.  Returns the
+    corral cycles used.
+    """
+    from .minnorm import corral_weights
+
+    if active.find(s_atom) is None:
+        active._append(s_atom, 0.0)
+    mat = cache.matrix(active)
+    if not np.isfinite(mat).all():
+        raise NumericalError("non-finite gradient at an active atom")
+    lam, used = corral_weights(mat, active.weights, inner_tol, max(200, 40 * len(active)))
+    active.weights = lam  # one weight per atom: the atoms' index arrays stay valid
+    active._prune_and_renormalize()
+    return used
+
+
+def _solve_fdfw(instance, config):
     """In-face variant: away candidates come from the minimal face of x."""
     obj, region = instance.objective, instance.region
-    if not isinstance(region, (rg.Simplex, rg.Box)):
-        raise CapabilityError("FDFW is restricted to simplex and box regions")
     rule = copy.deepcopy(config.stepsize)
     rng = np.random.default_rng(config.seed)
     atom = _initial_atom(region, rng)
@@ -526,15 +618,9 @@ def solve_fdfw(instance, config):
             d_aw = x - v
             dg_aw = float(np.vdot(g, d_aw))
             if -dg_aw > -dg_fw and np.any(d_aw):
-                kind = "InFace"
-                d = d_aw
-                dg = dg_aw
-                alpha_max = region.max_step(x, d)
+                kind, d, dg, alpha_max = "InFace", d_aw, dg_aw, region.max_step(x, d_aw)
             else:
-                kind = "FW"
-                d = d_fw
-                dg = dg_fw
-                alpha_max = 1.0
+                kind, d, dg, alpha_max = "FW", d_fw, dg_fw, 1.0
             if alpha_max <= 0.0 or not np.any(d):
                 termination = "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
                 tracer.push(rec, terminal=True)
@@ -544,10 +630,7 @@ def solve_fdfw(instance, config):
                 termination = "NumericalError"
                 tracer.push(rec, terminal=True)
                 break
-            if kind == "FW" and alpha >= 1.0:
-                x = s.copy()
-            else:
-                x = x + alpha * d
+            x = s.copy() if kind == "FW" and alpha >= 1.0 else x + alpha * d
             # snap coordinates that numerically reached a face
             if isinstance(region, rg.Simplex):
                 x[np.abs(x) <= 1e-12] = 0.0
@@ -556,9 +639,7 @@ def solve_fdfw(instance, config):
             else:
                 x = np.where(np.abs(x - region.lower) <= 1e-12, region.lower, x)
                 x = np.where(np.abs(x - region.upper) <= 1e-12, region.upper, x)
-            recorded_kind = kind
-            if kind == "InFace" and alpha >= alpha_max:
-                recorded_kind = "Drop"
+            recorded_kind = "Drop" if kind == "InFace" and alpha >= alpha_max else kind
             tracer.mark_step(rec, recorded_kind, alpha, dg, _norm(d), alpha_max)
             tracer.push(rec)
             k += 1
@@ -569,114 +650,7 @@ def solve_fdfw(instance, config):
     return SolveReport(tracer.records, None, termination, tracer.good_steps, meta)
 
 
-def solve_efw(instance, config, initial_active=None):
-    """Fully corrective variant: reoptimize over the active atoms each round.
-
-    Each round minimizes f over the convex hull of the active atoms, warm
-    started from the current weights, by Wolfe's corral method
-    (``minnorm.corral_weights``) down to a weights' FW gap of
-    max(efw_inner_tol, gap_tol / 10): a hull that contains the optimum is
-    corrected to it in one round.  f is quadratic, so the gradient of the
-    weights' objective is M lam with M_ij = <v_i, grad f(v_j)>, built from
-    gradients at the atoms (``_AtomGradients``).
-    """
-    from .minnorm import corral_weights
-
-    obj, region = instance.objective, instance.region
-    if not _is_polytopal(region):
-        raise CapabilityError("EFW needs a polytopal region")
-    rng = np.random.default_rng(config.seed)
-    if initial_active is not None:
-        active = initial_active.copy()
-        x = reconstruct_point(active)
-    else:
-        atom = _initial_atom(region, rng)
-        active = ActiveSet.from_atom(atom)
-        x = atom.densify().copy()
-    grads = _AtomGradients(obj)
-    inner_tol = max(config.efw_inner_tol, 0.1 * config.gap_tol)
-    tracer = _Tracer(config)
-    termination = "MaxIter"
-    k = 0
-    evals = 0
-    cycles = 0
-    try:
-        while True:
-            f, g = obj.eval(x)
-            evals += 1
-            s_atom = region.lmo(g)
-            s = s_atom.densify()
-            gap = float(np.vdot(g, x) - np.vdot(g, s))
-            rec = tracer.make(k, f, gap, len(active), x)
-            if gap <= config.gap_tol:
-                termination = "GapTol"
-                tracer.push(rec, terminal=True)
-                break
-            if k >= config.max_iter:
-                termination = "MaxIter"
-                tracer.push(rec, terminal=True)
-                break
-            if active.find(s_atom) is None:
-                active._append(s_atom, 0.0)
-            mat = grads.matrix(active)
-            if not np.isfinite(mat).all():
-                raise NumericalError("non-finite gradient at an active atom")
-            lam, used = corral_weights(mat, active.weights, inner_tol,
-                                       max(200, 40 * len(active)))
-            cycles += used
-            active.weights = lam  # one weight per atom: the atoms' index arrays stay valid
-            active._prune_and_renormalize()
-            x_new = reconstruct_point(active)
-            d = x_new - x
-            dg = float(np.vdot(g, d))
-            tracer.mark_step(rec, "FullCorrective", 1.0, dg, _norm(d), 1.0)
-            tracer.push(rec)
-            x = x_new
-            k += 1
-    except NumericalError:
-        termination = "NumericalError"
-    meta = _base_meta(instance, config)
-    meta["x_final"] = x
-    meta["grad_passes"] = evals + grads.passes
-    meta["correction_cycles"] = cycles
-    return SolveReport(tracer.records, active, termination, tracer.good_steps, meta)
-
-
-class _AtomGradients:
-    """Gradients of f at atoms, one evaluation per distinct atom and solve.
-
-    On weights lam that sum to one, f(sum_j lam_j v_j) has the gradient
-    M lam with M_ij = <v_i, grad f(v_j)>, because f is quadratic and its
-    gradient affine.  ``matrix`` builds M over an active set from the cached
-    gradients: on signed-unit atoms row i is coef_i times the gradients'
-    entries at idx_i, with no dense atom formed; on dense vectors it is the
-    set's stacked rows times the gradients.  The cache lives as long as
-    this object, which one solve owns; ``passes`` counts the evaluations.
-    """
-
-    def __init__(self, obj):
-        self.obj = obj
-        self._atoms = {}  # atom key -> (atom, gradient at the atom)
-        self.passes = 0
-
-    def _grad(self, atom):
-        key = atom._key()
-        entry = self._atoms.get(key)
-        if entry is None or not atoms_equal(entry[0], atom):
-            self.passes += 1
-            entry = self._atoms[key] = (atom, self.obj.eval(atom.densify())[1].ravel())
-        return entry[1]
-
-    def matrix(self, active):
-        grads = np.array([self._grad(a) for a in active.atoms])
-        if active._idx is not None:
-            return active._coef[:, None] * grads[:, active._idx].T
-        if active._rows is not None:
-            return active._rows @ grads.T
-        return np.array([a.densify().ravel() for a in active.atoms]) @ grads.T
-
-
-def solve_bcfw(instance, config):
+def _solve_bcfw(instance, config):
     """Block coordinate FW (Lacoste-Julien et al., 2013): a random block steps each round.
 
     A step on block i changes only its value, gradient, LMO vertex, gap term
@@ -686,10 +660,6 @@ def solve_bcfw(instance, config):
     full-length g and direction, as block slices' dot products round apart.
     """
     obj, region = instance.objective, instance.region
-    if not isinstance(region, rg.ProductRegion):
-        raise CapabilityError("BCFW needs a product region")
-    if not isinstance(obj, BlockSeparable) or list(obj.sizes) != region.sizes:
-        raise CapabilityError("BCFW needs a BlockSeparable objective on the region's blocks")
     m = len(region.blocks)
     rule = copy.deepcopy(config.stepsize)
     if rule.name in ("diminishing", "block_diminishing"):
@@ -772,18 +742,16 @@ def solve_bcfw(instance, config):
 
 
 def reference_f_star(instance, gap_tol=1e-12, max_iter=100000, seed=1):
-    """Reference optimal value from a long away-step run.
+    """Reference optimal value from a long away-step run; ``CAPABILITIES["AFW"]`` applies.
 
     Convex instances get the certified lower bound max over the trace of
     f(x_k) - G(x_k), which never exceeds f*, with error at most the
     smallest gap reached.  Non-convex instances (where f - G certifies
     nothing) get the best objective value observed instead.
     """
-    from .stepsizes import ExactLine
-
     config = SolverConfig(variant="AFW", stepsize=ExactLine(), max_iter=max_iter,
                           gap_tol=gap_tol, seed=seed, record_every=1)
-    report = _run_atomic(instance, config, away=True, pairwise=False)
+    report = solve(instance, config)
     if instance.meta.get("convex", True):
         bound = max(r.f - r.gap for r in report.records)
     else:

@@ -313,7 +313,7 @@ def test_step_sequences_keep_arrays_in_step_with_atoms(n, mode, data):
             apply_step(active, StepDescriptor("Pairwise", toward=toward, away=atom),
                        data.draw(_FRACTIONS) * w)
         elif kind == "EFW":
-            # as solve_efw: append the new atom at weight 0, reassign all the
+            # as EFW's correction: append the new atom at weight 0, reassign all the
             # weights (some zero), then prune
             s_atom = draw_atom()
             if active.find(s_atom) is None:

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 
+import pytest
+
 from fwkit import cli
 
 
@@ -265,3 +267,82 @@ def test_gen_product_is_bcfw_compatible(tmp_path):
         assert cli.main(["run", "--config", "prod.config.json"]) == 0
     finally:
         os.chdir(cwd)
+
+
+def test_run_refuses_an_f_star_reference_that_cannot_run(tmp_path):
+    # matcomp has no known f*, and reference_f_star's AFW run needs a
+    # polytopal region: refused before the solve, so nothing is written
+    cfg_path = tmp_path / "mc.json"
+    cfg = write_config(cfg_path,
+                       problem={"family": "matcomp", "seed": 0,
+                                "params": {"m": 5, "n": 4, "rank": 1, "density": 0.5}},
+                       solver={"variant": "FW", "stepsize": "exact", "max_iter": 20})
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert not os.path.exists(cfg["output"]["prefix"] + ".trace.csv")
+    cfg["checks"] = ["nonconvex_min_gap"]  # reads no f*
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path)]) in (0, 3)
+    assert os.path.exists(cfg["output"]["prefix"] + ".trace.csv")
+
+
+@pytest.mark.parametrize("check", ["sublinear_bound", "min_gap_rate"])
+def test_wolfe_mnp_refuses_checks_on_f_star_or_l(tmp_path, check):
+    # WolfeMNP records 1/2 ||x||^2 and no L or D; these checks once ended
+    # in an uncaught KeyError
+    cfg_path = tmp_path / "w.json"
+    write_config(cfg_path,
+                 problem={"family": "min_norm_point", "seed": 0,
+                          "params": {"points": [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]}},
+                 solver={"variant": "WolfeMNP", "stepsize": "diminishing"},
+                 checks=[check])
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+
+
+_MATRIX_PARAMS = {
+    "lasso": {"m": 6, "n": 10},
+    "meb_dual": {"points": [[0.0, 1.0], [1.0, 0.5], [-1.0, 0.2], [0.3, -1.0]]},
+    "svm_dual": {"points": [[0.0, 1.0], [1.0, 0.5], [-1.0, 0.2], [0.3, -1.0]],
+                 "labels": [1.0, -1.0, 1.0, -1.0]},
+    "max_clique": {"n": 5, "edges": [[0, 1], [1, 2], [0, 2], [3, 4]]},
+    "matcomp": {"m": 4, "n": 3, "rank": 1, "density": 0.6},
+    "simplex_distance": {"n": 5},
+    "interior_quadratic": {"n": 5},
+    "boundary_quadratic": {"n": 5},
+    "ball_quadratic": {"n": 3},
+    "product": {"b": 2, "n": 3},
+    "base_polytope_norm": {"n": 4},
+    "min_norm_point": {"points": [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]},
+}
+
+
+def test_run_exits_two_exactly_where_the_capability_table_refuses(tmp_path):
+    from fwkit.errors import CapabilityError
+    from fwkit.solvers import CAPABILITIES, check_capability
+
+    assert set(_MATRIX_PARAMS) == set(cli._FAMILIES)
+    for family, params in _MATRIX_PARAMS.items():
+        for variant in CAPABILITIES:
+            for inexact in (False, True):
+                sol = {"variant": variant, "stepsize": "exact", "max_iter": 5,
+                       "gap_tol": 1e-9}
+                if inexact:
+                    sol["inexact"] = {"mode": "constant", "delta": 0.1}
+                name = "%s-%s-%d" % (family, variant, inexact)
+                cfg_path = tmp_path / (name + ".json")
+                cfg = write_config(cfg_path, problem={"family": family, "seed": 0,
+                                                      "params": params},
+                                   solver=sol, checks=[])
+                code = cli.main(["run", "--config", str(cfg_path)])
+                instance = cli._build_problem(cfg["problem"], dict(params), {})
+                try:
+                    check_capability(instance, variant, inexact=inexact)
+                    refused = False
+                except CapabilityError:
+                    refused = True
+                try:
+                    cli.solve(instance, cli._solver_config(cfg["solver"], instance),
+                              inexact=cli._maybe_inexact(cfg["solver"], instance))
+                    raised = False
+                except CapabilityError:
+                    raised = True
+                assert (code == 2) == refused == raised, name

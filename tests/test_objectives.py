@@ -280,3 +280,18 @@ def test_compose_with_linear_matches_pointwise():
             v2, g2 = obj.eval(m @ y)
             assert v1 == pytest.approx(v2, rel=1e-10, abs=1e-10)
             assert np.allclose(g1, m.T @ g2, atol=1e-9)
+
+
+@pytest.mark.parametrize("q, b, match", [
+    ([[np.nan, 1.0], [2.0, 1.0]], None, "non-finite"),
+    ([[np.inf, 0.0], [0.0, 1.0]], None, "non-finite"),
+    ([[1.0, 0.0], [0.0, np.nan]], None, "non-finite"),
+    (np.eye(2), [1.0, np.nan], "non-finite"),
+    (np.eye(2), [np.inf, 0.0], "non-finite"),
+    (np.eye(2), [1.0, 2.0, 3.0], "dimension"),
+    (np.eye(2), [[1.0, 2.0]], "dimension"),
+    ([[1.0, 2.0], [0.0, 1.0]], None, "symmetric"),
+])
+def test_quadratic_rejects_bad_input_at_construction(q, b, match):
+    with pytest.raises(InputError, match=match):
+        Quadratic(q, b)

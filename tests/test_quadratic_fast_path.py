@@ -288,7 +288,7 @@ def test_tracked_gradient_follows_random_steps(case, data):
     atom = region.lmo(draw_vector())
     active = ActiveSet.from_atom(atom)
     x = atom.densify().copy()
-    image = solvers._AffineImage(obj, x, track=True)
+    image = solvers._AffineImage(solvers._AtomCache(obj, obj.a), x, track=True)
     image.value_and_grad(x)
     growth = 1.0
     steps = data.draw(st.integers(1, solvers._RESYNC_EVERY + 8))  # crosses a re-sync

@@ -250,7 +250,7 @@ def test_corral_correction_minimizes_over_the_hull(case):
     obj, atoms, weights = case
     tol = 1e-10
     active = ActiveSet(atoms, weights)
-    mat = solvers._AtomGradients(obj).matrix(active)
+    mat = solvers._AtomCache(obj).matrix(active)
     lam, cycles = corral_weights(mat, weights, tol, max(200, 40 * len(atoms)))
     assert cycles >= 1
     assert (lam >= 0.0).all() and abs(lam.sum() - 1.0) <= 1e-12
@@ -300,7 +300,7 @@ def test_efw_gradient_cache_dies_with_the_solve():
     config = cfg("EFW", ExactLine(), gap_tol=1e-8)
     first, second = solve(inst, config), solve(inst, config)
     gc.collect()
-    assert not any(isinstance(o, solvers._AtomGradients) for o in gc.get_objects())
+    assert not any(isinstance(o, solvers._AtomCache) for o in gc.get_objects())
     assert vars(obj).keys() == attrs.keys()
     assert all(vars(obj)[key] is value for key, value in attrs.items())
     assert [r.f for r in first.records] == [r.f for r in second.records]
@@ -665,3 +665,53 @@ def test_numerical_error_aborts_with_partial_report(monkeypatch):
     report = solve(inst, cfg("FW", LipschitzDep(inst.L), max_iter=50, gap_tol=1e-300))
     assert report.termination == "NumericalError"
     assert len(report.records) >= 1
+
+
+@pytest.mark.parametrize("variant, family, params", [
+    ("EFW", "simplex_distance", dict(n=5)),
+    ("FDFW", "simplex_distance", dict(n=5)),
+    ("BCFW", "product", dict(b=2, n=3)),
+    ("WolfeMNP", "min_norm_point", dict(points=np.eye(3))),
+])
+def test_variants_without_an_inexact_oracle_refuse_one(variant, family, params):
+    # such a solve used to drop the oracle silently: it ran exact LMOs and
+    # its report had no inexact_* meta
+    from fwkit.regions import InexactSchedule, make_inexact_lmo
+
+    inst = build_instance(family, **params)
+    oracle = make_inexact_lmo(inst.region, InexactSchedule("constant", 0.1))
+    with pytest.raises(CapabilityError):
+        solve(inst, cfg(variant, Diminishing()), inexact=oracle)
+    assert oracle.calls == 0
+
+
+def test_reference_f_star_refuses_a_nuclear_ball():
+    inst = build_instance("matcomp", m=4, n=4, rank=1, density=0.5, seed=1)
+    with pytest.raises(CapabilityError):
+        reference_f_star(inst, max_iter=10)
+
+
+def test_solve_refuses_exactly_where_the_capability_table_does():
+    insts = [build_instance("simplex_distance", n=4),
+             build_instance("lasso", m=5, n=8, seed=2),
+             build_instance("ball_quadratic", n=3, seed=0),
+             build_instance("matcomp", m=4, n=3, rank=1, density=0.6, seed=0),
+             build_instance("product", b=2, n=3),
+             build_instance("min_norm_point", points=np.eye(3)),
+             build_instance("base_polytope_norm", n=4),
+             ProblemInstance(Quadratic(np.eye(3)), Box(-np.ones(3), np.ones(3)),
+                             2.0, 2.0, 2.0 * np.sqrt(3.0))]
+    for inst in insts:
+        for variant, cap in solvers.CAPABILITIES.items():
+            runs = cap.needs(inst)
+            try:
+                solvers.check_capability(inst, variant)
+            except CapabilityError:
+                assert not runs
+            else:
+                assert runs
+            if runs:
+                solve(inst, cfg(variant, Diminishing(), max_iter=3))
+            else:
+                with pytest.raises(CapabilityError):
+                    solve(inst, cfg(variant, Diminishing(), max_iter=3))
