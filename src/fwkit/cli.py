@@ -280,15 +280,15 @@ def cmd_run(args):
 def _compare_one(path):
     prob, sol, checks, out, instance, config, inexact = _prepare(path, needs_f_star=True)
     report = solve(instance, config, inexact=inexact)
-    report = _ensure_f_star(instance, report, True)
-    try:
-        fit = dg.fit_geometric_rate(report, good_only=True)
-        q = fit.q
-    except (InputError, FwkitError):
-        q = float("nan")
+    final_h = q = float("nan")
+    if sol["variant"] != "WolfeMNP":  # its records hold 1/2 ||x||^2, not the instance's f
+        report = _ensure_f_star(instance, report, True)
+        final_h = report.records[-1].f - report.meta["f_star"]
+        try:
+            q = dg.fit_geometric_rate(report, good_only=True).q
+        except (InputError, FwkitError):
+            pass
     reached = next((r.k for r in report.records if r.gap <= config.gap_tol), "")
-    f_star = report.meta.get("f_star")
-    final_h = report.records[-1].f - f_star if f_star is not None else float("nan")
     total = max(1, len([r for r in report.records if r.kind != "stop"]))
     frac = report.good_steps / total
     return {"solver": sol["variant"], "iters_to_tol": reached,
@@ -310,7 +310,7 @@ def cmd_compare(args):
             return 2
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_compare_one, args.configs))
-    except (ConfigError, InputError, CapabilityError, KeyError, ValueError) as exc:
+    except (ConfigError, InputError, CapabilityError, KeyError, TypeError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except FwkitError as exc:

@@ -1,16 +1,19 @@
 """Differentiable objectives, their constants, and problem builders.
 
 Objectives expose ``eval(x) -> (value, gradient)`` plus enough curvature
-information for exact line search on quadratics.  The two that see x only
-through a design matrix A (``LeastSquares``, ``FactoredQuadratic``) also
-take the images A x and A d from a caller that tracks them, and give the
-value alone from A x (``value``, O(m) plus O(n) for a linear term): a solver
-that also tracks the gradient, which is affine in x, needs no A^T r pass
-for f.  ``build_instance``
-assembles the benchmark families (LASSO, minimum enclosing ball dual, SVM
-dual, max-clique, matrix completion, simplex distance, interior/boundary
-quadratics, ball quadratic, block products) into ``ProblemInstance``
-records carrying L, mu, diameter, and the optimum when known analytically.
+information for exact line search on quadratics.  The four quadratics
+(``LeastSquares``, ``FactoredQuadratic``, ``Quadratic``,
+``ShiftedNormSquare``) only name the parts of one form,
+s <r, W r> + <b, x> + c with r = A x - t, which validates its inputs,
+evaluates, and gives the constants.  A form with a design matrix A also
+takes the images A x and A d from a caller that tracks them, and gives the
+value alone from A x (``value``, O(m) plus O(n) for a linear term): a
+solver that also tracks the gradient, which is affine in x, needs no A^T r
+pass for f.  ``build_instance`` assembles the benchmark families (LASSO,
+minimum enclosing ball dual, SVM dual, max-clique, matrix completion,
+simplex distance, interior/boundary quadratics, ball quadratic, block
+products) into ``ProblemInstance`` records carrying L, mu, diameter, and
+the optimum when known analytically.
 """
 
 import numpy as np
@@ -19,11 +22,11 @@ from . import regions as rg
 from .errors import InputError
 
 
-def _finite(x):
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise InputError("non-finite input point")
-    return x
+def _finite(v, what="input point"):
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise InputError("non-finite %s" % what)
+    return v
 
 
 def _sigma_extremes(a):
@@ -37,164 +40,137 @@ def _sigma_extremes(a):
     return smax, 0.0  # conservative fallback beyond the dense cutoff
 
 
-class FactoredQuadratic:
-    """sign * x^T A^T A x + b^T x + c."""
+class _QuadraticForm:
+    """f(x) = s <r, W r> + <b, x> + c with r = A x - t, the one quadratic behind
+    ``LeastSquares``, ``FactoredQuadratic``, ``Quadratic`` and ``ShiftedNormSquare``.
 
-    variant = "factored_quadratic"
+    A (design), W (symmetric weight), t (target), b and c are each optional: a
+    missing A or W acts as the identity and a missing t as zero, while b and
+    c are added only when given (adding zeros would turn a -0.0 into +0.0).
+    A weighted form has neither A nor t, so it is x^T W x plus the linear
+    part.  ``a`` is public: the solvers track A x for forms that have one.
+    """
 
-    def __init__(self, a, b=None, c=0.0, sign=+1):
-        self.a = np.asarray(a, dtype=float)
-        n = self.a.shape[1]
-        self.b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-        if self.b.shape != (n,):
+    def __init__(self, a=None, w=None, t=None, b=None, c=None, s=+1):
+        self.a = None if a is None else _finite(a, "design")
+        self._w = None if w is None else _finite(w, "weight")
+        self._t = None if t is None else _finite(t, "target")
+        if self._w is not None:
+            if self.a is not None or self._t is not None:
+                raise InputError("a weighted form takes no design and no target")
+            n = self._w.shape[0]
+            if self._w.shape != (n, n):
+                raise InputError("weight must be square")
+            if not np.max(np.abs(self._w - self._w.T)) <= 1e-10:
+                raise InputError("weight must be symmetric")
+            self.shape = (n,)
+        elif self.a is not None:
+            if self.a.ndim != 2:
+                raise InputError("design must be a matrix")
+            self.shape = (self.a.shape[1],)
+            if self._t is not None and self._t.shape != (self.a.shape[0],):
+                raise InputError("residual target has wrong dimension")
+        else:
+            self.shape = self._t.shape
+        self._b = None if b is None else _finite(b, "linear term")
+        if self._b is not None and self._b.shape != self.shape:
             raise InputError("linear term has wrong dimension")
-        self.c = float(c)
-        if sign not in (-1, +1):
+        self._c = None if c is None else float(_finite(c, "constant"))
+        if s not in (-1, +1):
             raise InputError("sign must be -1 or +1")
-        self.sign = int(sign)
-        self.shape = (n,)
+        self._s = int(s)
+
+    def _value_and_wr(self, x, ax):
+        """(f(x), W r): ``ax``, when given, is the image A x held by the caller."""
+        r = x if self.a is None else (self.a @ x if ax is None else ax)
+        if self._t is not None:
+            r = r - self._t
+        wr = r if self._w is None else self._w @ r
+        val = self._s * float(np.vdot(r, wr))
+        if self._b is not None:
+            val += float(self._b @ x)
+        if self._c is not None:
+            val += self._c
+        return val, wr
 
     def eval(self, x, ax=None):
         """(value, gradient); ``ax``, when given, is the image A x held by the caller."""
         x = _finite(x)
-        if ax is None:
-            ax = self.a @ x
-        val = self.sign * float(ax @ ax) + float(self.b @ x) + self.c
-        grad = 2.0 * self.sign * (self.a.T @ ax) + self.b
+        val, wr = self._value_and_wr(x, ax)
+        grad = (2.0 * self._s) * (wr if self.a is None else self.a.T @ wr)
+        if self._b is not None:
+            grad += self._b
         return val, grad
 
     def value(self, x, ax):
         """The value of ``eval(x, ax=ax)`` without its gradient."""
-        x = _finite(x)
-        return self.sign * float(ax @ ax) + float(self.b @ x) + self.c
-
-    def lipschitz_upper(self):
-        smax, _ = _sigma_extremes(self.a)
-        return 2.0 * smax ** 2
-
-    def strong_convexity_lower(self):
-        if self.sign < 0:
-            return 0.0
-        _, smin = _sigma_extremes(self.a)
-        return 2.0 * smin ** 2
+        return self._value_and_wr(_finite(x), ax)[0]
 
     def curvature_along(self, d, ad=None):
+        """<d, Hessian d> = 2 s <A d, W A d>; ``ad``, when given, is the image A d."""
         if ad is None:
-            ad = self.a @ d
-        return 2.0 * self.sign * float(ad @ ad)
+            ad = d if self.a is None else self.a @ d
+        wad = ad if self._w is None else self._w @ ad
+        return 2.0 * self._s * float(np.vdot(ad, wad))
+
+    def _spectrum(self):
+        """(largest |eigenvalue|, smallest eigenvalue) of A^T W A."""
+        if self._w is not None:
+            eig = np.linalg.eigvalsh(self._w)
+            return float(np.max(np.abs(eig))), float(eig[0])
+        if self.a is None:
+            return 1.0, 1.0
+        smax, smin = _sigma_extremes(self.a)
+        return smax ** 2, smin ** 2
+
+    def lipschitz_upper(self):
+        return 2.0 * self._spectrum()[0]
+
+    def strong_convexity_lower(self):
+        if self._s < 0 or (self.a is not None and self.a.shape[0] < self.a.shape[1]):
+            return 0.0
+        low = self._spectrum()[1]
+        return 2.0 * low if low > 0 else 0.0
 
 
-class LeastSquares:
+class FactoredQuadratic(_QuadraticForm):
+    """sign * x^T A^T A x + b^T x + c."""
+
+    def __init__(self, a, b=None, c=0.0, sign=+1):
+        super().__init__(a=a, b=np.zeros(np.shape(a)[-1]) if b is None else b, c=c, s=sign)
+        self.b, self.c, self.sign = self._b, self._c, self._s
+
+
+class LeastSquares(_QuadraticForm):
     """||A x - b||^2."""
 
-    variant = "least_squares"
-
     def __init__(self, a, b):
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        if self.b.shape != (self.a.shape[0],):
-            raise InputError("residual target has wrong dimension")
-        self.shape = (self.a.shape[1],)
-
-    def eval(self, x, ax=None):
-        """(value, gradient); ``ax``, when given, is the image A x held by the caller."""
-        x = _finite(x)
-        r = (self.a @ x if ax is None else ax) - self.b
-        return float(r @ r), 2.0 * (self.a.T @ r)
-
-    def value(self, x, ax):
-        """The value of ``eval(x, ax=ax)`` without its gradient."""
-        _finite(x)
-        r = ax - self.b
-        return float(r @ r)
-
-    def lipschitz_upper(self):
-        smax, _ = _sigma_extremes(self.a)
-        return 2.0 * smax ** 2
-
-    def strong_convexity_lower(self):
-        if self.a.shape[0] < self.a.shape[1]:
-            return 0.0
-        _, smin = _sigma_extremes(self.a)
-        return 2.0 * smin ** 2
-
-    def curvature_along(self, d, ad=None):
-        if ad is None:
-            ad = self.a @ d
-        return 2.0 * float(ad @ ad)
+        super().__init__(a=a, t=b)
+        self.b = self._t
 
 
-class Quadratic:
+class Quadratic(_QuadraticForm):
     """x^T Q x + b^T x + c with symmetric Q (possibly indefinite).
 
     The factored form cannot express indefinite simplex programs such as
-    the clique objective, so those builders use this variant.
+    the clique objective, so those builders use this one.
     """
 
-    variant = "quadratic"
-
     def __init__(self, q, b=None, c=0.0):
-        self.q = np.asarray(q, dtype=float)
-        n = self.q.shape[0]
-        if self.q.shape != (n, n):
-            raise InputError("Q must be square")
-        if not np.isfinite(self.q).all():
-            raise InputError("Q has non-finite entries")
-        if not np.max(np.abs(self.q - self.q.T)) <= 1e-10:  # False on a NaN too
-            raise InputError("Q must be symmetric")
-        self.b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-        if self.b.shape != (n,):
-            raise InputError("linear term has wrong dimension")
-        if not np.isfinite(self.b).all():
-            raise InputError("linear term has non-finite entries")
-        self.c = float(c)
-        self.shape = (n,)
-
-    def eval(self, x):
-        x = _finite(x)
-        qx = self.q @ x
-        return float(x @ qx) + float(self.b @ x) + self.c, 2.0 * qx + self.b
-
-    def lipschitz_upper(self):
-        w = np.linalg.eigvalsh(self.q)
-        return 2.0 * float(np.max(np.abs(w)))
-
-    def strong_convexity_lower(self):
-        w = np.linalg.eigvalsh(self.q)
-        return 2.0 * float(w[0]) if w[0] > 0 else 0.0
-
-    def curvature_along(self, d):
-        return 2.0 * float(d @ (self.q @ d))
+        super().__init__(w=q, b=np.zeros(len(q)) if b is None else b, c=c)
+        self.q, self.b, self.c = self._w, self._b, self._c
 
 
-class ShiftedNormSquare:
+class ShiftedNormSquare(_QuadraticForm):
     """||x - center||^2."""
 
-    variant = "shifted_norm_square"
-
     def __init__(self, center):
-        self.center = np.asarray(center, dtype=float)
-        self.shape = self.center.shape
-
-    def eval(self, x):
-        x = _finite(x)
-        r = x - self.center
-        return float(np.vdot(r, r)), 2.0 * r
-
-    def lipschitz_upper(self):
-        return 2.0
-
-    def strong_convexity_lower(self):
-        return 2.0
-
-    def curvature_along(self, d):
-        return 2.0 * float(np.vdot(d, d))
+        super().__init__(t=center)
+        self.center = self._t
 
 
 class MatrixCompletionLoss:
     """Sum over observed entries (i, j) of (X_ij - U_ij)^2."""
-
-    variant = "matrix_completion"
 
     def __init__(self, observations, m, n):
         self.m = int(m)
@@ -232,8 +208,6 @@ class MatrixCompletionLoss:
 
 class BlockSeparable:
     """Sum of independent objectives on the blocks of a product region."""
-
-    variant = "block_separable"
 
     def __init__(self, objectives, sizes=None):
         self.parts = list(objectives)
@@ -281,6 +255,11 @@ def lipschitz_upper(obj):
 def strong_convexity_lower(obj):
     """Lower bound on the strong convexity modulus (0 if none certified)."""
     return obj.strong_convexity_lower()
+
+
+def design_of(obj):
+    """The design matrix A of a quadratic form, or None for any other objective."""
+    return obj.a if isinstance(obj, _QuadraticForm) else None
 
 
 def exact_linesearch_quadratic(obj, x, d, alpha_max):
@@ -605,15 +584,18 @@ def build_instance(family, seed=0, **params):
 
 
 def compose_with_linear(obj, m):
-    """Objective y -> f(M y) for an invertible change of variables."""
-    m = np.asarray(m, dtype=float)
-    if obj.variant == "least_squares":
-        return LeastSquares(obj.a @ m, obj.b)
-    if obj.variant == "factored_quadratic":
-        return FactoredQuadratic(obj.a @ m, m.T @ obj.b, obj.c, obj.sign)
-    if obj.variant == "shifted_norm_square":
-        return LeastSquares(m, obj.center)
-    if obj.variant == "quadratic":
-        return Quadratic(m.T @ obj.q @ m, m.T @ obj.b, obj.c)
-    raise InputError("cannot compose variant %r with a linear map" % obj.variant)
+    """Objective y -> f(M y) for an invertible change of variables.
 
+    On a quadratic form M joins the design, A' = (A or I) M, when there is
+    no weight, and the weight, W' = M^T W M, otherwise; b' = M^T b in both.
+    """
+    if not isinstance(obj, _QuadraticForm):
+        raise InputError("cannot compose %s with a linear map" % type(obj).__name__)
+    m = np.asarray(m, dtype=float)
+    a, w = obj.a, obj._w
+    if w is None:
+        a = m if a is None else a @ m
+    else:
+        w = m.T @ w @ m
+    return _QuadraticForm(a=a, w=w, t=obj._t, b=None if obj._b is None else m.T @ obj._b,
+                          c=obj._c, s=obj._s)

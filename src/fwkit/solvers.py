@@ -27,7 +27,7 @@ from . import regions as rg
 from .atoms import ActiveSet, StepDescriptor, apply_step, atoms_equal, \
     away_step_cap, reconstruct_point, select_away_vertex
 from .errors import CapabilityError, InputError, NumericalError
-from .objectives import BlockSeparable, FactoredQuadratic, LeastSquares
+from .objectives import BlockSeparable, design_of
 from .stepsizes import BlockDiminishing, Diminishing, ExactLine, compute_step
 
 _POLYTOPAL = (rg.Simplex, rg.L1Ball, rg.Box, rg.LinfBall, rg.BasePolytope,
@@ -410,11 +410,15 @@ def _initial_atom(region, rng):
 def solve(instance, config, inexact=None, initial_active=None):
     """Run ``config.variant`` on a problem instance, after ``check_capability``.
 
-    ``initial_active`` starts FW, AFW, PFW and EFW from a given active set.
+    ``initial_active`` starts FW, AFW, PFW and EFW from a given active set;
+    the other variants refuse one with ``InputError`` before any work.
     """
     variant = config.variant
     check_capability(instance, variant, inexact is not None)
-    if variant in ("FW", "AFW", "PFW", "EFW"):
+    atomic = variant in ("FW", "AFW", "PFW", "EFW")
+    if initial_active is not None and not atomic:
+        raise InputError("%s takes no initial active set" % variant)
+    if atomic:
         return _run_atomic(instance, config, inexact=inexact, initial_active=initial_active)
     if variant == "FDFW":
         return _solve_fdfw(instance, config)
@@ -448,9 +452,9 @@ def _run_atomic(instance, config, inexact=None, initial_active=None):
         atom = _initial_atom(region, rng)
         active = ActiveSet.from_atom(atom)
         x = atom.densify().copy()
-    tracks = not corrective and isinstance(obj, (LeastSquares, FactoredQuadratic))
-    cache = _AtomCache(obj, obj.a if tracks else None)
-    image = _AffineImage(cache, x, active=active) if tracks else None
+    design = None if corrective else design_of(obj)
+    cache = _AtomCache(obj, design)
+    image = None if design is None else _AffineImage(cache, x, active=active)
     inner_tol = max(config.efw_inner_tol, 0.1 * config.gap_tol)
     tracer = _Tracer(config)
     termination = "MaxIter"

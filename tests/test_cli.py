@@ -157,6 +157,47 @@ def test_compare_failed_run_marks_row_and_exits_three(tmp_path, monkeypatch):
     assert lines[2].endswith("failed")
 
 
+def test_compare_writes_nan_h_and_q_for_wolfe_mnp_rows(tmp_path, monkeypatch):
+    # WolfeMNP records 1/2 ||x||^2: measured against f* of ||x||^2 its row
+    # once read final_h = -2.25 where AFW's read 0
+    problem = {"family": "min_norm_point", "seed": 0,
+               "params": {"points": [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]}}
+    paths = []
+    for variant, step in (("WolfeMNP", "diminishing"), ("AFW", "exact")):
+        p = tmp_path / ("%s.json" % variant)
+        write_config(p, problem=problem, solver={"variant": variant, "stepsize": step},
+                     checks=[])
+        paths.append(str(p))
+    references = []
+    real_reference = cli.reference_f_star
+
+    def counted(instance, **kwargs):
+        references.append(instance.family)
+        return real_reference(instance, **kwargs)
+
+    monkeypatch.setattr(cli, "reference_f_star", counted)
+    out = tmp_path / "t.csv"
+    assert cli.main(["compare", "--configs", paths[0], "--out", str(out)]) == 0
+    assert references == []
+    assert cli.main(["compare", "--configs", *paths, "--out", str(out)]) == 0
+    assert references == ["min_norm_point"]
+    rows = list(csv.DictReader(open(out)))
+    assert [r["solver"] for r in rows] == ["WolfeMNP", "AFW"]
+    assert rows[0]["final_h"] == rows[0]["fitted_q"] == "nan"
+    assert rows[0]["status"] == "ok"
+    assert abs(float(rows[1]["final_h"])) <= 1e-9
+
+
+def test_compare_mistyped_solver_field_exits_two_like_run(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    write_config(p, solver={"max_iter": None}, checks=[])
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", "--config", str(p)]) == 2
+    assert cli.main(["compare", "--configs", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("config error") == 2
+    assert not out.exists()
+
+
 def test_compare_respects_thread_env(tmp_path, monkeypatch):
     monkeypatch.setenv("FWKIT_THREADS", "2")
     paths = []

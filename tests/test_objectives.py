@@ -291,7 +291,20 @@ def test_compose_with_linear_matches_pointwise():
     (np.eye(2), [1.0, 2.0, 3.0], "dimension"),
     (np.eye(2), [[1.0, 2.0]], "dimension"),
     ([[1.0, 2.0], [0.0, 1.0]], None, "symmetric"),
+    # the other public quadratics: the class in place of Q, its arguments in place of b
+    pytest.param(LeastSquares, ([[np.nan]], [0.0]), "non-finite", id="least_squares-a"),
+    pytest.param(LeastSquares, (np.eye(2), [np.inf, 0.0]), "non-finite",
+                 id="least_squares-b"),
+    pytest.param(LeastSquares, (np.eye(2), [1.0]), "dimension", id="least_squares-b-dim"),
+    pytest.param(FactoredQuadratic, ([[np.inf]],), "non-finite", id="factored-a"),
+    pytest.param(FactoredQuadratic, (np.eye(2), [0.0, np.nan]), "non-finite",
+                 id="factored-b"),
+    pytest.param(FactoredQuadratic, (np.eye(2), None, np.inf), "non-finite",
+                 id="factored-c"),
+    pytest.param(FactoredQuadratic, (np.eye(2), None, 0.0, 2), "sign", id="factored-sign"),
+    pytest.param(ShiftedNormSquare, ([np.nan, 0.0],), "non-finite", id="shifted-center"),
 ])
 def test_quadratic_rejects_bad_input_at_construction(q, b, match):
+    make, args = (q, b) if isinstance(q, type) else (Quadratic, (q, b))
     with pytest.raises(InputError, match=match):
-        Quadratic(q, b)
+        make(*args)

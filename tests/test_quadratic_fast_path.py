@@ -38,10 +38,15 @@ def _vectors(draw, n, lo=-3.0, hi=3.0):
 def cases(draw):
     """(objective, x, d, alpha_max) with a random quadratic of each family."""
     n = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["least_squares", "quadratic", "shifted", "block"]))
+    kind = draw(st.sampled_from(["least_squares", "factored", "quadratic", "shifted",
+                                 "block"]))
     if kind == "least_squares":
         m = draw(st.integers(1, 5))
         obj = LeastSquares(_vectors(draw, m * n).reshape(m, n), _vectors(draw, m))
+    elif kind == "factored":  # either sign: concave when negative
+        m = draw(st.integers(1, 5))
+        obj = FactoredQuadratic(_vectors(draw, m * n).reshape(m, n), _vectors(draw, n),
+                                draw(st.floats(-3.0, 3.0)), draw(st.sampled_from([-1, +1])))
     elif kind == "quadratic":  # indefinite in general
         q = _vectors(draw, n * n).reshape(n, n)
         obj = Quadratic(0.5 * (q + q.T), _vectors(draw, n), draw(st.floats(-3.0, 3.0)))
@@ -57,6 +62,73 @@ def cases(draw):
     d = _vectors(draw, dim)
     assume(np.linalg.norm(d) > 1e-3)
     return obj, x, d, draw(st.floats(1e-3, 2.0))
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _textbook(obj):
+    """Each public quadratic written out in numpy: (value and gradient at x given A x,
+    curvature along d given A d, A or None, L, mu)."""
+    if isinstance(obj, LeastSquares):
+        a, t = obj.a, obj.b
+        s = np.linalg.svd(a, compute_uv=False)
+        mu = 2.0 * s[-1] ** 2 if a.shape[0] >= a.shape[1] else 0.0
+
+        def f_g(x, ax):
+            r = ax - t
+            return float(r @ r), 2.0 * (a.T @ r)
+        return f_g, lambda d, ad: 2.0 * float(ad @ ad), a, 2.0 * s[0] ** 2, mu
+    if isinstance(obj, FactoredQuadratic):
+        a, b, c, sign = obj.a, obj.b, obj.c, obj.sign
+        s = np.linalg.svd(a, compute_uv=False)
+        smin = s[-1] if a.shape[0] >= a.shape[1] else 0.0
+        mu = 0.0 if sign < 0 else 2.0 * smin ** 2
+
+        def f_g(x, ax):
+            return (sign * float(ax @ ax) + float(b @ x) + c,
+                    2.0 * sign * (a.T @ ax) + b)
+        return f_g, lambda d, ad: 2.0 * sign * float(ad @ ad), a, 2.0 * s[0] ** 2, mu
+    if isinstance(obj, Quadratic):
+        q, b, c = obj.q, obj.b, obj.c
+        eig = np.linalg.eigvalsh(q)
+
+        def f_g(x, ax):
+            return float(x @ (q @ x)) + float(b @ x) + c, 2.0 * (q @ x) + b
+        return (f_g, lambda d, ad: 2.0 * float(d @ (q @ d)), None,
+                2.0 * float(np.max(np.abs(eig))), 2.0 * float(eig[0]) if eig[0] > 0 else 0.0)
+    center = obj.center
+
+    def f_g(x, ax):
+        r = x - center
+        return float(r @ r), 2.0 * r
+    return f_g, lambda d, ad: 2.0 * float(d @ d), None, 2.0, 2.0
+
+
+@FAST
+@given(cases())
+@example((ShiftedNormSquare(np.zeros(2)), np.array([-0.0, 1.0]), np.ones(2), 1.0))
+def test_each_public_quadratic_is_its_textbook_formula_bit_for_bit(case):
+    # the example's gradient starts with -0.0, which adding a zero linear term would flip
+    obj, x, d, _ = case
+    blocks = ([(part, obj.block_slice(i)) for i, part in enumerate(obj.parts)]
+              if isinstance(obj, BlockSeparable) else [(obj, slice(None))])
+    for part, sl in blocks:
+        xp, dp = x[sl], d[sl]
+        f_g, curv, a, lip, mu = _textbook(part)
+        ax, ad = (xp, dp) if a is None else (a @ xp, a @ dp)
+        f, g = f_g(xp, ax)
+        evals = [part.eval(xp)] + ([part.eval(xp, ax=ax)] if a is not None else [])
+        for f_obj, g_obj in evals:
+            assert _bits(f_obj) == _bits(f) and _bits(g_obj) == _bits(g)
+        curvatures = [part.curvature_along(dp)]
+        if a is not None:
+            assert _bits(part.value(xp, ax)) == _bits(f)
+            curvatures.append(part.curvature_along(dp, ad=ad))
+        assert all(_bits(c) == _bits(curv(dp, ad)) for c in curvatures)
+        assert _bits(part.lipschitz_upper()) == _bits(lip)
+        assert _bits(part.strong_convexity_lower()) == _bits(mu)
 
 
 def _scale(f0, slope, c, alpha):

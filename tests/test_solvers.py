@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fwkit import solvers
 from fwkit.atoms import ActiveSet, DenseAtom, SignedUnitAtom
 from fwkit.diagnostics import fit_geometric_rate
-from fwkit.errors import CapabilityError
+from fwkit.errors import CapabilityError, InputError
 from fwkit.minnorm import corral_weights
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               ProblemInstance, Quadratic, ShiftedNormSquare,
@@ -683,6 +683,42 @@ def test_variants_without_an_inexact_oracle_refuse_one(variant, family, params):
     with pytest.raises(CapabilityError):
         solve(inst, cfg(variant, Diminishing()), inexact=oracle)
     assert oracle.calls == 0
+
+
+@pytest.mark.parametrize("variant, family, params", [
+    ("FDFW", "simplex_distance", dict(n=4)),
+    ("BCFW", "product", dict(b=2, n=2)),
+    ("WolfeMNP", "min_norm_point", dict(points=np.eye(4))),
+])
+def test_variants_without_an_initial_active_set_refuse_one(variant, family, params,
+                                                            monkeypatch):
+    # such a solve used to drop the set silently: FDFW from the barycentre of
+    # the simplex recorded f = 0.75 where FW stops at once with f = 0
+    inst = build_instance(family, **params)
+    start = ActiveSet([SignedUnitAtom(i, +1, 1.0, 4) for i in range(4)], np.full(4, 0.25))
+    work = []
+    monkeypatch.setattr(solvers, "_initial_atom", lambda *args: work.append(args))
+    monkeypatch.setattr(type(inst.region), "lmo", lambda *args: work.append(args))
+    with pytest.raises(InputError, match="initial active set"):
+        solve(inst, cfg(variant, Diminishing()), initial_active=start)
+    assert work == []
+
+
+def test_only_a_quadratic_form_has_its_design_tracked():
+    # an objective that stores some other matrix as .a is evaluated through
+    # its own eval(x), as it was before the forms shared one class
+    lasso = build_instance("lasso", m=5, n=8, seed=2)
+
+    class Wrapped:
+        a = np.ones((3, 3))
+
+        def eval(self, x):
+            return lasso.objective.eval(x)
+
+    inst = ProblemInstance(Wrapped(), lasso.region, lasso.L, lasso.mu, lasso.D)
+    report = solve(inst, cfg("AFW", Diminishing(), max_iter=20))
+    direct = solve(lasso, cfg("AFW", Diminishing(), max_iter=20))
+    assert [r.f for r in report.records] == pytest.approx([r.f for r in direct.records])
 
 
 def test_reference_f_star_refuses_a_nuclear_ball():
