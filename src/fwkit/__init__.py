@@ -21,20 +21,15 @@ from .errors import (CapabilityError, ContractViolation, FwkitError,
 from .minnorm import hull_distance, solve_wolfe_mnp
 from .objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                          MatrixCompletionLoss, ProblemInstance, Quadratic,
-                         ShiftedNormSquare, build_instance,
-                         exact_linesearch_quadratic, lipschitz_upper,
-                         strong_convexity_lower)
+                         ShiftedNormSquare, build_instance)
 from .regions import (BasePolytope, Box, InexactSchedule, L1Ball, L2Ball,
                       LinfBall, NuclearBall, ProductRegion, Simplex,
-                      VertexHull, base_polytope_greedy, diameter,
-                      face_away_vertex, fw_gap, lmo, make_inexact_lmo,
-                      max_feasible_step, minimal_face_vertices,
+                      VertexHull, base_polytope_greedy, face_away_vertex,
+                      fw_gap, make_inexact_lmo, minimal_face_vertices,
                       pyramidal_width_bruteforce, top_singular_triple)
 from .solvers import (CAPABILITIES, IterationRecord, SolveReport,
                       SolverConfig, check_capability, reference_f_star, solve)
-from .stepsizes import (Armijo, BacktrackingL, BlockDiminishing, Diminishing,
-                        ExactLine, LipschitzDep, rule_from_name,
-                        stepsize_armijo, stepsize_backtracking_L,
-                        stepsize_diminishing, stepsize_lipschitz)
+from .stepsizes import (RULES, Armijo, BacktrackingL, BlockDiminishing,
+                        Diminishing, ExactLine, LipschitzDep, rule_from_name)
 
 __version__ = "0.1.0"

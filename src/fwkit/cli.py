@@ -24,10 +24,8 @@ from . import objectives as ob
 from . import regions as rg
 from .errors import CapabilityError, FwkitError, InputError
 from .solvers import CAPABILITIES, SolverConfig, check_capability, reference_f_star, solve
-from .stepsizes import rule_from_name
+from .stepsizes import RULES, rule_from_name
 
-_STEPSIZES = ("diminishing", "exact", "armijo", "lipschitz", "backtracking",
-              "block_diminishing")
 _FAMILIES = ("lasso", "meb_dual", "svm_dual", "max_clique", "matcomp",
              "simplex_distance", "interior_quadratic", "boundary_quadratic",
              "ball_quadratic", "product", "base_polytope_norm",
@@ -73,7 +71,7 @@ def _validate(cfg, base_dir="."):
     if sol.get("variant") not in CAPABILITIES:
         _fail("unknown solver variant %r" % sol.get("variant"))
     step = sol.get("stepsize", "diminishing")
-    if step not in _STEPSIZES:
+    if not isinstance(step, str) or step not in RULES:
         _fail("unknown stepsize %r" % step)
     for check in cfg.get("checks", []):
         if check not in _CHECKS:

@@ -16,6 +16,8 @@ products) into ``ProblemInstance`` records carrying L, mu, diameter, and
 the optimum when known analytically.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from . import regions as rg
@@ -113,8 +115,9 @@ class _QuadraticForm:
         wad = ad if self._w is None else self._w @ ad
         return 2.0 * self._s * float(np.vdot(ad, wad))
 
+    @cached_property
     def _spectrum(self):
-        """(largest |eigenvalue|, smallest eigenvalue) of A^T W A."""
+        """(largest |eigenvalue|, smallest eigenvalue) of A^T W A, computed once per form."""
         if self._w is not None:
             eig = np.linalg.eigvalsh(self._w)
             return float(np.max(np.abs(eig))), float(eig[0])
@@ -124,12 +127,12 @@ class _QuadraticForm:
         return smax ** 2, smin ** 2
 
     def lipschitz_upper(self):
-        return 2.0 * self._spectrum()[0]
+        return 2.0 * self._spectrum[0]
 
     def strong_convexity_lower(self):
         if self._s < 0 or (self.a is not None and self.a.shape[0] < self.a.shape[1]):
             return 0.0
-        low = self._spectrum()[1]
+        low = self._spectrum[1]
         return 2.0 * low if low > 0 else 0.0
 
 
@@ -247,42 +250,9 @@ class BlockSeparable:
         return total
 
 
-def lipschitz_upper(obj):
-    """Upper bound on the gradient's Lipschitz constant."""
-    return obj.lipschitz_upper()
-
-
-def strong_convexity_lower(obj):
-    """Lower bound on the strong convexity modulus (0 if none certified)."""
-    return obj.strong_convexity_lower()
-
-
 def design_of(obj):
     """The design matrix A of a quadratic form, or None for any other objective."""
     return obj.a if isinstance(obj, _QuadraticForm) else None
-
-
-def exact_linesearch_quadratic(obj, x, d, alpha_max):
-    """Smallest minimizer of f(x + alpha d) over [0, alpha_max] for quadratics.
-
-    Positive curvature along d gives the clamped Newton step; otherwise the
-    cheaper endpoint wins, preferring 0 on ties.
-    """
-    d = np.asarray(d, dtype=float)
-    if not np.any(d):
-        raise InputError("direction must be nonzero")
-    if not alpha_max > 0:
-        raise InputError("alpha_max must be positive")
-    curv = getattr(obj, "curvature_along", None)
-    if curv is None:
-        raise InputError("objective has no quadratic structure")
-    f0, g = obj.eval(x)
-    slope = float(np.vdot(g, d))
-    c = curv(d)
-    if c > 0.0:
-        return min(max(-slope / c, 0.0), alpha_max)
-    f1, _ = obj.eval(x + alpha_max * d)
-    return 0.0 if f0 <= f1 else float(alpha_max)
 
 
 class ProblemInstance:
@@ -415,8 +385,17 @@ def _simplex_interior_distance(z):
 
 
 def build_instance(family, seed=0, **params):
-    """Seeded construction of one benchmark problem family."""
+    """Seeded construction of one benchmark problem family.
+
+    A parameter the family needs and ``params`` lacks raises ``InputError``.
+    """
     rng = np.random.default_rng(seed)
+
+    def need(key, when=""):
+        if key not in params:
+            raise InputError("%s%s needs the parameter %r" % (family, when, key))
+        return params[key]
+
     if family == "lasso":
         m = int(params.get("m", 20))
         n = int(params.get("n", 50))
@@ -441,7 +420,7 @@ def build_instance(family, seed=0, **params):
                                obj.strong_convexity_lower(), region.diameter(),
                                family="lasso", meta={"tau": tau})
     if family == "meb_dual":
-        pts = np.asarray(params["points"], dtype=float)  # (count, dim)
+        pts = np.asarray(need("points"), dtype=float)  # (count, dim)
         a = pts.T
         b = np.array([float(p @ p) for p in pts])
         obj = FactoredQuadratic(a, b=-b, c=0.0, sign=+1)
@@ -450,8 +429,8 @@ def build_instance(family, seed=0, **params):
                                obj.strong_convexity_lower(), region.diameter(),
                                family="meb_dual", meta={"points": pts})
     if family == "svm_dual":
-        pts = np.asarray(params["points"], dtype=float)
-        labels = np.asarray(params["labels"], dtype=float)
+        pts = np.asarray(need("points"), dtype=float)
+        labels = np.asarray(need("labels"), dtype=float)
         a = (pts * labels[:, None]).T
         obj = FactoredQuadratic(a, sign=+1)
         region = rg.Simplex(len(pts))
@@ -459,8 +438,8 @@ def build_instance(family, seed=0, **params):
                                obj.strong_convexity_lower(), region.diameter(),
                                family="svm_dual")
     if family == "max_clique":
-        edges = params.get("edges")
-        n = int(params["n"])
+        edges = need("edges")
+        n = int(need("n"))
         adj = np.zeros((n, n))
         for e in edges:
             u, v = int(e[0]), int(e[1])
@@ -490,14 +469,14 @@ def build_instance(family, seed=0, **params):
         return ProblemInstance(obj, region, 2.0, 0.0, region.diameter(),
                                family="matcomp", meta={"delta": delta})
     if family == "simplex_distance":
-        n = int(params["n"])
+        n = int(need("n"))
         center = np.full(n, 1.0 / n)
         obj = ShiftedNormSquare(center)
         region = rg.Simplex(n)
         return ProblemInstance(obj, region, 2.0, 2.0, region.diameter(),
                                f_star=0.0, x_star=center, family="simplex_distance")
     if family == "interior_quadratic":
-        n = int(params["n"])
+        n = int(need("n"))
         offset = float(params.get("offset", 0.5))
         # optimum: barycenter nudged toward a seeded interior point
         w = rng.random(n) + 0.25
@@ -510,7 +489,7 @@ def build_instance(family, seed=0, **params):
                                f_star=0.0, x_star=z, family="interior_quadratic",
                                meta={"interior_distance": _simplex_interior_distance(z)})
     if family == "boundary_quadratic":
-        n = int(params["n"])
+        n = int(need("n"))
         support = int(params.get("support", max(2, n // 3)))
         grad_scale = float(params.get("grad_scale", 1.0))
         a = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
@@ -529,7 +508,7 @@ def build_instance(family, seed=0, **params):
                                f_star=f_star, x_star=x_star, family="boundary_quadratic",
                                meta={"support": list(range(support))})
     if family == "ball_quadratic":
-        n = int(params["n"])
+        n = int(need("n"))
         eps = float(params.get("eps", 1.0))
         c = float(params.get("c", 0.0))
         direction = rng.standard_normal(n)
@@ -545,7 +524,7 @@ def build_instance(family, seed=0, **params):
                                meta={"grad_lower_bound": c})
     if family == "product":
         b = int(params.get("b", params.get("blocks", 3)))
-        n = int(params["n"])
+        n = int(need("n"))
         blocks = [rg.Simplex(n) for _ in range(b)]
         centers = [np.full(n, 1.0 / n) for _ in range(b)]
         parts = [ShiftedNormSquare(cnt) for cnt in centers]
@@ -557,23 +536,24 @@ def build_instance(family, seed=0, **params):
                                meta={"block_L": [2.0] * b,
                                      "block_D": [blk.diameter() for blk in blocks]})
     if family == "min_norm_point":
-        pts = np.asarray(params["points"], dtype=float)
+        pts = np.asarray(need("points"), dtype=float)
         region = rg.VertexHull(pts)
         obj = ShiftedNormSquare(np.zeros(pts.shape[1]))
         return ProblemInstance(obj, region, 2.0, 2.0, region.diameter(),
                                family="min_norm_point")
     if family == "base_polytope_norm":
         oracle_name = params.get("oracle", "cardinality_cap")
-        n = int(params["n"])
+        n = int(need("n"))
         if oracle_name == "cardinality_cap":
             oracle = cardinality_cap_oracle(n, params.get("cap", max(1, n // 2)))
         elif oracle_name == "graph_cut":
             edges = params.get("edges")
             if edges is None:
-                edges = load_edge_list(params["edges_file"])
+                when = " with the graph_cut oracle and no edges"
+                edges = load_edge_list(need("edges_file", when))
             oracle = graph_cut_oracle(n, edges)
         elif oracle_name == "modular":
-            oracle = modular_oracle(params["costs"])
+            oracle = modular_oracle(need("costs"))
         else:
             raise InputError("unknown submodular oracle %r" % oracle_name)
         region = rg.BasePolytope(oracle, n)

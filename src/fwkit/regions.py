@@ -583,20 +583,6 @@ def _step_inputs(x, d, shape):
     return x, d
 
 
-def lmo(region, g):
-    """Extreme point of ``region`` minimizing <g, z>."""
-    return region.lmo(g)
-
-
-def diameter(region):
-    return region.diameter()
-
-
-def max_feasible_step(region, x, d):
-    """sup{alpha >= 0 : x + alpha d in region}."""
-    return region.max_step(x, d)
-
-
 def fw_gap(region, x, g):
     """Frank-Wolfe gap <g, x - lmo(g)>: nonnegative, zero exactly at stationarity."""
     x = np.asarray(x, dtype=float)

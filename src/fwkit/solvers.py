@@ -156,13 +156,6 @@ _SUPPORT_TOL = 1e-12
 _SUPPORT_MAX = 4096  # records of larger or non-vector iterates hold no support
 
 
-def _support_set(x, tol=_SUPPORT_TOL):
-    """{i : |x_i| > tol} as a frozenset: a record's support, built afresh."""
-    if x.ndim != 1 or x.size > _SUPPORT_MAX:
-        return None
-    return frozenset(np.flatnonzero(np.abs(x) > tol).tolist())
-
-
 def _norm(d):
     """||d||: the sqrt(d . d) that ``np.linalg.norm`` takes of a real array, bit for bit."""
     v = d.ravel()
@@ -172,7 +165,8 @@ def _norm(d):
 class _Tracer:
     """Collects records and termination bookkeeping for one run.
 
-    A record's support is ``_support_set`` of its iterate.  Most steps keep
+    A record's support is the frozenset {i : |x_i| > 1e-12} of its iterate
+    (None for matrices and past ``_SUPPORT_MAX`` entries).  Most steps keep
     the support of the step before, so the tracer keeps the last support
     mask: while a new mask has the same bytes, the record shares the last
     record's frozenset, and one is built only when the support moves.
@@ -666,7 +660,7 @@ def _solve_bcfw(instance, config):
     obj, region = instance.objective, instance.region
     m = len(region.blocks)
     rule = copy.deepcopy(config.stepsize)
-    if rule.name in ("diminishing", "block_diminishing"):
+    if isinstance(rule, (Diminishing, BlockDiminishing)):
         rule = BlockDiminishing(m=m)
     rng = np.random.default_rng(config.seed)
     x = np.concatenate([b.lmo(rng.standard_normal(b.shape)).densify() for b in region.blocks])
@@ -723,7 +717,7 @@ def _solve_bcfw(instance, config):
                 alpha = 0.0
             else:
                 d_full = None
-                if rule.name != "block_diminishing":
+                if not isinstance(rule, BlockDiminishing):
                     d_full = np.zeros_like(x)
                     d_full[sl] = d_bl
                 alpha = compute_step(rule, k, obj, x, g, d_full, 1.0, f=f)

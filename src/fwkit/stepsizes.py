@@ -1,99 +1,55 @@
 """Stepsize rules shared by all solvers.
 
-Four rules: the diminishing 2/(k+2) schedule, exact line search (closed
-form on quadratics, safeguarded Armijo otherwise), Armijo backtracking with
-sufficient decrease, and the Lipschitz-constant step -<g,d>/(L||d||^2),
-plus a backtracking estimator for L when it is unknown.  On quadratics the
-solvers' steps evaluate nothing: the exact, Armijo and backtracking rules
-probe f along the direction in closed form from the value and gradient the
-solver already holds and one curvature value.
+Six rules, each an object with one ``step`` method (its arguments are
+documented at ``compute_step``): the diminishing 2/(k+2) schedule and its
+block version 2m/(k+2m), exact line search (closed form on quadratics,
+safeguarded Armijo otherwise), Armijo backtracking with sufficient
+decrease, the Lipschitz-constant step -<g,d>/(L||d||^2), and that step with
+a backtracking estimate of L for when L is unknown.  ``RULES`` maps each
+rule's name to its class.  The exact, Armijo and backtracking rules see f
+along the direction through ``_line``: on quadratics in closed form from
+the value and gradient the solver already holds and one curvature value,
+so they evaluate nothing, and otherwise by evaluating f at each probe.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ContractViolation, InputError, NumericalError
 
 
-@dataclass
-class Diminishing:
-    name: str = "diminishing"
+def _slope(g, d, slope):
+    """<g,d>, or the caller's ``slope``, which stands for a nonzero d's <g,d>."""
+    if slope is None:
+        if not np.asarray(d).any():
+            raise InputError("direction must be nonzero")
+        slope = float(np.vdot(g, d))
+    return slope
 
 
-@dataclass
-class ExactLine:
-    name: str = "exact"
+def _ascends(slope, g, d):
+    """True when the slope <g,d> is positive past rounding: d is an ascent direction."""
+    return slope > 0.0 and \
+        slope > 1e-12 * max(np.linalg.norm(np.ravel(g)) * np.linalg.norm(np.ravel(d)), 1e-300)
 
 
-@dataclass
-class Armijo:
-    delta: float = 0.5
-    gamma: float = 0.1
-    name: str = "armijo"
+def _line(obj, x, d, f, slope, ad):
+    """(phi, c): phi(alpha) = f(x + alpha d), and the curvature c = <d, Hessian d>.
 
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise InputError("armijo shrink factor must lie in (0, 1)")
-        if not 0.0 < self.gamma < 0.5:
-            raise InputError("armijo slope fraction must lie in (0, 1/2)")
-
-
-@dataclass
-class LipschitzDep:
-    L: float = 1.0
-    name: str = "lipschitz"
-
-    def __post_init__(self):
-        if not self.L > 0:
-            raise InputError("L must be positive")
-
-
-@dataclass
-class BacktrackingL:
-    L0: float = 1.0
-    up: float = 2.0
-    down: float = 0.5
-    name: str = "backtracking"
-    lhat: float = field(init=False)
-
-    def __post_init__(self):
-        if not self.L0 > 0:
-            raise InputError("initial estimate must be positive")
-        self.lhat = self.L0
-
-
-@dataclass
-class BlockDiminishing:
-    """2m/(k+2m) schedule for block coordinate runs with m blocks."""
-
-    m: int = 1
-    name: str = "block_diminishing"
-
-
-def stepsize_diminishing(k):
-    """2/(k+2); equals 1 at k = 0."""
-    if k < 0:
-        raise InputError("iteration index must be nonnegative")
-    return 2.0 / (k + 2.0)
-
-
-def stepsize_lipschitz(g, d, L, alpha_max):
-    """min(-<g,d>/(L ||d||^2), alpha_max); requires a descent direction."""
-    g = np.asarray(g, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if not np.any(d):
-        raise InputError("direction must be nonzero")
-    if not (L > 0 and alpha_max > 0):
-        raise InputError("L and alpha_max must be positive")
-    slope = float(np.vdot(g, d))
-    scale = np.linalg.norm(g.ravel()) * np.linalg.norm(d.ravel())
-    if slope > 1e-12 * max(scale, 1e-300):
-        raise ContractViolation("ascent direction passed to the Lipschitz rule")
-    if slope >= 0.0:
-        return 0.0
-    return min(-slope / (L * float(np.vdot(d, d))), alpha_max)
+    On objectives exposing ``curvature_along`` (quadratics) phi is the
+    closed form f + alpha <g,d> + alpha^2 c / 2 from the value f and the
+    slope the solver holds; ``ad`` (the image A d, when the solver tracks
+    A x) makes c an O(m) product.  Otherwise phi evaluates f at each probe
+    and c is None.
+    """
+    curvature = getattr(obj, "curvature_along", None)
+    if curvature is None:
+        return (lambda alpha: obj.eval(x + alpha * d)[0]), None
+    c = curvature(d) if ad is None else curvature(d, ad=ad)
+    return (lambda alpha: f + alpha * slope + 0.5 * alpha * alpha * c), c
 
 
 def _armijo(phi, f0, slope, alpha_max, delta, gamma):
@@ -116,138 +72,155 @@ def _armijo(phi, f0, slope, alpha_max, delta, gamma):
     raise NumericalError("armijo backtracking hit its floor; direction may not descend")
 
 
-def _backtrack(rule, phi, f0, slope, dd, alpha_max):
-    """Lipschitz-rule step with the doubling estimate of ``stepsize_backtracking_L``."""
-    lhat = max(rule.lhat * rule.down, 1e-12)
-    for _ in range(60):
-        alpha = min(-slope / (lhat * dd), alpha_max)
-        model = f0 + alpha * slope + 0.5 * lhat * alpha * alpha * dd
-        if phi(alpha) <= model + 1e-12 * max(1.0, abs(f0)):
-            rule.lhat = lhat
-            return alpha, lhat
-        lhat *= rule.up
-    raise NumericalError("backtracking could not certify a Lipschitz estimate")
+@dataclass
+class Diminishing:
+    """2/(k+2), which is 1 at k = 0."""
+
+    name: ClassVar[str] = "diminishing"
+
+    def step(self, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
+        if k < 0:
+            raise InputError("iteration index must be nonnegative")
+        return min(2.0 / (k + 2.0), alpha_max)
 
 
-def _probe(obj, x, d):
-    """phi(alpha) = f(x + alpha d) by a full evaluation."""
-    return lambda alpha: obj.eval(x + alpha * d)[0]
+@dataclass
+class BlockDiminishing:
+    """2m/(k+2m) schedule for block coordinate runs with m blocks."""
+
+    m: int = 1
+    name: ClassVar[str] = "block_diminishing"
+
+    def step(self, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
+        return min(2.0 * self.m / (k + 2.0 * self.m), alpha_max)
 
 
-def _model(f0, slope, c):
-    """phi(alpha) = f0 + alpha <g,d> + alpha^2 c / 2: f along d when f is quadratic."""
-    return lambda alpha: f0 + alpha * slope + 0.5 * alpha * alpha * c
+@dataclass
+class ExactLine:
+    """Smallest minimizer of f along d over [0, alpha_max]; near-exact Armijo off quadratics.
 
-
-def stepsize_armijo(obj, x, d, alpha_max, delta=0.5, gamma=0.1):
-    """Largest delta^m * alpha_max satisfying the sufficient decrease test."""
-    d = np.asarray(d, dtype=float)
-    if not np.any(d):
-        raise InputError("direction must be nonzero")
-    f0, g = obj.eval(x)
-    return _armijo(_probe(obj, x, d), f0, float(np.vdot(g, d)), alpha_max, delta, gamma)
-
-
-def _backtracking_descends(slope, g, d):
-    """False for a flat direction (the rule then steps 0); raises on an ascent one."""
-    if slope < 0.0:
-        return True
-    if slope > 1e-12 * max(np.linalg.norm(g.ravel()) * np.linalg.norm(d.ravel()), 1e-300):
-        raise ContractViolation("ascent direction passed to backtracking")
-    return False
-
-
-def stepsize_backtracking_L(rule, g, d, alpha_max, obj, x):
-    """Step via the Lipschitz rule with a doubling estimate of L.
-
-    Starts from the current estimate shrunk once by ``rule.down`` and doubles
-    by ``rule.up`` until the quadratic model at the induced step overestimates
-    f.  Returns (alpha, accepted_L) and stores the estimate on the rule.
+    Positive curvature gives the clamped Newton step; otherwise the cheaper
+    endpoint wins, preferring 0 on ties.
     """
-    g = np.asarray(g, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if not np.any(d):
-        raise InputError("direction must be nonzero")
-    slope = float(np.vdot(g, d))
-    if not _backtracking_descends(slope, g, d):
-        return 0.0, rule.lhat
-    f0, _ = obj.eval(x)
-    return _backtrack(rule, _probe(obj, x, d), f0, slope, float(np.vdot(d, d)), alpha_max)
 
+    name: ClassVar[str] = "exact"
 
-def _quadratic_step(rule, obj, g, d, alpha_max, f, ad, slope):
-    """Exact, Armijo or backtracking step on a quadratic, without evaluating f.
-
-    Along d a quadratic is phi(alpha) = f + alpha <g,d> + alpha^2 c / 2 with
-    c = ``obj.curvature_along(d)``, so every probe is closed form; ``ad``
-    (the image A d, when the solver tracks A x) makes c an O(m) product.
-    A given ``slope`` stands for a nonzero d's <g,d>, as ``compute_step``
-    documents.
-    """
-    if slope is None:
-        if not np.asarray(d).any():
-            raise InputError("direction must be nonzero")
-        slope = float(np.vdot(g, d))
-    if rule.name == "backtracking" and not _backtracking_descends(slope, g, d):
-        return 0.0
-    c = obj.curvature_along(d) if ad is None else obj.curvature_along(d, ad=ad)
-    phi = _model(f, slope, c)
-    if rule.name == "exact":
+    def step(self, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
+        slope = _slope(g, d, slope)
+        phi, c = _line(obj, x, d, f, slope, ad)
+        if c is None:
+            return _armijo(phi, f, slope, alpha_max, 0.9, 0.45)
         if not alpha_max > 0:
             raise InputError("alpha_max must be positive")
         if c > 0.0:
             return min(max(-slope / c, 0.0), alpha_max)
         return 0.0 if f <= phi(alpha_max) else float(alpha_max)
-    if rule.name == "armijo":
-        return _armijo(phi, f, slope, alpha_max, rule.delta, rule.gamma)
-    return _backtrack(rule, phi, f, slope, float(np.vdot(d, d)), alpha_max)[0]
+
+
+@dataclass
+class Armijo:
+    """Largest delta^m * alpha_max passing the sufficient decrease test with fraction gamma."""
+
+    delta: float = 0.5
+    gamma: float = 0.1
+    name: ClassVar[str] = "armijo"
+
+    def __post_init__(self):
+        if not 0.0 < self.delta < 1.0:
+            raise InputError("armijo shrink factor must lie in (0, 1)")
+        if not 0.0 < self.gamma < 0.5:
+            raise InputError("armijo slope fraction must lie in (0, 1/2)")
+
+    def step(self, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
+        slope = _slope(g, d, slope)
+        phi, _ = _line(obj, x, d, f, slope, ad)
+        return _armijo(phi, f, slope, alpha_max, self.delta, self.gamma)
+
+
+@dataclass
+class LipschitzDep:
+    """min(-<g,d>/(L ||d||^2), alpha_max); 0 on a flat direction, refused on an ascent one."""
+
+    L: float = 1.0
+    name: ClassVar[str] = "lipschitz"
+
+    def __post_init__(self):
+        if not self.L > 0:
+            raise InputError("L must be positive")
+
+    def step(self, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
+        slope = _slope(g, d, slope)
+        if not alpha_max > 0:
+            raise InputError("alpha_max must be positive")
+        if _ascends(slope, g, d):
+            raise ContractViolation("ascent direction passed to the Lipschitz rule")
+        if slope >= 0.0:
+            return 0.0
+        return min(-slope / (self.L * float(np.vdot(d, d))), alpha_max)
+
+
+@dataclass
+class BacktrackingL:
+    """The Lipschitz step with a doubling estimate ``lhat`` of L.
+
+    Each step starts from the last estimate shrunk once by ``down`` and
+    multiplies it by ``up`` until the quadratic model at the induced step
+    overestimates f; the accepted estimate is kept for the next step.
+    """
+
+    L0: float = 1.0
+    up: float = 2.0
+    down: float = 0.5
+    name: ClassVar[str] = "backtracking"
+    lhat: float = field(init=False)
+
+    def __post_init__(self):
+        if not self.L0 > 0:
+            raise InputError("initial estimate must be positive")
+        self.lhat = self.L0
+
+    def step(self, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
+        slope = _slope(g, d, slope)
+        if not slope < 0.0:
+            if _ascends(slope, g, d):
+                raise ContractViolation("ascent direction passed to backtracking")
+            return 0.0
+        phi, _ = _line(obj, x, d, f, slope, ad)
+        dd = float(np.vdot(d, d))
+        lhat = max(self.lhat * self.down, 1e-12)
+        for _ in range(60):
+            alpha = min(-slope / (lhat * dd), alpha_max)
+            model = f + alpha * slope + 0.5 * lhat * alpha * alpha * dd
+            if phi(alpha) <= model + 1e-12 * max(1.0, abs(f)):
+                self.lhat = lhat
+                return alpha
+            lhat *= self.up
+        raise NumericalError("backtracking could not certify a Lipschitz estimate")
+
+
+RULES = {rule.name: rule for rule in (Diminishing, BlockDiminishing, ExactLine, Armijo,
+                                      LipschitzDep, BacktrackingL)}
 
 
 def compute_step(rule, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
-    """Dispatch a stepsize rule; returns alpha in [0, alpha_max].
+    """``rule.step``: the step of size alpha in [0, alpha_max] at iteration k.
 
     ``f`` and ``g`` are the value and gradient at x, which the solver
-    already holds.  On objectives exposing ``curvature_along`` (quadratics)
-    the exact, Armijo and backtracking rules probe f along d in closed form
-    and evaluate nothing; ``ad`` is the image A d when the solver tracks
-    A x (see ``_quadratic_step``).  ``slope``, when given, is
-    ``float(np.vdot(g, d))`` for a d the caller has checked is nonzero;
-    the closed-form rules then take it instead of computing it again.
+    already holds.  ``ad`` is the image A d when the solver tracks A x (see
+    ``_line``).  ``slope``, when given, is ``float(np.vdot(g, d))`` for a d
+    the caller has checked is nonzero; the rules then take it instead of
+    computing it again.  The solver loops call this one name for every step.
     """
-    if rule.name == "diminishing":
-        return min(stepsize_diminishing(k), alpha_max)
-    if rule.name == "block_diminishing":
-        m = rule.m
-        return min(2.0 * m / (k + 2.0 * m), alpha_max)
-    if rule.name == "lipschitz":
-        return stepsize_lipschitz(g, d, rule.L, alpha_max)
-    if rule.name not in ("exact", "armijo", "backtracking"):
-        raise InputError("unknown stepsize rule %r" % rule.name)
-    if getattr(obj, "curvature_along", None) is not None:
-        return _quadratic_step(rule, obj, g, d, alpha_max, f, ad, slope)
-    if rule.name == "armijo":
-        return stepsize_armijo(obj, x, d, alpha_max, rule.delta, rule.gamma)
-    if rule.name == "backtracking":
-        alpha, _ = stepsize_backtracking_L(rule, g, d, alpha_max, obj, x)
-        return alpha
-    # non-quadratic exact line search: near-exact Armijo
-    return stepsize_armijo(obj, x, d, alpha_max, delta=0.9, gamma=0.45)
+    return rule.step(k, obj, x, g, d, alpha_max, f, ad=ad, slope=slope)
 
 
 def rule_from_name(name, L=None, m=1):
-    """Stepsize rule from its CLI name."""
-    if name == "diminishing":
-        return Diminishing()
-    if name == "exact":
-        return ExactLine()
-    if name == "armijo":
-        return Armijo()
-    if name == "lipschitz":
-        if L is None:
-            raise InputError("the Lipschitz rule needs a constant")
-        return LipschitzDep(L)
-    if name == "backtracking":
-        return BacktrackingL(L0=L if L else 1.0)
-    if name == "block_diminishing":
-        return BlockDiminishing(m=m)
-    raise InputError("unknown stepsize rule %r" % name)
+    """Stepsize rule from its ``RULES`` name; L seeds the Lipschitz rules, m counts blocks."""
+    rule = RULES.get(name) if isinstance(name, str) else None
+    if rule is None:
+        raise InputError("unknown stepsize rule %r" % (name,))
+    if rule is LipschitzDep and L is None:
+        raise InputError("the Lipschitz rule needs a constant")
+    kwargs = {LipschitzDep: {"L": L}, BacktrackingL: {"L0": L or 1.0},
+              BlockDiminishing: {"m": m}}
+    return rule(**kwargs.get(rule, {}))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from fwkit import objectives
 from fwkit.errors import InputError
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               MatrixCompletionLoss, ProblemInstance, Quadratic,
                               ShiftedNormSquare, build_instance,
-                              compose_with_linear,
-                              exact_linesearch_quadratic)
+                              compose_with_linear)
 from fwkit.regions import Simplex
+from fwkit.stepsizes import ExactLine
 
 
 def seeded_objectives():
@@ -151,15 +152,20 @@ def test_block_curvature_skips_zero_blocks_bit_for_bit():
     assert obj.curvature_along(np.zeros(obj.shape)) == 0.0
 
 
+def _exact_step(obj, x, d, alpha_max):
+    f0, g = obj.eval(x)
+    return ExactLine().step(0, obj, x, g, d, alpha_max, f0)
+
+
 def test_exact_linesearch_cases():
     obj = ShiftedNormSquare(np.zeros(2))
     x = np.array([1.0, 0.0])
     d = np.array([-1.0, 0.0])
     # oracle by hand: the unconstrained minimizer along d sits at alpha = 1
-    assert exact_linesearch_quadratic(obj, x, d, 1.0) == pytest.approx(1.0)
-    assert exact_linesearch_quadratic(obj, x, d, 0.5) == pytest.approx(0.5)
+    assert _exact_step(obj, x, d, 1.0) == pytest.approx(1.0)
+    assert _exact_step(obj, x, d, 0.5) == pytest.approx(0.5)
     d_perp = np.array([0.0, 1.0])
-    assert exact_linesearch_quadratic(obj, x, d_perp, 1.0) == pytest.approx(0.0)
+    assert _exact_step(obj, x, d_perp, 1.0) == pytest.approx(0.0)
 
 
 def test_exact_linesearch_concave_prefers_cheaper_endpoint():
@@ -167,15 +173,15 @@ def test_exact_linesearch_concave_prefers_cheaper_endpoint():
     x = np.array([0.1, 0.0])
     d = np.array([1.0, 0.0])
     # concave along d and descending: the far endpoint wins
-    assert exact_linesearch_quadratic(obj, x, d, 2.0) == pytest.approx(2.0)
+    assert _exact_step(obj, x, d, 2.0) == pytest.approx(2.0)
     # symmetric case ties at both endpoints: the smallest minimizer is 0
     obj_flat = Quadratic(np.zeros((2, 2)))
-    assert exact_linesearch_quadratic(obj_flat, x, np.array([0.0, 1.0]), 3.0) == 0.0
+    assert _exact_step(obj_flat, x, np.array([0.0, 1.0]), 3.0) == 0.0
 
 
 def test_exact_linesearch_rejects_zero_direction():
     with pytest.raises(InputError):
-        exact_linesearch_quadratic(ShiftedNormSquare(np.zeros(2)), np.zeros(2), np.zeros(2), 1.0)
+        _exact_step(ShiftedNormSquare(np.zeros(2)), np.zeros(2), np.zeros(2), 1.0)
 
 
 def test_meb_dual_two_points_hand_solution():
@@ -231,6 +237,30 @@ def test_build_instance_deterministic():
     d = build_instance("boundary_quadratic", seed=5, n=6)
     assert np.array_equal(c.objective.a, d.objective.a)
     assert np.array_equal(c.x_star, d.x_star)
+
+
+@pytest.mark.parametrize("family, params, missing", [
+    ("meb_dual", {}, "points"),
+    ("svm_dual", {"points": np.eye(2)}, "labels"),
+    ("interior_quadratic", {}, "n"),
+    ("base_polytope_norm", {"oracle": "graph_cut", "n": 3}, "edges_file"),
+    ("base_polytope_norm", {"oracle": "modular", "n": 3}, "costs"),
+])
+def test_missing_parameter_is_an_input_error_naming_it(family, params, missing):
+    with pytest.raises(InputError, match="%s.*'%s'" % (family, missing)):
+        build_instance(family, **params)
+
+
+def test_each_quadratic_form_computes_its_spectrum_once(monkeypatch):
+    calls = []
+    sigma_extremes = objectives._sigma_extremes
+    monkeypatch.setattr(objectives, "_sigma_extremes",
+                        lambda a: calls.append(a) or sigma_extremes(a))
+    inst = build_instance("interior_quadratic", n=8, seed=3)
+    assert len(calls) == 1
+    assert inst.objective.lipschitz_upper() == inst.L
+    assert inst.objective.strong_convexity_lower() == inst.mu
+    assert len(calls) == 1
 
 
 def test_problem_instance_validates_optimum():

@@ -7,7 +7,7 @@ also keep A x beside x and move it with atom images, and on a large enough
 A they move the gradient with the gradients at the atoms.
 """
 
-import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,14 +18,12 @@ import fwkit as fw
 from fwkit import solvers
 from fwkit.atoms import (ActiveSet, StepDescriptor, apply_step, away_step_cap,
                          reconstruct_point)
-from fwkit.errors import ContractViolation, NumericalError
+from fwkit.errors import ContractViolation, InputError, NumericalError
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
-                              ProblemInstance, Quadratic, ShiftedNormSquare,
-                              exact_linesearch_quadratic)
+                              ProblemInstance, Quadratic, ShiftedNormSquare)
 from fwkit.regions import L1Ball, Simplex
-from fwkit.stepsizes import (Armijo, BacktrackingL, ExactLine, _model,
-                             compute_step, stepsize_armijo,
-                             stepsize_backtracking_L)
+from fwkit.stepsizes import (RULES, Armijo, BacktrackingL, BlockDiminishing, Diminishing,
+                             ExactLine, LipschitzDep, _line, compute_step)
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -66,6 +64,25 @@ def cases(draw):
 
 def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
+
+
+def _evaluated(obj):
+    """``obj`` without ``curvature_along``: the line-search rules then evaluate f at each probe."""
+    return SimpleNamespace(eval=obj.eval, shape=obj.shape)
+
+
+def exact_linesearch_quadratic(obj, x, d, alpha_max):
+    """Reference: smallest minimizer of f(x + alpha d) over [0, alpha_max] for quadratics,
+    from evaluations at x and at x + alpha_max d and the curvature along d."""
+    d = np.asarray(d, dtype=float)
+    if not np.any(d):
+        raise InputError("direction must be nonzero")
+    f0, g = obj.eval(x)
+    c = obj.curvature_along(d)
+    if c > 0.0:
+        return min(max(-float(np.vdot(g, d)) / c, 0.0), alpha_max)
+    f1, _ = obj.eval(x + alpha_max * d)
+    return 0.0 if f0 <= f1 else float(alpha_max)
 
 
 def _textbook(obj):
@@ -135,32 +152,41 @@ def _scale(f0, slope, c, alpha):
     return abs(f0) + abs(alpha * slope) + abs(0.5 * alpha * alpha * c)
 
 
-def _step_or_error(rule, obj, x, g, d, alpha_max, f0, **kwargs):
+def _step_or_error(rule, obj, x, g, d, alpha_max, f0, k=0, **kwargs):
     """repr of the step or of the error: equal reprs are equal bits (and signs of 0)."""
     try:
-        return repr(compute_step(rule, 0, obj, x, g, d, alpha_max, f=f0, **kwargs))
+        return repr(compute_step(rule, k, obj, x, g, d, alpha_max, f=f0, **kwargs))
     except (ContractViolation, NumericalError) as exc:
         return repr(exc)
 
 
 @FAST
-@given(cases(), st.sampled_from(["exact", "armijo", "backtracking"]),
+@given(cases(), st.sampled_from(sorted(RULES)), st.booleans(), st.integers(0, 50),
        st.floats(0.1, 0.9), st.floats(1e-3, 0.49), st.floats(0.05, 50.0))
-def test_given_slope_gives_the_rule_s_own_step_bit_for_bit(case, name, delta, gamma, l0):
+# the evaluated probes of a backtracking step, on an objective without curvature_along
+@example(case=(ShiftedNormSquare(np.zeros(2)), np.array([1.0, 0.0]), np.array([-1.0, 0.5]), 1.0),
+         name="backtracking", evaluated=True, k=0, delta=0.5, gamma=0.1, l0=0.1)
+def test_given_slope_gives_the_rule_s_own_step_bit_for_bit(case, name, evaluated, k, delta,
+                                                           gamma, l0):
     # the solvers pass the <g, d> they already hold; the rules must not move a bit
     obj, x, d, alpha_max = case
     f0, g = obj.eval(x)
+    if evaluated:
+        obj = _evaluated(obj)
 
     def rule():
-        return {"exact": ExactLine(), "armijo": Armijo(delta, gamma),
-                "backtracking": BacktrackingL(L0=l0)}[name]
+        return {"diminishing": Diminishing(), "block_diminishing": BlockDiminishing(m=3),
+                "exact": ExactLine(), "armijo": Armijo(delta, gamma),
+                "lipschitz": LipschitzDep(l0), "backtracking": BacktrackingL(L0=l0)}[name]
 
     own, given_slope = rule(), rule()
-    want = _step_or_error(own, obj, x, g, d, alpha_max, f0)
-    got = _step_or_error(given_slope, obj, x, g, d, alpha_max, f0,
+    want = _step_or_error(own, obj, x, g, d, alpha_max, f0, k=k)
+    got = _step_or_error(given_slope, obj, x, g, d, alpha_max, f0, k=k,
                          slope=float(np.vdot(g, d)))
     assert got == want
     assert given_slope == own  # backtracking's estimate too
+    if not want.startswith(("ContractViolation", "NumericalError")):
+        assert 0.0 <= float(want) <= alpha_max
 
 
 @FAST
@@ -170,8 +196,8 @@ def test_model_matches_evaluation_along_the_line(case, alpha):
     obj, x, d, _ = case
     f0, g = obj.eval(x)
     slope = float(g @ d)
-    c = obj.curvature_along(d)
-    phi = _model(f0, slope, c)
+    phi, c = _line(obj, x, d, f0, slope, None)
+    assert c == obj.curvature_along(d)
     truth = obj.eval(x + alpha * d)[0]
     assert abs(phi(alpha) - truth) <= 1e-9 * max(_scale(f0, slope, c, alpha), 1e-300)
 
@@ -191,7 +217,7 @@ def test_armijo_step_passes_sufficient_decrease_on_the_real_objective(case, delt
     assert 0.0 < alpha <= alpha_max
     f1 = obj.eval(x + alpha * d)[0]
     assert f1 <= f0 + gamma * alpha * slope + 1e-9 * _scale(f0, slope, c, alpha)
-    assert alpha == stepsize_armijo(obj, x, d, alpha_max, delta, gamma)
+    assert alpha == Armijo(delta, gamma).step(0, _evaluated(obj), x, g, d, alpha_max, f0)
 
 
 @FAST
@@ -232,9 +258,9 @@ def test_backtracking_closed_form_matches_evaluated_probes(case, l0):
     assume(slope < -1e-6 * max(abs(f0), 1.0))
     fast, probed = BacktrackingL(L0=l0), BacktrackingL(L0=l0)
     alpha = compute_step(fast, 0, obj, x, g, d, alpha_max, f=f0)
-    want, lhat = stepsize_backtracking_L(probed, g, d, alpha_max, obj, x)
+    want = probed.step(0, _evaluated(obj), x, g, d, alpha_max, f0)
     assert alpha == pytest.approx(want, rel=1e-12)
-    assert fast.lhat == pytest.approx(lhat, rel=1e-12)
+    assert fast.lhat == pytest.approx(probed.lhat, rel=1e-12)
 
 
 def _armijo_by_evaluation(obj, x, d, alpha_max, delta, gamma):
@@ -258,13 +284,7 @@ def _backtracking_by_evaluation(l0, g, d, alpha_max, obj, x):
         lhat *= 2.0
 
 
-def test_direct_callers_keep_signatures_and_results():
-    assert list(inspect.signature(stepsize_armijo).parameters) == \
-        ["obj", "x", "d", "alpha_max", "delta", "gamma"]
-    assert list(inspect.signature(stepsize_backtracking_L).parameters) == \
-        ["rule", "g", "d", "alpha_max", "obj", "x"]
-    assert list(inspect.signature(exact_linesearch_quadratic).parameters) == \
-        ["obj", "x", "d", "alpha_max"]
+def test_evaluated_probes_match_a_plain_evaluation_loop():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a = rng.standard_normal((6, 4))
@@ -272,13 +292,14 @@ def test_direct_callers_keep_signatures_and_results():
         x = rng.standard_normal(4)
         f0, g = obj.eval(x)
         d = -g + 0.1 * rng.standard_normal(4)
-        assert stepsize_armijo(obj, x, d, 1.0, 0.5, 0.1) == \
+        probed = _evaluated(obj)
+        assert Armijo(0.5, 0.1).step(0, probed, x, g, d, 1.0, f0) == \
             _armijo_by_evaluation(obj, x, d, 1.0, 0.5, 0.1)
         rule = BacktrackingL(L0=3.0)
-        assert stepsize_backtracking_L(rule, g, d, 1.0, obj, x) == \
+        assert (rule.step(0, probed, x, g, d, 1.0, f0), rule.lhat) == \
             _backtracking_by_evaluation(3.0, g, d, 1.0, obj, x)
         c = obj.curvature_along(d)
-        assert exact_linesearch_quadratic(obj, x, d, 1.0) == \
+        assert ExactLine().step(0, obj, x, g, d, 1.0, f0) == \
             float(np.clip(-float(g @ d) / c, 0.0, 1.0))
 
 

@@ -13,7 +13,7 @@ from fwkit.stepsizes import ExactLine
 from fwkit.regions import (BasePolytope, Box, InexactSchedule, L1Ball, L2Ball,
                            LinfBall, NuclearBall, ProductRegion, Simplex,
                            base_polytope_greedy, face_away_vertex,
-                           fw_gap, make_inexact_lmo, max_feasible_step,
+                           fw_gap, make_inexact_lmo,
                            minimal_face_vertices, top_singular_triple)
 
 
@@ -287,18 +287,18 @@ def test_max_feasible_step_simplex_ratio():
     # oracle by hand: coordinate 0 hits zero at (1+a) * 0.5 - a = 0, a = 1
     x = np.array([0.5, 0.5, 0.0])
     d = x - np.array([1.0, 0.0, 0.0])
-    assert max_feasible_step(Simplex(3), x, d) == pytest.approx(1.0)
+    assert Simplex(3).max_step(x, d) == pytest.approx(1.0)
 
 
 def test_max_feasible_step_box_and_ball():
     box = Box([0.0, 0.0], [1.0, 1.0])
-    assert max_feasible_step(box, np.array([0.5, 0.5]), np.array([1.0, 0.0])) == pytest.approx(0.5)
-    assert max_feasible_step(L2Ball(1.0, 2), np.zeros(2), np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert box.max_step(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == pytest.approx(0.5)
+    assert L2Ball(1.0, 2).max_step(np.zeros(2), np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
 def test_max_feasible_step_zero_direction_rejected():
     with pytest.raises(InputError):
-        max_feasible_step(Simplex(2), np.array([0.5, 0.5]), np.zeros(2))
+        Simplex(2).max_step(np.array([0.5, 0.5]), np.zeros(2))
 
 
 @pytest.mark.parametrize("region,x,d", [
@@ -314,7 +314,7 @@ def test_max_feasible_step_zero_direction_rejected():
 ])
 def test_max_step_lands_on_boundary(region, x, d):
     assert region.contains(x, 1e-9)
-    alpha = max_feasible_step(region, x, d)
+    alpha = region.max_step(x, d)
     assert region.contains(x + alpha * d, 1e-9)
     assert not region.contains(x + (alpha + 1e-6) * d, 1e-12)
 

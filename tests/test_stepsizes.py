@@ -1,40 +1,72 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fwkit.errors import ContractViolation, InputError, NumericalError
 from fwkit.objectives import FactoredQuadratic, LeastSquares, ShiftedNormSquare
-from fwkit.stepsizes import (Armijo, BacktrackingL, _armijo, compute_step, stepsize_armijo,
-                             stepsize_backtracking_L, stepsize_diminishing,
-                             stepsize_lipschitz)
+from fwkit.stepsizes import (RULES, Armijo, BacktrackingL, Diminishing, LipschitzDep,
+                             _armijo, compute_step, rule_from_name)
+
+
+def _evaluated(obj):
+    """``obj`` without ``curvature_along``: the line-search rules then evaluate f at each probe."""
+    return SimpleNamespace(eval=obj.eval, shape=obj.shape)
+
+
+def _probed_step(rule, obj, x, d, alpha_max):
+    """The rule's step from x along d, probing f by evaluation."""
+    f0, g = obj.eval(x)
+    return rule.step(0, _evaluated(obj), x, g, d, alpha_max, f0)
+
+
+def _lipschitz(g, d, L, alpha_max):
+    return LipschitzDep(L).step(0, None, None, g, d, alpha_max, None)
+
+
+def test_every_rule_is_found_under_its_own_name_and_cannot_be_renamed():
+    # a settable name once let Diminishing(name="exact") run exact line search
+    for key, rule in RULES.items():
+        assert rule.name == key
+        assert rule_from_name(key, L=2.0).name == key
+        with pytest.raises(TypeError):
+            rule(name="exact")
+    with pytest.raises(InputError):
+        rule_from_name("newton")
+    with pytest.raises(InputError):
+        rule_from_name("lipschitz")
 
 
 def test_diminishing_values():
-    assert stepsize_diminishing(0) == 1.0
-    assert stepsize_diminishing(2) == 0.5
-    assert stepsize_diminishing(198) == pytest.approx(0.01)
+    def step(k):
+        return Diminishing().step(k, None, None, None, None, np.inf, None)
+
+    assert step(0) == 1.0
+    assert step(2) == 0.5
+    assert step(198) == pytest.approx(0.01)
     with pytest.raises(InputError):
-        stepsize_diminishing(-1)
+        step(-1)
 
 
 def test_lipschitz_caps_at_alpha_max():
-    a = stepsize_lipschitz(np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 1.0, 1.0)
+    a = _lipschitz(np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 1.0, 1.0)
     assert a == 1.0
 
 
 def test_lipschitz_formula_value():
     # oracle by hand from the rule's definition: -<g, d> / (L ||d||^2)
     # = -(-1 * 2) / (1 * 4) = 0.5
-    a = stepsize_lipschitz(np.array([-1.0, 0.0]), np.array([2.0, 0.0]), 1.0, 1.0)
+    a = _lipschitz(np.array([-1.0, 0.0]), np.array([2.0, 0.0]), 1.0, 1.0)
     assert a == pytest.approx(0.5)
 
 
 def test_lipschitz_zero_slope_returns_zero():
-    assert stepsize_lipschitz(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 2.0, 1.0) == 0.0
+    assert _lipschitz(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 2.0, 1.0) == 0.0
 
 
 def test_lipschitz_rejects_ascent():
     with pytest.raises(ContractViolation):
-        stepsize_lipschitz(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0, 1.0)
+        _lipschitz(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0, 1.0)
 
 
 def _scalar_square():
@@ -45,7 +77,7 @@ def _scalar_square():
 def test_armijo_accepts_full_step():
     # oracle: f(0) = 0 <= 1 + 0.25 * 1 * (-2) = 0.5
     obj = _scalar_square()
-    a = stepsize_armijo(obj, np.array([1.0]), np.array([-1.0]), 1.0, delta=0.5, gamma=0.25)
+    a = _probed_step(Armijo(delta=0.5, gamma=0.25), obj, np.array([1.0]), np.array([-1.0]), 1.0)
     assert a == 1.0
 
 
@@ -53,13 +85,13 @@ def test_armijo_backtracks_once():
     # oracle at m=0: f(-2) = 4 > 1 + 0.25 * (-6) = -0.5, reject
     # oracle at m=1: f(-0.5) = 0.25 <= 1 + 0.25 * 0.5 * (-6) = 0.25, accept
     obj = _scalar_square()
-    a = stepsize_armijo(obj, np.array([1.0]), np.array([-3.0]), 1.0, delta=0.5, gamma=0.25)
+    a = _probed_step(Armijo(delta=0.5, gamma=0.25), obj, np.array([1.0]), np.array([-3.0]), 1.0)
     assert a == 0.5
 
 
 def test_armijo_tiny_gamma_accepts_alpha_max_at_minimizer():
     obj = _scalar_square()
-    a = stepsize_armijo(obj, np.array([1.0]), np.array([-1.0]), 1.0, delta=0.5, gamma=1e-9)
+    a = _probed_step(Armijo(delta=0.5, gamma=1e-9), obj, np.array([1.0]), np.array([-1.0]), 1.0)
     assert a == 1.0
 
 
@@ -72,7 +104,7 @@ def test_armijo_searches_past_101_probes_on_a_descending_direction():
     delta, gamma = 0.8984375, 0.25
     f0, g = obj.eval(x)
     fast = compute_step(Armijo(delta, gamma), 0, obj, x, g, d, 1.0, f=f0)
-    probed = stepsize_armijo(obj, x, d, 1.0, delta, gamma)
+    probed = _probed_step(Armijo(delta, gamma), obj, x, d, 1.0)
     assert fast == probed
     assert 0.0 < probed < delta ** 100
     assert obj.eval(x + probed * d)[0] <= f0 + gamma * probed * float(g @ d)
@@ -111,7 +143,7 @@ def test_armijo_output_satisfies_sufficient_decrease():
         d = -g
         if np.linalg.norm(d) < 1e-12:
             continue
-        alpha = stepsize_armijo(obj, x, d, 1.0, delta=0.5, gamma=0.1)
+        alpha = _probed_step(Armijo(delta=0.5, gamma=0.1), obj, x, d, 1.0)
         f1, _ = obj.eval(x + alpha * d)
         assert f1 <= f0 + 0.1 * alpha * float(g @ d) + 1e-12 * max(1.0, abs(f0))
 
@@ -129,11 +161,11 @@ def test_backtracking_accepts_near_true_constant():
     obj = ShiftedNormSquare(np.zeros(3))
     rule = BacktrackingL(L0=2.0)
     x = np.array([1.0, -0.5, 0.25])
-    _, g = obj.eval(x)
+    f0, g = obj.eval(x)
     d = -g
-    alpha, lhat = stepsize_backtracking_L(rule, g, d, 1.0, obj, x)
+    alpha = _probed_step(rule, obj, x, d, 1.0)
+    lhat = rule.lhat
     assert 1.0 <= lhat <= 4.0
-    f0, _ = obj.eval(x)
     f1, _ = obj.eval(x + alpha * d)
     model = f0 + alpha * float(g @ d) + 0.5 * lhat * alpha ** 2 * float(d @ d)
     assert f1 <= model + 1e-10
@@ -143,11 +175,10 @@ def test_backtracking_recovers_from_overestimate():
     obj = ShiftedNormSquare(np.zeros(2))
     rule = BacktrackingL(L0=1e6)
     x = np.array([1.0, 0.0])
-    _, g = obj.eval(x)
+    f0, g = obj.eval(x)
     d = -g
-    alpha, lhat = stepsize_backtracking_L(rule, g, d, 1.0, obj, x)
+    alpha = _probed_step(rule, obj, x, d, 1.0)
     assert alpha > 0.0
-    f0, _ = obj.eval(x)
     f1, _ = obj.eval(x + alpha * d)
     assert f1 <= f0  # sufficient decrease despite the loose model
 
@@ -156,9 +187,9 @@ def test_backtracking_zero_slope_keeps_estimate():
     obj = ShiftedNormSquare(np.zeros(2))
     rule = BacktrackingL(L0=3.0)
     x = np.array([1.0, 0.0])
-    alpha, lhat = stepsize_backtracking_L(rule, np.array([0.0, -1.0]) * 0.0,
-                                          np.array([0.0, 1.0]), 1.0, obj, x)
-    assert alpha == 0.0 and lhat == 3.0
+    alpha = rule.step(0, _evaluated(obj), x, np.array([0.0, -1.0]) * 0.0,
+                      np.array([0.0, 1.0]), 1.0, obj.eval(x)[0])
+    assert alpha == 0.0 and rule.lhat == 3.0
 
 
 def test_lipschitz_step_improvement_bound():
@@ -175,7 +206,7 @@ def test_lipschitz_step_improvement_bound():
         d = -g + 0.1 * rng.standard_normal(5)
         if float(g @ d) >= 0:
             continue
-        alpha = stepsize_lipschitz(g, d, L, np.inf if rng.random() < 0.5 else 10.0)
+        alpha = _lipschitz(g, d, L, np.inf if rng.random() < 0.5 else 10.0)
         if alpha >= 10.0:
             continue
         f1, _ = obj.eval(x + alpha * d)
