@@ -21,7 +21,7 @@ rank-one sets keep the per-atom loop.
 
 import numpy as np
 
-from .errors import ContractViolation, InputError
+from .errors import ContractViolation, InputError, all_finite
 
 ATOM_TOL = 1e-12      # structural equality tolerance between atoms
 WEIGHT_PRUNE = 1e-12  # weights below this are dropped and the set renormalized
@@ -31,25 +31,28 @@ _BUCKET_DECIMALS = 9  # rounding used for the dedup hash buckets
 class _Keyed:
     """Memoises an atom's dedup key: atoms are not changed after construction."""
 
-    _k = None
+    __slots__ = ("_k",)
 
     def _key(self):
-        if self._k is None:
-            self._k = self._make_key()
-        return self._k
+        k = self._k
+        if k is None:
+            k = self._k = self._make_key()
+        return k
 
 
 class DenseAtom(_Keyed):
     """Extreme point stored as an explicit vector or matrix."""
 
+    __slots__ = ("vector", "shape")
     tag = "dense"
 
     def __init__(self, vector):
         v = np.asarray(vector, dtype=float)
-        if not np.isfinite(v).all():
+        if not all_finite(v):
             raise InputError("dense atom has non-finite entries")
         self.vector = v
         self.shape = v.shape
+        self._k = None
 
     def densify(self):
         return self.vector
@@ -64,6 +67,7 @@ class DenseAtom(_Keyed):
 class SignedUnitAtom(_Keyed):
     """Extreme point +/- scale * e_index of a scaled cross-polytope or simplex."""
 
+    __slots__ = ("index", "sign", "scale", "dim", "shape")
     tag = "signed_unit"
 
     def __init__(self, index, sign, scale, dim):
@@ -73,11 +77,22 @@ class SignedUnitAtom(_Keyed):
             raise InputError("scale must be positive")
         if not 0 <= index < dim:
             raise InputError("index out of range")
-        self.index = int(index)
-        self.sign = int(sign)
-        self.scale = float(scale)
-        self.dim = int(dim)
+        self._set(int(index), int(sign), float(scale), int(dim))
+
+    def _set(self, index, sign, scale, dim):
+        self.index = index
+        self.sign = sign
+        self.scale = scale
+        self.dim = dim
         self.shape = (dim,)
+        self._k = None
+
+    @classmethod
+    def trusted(cls, index, sign, scale, dim):
+        """The atom from a region's own int index, int sign, float scale and int dim, unchecked."""
+        atom = cls.__new__(cls)
+        atom._set(index, sign, scale, dim)
+        return atom
 
     def densify(self):
         v = np.zeros(self.dim)
@@ -85,7 +100,9 @@ class SignedUnitAtom(_Keyed):
         return v
 
     def _make_key(self):
-        return ("u", self.dim, self.index, self.sign, round(self.scale, _BUCKET_DECIMALS))
+        scale = self.scale  # a whole number (1.0 on the simplex) is its own rounding
+        return ("u", self.dim, self.index, self.sign,
+                scale if scale.is_integer() else round(scale, _BUCKET_DECIMALS))
 
     def __repr__(self):
         return "SignedUnitAtom(i=%d, sign=%+d, scale=%g)" % (self.index, self.sign, self.scale)
@@ -94,6 +111,7 @@ class SignedUnitAtom(_Keyed):
 class RankOneAtom(_Keyed):
     """Extreme point scale * u v^T of the nuclear-norm ball (|u| = |v| = 1)."""
 
+    __slots__ = ("u", "v", "scale", "shape")
     tag = "rank_one"
 
     def __init__(self, u, v, scale):
@@ -107,6 +125,7 @@ class RankOneAtom(_Keyed):
         self.v = v
         self.scale = float(scale)
         self.shape = (u.size, v.size)
+        self._k = None
 
     def densify(self):
         return self.scale * np.outer(self.u, self.v)
@@ -145,10 +164,15 @@ class StepDescriptor:
     """A solver step: its kind plus the atoms it moves toward / away from.
 
     Kinds: FW carries ``toward`` only, Away carries ``away`` only, Pairwise
-    carries both.
+    carries both.  ``at``, when given, is the pair (position of ``toward``,
+    or None when the set lacks it; position of ``away``) in the active set
+    the step is for, as ``ActiveSet.find`` and ``select_away_vertex`` gave
+    them; ``apply_step`` then takes it instead of looking the atoms up.
     """
 
-    def __init__(self, kind, toward=None, away=None):
+    __slots__ = ("kind", "toward", "away", "at")
+
+    def __init__(self, kind, toward=None, away=None, at=None):
         if kind == "FW" and (toward is None or away is not None):
             raise InputError("FW steps carry a toward atom only")
         if kind == "Away" and (away is None or toward is not None):
@@ -158,6 +182,7 @@ class StepDescriptor:
         self.kind = kind
         self.toward = toward
         self.away = away
+        self.at = at
 
     def __repr__(self):
         return "StepDescriptor(%s)" % self.kind
@@ -176,6 +201,12 @@ class ActiveSet:
     is a 1-D ``DenseAtom``, ``_rows`` holds their vectors as the rows of a
     k x n array; otherwise it is None.  Assigning ``weights`` alone leaves
     these arrays valid, since they depend on the atoms only.
+
+    An appended atom extends ``weights``, ``_idx``, ``_coef`` and ``_rows``
+    in place: each is a length-k view of a buffer of the set's own (in
+    ``_bufs``) that doubles when full, so k appends copy O(k) entries in all.
+    An array assigned from outside is copied into a new buffer when an atom
+    is next appended.
     """
 
     def __init__(self, atoms, weights):
@@ -208,6 +239,7 @@ class ActiveSet:
             self._rows = np.array([a.vector for a in self.atoms])
         else:
             self._rows = None
+        self._bufs = {}  # attribute name -> the buffer its array is a prefix view of
 
     @classmethod
     def from_atom(cls, atom):
@@ -219,33 +251,52 @@ class ActiveSet:
     def copy(self):
         return ActiveSet(self.atoms, self.weights)
 
-    def find(self, atom):
-        """Position of a structurally equal atom, or None."""
+    def find(self, atom, same=None):
+        """Position of a structurally equal atom, or None.
+
+        ``same``, when given, is an atom the caller knows to be equal to
+        ``atom``; a position holding that very object (or ``atom`` itself)
+        is taken without comparing fields.
+        """
+        atoms = self.atoms
         for pos in self._index.get(atom._key(), ()):
-            if atoms_equal(self.atoms[pos], atom):
+            held = atoms[pos]
+            if held is atom or held is same or atoms_equal(held, atom):
                 return pos
         return None
 
+    def _grown(self, name, value):
+        """The array attribute ``name`` with ``value`` appended, as a view of its buffer."""
+        view = getattr(self, name)
+        buf = self._bufs.get(name)
+        k = len(view)
+        if buf is None or view.base is not buf or k == len(buf):
+            buf = self._bufs[name] = np.empty((max(2 * k, 4),) + view.shape[1:], view.dtype)
+            buf[:k] = view
+        buf[k] = value
+        return buf[:k + 1]
+
     def _append(self, atom, weight):
         self.atoms.append(atom)
-        self.weights = np.concatenate((self.weights, (weight,)))
+        self.weights = self._grown("weights", weight)
         self._index.setdefault(atom._key(), []).append(len(self.atoms) - 1)
         if self._idx is not None:
             if atom.tag == "signed_unit":
-                self._idx = np.concatenate((self._idx, (atom.index,)))
-                self._coef = np.concatenate((self._coef, (atom.sign * atom.scale,)))
+                self._idx = self._grown("_idx", atom.index)
+                self._coef = self._grown("_coef", atom.sign * atom.scale)
             else:
                 self._idx = self._coef = None
         if self._rows is not None:
             if _is_dense_vector(atom):
-                self._rows = np.concatenate((self._rows, atom.vector[None]))
+                self._rows = self._grown("_rows", atom.vector)
             else:
                 self._rows = None
 
     def _prune_and_renormalize(self):
         w = self.weights
-        if w.min() > WEIGHT_PRUNE:  # nothing to prune; False on a NaN weight
-            w /= w.sum()
+        # the reductions of w.min() and w.sum(), without their Python wrappers
+        if np.minimum.reduce(w) > WEIGHT_PRUNE:  # nothing to prune; False on a NaN weight
+            w /= np.add.reduce(w)
             return
         if (w < -1e-9).any():
             raise ContractViolation("weight went negative beyond tolerance")
@@ -343,47 +394,46 @@ def apply_step(active_set, step, alpha):
     FW:       weights scale by (1-alpha), toward gains alpha.
     Away:     weights scale by (1+alpha), away loses alpha; alpha_max = w/(1-w).
     Pairwise: alpha moves from away to toward; alpha_max = w_away.
-    Weights below 1e-12 are dropped and the set renormalized.
+    Weights below 1e-12 are dropped and the set renormalized.  The step's
+    atoms are looked up in the set unless it carries their positions
+    (``StepDescriptor.at``).
     """
     if not alpha > 0:
         raise ContractViolation("stepsize must be positive")
     kind = step.kind
+    if kind not in ("FW", "Away", "Pairwise"):
+        raise InputError("apply_step cannot handle kind %r" % kind)
+    at = step.at
+    if at is None:
+        at = (None if kind == "Away" else active_set.find(step.toward),
+              None if kind == "FW" else active_set.find(step.away))
+        if kind != "FW" and at[1] is None:
+            raise ContractViolation("away atom not in active set")
+    pos_to, pos_away = at
+    w = active_set.weights
     eps = 1e-12
     if kind == "FW":
         if alpha > 1.0 + eps:
             raise ContractViolation("FW stepsize exceeds 1")
         alpha = min(alpha, 1.0)
-        active_set.weights *= (1.0 - alpha)
-        pos = active_set.find(step.toward)
-        if pos is None:
-            active_set._append(step.toward, alpha)
-        else:
-            active_set.weights[pos] += alpha
+        w *= (1.0 - alpha)
     elif kind == "Away":
-        pos = active_set.find(step.away)
-        if pos is None:
-            raise ContractViolation("away atom not in active set")
-        cap = away_step_cap(active_set.weights[pos])
+        cap = away_step_cap(w[pos_away])
         if alpha > cap * (1.0 + 1e-9) + eps:
             raise ContractViolation("away stepsize exceeds w/(1-w)")
         alpha = min(alpha, cap)
-        active_set.weights *= (1.0 + alpha)
-        active_set.weights[pos] -= alpha
-    elif kind == "Pairwise":
-        pos_away = active_set.find(step.away)
-        if pos_away is None:
-            raise ContractViolation("away atom not in active set")
-        cap = active_set.weights[pos_away]
+        w *= (1.0 + alpha)
+        w[pos_away] -= alpha
+    else:
+        cap = w[pos_away]
         if alpha > cap * (1.0 + 1e-9) + eps:
             raise ContractViolation("pairwise stepsize exceeds the away weight")
         alpha = min(alpha, cap)
-        active_set.weights[pos_away] -= alpha
-        pos_to = active_set.find(step.toward)
+        w[pos_away] -= alpha
+    if kind != "Away":
         if pos_to is None:
             active_set._append(step.toward, alpha)
         else:
-            active_set.weights[pos_to] += alpha
-    else:
-        raise InputError("apply_step cannot handle kind %r" % kind)
+            w[pos_to] += alpha
     active_set._prune_and_renormalize()
     return active_set

@@ -143,15 +143,12 @@ def _build_problem(prob, params, data):
     if family == "base_polytope_norm" and "edges" in data:
         kwargs["edges"] = ob.load_edge_list(data["edges"])
     if family in ("meb_dual", "svm_dual", "min_norm_point"):
-        if "points" in data:
-            kwargs["points"] = np.load(data["points"])
-        else:
-            kwargs["points"] = np.asarray(kwargs["points"], dtype=float)
-        if family == "svm_dual":
-            if "labels" in data:
-                kwargs["labels"] = np.load(data["labels"])
-            else:
-                kwargs["labels"] = np.asarray(kwargs["labels"], dtype=float)
+        # a missing array is left to build_instance, which names it
+        for key in ("points", "labels") if family == "svm_dual" else ("points",):
+            if key in data:
+                kwargs[key] = np.load(data[key])
+            elif key in kwargs:
+                kwargs[key] = np.asarray(kwargs[key], dtype=float)
     return ob.build_instance(family, seed=seed, **kwargs)
 
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all fwkit modules."""
+"""Exception hierarchy shared by all fwkit modules, and the finiteness test behind input checks."""
+
+import math
+
+import numpy as np
 
 
 class FwkitError(Exception):
@@ -23,3 +27,14 @@ class NumericalError(FwkitError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+def all_finite(v):
+    """True when every entry of the float array ``v`` is finite.
+
+    A finite sum of squares proves it in one dot product.  When that sum is
+    not finite (a non-finite entry, or finite entries whose squares
+    overflow, such as 1e200) the entries are tested one by one.  The sum is
+    taken by ``np.vdot``, which unlike ``ndarray.dot`` warns of no overflow.
+    """
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())

@@ -104,7 +104,7 @@ def corral_step(mat, lam):
     t = ratios[drop]
     ray = t > 0.0
     if not ray:
-        j = int(np.argmin(grad))
+        j = int(grad.argmin())
         d = -lam
         d[j] += 1.0
         slope = grad[j] - grad @ lam
@@ -154,7 +154,7 @@ def corral_weights(mat, lam, tol, max_cycles):
         if keep is not None:
             continue
         grad = mat @ lam
-        j = int(np.argmin(grad))
+        j = int(grad.argmin())
         if grad @ lam - grad[j] <= tol or lam[j] > 0.0:
             break
         corral = np.append(corral, j)
@@ -188,7 +188,7 @@ def solve_wolfe_mnp(vertices, config):
     majors = 0
     while True:
         scores = pts @ x
-        j = int(np.argmin(scores))
+        j = int(scores.argmin())
         gap = float(x @ x - scores[j])
         records.append(IterationRecord(
             k=majors, kind="FW", alpha=1.0, f=0.5 * float(x @ x), gap=gap,

@@ -21,12 +21,12 @@ from functools import cached_property
 import numpy as np
 
 from . import regions as rg
-from .errors import InputError
+from .errors import InputError, all_finite
 
 
 def _finite(v, what="input point"):
     v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise InputError("non-finite %s" % what)
     return v
 
@@ -99,7 +99,11 @@ class _QuadraticForm:
         """(value, gradient); ``ax``, when given, is the image A x held by the caller."""
         x = _finite(x)
         val, wr = self._value_and_wr(x, ax)
-        grad = (2.0 * self._s) * (wr if self.a is None else self.a.T @ wr)
+        if self.a is None:
+            grad = (2.0 * self._s) * wr
+        else:
+            grad = self.a.T @ wr
+            grad *= 2.0 * self._s  # in place, with the bits of (2 s) * (A^T W r)
         if self._b is not None:
             grad += self._b
         return val, grad

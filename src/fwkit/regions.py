@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .atoms import DenseAtom, RankOneAtom, SignedUnitAtom
-from .errors import CapabilityError, ContractViolation, InputError, NumericalError
+from .errors import CapabilityError, ContractViolation, InputError, NumericalError, all_finite
 
 _POWER_ITER_CAP = 5000
 _POWER_ITER_TOL = 1e-10
@@ -25,7 +25,7 @@ def _check_gradient(g, shape):
     g = np.asarray(g, dtype=float)
     if g.shape != shape:
         raise InputError("gradient shape %s does not match region %s" % (g.shape, shape))
-    if not np.isfinite(g).all():
+    if not all_finite(g):
         raise InputError("gradient has non-finite entries")
     return g
 
@@ -41,7 +41,7 @@ class Simplex:
 
     def lmo(self, g):
         g = _check_gradient(g, self.shape)
-        return SignedUnitAtom(int(np.argmin(g)), +1, 1.0, self.n)
+        return SignedUnitAtom.trusted(int(g.argmin()), 1, 1.0, self.n)
 
     def diameter(self):
         return np.sqrt(2.0) if self.n > 1 else 0.0
@@ -75,9 +75,8 @@ class L1Ball:
 
     def lmo(self, g):
         g = _check_gradient(g, self.shape)
-        i = int(np.argmax(np.abs(g)))
-        sign = 1 if g[i] <= 0 else -1
-        return SignedUnitAtom(i, sign, self.tau, self.n)
+        i = int(np.abs(g).argmax())
+        return SignedUnitAtom.trusted(i, 1 if g[i] <= 0 else -1, self.tau, self.n)
 
     def diameter(self):
         return 2.0 * self.tau
@@ -538,7 +537,7 @@ class VertexHull:
 
     def lmo(self, g):
         g = _check_gradient(g, self.shape)
-        return DenseAtom(self.points[int(np.argmin(self.points @ g))].copy())
+        return DenseAtom(self.points[int((self.points @ g).argmin())].copy())
 
     def diameter(self):
         pts = self.points
@@ -633,8 +632,8 @@ def face_away_vertex(region, x, g, tol=1e-12):
     g = np.asarray(g, dtype=float)
     if isinstance(region, Simplex):
         support = np.flatnonzero(x > tol)
-        best = support[int(np.argmax(g[support]))]
-        return SignedUnitAtom(int(best), +1, 1.0, region.n)
+        best = support[int(g[support].argmax())]
+        return SignedUnitAtom.trusted(int(best), 1, 1.0, region.n)
     if isinstance(region, Box):
         return BoxFace(region, x, tol).away_vertex(g)
     raise CapabilityError("minimal faces implemented for simplex and box only")

@@ -113,9 +113,14 @@ class SolverConfig:
             raise InputError("record_every must be >= 1")
         if self.stepsize is None:
             self.stepsize = Diminishing()
+        elif (isinstance(self.stepsize, type) or not callable(getattr(self.stepsize, "step", None))
+              or not isinstance(getattr(self.stepsize, "name", None), str)):
+            # the loops call its step, and every report's meta names it
+            raise InputError("stepsize must be a rule object with a step method and a name "
+                             "(see stepsizes.RULES), got %r" % (self.stepsize,))
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     k: int
     kind: str
@@ -187,16 +192,15 @@ class _Tracer:
         key = mask.tobytes()
         if key != self._mask:
             self._mask = key
-            self._support = frozenset(np.flatnonzero(mask).tolist())
+            self._support = frozenset(mask.nonzero()[0].tolist())
         return self._support
 
     def make(self, k, f, gap, support_size, x, support=None):
-        return IterationRecord(
-            k=k, kind="stop", alpha=0.0, f=float(f), gap=float(gap),
-            support_size=int(support_size),
-            elapsed_ns=time.perf_counter_ns() - self.t0,
-            support=support if support is not None else self._support_of(x),
-            x=x.copy() if self.config.store_points else None)
+        ns = time.perf_counter_ns() - self.t0
+        return IterationRecord(k, "stop", 0.0, float(f), float(gap), int(support_size), ns,
+                               0.0, 0.0, 0.0, False,
+                               self._support_of(x) if support is None else support,
+                               x.copy() if self.config.store_points else None)
 
     def push(self, rec, terminal=False):
         if terminal or rec.k % self.config.record_every == 0:
@@ -224,7 +228,8 @@ class _AtomCache:
     The image is made with the entry when the solve tracks A x (``a`` is
     given).  The gradient is filled on first use, on the image when there
     is one, else by ``eval(v)``; ``passes`` counts these evaluations.  A
-    lookup goes by the atom's memoised key, confirmed with ``atoms_equal``.
+    lookup goes by the atom's memoised key, confirmed with ``atoms_equal``
+    unless it finds that very atom.
 
     f is quadratic, so on weights lam that sum to one f(sum_j lam_j v_j) has
     the gradient M lam with M_ij = <v_i, grad f(v_j)>.  ``matrix`` builds M
@@ -242,7 +247,7 @@ class _AtomCache:
     def entry(self, atom):
         key = atom._key()
         entry = self._atoms.get(key)
-        if entry is None or not atoms_equal(entry[0], atom):
+        if entry is None or (entry[0] is not atom and not atoms_equal(entry[0], atom)):
             image = None
             if self.a is not None:
                 image = (atom.sign * atom.scale) * self.a[:, atom.index] \
@@ -329,10 +334,9 @@ class _AffineImage:
             return f, g
         return self.obj.value(x, self.ax), self.g
 
-    def direction(self, kind, s_atom, v_atom):
-        """A d for a step of ``kind``: d runs from x or v (the away atom) to s or x."""
-        s = None if kind == "Away" else self.cache.entry(s_atom)
-        v = None if kind == "FW" else self.cache.entry(v_atom)
+    def direction(self, s, v):
+        """A d for a step from x or v to s or x: ``s`` and ``v`` are the cache
+        entries of the toward and away atoms, None for x."""
         self._ends = s, v
         return (self.ax if s is None else s[1]) - (self.ax if v is None else v[1])
 
@@ -490,23 +494,22 @@ def _run_atomic(instance, config, inexact=None, initial_active=None):
                 k += 1
                 continue
             s_used = s if s_atom is exact_atom else s_atom.densify()
-            v_atom = None
+            v_atom = pos_v = None
             if pairwise:
-                v_atom, w_v, _ = select_away_vertex(active, g)
+                v_atom, w_v, pos_v = select_away_vertex(active, g)
                 kind, d, alpha_max = "Pairwise", s_used - v_atom.densify(), float(w_v)
                 dg = float(np.vdot(g, d))
             else:
                 kind, d, alpha_max = "FW", s_used - x, 1.0
                 dg = float(np.vdot(g, d))
                 if away:
-                    v_atom, w_v, _ = select_away_vertex(active, g)
+                    v_atom, w_v, pos_v = select_away_vertex(active, g)
                     d_aw = x - v_atom.densify()
                     dg_aw = float(np.vdot(g, d_aw))
                     if -dg_aw > -dg and w_v < 1.0:
                         kind, d, dg, alpha_max = "Away", d_aw, dg_aw, away_step_cap(w_v)
-            step = StepDescriptor(kind, toward=None if kind == "Away" else s_atom,
-                                  away=None if kind == "FW" else v_atom)
-            if not d.any() or (inexact is not None and dg >= 0.0):
+            # g is finite (the LMO checked it), so d = 0 gives dg = 0: only then is d scanned
+            if (dg == 0.0 and not d.any()) or (inexact is not None and dg >= 0.0):
                 if inexact is not None:
                     # the degraded oracle may stall an iteration; the error
                     # budget shrinks with k, so progress resumes on its own
@@ -524,13 +527,23 @@ def _run_atomic(instance, config, inexact=None, initial_active=None):
                 termination = "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
                 tracer.push(rec, terminal=True)
                 break
-            ad = None if image is None else image.direction(kind, s_atom, v_atom)
+            # the step's atoms are looked up once: in the cache (for their
+            # images) and in the active set, whose position apply_step takes
+            toward = None if kind == "Away" else s_atom
+            s_entry = v_entry = ad = None
+            if image is not None:
+                s_entry = None if toward is None else cache.entry(s_atom)
+                v_entry = None if kind == "FW" else cache.entry(v_atom)
+                ad = image.direction(s_entry, v_entry)
             alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f, ad=ad, slope=dg)
             if alpha <= 0.0:
                 termination = "NumericalError"
                 tracer.push(rec, terminal=True)
                 break
-            apply_step(active, step, alpha)
+            pos_s = None if toward is None else \
+                active.find(s_atom, None if s_entry is None else s_entry[0])
+            apply_step(active, StepDescriptor(kind, toward, v_atom if kind != "FW" else None,
+                                              (pos_s, pos_v)), alpha)
             x = s_used.copy() if kind == "FW" and alpha >= 1.0 else x + alpha * d
             if image is not None:
                 image.move(kind, alpha, ad, x)
@@ -653,9 +666,12 @@ def _solve_bcfw(instance, config):
 
     A step on block i changes only its value, gradient, LMO vertex, gap term
     and support, so these are cached per block and a step with alpha > 0
-    refreshes block i alone.  f and the gap sum the cached terms in block
-    order, as ``BlockSeparable.eval`` does; the step rules get the
+    refreshes block i alone; its support set is rebuilt only when the bytes
+    of its mask |x_i| > 1e-12 change.  f and the gap sum the cached terms in
+    block order, as ``BlockSeparable.eval`` does; the step rules get the
     full-length g and direction, as block slices' dot products round apart.
+    The blocks are drawn 64 at a time, which gives the stream of one
+    ``rng.integers(m)`` per iteration.
     """
     obj, region = instance.objective, instance.region
     m = len(region.blocks)
@@ -666,19 +682,28 @@ def _solve_bcfw(instance, config):
     x = np.concatenate([b.lmo(rng.standard_normal(b.shape)).densify() for b in region.blocks])
     g = np.zeros(obj.shape)
     slices = [region.block_slice(i) for i in range(m)]
-    vals, verts, gaps, sups = ([None] * m for _ in range(4))  # per block
+    kinds = ["Block(%d)" % i for i in range(m)]
+    vals, verts, gaps, sups, masks = ([None] * m for _ in range(5))  # per block
 
     def refresh(i):
         """Recompute block i's cached terms; True when its support moved."""
         sl = slices[i]
         xi = x[sl]
         vals[i], g[sl] = obj.parts[i].eval(xi)
-        verts[i] = region.blocks[i].lmo(g[sl]).densify()
-        gaps[i] = float(g[sl] @ xi - g[sl] @ verts[i])
-        sup = frozenset((np.flatnonzero(np.abs(xi) > _SUPPORT_TOL) + sl.start).tolist())
-        moved = sup != sups[i]
-        sups[i] = sup
-        return moved
+        gi = g[sl]
+        verts[i] = region.blocks[i].lmo(gi).densify()
+        gaps[i] = float(gi @ xi - gi @ verts[i])
+        mask = np.abs(xi) > _SUPPORT_TOL
+        key = mask.tobytes()
+        if key == masks[i]:
+            return False
+        masks[i] = key
+        sups[i] = frozenset((mask.nonzero()[0] + sl.start).tolist())
+        return True
+
+    def blocks():
+        while True:
+            yield from rng.integers(m, size=64).tolist()
 
     def totals():
         f = gap = 0.0
@@ -694,6 +719,7 @@ def _solve_bcfw(instance, config):
     termination = "MaxIter"
     k = 0
     block_evals = m
+    draws = blocks()
     try:
         for i in range(m):
             refresh(i)
@@ -709,11 +735,11 @@ def _solve_bcfw(instance, config):
                 termination = "MaxIter"
                 tracer.push(rec, terminal=True)
                 break
-            i = int(rng.integers(m))
+            i = next(draws)
             sl = slices[i]
             d_bl = verts[i] - x[sl]
             dg = float(g[sl] @ d_bl)
-            if not d_bl.any() or dg >= 0.0:
+            if dg >= 0.0:  # also when d_bl = 0: the LMO checked that g is finite
                 alpha = 0.0
             else:
                 d_full = None
@@ -727,7 +753,7 @@ def _solve_bcfw(instance, config):
                     support = union()  # else the last record's set, shared
                 block_evals += 1
                 f, gap, support_size = totals()
-            tracer.mark_step(rec, "Block(%d)" % i, alpha, dg, _norm(d_bl), 1.0)
+            tracer.mark_step(rec, kinds[i], alpha, dg, _norm(d_bl), 1.0)
             tracer.push(rec)
             k += 1
     except NumericalError:

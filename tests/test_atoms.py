@@ -413,3 +413,74 @@ def test_select_away_vertex_skips_zero_weights():
     active.weights = np.zeros(2)
     with pytest.raises(ContractViolation):
         select_away_vertex(active, np.array([0.0, 5.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_atom_refuses_non_finite_entries(bad):
+    with pytest.raises(InputError, match="^dense atom has non-finite entries$"):
+        DenseAtom([1.0, bad])
+    with pytest.raises(InputError, match="^dense atom has non-finite entries$"):
+        DenseAtom(np.array([[1.0, 2.0], [bad, 0.0]]))
+
+
+def test_dense_atom_takes_finite_entries_whose_squares_overflow():
+    atom = DenseAtom([1e200, -1e200, 1e308])
+    assert atom.densify().tolist() == [1e200, -1e200, 1e308]
+
+
+def test_trusted_signed_unit_atom_equals_the_checked_one():
+    for args in [(2, 1, 1.0, 5), (0, -1, 0.7, 3), (4, 1, 3.0, 5)]:
+        checked, trusted = SignedUnitAtom(*args), SignedUnitAtom.trusted(*args)
+        assert [getattr(trusted, f) for f in ("index", "sign", "scale", "dim", "shape")] \
+            == [getattr(checked, f) for f in ("index", "sign", "scale", "dim", "shape")]
+        assert trusted._key() == checked._key()
+        assert atoms_equal(trusted, checked)
+    # a whole-number scale keys as its own rounding
+    assert SignedUnitAtom(1, 1, 2.0, 3)._key() == ("u", 3, 1, 1, round(2.0, 9))
+    assert SignedUnitAtom(1, 1, 0.1 + 0.2, 3)._key() == ("u", 3, 1, 1, round(0.1 + 0.2, 9))
+
+
+def test_atoms_take_no_attributes_beyond_their_fields():
+    for atom in (DenseAtom([1.0, 0.0]), SignedUnitAtom(0, 1, 1.0, 2),
+                 RankOneAtom([1.0, 0.0], [0.0, 1.0], 2.0)):
+        with pytest.raises(AttributeError):
+            atom.extra = 1
+
+
+def test_appends_grow_views_of_doubling_buffers():
+    # k appends keep the arrays as length-k views and reallocate O(log k) times
+    active = ActiveSet.from_atom(unit(0, 40))
+    buffers = set()
+    for i in range(1, 40):
+        active._append(unit(i, 40), 0.0)
+        buffers.add(id(active._bufs["weights"]))
+        assert active.weights.base is active._bufs["weights"]
+        assert active._idx.base is active._bufs["_idx"]
+        assert len(active.weights) == len(active._idx) == len(active._coef) == i + 1
+    assert len(buffers) <= 5
+    assert active._idx.tolist() == list(range(40))
+    assert active._coef.tolist() == [1.0] * 40
+    rows = ActiveSet.from_atom(DenseAtom([1.0, 0.0]))
+    rows._append(DenseAtom([0.0, 1.0]), 0.0)
+    rows._append(DenseAtom([0.5, 0.5]), 0.0)
+    assert rows._rows.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
+    assert rows._rows.base is rows._bufs["_rows"]
+
+
+def test_assigned_weights_are_copied_into_a_new_buffer_on_append():
+    # EFW's correction assigns the weights; the caller's array is never written
+    active = ActiveSet([unit(0, 4), unit(1, 4)], np.array([0.5, 0.5]))
+    active._append(unit(2, 4), 0.0)
+    lam = np.array([0.2, 0.3, 0.5, 9.0, 9.0])[:3]
+    active.weights = lam
+    active._append(unit(3, 4), 0.0)
+    assert lam.base.tolist() == [0.2, 0.3, 0.5, 9.0, 9.0]
+    assert active.weights.tolist() == [0.2, 0.3, 0.5, 0.0]
+    assert active.weights.base is active._bufs["weights"]
+    # a prune leaves fresh arrays, which the next append copies in turn
+    active.weights[:] = [0.5, 0.5, 0.0, 0.0]
+    active._prune_and_renormalize()
+    assert active.weights.tolist() == [0.5, 0.5] and active._idx.tolist() == [0, 1]
+    active._append(unit(3, 4), 0.0)
+    assert active._idx.tolist() == [0, 1, 3]
+    assert active.find(unit(3, 4)) == 2

@@ -387,3 +387,27 @@ def test_run_exits_two_exactly_where_the_capability_table_refuses(tmp_path):
                 except CapabilityError:
                     raised = True
                 assert (code == 2) == refused == raised, name
+
+
+@pytest.mark.parametrize("family,params,missing", [
+    ("meb_dual", {}, "points"),
+    ("min_norm_point", {}, "points"),
+    ("svm_dual", {}, "points"),
+    ("svm_dual", {"points": [[0.0, 1.0], [1.0, 0.0]]}, "labels"),
+])
+def test_run_names_a_missing_points_or_labels_parameter(tmp_path, capsys, family, params,
+                                                          missing):
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path, problem={"family": family, "seed": 0, "params": params},
+                 checks=[])
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: %s needs the parameter %r" % (family, missing) in err
+
+
+def test_run_still_reads_points_and_labels_given_inline(tmp_path):
+    cfg_path = tmp_path / "svm.json"
+    params = {"points": [[1.0, 0.5], [-0.5, 1.0], [0.2, -1.0]], "labels": [1, -1, 1]}
+    write_config(cfg_path, problem={"family": "svm_dual", "seed": 0, "params": params},
+                 checks=[])
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0

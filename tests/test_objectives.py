@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fwkit import objectives
-from fwkit.errors import InputError
+from fwkit.errors import InputError, all_finite
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               MatrixCompletionLoss, ProblemInstance, Quadratic,
                               ShiftedNormSquare, build_instance,
@@ -338,3 +340,42 @@ def test_quadratic_rejects_bad_input_at_construction(q, b, match):
     make, args = (q, b) if isinstance(q, type) else (Quadratic, (q, b))
     with pytest.raises(InputError, match=match):
         make(*args)
+
+
+def _evaluated_objectives():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((4, 3))
+    return [LeastSquares(a, rng.standard_normal(4)), FactoredQuadratic(a),
+            Quadratic(np.eye(3)), ShiftedNormSquare(np.ones(3)),
+            BlockSeparable([ShiftedNormSquare(np.ones(2)), ShiftedNormSquare(np.ones(1))]),
+            MatrixCompletionLoss([(0, 0, 1.0), (1, 2, -1.0)], 2, 3)]
+
+
+@pytest.mark.parametrize("obj", _evaluated_objectives(), ids=lambda o: type(o).__name__)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_refuses_a_non_finite_point(obj, bad):
+    x = np.zeros(obj.shape)
+    x.flat[1] = bad
+    with pytest.raises(InputError, match="^non-finite input point$"):
+        obj.eval(x)
+
+
+@pytest.mark.parametrize("obj", _evaluated_objectives(), ids=lambda o: type(o).__name__)
+def test_eval_takes_a_finite_point_whose_squares_overflow(obj):
+    x = np.full(obj.shape, 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj.eval(x)  # the value overflows; the point is finite, so no InputError
+
+
+def test_all_finite_is_exact_and_silent_on_overflow():
+    # 1e200 squared overflows: the entrywise fallback decides, and the dot
+    # product that overflowed warns of nothing
+    cases = [([1.0, -2.0], True), ([1e200, -1e200, 3e199], True), ([1e308] * 4, True),
+             ([1e200, np.inf], False), ([np.nan, 1.0], False), ([-np.inf], False),
+             ([], True), (5.0, True), (np.nan, False)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v, want in cases:
+            assert all_finite(np.array(v, dtype=float)) is want
+        assert all_finite(np.full((3, 4), 1e300).T)
+        assert not all_finite(np.array([[1.0, np.nan], [2.0, 3.0]]).T)

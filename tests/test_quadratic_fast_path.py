@@ -403,7 +403,8 @@ def test_tracked_gradient_follows_random_steps(case, data):
         if not np.any(d):
             continue
         alpha = alpha_max * data.draw(st.sampled_from([1.0, 0.5, 1e-3]) | st.floats(1e-3, 1.0))
-        ad = image.direction(kind, s_atom, step.away)
+        ad = image.direction(None if kind == "Away" else image.cache.entry(s_atom),
+                             None if kind == "FW" else image.cache.entry(v_atom))
         apply_step(active, step, alpha)
         x = s_atom.densify().copy() if kind == "FW" and alpha >= 1.0 else x + alpha * d
         image.move(kind, alpha, ad, x)

@@ -14,7 +14,7 @@ from fwkit.regions import (BasePolytope, Box, InexactSchedule, L1Ball, L2Ball,
                            LinfBall, NuclearBall, ProductRegion, Simplex,
                            base_polytope_greedy, face_away_vertex,
                            fw_gap, make_inexact_lmo,
-                           minimal_face_vertices, top_singular_triple)
+                           VertexHull, minimal_face_vertices, top_singular_triple)
 
 
 def all_orderings_vertices(oracle, n):
@@ -414,3 +414,69 @@ def test_inexact_picks_worst_admissible_vertex():
     exact, served = oracle.query(g, np.array([1.0, 0.0]))
     assert exact.index == 0
     assert np.allclose(served.densify(), [0.0, 1.0])
+
+
+@st.composite
+def enumerable_regions(draw):
+    """A small simplex, l1 ball, box, l-inf ball, graph-cut base polytope or vertex hull."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["simplex", "l1", "box", "linf", "graph_cut", "hull"]))
+    if kind == "simplex":
+        return Simplex(n)
+    if kind == "l1":
+        return L1Ball(float(rng.uniform(0.1, 3.0)), n)
+    if kind == "box":
+        lower = rng.uniform(-2.0, 1.0, n)
+        return Box(lower, lower + rng.choice([0.0, 0.5, 2.0], n))
+    if kind == "linf":
+        return LinfBall(float(rng.uniform(0.1, 3.0)), n)
+    if kind == "graph_cut":
+        edges = [(u, v, float(rng.uniform(0.5, 2.0))) for u in range(n)
+                 for v in range(u + 1, n) if rng.random() < 0.6]
+        return BasePolytope(graph_cut_oracle(n, edges), n)
+    return VertexHull(rng.standard_normal((draw(st.integers(1, 8)), n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(enumerable_regions(), st.data())
+def test_lmo_value_never_exceeds_the_best_enumerated_vertex(region, data):
+    # ties come from a gradient drawn on a coarse grid as often as from a fine one
+    entries = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3)
+    g = np.array(data.draw(st.lists(entries, min_size=region.n, max_size=region.n)))
+    verts = region.vertices()
+    val = float(np.vdot(g, region.lmo(g).densify()))
+    scale = max(1.0, float(np.abs(g).sum() * np.abs(verts).max()))
+    assert val <= float(np.min(verts @ g)) + 1e-12 * scale
+
+
+_LMO_REGIONS = [Simplex(3), L1Ball(2.0, 3), L2Ball(1.0, 3), LinfBall(1.5, 3),
+                Box(np.zeros(3), np.ones(3)), ProductRegion([Simplex(2), Simplex(1)]),
+                BasePolytope(graph_cut_oracle(3, [(0, 1, 1.0), (1, 2, 2.0)]), 3),
+                VertexHull(np.eye(3))]
+
+
+@pytest.mark.parametrize("region", _LMO_REGIONS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lmo_refuses_a_non_finite_gradient(region, bad):
+    g = np.array([1.0, bad, -2.0])
+    with pytest.raises(InputError, match="^gradient has non-finite entries$"):
+        region.lmo(g)
+
+
+@pytest.mark.parametrize("region", _LMO_REGIONS + [NuclearBall(1.0, 2, 3)],
+                         ids=lambda r: type(r).__name__)
+def test_lmo_refuses_a_gradient_of_the_wrong_shape(region):
+    g = np.ones(7)
+    with pytest.raises(InputError, match=r"^gradient shape \(7,\) does not match region"):
+        region.lmo(g)
+
+
+@pytest.mark.parametrize("region", _LMO_REGIONS, ids=lambda r: type(r).__name__)
+def test_lmo_takes_a_finite_gradient_whose_squares_overflow(region):
+    # 1e200 squared overflows, so the one-dot-product finiteness test cannot
+    # decide; the entrywise test must, and it passes
+    g = np.array([1e200, -1e200, 3e199])
+    with np.errstate(over="ignore"):  # the L2 ball's norm overflows, as it always did
+        assert np.isinf(g @ g)
+        region.lmo(g)

@@ -754,3 +754,96 @@ def test_solve_refuses_exactly_where_the_capability_table_does():
             else:
                 with pytest.raises(CapabilityError):
                     solve(inst, cfg(variant, Diminishing(), max_iter=3))
+
+
+class _Unnamed:
+    def step(self, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
+        return 0.5 * alpha_max
+
+
+@pytest.mark.parametrize("stepsize", ["exact", ExactLine, object(), 0.5, _Unnamed()])
+def test_config_refuses_a_stepsize_that_is_not_a_rule(stepsize):
+    # "exact" used to be accepted and then fail inside the loop with an
+    # AttributeError on .step; a rule without a name, after the whole solve,
+    # on .name
+    with pytest.raises(InputError, match="stepsize must be a rule"):
+        SolverConfig(stepsize=stepsize)
+
+
+def test_config_takes_a_rule_of_the_caller_s_own():
+    class Half(_Unnamed):
+        name = "half"
+
+    report = solve(build_instance("simplex_distance", n=4), cfg("FW", Half(), max_iter=5))
+    assert report.meta["stepsize"] == "half"
+    assert [r.alpha for r in report.records[:2]] == [0.5, 0.5]
+
+
+class _TurnsNaN:
+    """Its objective's gradient, with a NaN from the ``after``-th evaluation on."""
+
+    def __init__(self, obj, after):
+        self.obj, self.after, self.calls = obj, after, 0
+        self.shape = obj.shape
+
+    def eval(self, x):
+        self.calls += 1
+        f, g = self.obj.eval(x)
+        if self.calls >= self.after:
+            g = g.copy()
+            g[0] = np.nan
+        return f, g
+
+
+@pytest.mark.parametrize("variant", ["FW", "AFW", "PFW", "EFW", "FDFW"])
+def test_a_gradient_turning_nan_mid_solve_raises_input_error(variant):
+    inst = build_instance("boundary_quadratic", n=6, seed=1)
+    obj = _TurnsNaN(inst.objective, after=4)
+    wrapped = ProblemInstance(obj, inst.region, inst.L, inst.mu, inst.D)
+    with pytest.raises(InputError, match="gradient has non-finite entries"):
+        solve(wrapped, cfg(variant, ExactLine(), max_iter=50, gap_tol=1e-300))
+    assert obj.calls >= 4
+
+
+@pytest.mark.parametrize("variant", ["FW", "AFW", "PFW"])
+@pytest.mark.parametrize("family", ["boundary_quadratic", "simplex_distance"])
+def test_atomic_driver_calls_its_layers_through_their_module_names(monkeypatch, variant,
+                                                                   family):
+    # a tracer that rebinds solvers.compute_step, solvers.apply_step,
+    # solvers.select_away_vertex and the classes' eval and lmo sees every call
+    inst = build_instance(family, n=8, seed=2)
+    config = cfg(variant, ExactLine(), max_iter=40, gap_tol=1e-300)
+    plain = solve(inst, config)
+    counts = dict.fromkeys(["eval", "lmo", "compute_step", "apply_step",
+                            "select_away_vertex"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("compute_step", "apply_step", "select_away_vertex"):
+        monkeypatch.setattr(solvers, name, counted(name, getattr(solvers, name)))
+    monkeypatch.setattr(type(inst.objective), "eval",
+                        counted("eval", type(inst.objective).eval))
+    monkeypatch.setattr(type(inst.region), "lmo", counted("lmo", type(inst.region).lmo))
+    report = solve(inst, config)
+    assert [r.f for r in report.records] == [r.f for r in plain.records]
+    steps = sum(r.kind != "stop" for r in report.records)
+    assert steps > 0
+    # one per pass of the loop (a re-sync repeats a pass) and the initial vertex
+    assert counts["lmo"] >= len(report.records) + 1
+    assert counts["eval"] >= 1
+    assert counts["compute_step"] == counts["apply_step"] == steps
+    assert counts["select_away_vertex"] == (0 if variant == "FW" else steps)
+
+
+def test_block_draws_in_chunks_give_the_stream_of_single_draws():
+    # BCFW draws its blocks 64 at a time; its traces equal those of one
+    # rng.integers(m) per iteration only while numpy gives the same stream
+    for m in (1, 2, 4, 7, 1000):
+        one, chunked = np.random.default_rng(m), np.random.default_rng(m)
+        singles = [int(one.integers(m)) for _ in range(200)]
+        chunks = np.concatenate([chunked.integers(m, size=64) for _ in range(4)])
+        assert chunks[:200].tolist() == singles
