@@ -73,8 +73,8 @@ class SignedUnitAtom(_Keyed):
     def __init__(self, index, sign, scale, dim):
         if sign not in (-1, 1):
             raise InputError("sign must be -1 or +1")
-        if not scale > 0:
-            raise InputError("scale must be positive")
+        if not 0 < scale < np.inf:
+            raise InputError("scale must be positive and finite")
         if not 0 <= index < dim:
             raise InputError("index out of range")
         self._set(int(index), int(sign), float(scale), int(dim))
@@ -117,8 +117,8 @@ class RankOneAtom(_Keyed):
     def __init__(self, u, v, scale):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        if not scale > 0:
-            raise InputError("scale must be positive")
+        if not 0 < scale < np.inf:
+            raise InputError("scale must be positive and finite")
         if abs(np.linalg.norm(u) - 1.0) > 1e-12 or abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise InputError("rank-one factors must have unit norm")
         self.u = u

@@ -32,14 +32,18 @@ def _finite(v, what="input point"):
 
 
 def _sigma_extremes(a):
-    """(sigma_max, sigma_min of A^T A as a map on R^n); dense SVD up to 512."""
+    """(sigma_max, sigma_min of A^T A as a map on R^n).
+
+    A dense SVD gives both where sigma_min is wanted, for a tall or square A
+    of at most 512 columns; elsewhere sigma_max is the 1-SVD's and sigma_min
+    is taken as 0 (exact for a wide A, conservative past 512 columns).
+    """
     a = np.asarray(a, dtype=float)
-    if min(a.shape) <= 512:
+    m, n = a.shape
+    if m >= n and n <= 512:
         s = np.linalg.svd(a, compute_uv=False)
-        smin = float(s[-1]) if a.shape[0] >= a.shape[1] else 0.0
-        return float(s[0]), smin
-    _, smax, _ = rg.top_singular_triple(a)
-    return smax, 0.0  # conservative fallback beyond the dense cutoff
+        return float(s[0]), float(s[-1])
+    return rg.top_singular_triple(a)[1], 0.0
 
 
 class _QuadraticForm:

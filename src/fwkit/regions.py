@@ -12,13 +12,28 @@ an exact oracle into an adversarial inexact one.
 import itertools
 
 import numpy as np
+from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .atoms import DenseAtom, RankOneAtom, SignedUnitAtom
 from .errors import CapabilityError, ContractViolation, InputError, NumericalError, all_finite
 
-_POWER_ITER_CAP = 5000
-_POWER_ITER_TOL = 1e-10
-_POWER_ITER_SEED = 20210907  # fixed so the 1-SVD oracle is a pure function
+# Smaller side from which the 1-SVD runs Lanczos instead of an eigensolver on the
+# Gram matrix.  At 1000 x 1000 the two cost the same on Gaussian and tight-top
+# spectra (one BLAS thread: 130-160 ms against 100-155 ms); Lanczos wins below it
+# on well-separated tops, the Gram wins past it on wide designs (1000 x 3000:
+# 180 against 490-640 ms).
+_GRAM_CUTOFF = 1000
+_LANCZOS_MAXITER = 2000  # ARPACK restarts
+_LANCZOS_SEED = 20210907  # fixed start, so the 1-SVD oracle is a pure function
+_RESIDUAL_BOUND = 1e-10  # relative residual past which a singular triple is refused
+
+
+def _size(value, what):
+    """``value`` as a float, refused unless positive and finite."""
+    if not 0 < value < np.inf:
+        raise InputError("%s must be positive and finite" % what)
+    return float(value)
 
 
 def _check_gradient(g, shape):
@@ -67,9 +82,7 @@ class L1Ball:
     """Scaled cross-polytope: ||x||_1 <= tau."""
 
     def __init__(self, tau, n):
-        if not tau > 0:
-            raise InputError("tau must be positive")
-        self.tau = float(tau)
+        self.tau = _size(tau, "tau")
         self.n = int(n)
         self.shape = (self.n,)
 
@@ -121,9 +134,7 @@ class L2Ball:
     """Euclidean ball of radius eps centered at the origin."""
 
     def __init__(self, eps, n):
-        if not eps > 0:
-            raise InputError("eps must be positive")
-        self.eps = float(eps)
+        self.eps = _size(eps, "eps")
         self.n = int(n)
         self.shape = (self.n,)
 
@@ -154,9 +165,7 @@ class LinfBall:
     """Hypercube ||x||_inf <= eps."""
 
     def __init__(self, eps, n):
-        if not eps > 0:
-            raise InputError("eps must be positive")
-        self.eps = float(eps)
+        self.eps = _size(eps, "eps")
         self.n = int(n)
         self.shape = (self.n,)
 
@@ -193,6 +202,8 @@ class Box:
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise InputError("box bounds must be matching vectors")
+        if not (all_finite(self.lower) and all_finite(self.upper)):
+            raise InputError("box bounds must be finite")
         if np.any(self.lower > self.upper):
             raise InputError("box requires lower <= upper componentwise")
         self.n = self.lower.size
@@ -234,22 +245,13 @@ class NuclearBall:
     """Nuclear-norm ball of matrices: ||X||_* <= delta."""
 
     def __init__(self, delta, m, n):
-        if not delta > 0:
-            raise InputError("delta must be positive")
-        self.delta = float(delta)
+        self.delta = _size(delta, "delta")
         self.m = int(m)
         self.n = int(n)
         self.shape = (self.m, self.n)
 
     def lmo(self, g):
-        g = _check_gradient(g, self.shape)
-        if not np.any(g):
-            u = np.zeros(self.m)
-            v = np.zeros(self.n)
-            u[0] = 1.0
-            v[0] = 1.0
-            return RankOneAtom(u, v, self.delta)
-        u, _, v = top_singular_triple(-g)
+        u, _, v = top_singular_triple(-_check_gradient(g, self.shape))
         return RankOneAtom(u, v, self.delta)
 
     def diameter(self):
@@ -289,56 +291,49 @@ class NuclearBall:
 
 
 def top_singular_triple(a):
-    """Leading singular triple (u, sigma, v) of ``a`` by power iteration.
+    """Leading singular triple (u, sigma, v) of ``a``, checked by its residuals.
 
-    Iterates on the Gram matrix of the smaller side with a fixed-seed random
-    start; stops when the Rayleigh quotient moves less than 1e-10 relatively,
-    raises NumericalError (with the residual attached) after 5000 rounds.
+    The top eigenvector of the Gram matrix of the smaller side (A A^T for a
+    wide ``a``, A^T A otherwise) comes from LAPACK's single-eigenpair solver
+    while that side is under ``_GRAM_CUTOFF``, and from ARPACK's Lanczos
+    (``svds(k=1)`` from a fixed start, so the oracle is a pure function)
+    past it; the other factor is A^T u / sigma (or A v / sigma).  The answer
+    is refused with NumericalError, its residual attached, when the larger of
+    ||A v - sigma u|| / sigma and ||A^T u - sigma v|| / sigma exceeds
+    ``_RESIDUAL_BOUND`` or Lanczos stops at ``_LANCZOS_MAXITER`` restarts.
+    A zero matrix gives (e_1, 0.0, e_1).
     """
     a = np.asarray(a, dtype=float)
     m, n = a.shape
-    rng = np.random.default_rng(_POWER_ITER_SEED)
-    if m >= n:
-        w = rng.standard_normal(n)
+    peak = max(a.max(), -a.min())
+    if peak == 0.0:  # every unit pair is singular; the first unit vectors are canonical
+        return np.eye(1, m)[0], 0.0, np.eye(1, n)[0]
+    exp = int(np.frexp(peak)[1])
+    a = np.ldexp(a, -exp)  # exact power-of-two scaling: the Gram neither overflows nor underflows
+    side = a if m < n else a.T  # rows: the smaller side
+    k = side.shape[0]
+    converged = True
+    if k < _GRAM_CUTOFF:
+        w = eigh(side @ side.T, subset_by_index=[k - 1, k - 1])[1][:, 0]
     else:
-        w = rng.standard_normal(m)
-    w /= np.linalg.norm(w)
-    rho = 0.0
-    for _ in range(_POWER_ITER_CAP):
-        if m >= n:
-            z = a.T @ (a @ w)
-        else:
-            z = a @ (a.T @ w)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            raise NumericalError("power iteration started orthogonal to range", residual=0.0)
-        w_new = z / nz
-        rho_new = nz  # Rayleigh quotient of the Gram matrix at w
-        if abs(rho_new - rho) <= _POWER_ITER_TOL * max(rho_new, 1e-30):
-            w = w_new
-            rho = rho_new
-            break
-        w = w_new
-        rho_prev, rho = rho, rho_new
-    else:
-        raise NumericalError("power iteration did not converge",
-                             residual=abs(rho - rho_prev))
-    sigma = np.sqrt(rho)
-    if m >= n:
-        v = w
-        u = a @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            raise NumericalError("degenerate singular vector", residual=0.0)
-        u /= nu
-    else:
-        u = w
-        v = a.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise NumericalError("degenerate singular vector", residual=0.0)
-        v /= nv
-    return u, float(sigma), v
+        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(k)
+        try:
+            w = svds(side, k=1, v0=v0, maxiter=_LANCZOS_MAXITER, return_singular_vectors="u")[0][:, 0]
+        except ArpackNoConvergence:
+            w, converged = v0 / np.linalg.norm(v0), False  # the one candidate left to measure
+    z = side.T @ w
+    sigma = float(np.linalg.norm(z))
+    z /= sigma
+    residual = max(np.linalg.norm(side @ z - sigma * w),
+                   np.linalg.norm(side.T @ w - sigma * z)) / sigma
+    if not converged:
+        raise NumericalError("Lanczos stopped at its %d-restart cap" % _LANCZOS_MAXITER,
+                             residual=residual)
+    if not residual <= _RESIDUAL_BOUND:
+        raise NumericalError("singular triple has relative residual %.3g" % residual,
+                             residual=residual)
+    sigma = float(np.ldexp(sigma, exp))
+    return (w, sigma, z) if m < n else (z, sigma, w)
 
 
 class BasePolytope:

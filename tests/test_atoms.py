@@ -29,6 +29,17 @@ def test_rank_one_rejects_nonunit_factors():
         RankOneAtom(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 1.0)
 
 
+@pytest.mark.parametrize("make", [lambda scale: SignedUnitAtom(0, 1, scale, 3),
+                                  lambda scale: RankOneAtom(np.array([0.6, 0.8]),
+                                                            np.array([1.0, 0.0]), scale)],
+                         ids=["SignedUnitAtom", "RankOneAtom"])
+@pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0, -1.0])
+def test_atom_refuses_a_scale_not_positive_and_finite(make, scale):
+    with pytest.raises(InputError, match="^scale must be positive and finite$"):
+        make(scale)
+    assert atoms_equal(make(1e300), make(1e300))
+
+
 def test_atom_equality_structural():
     assert atoms_equal(unit(1, 4), unit(1, 4))
     assert not atoms_equal(unit(1, 4), unit(2, 4))

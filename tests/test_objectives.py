@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fwkit import objectives
+from fwkit import objectives, regions
 from fwkit.errors import InputError, all_finite
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               MatrixCompletionLoss, ProblemInstance, Quadratic,
@@ -59,6 +59,34 @@ def test_lipschitz_upper_values():
     assert np.linalg.svd(np.diag([2.0, 1.0]), compute_uv=False)[0] == 2.0
     assert obj.lipschitz_upper() == pytest.approx(8.0)
     assert MatrixCompletionLoss([(0, 1, 1.0)], 2, 3).lipschitz_upper() == 2.0
+
+
+@pytest.mark.parametrize("shape", [
+    (40, 90), (90, 40), (60, 60),            # under both cutoffs: Gram, SVD, SVD
+    (600, 700), (700, 600), (600, 600),      # past 512: the Gram
+    (1010, 1200), (1200, 1010), (1010, 1010),  # past the Gram cutoff: Lanczos
+], ids=lambda shape: "%dx%d" % shape)
+def test_lipschitz_upper_is_twice_the_top_singular_value_squared(shape):
+    a = np.random.default_rng(shape).standard_normal(shape)
+    smax = np.linalg.svd(a, compute_uv=False)[0]
+    assert LeastSquares(a, np.zeros(shape[0])).lipschitz_upper() == pytest.approx(
+        2.0 * smax ** 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("cutoff", [regions._GRAM_CUTOFF, 2], ids=["gram", "lanczos"])
+@pytest.mark.parametrize("wide", [True, False], ids=["wide", "tall"])
+def test_lipschitz_upper_on_a_clustered_top(cutoff, wide, monkeypatch):
+    # sigma_2 / sigma_1 = 1 - 1e-6, on 600 x 700 and 700 x 600 designs (both take the 1-SVD)
+    monkeypatch.setattr(regions, "_GRAM_CUTOFF", cutoff)
+    rng = np.random.default_rng(8)
+    q1 = np.linalg.qr(rng.standard_normal((600, 600)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((700, 600)))[0]
+    s = np.concatenate([[3.0, 3.0 * (1.0 - 1e-6)], np.linspace(2.0, 0.1, 598)])
+    a = (q1 * s) @ q2.T
+    a = a if wide else a.T
+    smax = np.linalg.svd(a, compute_uv=False)[0]
+    assert LeastSquares(a, np.zeros(a.shape[0])).lipschitz_upper() == pytest.approx(
+        2.0 * smax ** 2, rel=1e-13)
 
 
 def test_strong_convexity_values():

@@ -21,7 +21,7 @@ from fwkit.atoms import (ActiveSet, StepDescriptor, apply_step, away_step_cap,
 from fwkit.errors import ContractViolation, InputError, NumericalError
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               ProblemInstance, Quadratic, ShiftedNormSquare)
-from fwkit.regions import L1Ball, Simplex
+from fwkit.regions import L1Ball, Simplex, top_singular_triple
 from fwkit.stepsizes import (RULES, Armijo, BacktrackingL, BlockDiminishing, Diminishing,
                              ExactLine, LipschitzDep, _line, compute_step)
 
@@ -85,12 +85,21 @@ def exact_linesearch_quadratic(obj, x, d, alpha_max):
     return 0.0 if f0 <= f1 else float(alpha_max)
 
 
+def _singular_values(a):
+    """A dense SVD's singular values of a tall or square A; for a wide A, whose
+    sigma_min is not wanted, the 1-SVD's sigma_max alone (the SVD's differs in
+    its last bits)."""
+    if a.shape[0] >= a.shape[1]:
+        return np.linalg.svd(a, compute_uv=False)
+    return [top_singular_triple(a)[1]]
+
+
 def _textbook(obj):
     """Each public quadratic written out in numpy: (value and gradient at x given A x,
     curvature along d given A d, A or None, L, mu)."""
     if isinstance(obj, LeastSquares):
         a, t = obj.a, obj.b
-        s = np.linalg.svd(a, compute_uv=False)
+        s = _singular_values(a)
         mu = 2.0 * s[-1] ** 2 if a.shape[0] >= a.shape[1] else 0.0
 
         def f_g(x, ax):
@@ -99,7 +108,7 @@ def _textbook(obj):
         return f_g, lambda d, ad: 2.0 * float(ad @ ad), a, 2.0 * s[0] ** 2, mu
     if isinstance(obj, FactoredQuadratic):
         a, b, c, sign = obj.a, obj.b, obj.c, obj.sign
-        s = np.linalg.svd(a, compute_uv=False)
+        s = _singular_values(a)
         smin = s[-1] if a.shape[0] >= a.shape[1] else 0.0
         mu = 0.0 if sign < 0 else 2.0 * smin ** 2
 

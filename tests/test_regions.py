@@ -14,7 +14,7 @@ from fwkit.regions import (BasePolytope, Box, InexactSchedule, L1Ball, L2Ball,
                            LinfBall, NuclearBall, ProductRegion, Simplex,
                            base_polytope_greedy, face_away_vertex,
                            fw_gap, make_inexact_lmo,
-                           VertexHull, minimal_face_vertices, top_singular_triple)
+                           VertexHull, minimal_face_vertices)
 
 
 def all_orderings_vertices(oracle, n):
@@ -370,19 +370,20 @@ def test_base_polytope_diameter_bruteforce():
     assert BasePolytope(oracle, 3).diameter() == pytest.approx(best)
 
 
-def test_power_iteration_matches_dense_svd():
-    rng = np.random.default_rng(17)
-    for trial in range(20):
-        m, n = rng.integers(2, 51), rng.integers(2, 51)
-        a = rng.standard_normal((m, n))
-        if trial % 3 == 0:
-            a[rng.random((m, n)) < 0.8] = 0.0  # sparse-like gradient
-        if not np.any(a):
-            continue
-        u, sigma, v = top_singular_triple(a)
-        s_dense = np.linalg.svd(a, compute_uv=False)[0]
-        assert abs(sigma - s_dense) <= 1e-6 * s_dense
-        assert np.linalg.norm(a @ v - sigma * u) <= 1e-5 * max(1.0, s_dense)
+_SIZED = {"L1Ball": lambda size: L1Ball(size, 3),
+          "L2Ball": lambda size: L2Ball(size, 3),
+          "LinfBall": lambda size: LinfBall(size, 3),
+          "NuclearBall": lambda size: NuclearBall(size, 2, 2),
+          "Box-lower": lambda size: Box(-size * np.ones(3), np.ones(3)),
+          "Box-upper": lambda size: Box(np.zeros(3), size * np.ones(3))}
+
+
+@pytest.mark.parametrize("make", list(_SIZED.values()), ids=list(_SIZED))
+@pytest.mark.parametrize("size", [np.inf, np.nan])
+def test_region_refuses_a_size_or_bound_that_is_not_finite(make, size):
+    with pytest.raises(InputError, match="finite$"):
+        make(size)
+    make(1e300).lmo(np.ones(make(1.0).shape))  # a finite size, however large, constructs
 
 
 def test_inexact_schedule_values():
