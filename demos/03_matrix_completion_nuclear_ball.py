@@ -5,7 +5,7 @@ Matrix completion over the nuclear-norm ball
 
 The oracle for the nuclear ball is a 1-SVD: the top singular pair of the
 (sparse) negated gradient, from the top eigenvector of the Gram matrix of
-its smaller side (Lanczos past a size), checked by its residuals.  Each
+its smaller side, checked by its residual.  Each
 step adds one rank-one atom, so the iterate after k steps has rank at most
 k + 1 -- low-rank structure for free, no projections anywhere.
 """

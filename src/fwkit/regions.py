@@ -13,19 +13,10 @@ import itertools
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .atoms import DenseAtom, RankOneAtom, SignedUnitAtom
 from .errors import CapabilityError, ContractViolation, InputError, NumericalError, all_finite
 
-# Smaller side from which the 1-SVD runs Lanczos instead of an eigensolver on the
-# Gram matrix.  At 1000 x 1000 the two cost the same on Gaussian and tight-top
-# spectra (one BLAS thread: 130-160 ms against 100-155 ms); Lanczos wins below it
-# on well-separated tops, the Gram wins past it on wide designs (1000 x 3000:
-# 180 against 490-640 ms).
-_GRAM_CUTOFF = 1000
-_LANCZOS_MAXITER = 2000  # ARPACK restarts
-_LANCZOS_SEED = 20210907  # fixed start, so the 1-SVD oracle is a pure function
 _RESIDUAL_BOUND = 1e-10  # relative residual past which a singular triple is refused
 
 
@@ -291,19 +282,19 @@ class NuclearBall:
 
 
 def top_singular_triple(a):
-    """Leading singular triple (u, sigma, v) of ``a``, checked by its residuals.
+    """Leading singular triple (u, sigma, v) of ``a``, checked by its residual.
 
-    The top eigenvector of the Gram matrix of the smaller side (A A^T for a
-    wide ``a``, A^T A otherwise) comes from LAPACK's single-eigenpair solver
-    while that side is under ``_GRAM_CUTOFF``, and from ARPACK's Lanczos
-    (``svds(k=1)`` from a fixed start, so the oracle is a pure function)
-    past it; the other factor is A^T u / sigma (or A v / sigma).  The answer
-    is refused with NumericalError, its residual attached, when the larger of
-    ||A v - sigma u|| / sigma and ||A^T u - sigma v|| / sigma exceeds
-    ``_RESIDUAL_BOUND`` or Lanczos stops at ``_LANCZOS_MAXITER`` restarts.
-    A zero matrix gives (e_1, 0.0, e_1).
+    The top eigenvector w of the Gram matrix of the smaller side (A A^T for a
+    wide ``a``, A^T A otherwise) comes from LAPACK's single-eigenpair solver;
+    the other factor is z = A^T w / sigma (or A w / sigma), so that
+    A^T w = sigma z holds by construction.  The answer is refused with
+    NumericalError, its residual attached, when ||A z - sigma w|| / sigma,
+    the test of w as an eigenvector, exceeds ``_RESIDUAL_BOUND``.  A zero
+    matrix gives (e_1, 0.0, e_1); a non-finite entry raises InputError.
     """
     a = np.asarray(a, dtype=float)
+    if not all_finite(a):
+        raise InputError("matrix has non-finite entries")
     m, n = a.shape
     peak = max(a.max(), -a.min())
     if peak == 0.0:  # every unit pair is singular; the first unit vectors are canonical
@@ -312,23 +303,11 @@ def top_singular_triple(a):
     a = np.ldexp(a, -exp)  # exact power-of-two scaling: the Gram neither overflows nor underflows
     side = a if m < n else a.T  # rows: the smaller side
     k = side.shape[0]
-    converged = True
-    if k < _GRAM_CUTOFF:
-        w = eigh(side @ side.T, subset_by_index=[k - 1, k - 1])[1][:, 0]
-    else:
-        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(k)
-        try:
-            w = svds(side, k=1, v0=v0, maxiter=_LANCZOS_MAXITER, return_singular_vectors="u")[0][:, 0]
-        except ArpackNoConvergence:
-            w, converged = v0 / np.linalg.norm(v0), False  # the one candidate left to measure
+    w = eigh(side @ side.T, subset_by_index=[k - 1, k - 1])[1][:, 0]
     z = side.T @ w
     sigma = float(np.linalg.norm(z))
     z /= sigma
-    residual = max(np.linalg.norm(side @ z - sigma * w),
-                   np.linalg.norm(side.T @ w - sigma * z)) / sigma
-    if not converged:
-        raise NumericalError("Lanczos stopped at its %d-restart cap" % _LANCZOS_MAXITER,
-                             residual=residual)
+    residual = float(np.linalg.norm(side @ z - sigma * w)) / sigma
     if not residual <= _RESIDUAL_BOUND:
         raise NumericalError("singular triple has relative residual %.3g" % residual,
                              residual=residual)

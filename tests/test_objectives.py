@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fwkit import objectives, regions
+from fwkit import objectives
 from fwkit.errors import InputError, all_finite
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               MatrixCompletionLoss, ProblemInstance, Quadratic,
@@ -62,9 +62,8 @@ def test_lipschitz_upper_values():
 
 
 @pytest.mark.parametrize("shape", [
-    (40, 90), (90, 40), (60, 60),            # under both cutoffs: Gram, SVD, SVD
-    (600, 700), (700, 600), (600, 600),      # past 512: the Gram
-    (1010, 1200), (1200, 1010), (1010, 1010),  # past the Gram cutoff: Lanczos
+    (40, 90), (90, 40), (60, 60),        # under 512 columns: the 1-SVD, then the dense SVD
+    (600, 700), (700, 600), (600, 600),  # past 512 columns: the 1-SVD
 ], ids=lambda shape: "%dx%d" % shape)
 def test_lipschitz_upper_is_twice_the_top_singular_value_squared(shape):
     a = np.random.default_rng(shape).standard_normal(shape)
@@ -73,11 +72,9 @@ def test_lipschitz_upper_is_twice_the_top_singular_value_squared(shape):
         2.0 * smax ** 2, rel=1e-13)
 
 
-@pytest.mark.parametrize("cutoff", [regions._GRAM_CUTOFF, 2], ids=["gram", "lanczos"])
 @pytest.mark.parametrize("wide", [True, False], ids=["wide", "tall"])
-def test_lipschitz_upper_on_a_clustered_top(cutoff, wide, monkeypatch):
+def test_lipschitz_upper_on_a_clustered_top(wide):
     # sigma_2 / sigma_1 = 1 - 1e-6, on 600 x 700 and 700 x 600 designs (both take the 1-SVD)
-    monkeypatch.setattr(regions, "_GRAM_CUTOFF", cutoff)
     rng = np.random.default_rng(8)
     q1 = np.linalg.qr(rng.standard_normal((600, 600)))[0]
     q2 = np.linalg.qr(rng.standard_normal((700, 600)))[0]

@@ -1,11 +1,11 @@
-"""The 1-SVD behind the nuclear-ball LMO: exact on both of its routes, and refused when not."""
+"""The 1-SVD behind the nuclear-ball LMO: exact, and refused when not."""
 
 import numpy as np
 import pytest
 
 import fwkit as fw
 from fwkit import regions
-from fwkit.errors import NumericalError
+from fwkit.errors import InputError, NumericalError
 from fwkit.regions import top_singular_triple
 
 
@@ -18,14 +18,7 @@ def _dense_triple(a):
     return u[:, 0], float(s[0]), vt[0]
 
 
-@pytest.fixture(params=["gram", "lanczos"])
-def route(request, monkeypatch):
-    if request.param == "lanczos":
-        monkeypatch.setattr(regions, "_GRAM_CUTOFF", 2)
-    return request.param
-
-
-def test_singular_triple_matches_dense_svd(route):
+def test_singular_triple_matches_dense_svd():
     rng = np.random.default_rng(17)
     for trial in range(20):
         m, n = rng.integers(2, 51), rng.integers(2, 51)
@@ -42,7 +35,7 @@ def test_singular_triple_matches_dense_svd(route):
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_singular_triple_of_a_diagonal(route):
+def test_singular_triple_of_a_diagonal():
     u, sigma, v = top_singular_triple(np.diag([3.0, 1.0, 0.5]))
     assert sigma == pytest.approx(3.0, rel=1e-15)
     assert abs(u[0]) == pytest.approx(1.0) and abs(v[0]) == pytest.approx(1.0)
@@ -54,21 +47,35 @@ def test_singular_triple_of_zero_is_the_first_unit_pair():
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
-def test_singular_triple_takes_entries_whose_squares_leave_the_float_range(scale, route):
+def test_singular_triple_takes_entries_whose_squares_leave_the_float_range(scale):
     a = np.random.default_rng(4).standard_normal((5, 7))
     u, sigma, v = top_singular_triple(scale * a)
     assert sigma == pytest.approx(scale * np.linalg.svd(a, compute_uv=False)[0], rel=1e-14)
     assert max(_residuals(a, u, sigma / scale, v)) <= 1e-13
 
 
-def test_capped_lanczos_reports_a_real_residual(monkeypatch):
-    # sigma_1 and sigma_2 nearly equal: one restart of 20 Lanczos vectors cannot split them
-    a = np.diag(np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.9, 0.1, 58)]))
-    monkeypatch.setattr(regions, "_GRAM_CUTOFF", 2)
-    monkeypatch.setattr(regions, "_LANCZOS_MAXITER", 1)
-    with pytest.raises(NumericalError, match="Lanczos") as err:
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_singular_triple_refuses_a_non_finite_entry(bad):
+    a = np.ones((3, 4))
+    a[1, 2] = bad
+    with pytest.raises(InputError, match="non-finite"):
         top_singular_triple(a)
-    assert err.value.residual > 0.0
+
+
+def test_an_inexact_eigenvector_is_refused_with_its_residual(monkeypatch):
+    # sigma_1 and sigma_2 nearly equal: a vector 1e-3 off the top eigenvector
+    # has a Rayleigh quotient close to sigma_1^2 but a residual far past the bound
+    a = np.diag(np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.9, 0.1, 58)]))
+    w = np.zeros(60)
+    w[0], w[2] = 1.0, 1e-3
+
+    def eigh_off_by_a_little(g, subset_by_index):
+        return np.array([1.0]), (w / np.linalg.norm(w))[:, None]
+
+    monkeypatch.setattr(regions, "eigh", eigh_off_by_a_little)
+    with pytest.raises(NumericalError, match="residual") as err:
+        top_singular_triple(a)
+    assert err.value.residual == pytest.approx(1e-3 * (1.0 - 0.9 ** 2), rel=1e-2)
 
 
 def test_a_triple_past_the_residual_bound_is_refused(monkeypatch):
