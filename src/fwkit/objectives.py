@@ -298,7 +298,11 @@ def cardinality_cap_oracle(n, cap):
         s[order[:max(cap, 0)]] = 1.0
         return s
 
+    def end_gains():
+        return np.full(n, float(min(1, cap))), np.full(n, float(min(n, cap) - min(n - 1, cap)))
+
     oracle.greedy = greedy
+    oracle.end_gains = end_gains
     return oracle
 
 
@@ -349,7 +353,13 @@ def graph_cut_oracle(n, edges):
         return (np.bincount(first, weights, minlength=n)
                 - np.bincount(last, weights, minlength=n))
 
+    def end_gains():
+        # r({i}) = r(V - {i}) = i's weights summed from 0.0 in edge order, as `oracle` does
+        cut = np.bincount(ends.ravel(), np.repeat(weights, 2), minlength=n)
+        return cut, 0.0 - cut
+
     oracle.greedy = greedy
+    oracle.end_gains = end_gains
     return oracle
 
 

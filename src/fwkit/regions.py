@@ -18,6 +18,7 @@ from .atoms import DenseAtom, RankOneAtom, SignedUnitAtom
 from .errors import CapabilityError, ContractViolation, InputError, NumericalError, all_finite
 
 _RESIDUAL_BOUND = 1e-10  # relative residual past which a singular triple is refused
+_PAIR_BLOCK = 1 << 16  # float64 entries in one block of pairwise differences (512 KiB)
 
 
 def _size(value, what):
@@ -25,6 +26,19 @@ def _size(value, what):
     if not 0 < value < np.inf:
         raise InputError("%s must be positive and finite" % what)
     return float(value)
+
+
+def _max_pairwise_distance(pts):
+    """Largest ``np.linalg.norm`` of a difference of two rows of ``pts``, bit for bit:
+    blocks of rows against the later rows, squares summed over the last axis as
+    ``norm`` sums them, and one sqrt (monotone, correctly rounded) of the largest."""
+    step = max(1, _PAIR_BLOCK // max(pts.size, 1))
+    best = 0.0
+    for a in range(0, len(pts), step):
+        d = pts[a:a + step, None, :] - pts[None, a + 1:, :]
+        d *= d
+        best = max(best, float(np.max(np.add.reduce(d, axis=-1), initial=0.0)))
+    return float(np.sqrt(best))
 
 
 def _check_gradient(g, shape):
@@ -327,8 +341,12 @@ class BasePolytope:
     one pass; the built-in set functions of ``fwkit.objectives`` do.  It is
     read once, here, so rebinding ``oracle`` later leaves the LMO as it is.
     Without it the LMO asks ``oracle`` about the n prefixes of the order
-    (``base_polytope_greedy``), as membership, the ratio test, the vertex
-    enumeration and the diameter always do.
+    (``base_polytope_greedy``), as membership, the ratio test and the vertex
+    enumeration always do.
+
+    Past 7 elements or 512 vertices the diameter is the bound 2 sqrt(n) max_i(|r({i})|
+    + |r(V) - r(V - {i})|), from an ``end_gains()`` attribute read once like ``greedy``
+    (the cut and cap functions carry one), else from 2n + 1 calls of ``oracle``.
     """
 
     def __init__(self, oracle, n):
@@ -344,6 +362,7 @@ class BasePolytope:
             if shape != self.shape:
                 raise InputError("set function's greedy gains have shape %s, expected %s"
                                  % (shape, self.shape))
+        self._end_gains = getattr(oracle, "end_gains", None)
         self._rv = None  # cached r(V)
 
     def total(self):
@@ -360,12 +379,12 @@ class BasePolytope:
     def diameter(self):
         verts = self.vertices(limit=512)
         if verts is not None:
-            best = 0.0
-            for i in range(len(verts)):
-                best = max(best, float(np.max(np.linalg.norm(verts[i + 1:] - verts[i], axis=1),
-                                              initial=0.0)))
-            return best
+            return _max_pairwise_distance(verts)
         # documented upper bound when enumeration is out of reach
+        if self._end_gains is not None:
+            first, last = self._end_gains()
+            worst = float(np.max(np.abs(first) + np.abs(last), initial=0.0))
+            return 2.0 * worst * np.sqrt(self.n)
         worst = 0.0
         ground = frozenset(range(self.n))
         rv = self.total()
@@ -427,9 +446,6 @@ class BasePolytope:
 
 def _greedy_order(w):
     """Elements by decreasing weight, ties by lower index first."""
-    w = np.asarray(w, dtype=float)
-    if not np.isfinite(w).all():
-        raise InputError("weight vector has non-finite entries")
     return np.argsort(-w, kind="stable")
 
 
@@ -440,6 +456,9 @@ def base_polytope_greedy(oracle, w):
     returns the vector of marginal gains along that ordering, one oracle
     call per prefix; its entries sum to r(V) exactly.
     """
+    w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise InputError("weight vector has non-finite entries")
     order = _greedy_order(w)
     s = np.zeros(order.size)
     prefix = set()
@@ -514,14 +533,9 @@ class VertexHull:
         return DenseAtom(self.points[int((self.points @ g).argmin())].copy())
 
     def diameter(self):
-        pts = self.points
-        if len(pts) > 4096:
+        if len(self.points) > 4096:
             raise CapabilityError("diameter enumeration limited to 4096 vertices")
-        best = 0.0
-        for i in range(len(pts)):
-            best = max(best, float(np.max(np.linalg.norm(pts[i + 1:] - pts[i], axis=1),
-                                          initial=0.0)))
-        return best
+        return _max_pairwise_distance(self.points)
 
     def contains(self, x, tol=1e-9):
         # feasibility LP: x = P^T lam, lam in simplex

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fwkit import regions
 from fwkit.errors import CapabilityError, InputError
 from fwkit.objectives import (ProblemInstance, ShiftedNormSquare, build_instance,
                               cardinality_cap_oracle, graph_cut_oracle, modular_oracle)
@@ -146,6 +147,12 @@ def test_greedy_modular_telescopes():
     oracle = modular_oracle([1.0, 1.0, 1.0])
     for w in ([0.5, 0.1, 0.9], [-1.0, 2.0, 0.0]):
         assert np.allclose(base_polytope_greedy(oracle, np.array(w)), np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_greedy_refuses_non_finite_weights(bad):
+    with pytest.raises(InputError, match="^weight vector has non-finite entries$"):
+        base_polytope_greedy(cardinality_cap_oracle(3, 1), [0.5, bad, 0.2])
 
 
 def test_greedy_tie_break_by_lower_index():
@@ -368,6 +375,117 @@ def test_base_polytope_diameter_bruteforce():
     verts = all_orderings_vertices(oracle, 3)
     best = max(np.linalg.norm(a - b) for a in verts for b in verts)
     assert BasePolytope(oracle, 3).diameter() == pytest.approx(best)
+
+
+def _loop_max_distance(pts):
+    """Reference: the per-point loop both diameters ran before the blocked pass."""
+    best = 0.0
+    for i in range(len(pts)):
+        best = max(best, float(np.max(np.linalg.norm(pts[i + 1:] - pts[i], axis=1),
+                                      initial=0.0)))
+    return best
+
+
+def _loop_diameter_bound(oracle, n):
+    """Reference: the 2n-call bound 2 sqrt(n) max_i(|r({i})| + |r(V) - r(V - {i})|)."""
+    worst = 0.0
+    ground = frozenset(range(n))
+    rv = float(oracle(ground))
+    for i in range(n):
+        hi = abs(oracle(frozenset([i])))
+        lo = abs(rv - oracle(ground - {i}))
+        worst = max(worst, hi + lo)
+    return 2.0 * worst * np.sqrt(n)
+
+
+def _assert_end_gains_match_the_oracle(oracle, n):
+    first, last = oracle.end_gains()
+    assert first.shape == last.shape == (n,)
+    ground = frozenset(range(n))
+    rv = float(oracle(ground))
+    for i in range(n):
+        assert float(first[i]).hex() == float(oracle(frozenset([i]))).hex()
+        assert float(last[i]).hex() == (rv - oracle(ground - {i})).hex()
+
+
+_CUT_WEIGHTS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 3.0),
+                         st.floats(1e-9, 1e9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(8, 40), st.data())
+def test_cut_end_gains_give_the_loop_diameter_bit_for_bit(n, data):
+    # endpoints among the first `used` nodes leave the others isolated;
+    # self-loops, parallel edges and zero weights come up among them
+    used = data.draw(st.integers(1, n))
+    edge = st.tuples(st.integers(0, used - 1), st.integers(0, used - 1), _CUT_WEIGHTS)
+    edges = data.draw(st.lists(edge, max_size=4 * n))
+    edges += edges[:data.draw(st.integers(0, len(edges)))]
+    oracle = graph_cut_oracle(n, edges)
+    _assert_end_gains_match_the_oracle(oracle, n)
+    region = BasePolytope(oracle, n)
+    region.oracle, calls = _counting(oracle)  # the bound must come from end_gains()
+    assert region.diameter().hex() == _loop_diameter_bound(oracle, n).hex()
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 30])
+def test_cap_end_gains_give_the_loop_diameter_bit_for_bit(n):
+    for cap in range(n + 3):
+        oracle = cardinality_cap_oracle(n, cap)
+        _assert_end_gains_match_the_oracle(oracle, n)
+        if n > 7:
+            region = BasePolytope(oracle, n)
+            region.oracle, calls = _counting(oracle)
+            assert region.diameter().hex() == _loop_diameter_bound(oracle, n).hex()
+            assert calls == []
+
+
+def test_set_functions_without_end_gains_keep_the_loop_bound():
+    costs = np.random.default_rng(4).uniform(-2.0, 2.0, 12)
+    plain, calls = _counting(graph_cut_oracle(12, _ring_plus_random_edges(
+        np.random.default_rng(5), 12)))
+    for oracle in (modular_oracle(costs), plain):
+        region = BasePolytope(oracle, 12)
+        del calls[:]
+        diameter = region.diameter()
+        if oracle is plain:
+            assert len(calls) == 1 + 2 * 12  # r(V), then r({i}) and r(V - {i}) for each i
+        assert diameter.hex() == _loop_diameter_bound(oracle, 12).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_enumerated_base_polytope_diameter_matches_the_loop(n, data):
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                         _CUT_WEIGHTS), max_size=3 * n))
+    costs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    for oracle in (graph_cut_oracle(n, edges), modular_oracle(costs),
+                   cardinality_cap_oracle(n, data.draw(st.integers(0, n + 2)))):
+        region = BasePolytope(oracle, n)
+        assert region.diameter().hex() == _loop_max_distance(region.vertices()).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 12), st.data())
+def test_hull_diameter_matches_the_loop_bit_for_bit(k, n, data):
+    # k distinct-or-repeated rows drawn from a pool; the block holds `rows`
+    # rows, drawn on both sides of k, or is the module's own
+    pool = data.draw(st.integers(1, k))
+    scale = 10.0 ** data.draw(st.integers(-6, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pts = (scale * rng.standard_normal((pool, n)))[rng.integers(0, pool, k)]
+    rows = data.draw(st.one_of(st.integers(1, 70), st.none()))
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(regions, "_PAIR_BLOCK", rows * pts.size)
+        assert VertexHull(pts).diameter().hex() == _loop_max_distance(pts).hex()
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 1), (600, 3), (300, 40)])
+def test_hull_diameter_matches_the_loop_across_default_blocks(k, n):
+    pts = np.random.default_rng([k, n]).standard_normal((k, n))
+    assert VertexHull(pts).diameter().hex() == _loop_max_distance(pts).hex()
 
 
 _SIZED = {"L1Ball": lambda size: L1Ball(size, 3),
