@@ -5,10 +5,13 @@ Wolfe's min-norm-point method
 
 Finds the point of a polytope closest to the origin by maintaining a
 corral: affinely independent vertices whose hull contains the current
-iterate in its relative interior.  Each major cycle inserts the vertex
-screening the current gradient; minor cycles jump to the least-norm point
-of the corral's affine hull, clipping at the hull boundary and evicting
-atoms with nonpositive coefficients.  The same engine measures distances
+iterate in its relative interior.  It is fully corrective Frank-Wolfe (EFW)
+on f = 1/2 ||x||^2 over the vertices' hull, started from the vertex of
+least norm: each round inserts the vertex screening the current gradient,
+and minor cycles jump to the least-norm point of the corral's affine hull,
+clipping at the hull boundary and evicting atoms with nonpositive
+coefficients.  Its records are the instance's f, so it compares with any
+other variant on the same instance.  The same engine measures distances
 between convex hulls via the Minkowski difference.
 """
 import numpy as np
@@ -37,6 +40,15 @@ ref = fw.solve(inst, fw.SolverConfig(variant="AFW", stepsize=fw.ExactLine(),
                                      record_every=10 ** 9))
 x_ref = pts.T @ ref.meta["x_final"]
 print("distance to the QP reference: %.2e" % np.linalg.norm(x - x_ref))
+assert np.linalg.norm(x - x_ref) <= 1e-8
+
+# the same f = 1/2 ||x||^2 on the same hull, minimized by away-step FW
+inst = fw.build_instance("min_norm_point", points=pts)
+afw = fw.solve(inst, fw.SolverConfig(variant="AFW", stepsize=fw.ExactLine(),
+                                     max_iter=20000, gap_tol=1e-12))
+print("f: WolfeMNP %.12f in %d rounds, AFW %.12f in %d steps"
+      % (report.records[-1].f, report.records[-1].k, afw.records[-1].f, afw.records[-1].k))
+assert abs(report.records[-1].f - afw.records[-1].f) <= 1e-12
 
 # hull-to-hull distance via the Minkowski difference
 a = rng.standard_normal((8, 3))

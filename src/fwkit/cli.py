@@ -33,10 +33,9 @@ _FAMILIES = ("lasso", "meb_dual", "svm_dual", "max_clique", "matcomp",
 _CHECKS = ("sublinear_bound", "lower_bound", "inexact_rate",
            "strongly_convex_domain", "min_gap_rate", "nonconvex_min_gap",
            "per_step_guarantees")
-# checks that read f* (reference_f_star supplies it where the family has none), and L
+# checks that read f* (reference_f_star supplies it where the family has none)
 _NEEDS_F_STAR = ("sublinear_bound", "lower_bound", "inexact_rate",
                  "strongly_convex_domain", "per_step_guarantees")
-_NEEDS_L = ("sublinear_bound", "min_gap_rate", "per_step_guarantees")
 
 
 class ConfigError(Exception):
@@ -88,9 +87,6 @@ def _validate(cfg, base_dir="."):
             _fail("check inexact_rate needs a decaying inexact oracle")
         if check == "per_step_guarantees" and sol.get("stepsize") != "lipschitz":
             _fail("check per_step_guarantees needs the lipschitz stepsize")
-        if sol["variant"] == "WolfeMNP" and (check in _NEEDS_F_STAR or check in _NEEDS_L):
-            _fail("check %s reads f* or L of the instance's f; WolfeMNP records "
-                  "1/2 ||x||^2" % check)
     out = cfg["output"]
     if "prefix" not in out:
         _fail("output block needs a prefix")
@@ -275,14 +271,13 @@ def cmd_run(args):
 def _compare_one(path):
     prob, sol, checks, out, instance, config, inexact = _prepare(path, needs_f_star=True)
     report = solve(instance, config, inexact=inexact)
-    final_h = q = float("nan")
-    if sol["variant"] != "WolfeMNP":  # its records hold 1/2 ||x||^2, not the instance's f
-        report = _ensure_f_star(instance, report, True)
-        final_h = report.records[-1].f - report.meta["f_star"]
-        try:
-            q = dg.fit_geometric_rate(report, good_only=True).q
-        except (InputError, FwkitError):
-            pass
+    report = _ensure_f_star(instance, report, True)
+    final_h = report.records[-1].f - report.meta["f_star"]
+    q = float("nan")
+    try:
+        q = dg.fit_geometric_rate(report, good_only=True).q
+    except (InputError, FwkitError):
+        pass
     reached = next((r.k for r in report.records if r.gap <= config.gap_tol), "")
     total = max(1, len([r for r in report.records if r.kind != "stop"]))
     frac = report.good_steps / total

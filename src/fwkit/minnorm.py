@@ -1,27 +1,34 @@
-"""Wolfe's corral method: the min-norm point of explicit vertices, and the
-fully corrective step's reoptimisation over the active atoms.
+"""Wolfe's corral method: the fully corrective step's reoptimisation over the
+active atoms, and the min-norm point of explicit vertices, which is that step
+run on 1/2 ||x||^2.
 
-Both minimize a quadratic phi over the convex hull of a few atoms: phi is
-1/2 ||x||^2 for the min-norm point, and f(V lam) for the fully corrective
-Frank-Wolfe step.  On weights lam that sum to one the gradient of such a phi
-is ``mat @ lam`` with ``mat[i, j] = <v_i, grad(v_j)>`` (the Gram matrix of
-the vertices for the min-norm point), so one minor cycle serves both
-(``corral_step``): it moves to the stationary point of phi on the corral's
-affine hull (the KKT system of ``_affine_min_coeffs``), clipping the move at
-the boundary of the hull and evicting atoms whose affine coefficient is
-nonpositive.  Where phi is not convex along that move, the cycle runs down
-the descending side to the boundary instead, so no cycle raises phi.  The
-major cycle inserts the atom of least gradient entry; ``solve_wolfe_mnp``
-stops when <x, x - s> <= gap_tol for the incoming vertex s, and
-``corral_weights`` when the weights' FW gap is within its tolerance.
+The fully corrective Frank-Wolfe step (EFW) minimizes phi(lam) = f(V lam)
+over the weights of a few atoms.  On weights lam that sum to one the
+gradient of such a quadratic phi is ``mat @ lam`` with ``mat[i, j] = <v_i,
+grad(v_j)>`` (the Gram matrix of the vertices when f = 1/2 ||x||^2).  A
+minor cycle (``corral_step``) moves to the stationary point of phi on the
+corral's affine hull (the KKT system of ``_affine_min_coeffs``), clipping
+the move at the boundary of the hull and evicting atoms whose affine
+coefficient is nonpositive.  Where phi is not convex along that move, the
+cycle runs down the descending side to the boundary instead, so no cycle
+raises phi.  The major cycle inserts the atom of least gradient entry, until
+the weights' FW gap is within its tolerance (``corral_weights``).
+
+Wolfe's method (Wolfe 1976) is EFW on the ``min_norm_point`` instance
+(``solve_wolfe_mnp``): each round adds the vertex s minimizing <x, s> and
+corrects, and the run stops when <x, x - s> <= gap_tol or no round can move
+x.
 """
 
-import time
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .solvers import IterationRecord, SolveReport
+from .atoms import ActiveSet, DenseAtom
+from .errors import InputError
+from .objectives import ProblemInstance, ShiftedNormSquare
+from .regions import VertexHull
+from .solvers import SolverConfig, solve
 
 _COEFF_ZERO = 1e-12
 
@@ -164,9 +171,15 @@ def corral_weights(mat, lam, tol, max_cycles):
 def solve_wolfe_mnp(vertices, config):
     """Min-norm point of conv(vertices); returns a SolveReport.
 
-    The report's ``x_final`` is the minimizer, records track the squared
-    norm halved as the objective and <x, x - s> as the gap, one row per
-    major cycle.  The total cycle budget is 10 * len(vertices).
+    Wolfe's method is EFW on f = 1/2 ||x||^2 over the vertices' hull (the
+    ``min_norm_point`` instance), started from the vertex of least norm:
+    each round the LMO's vertex joins the corral and ``corral_weights``
+    drives the weights' FW gap to 0.1 * gap_tol.  Records hold f and the
+    gap <x, x - s>, one per round; the run ends at the gap tolerance, at
+    max_iter, or where no round can move x (the driver's stationary rule).
+    The meta adds the corral as point indices and its weights.  Its D is
+    NaN: the run never reads the diameter, an O(k^2 n) pass, so it is not
+    computed (``solve`` on a built instance reports that instance's D).
     """
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -175,63 +188,19 @@ def solve_wolfe_mnp(vertices, config):
         raise InputError("vertices have non-finite entries")
     if pts.shape[0] > 10 ** 4:
         raise InputError("vertex list too large")
-    n_vertices = pts.shape[0]
-    cycle_cap = 10 * n_vertices
+    region = VertexHull(pts)
+    pts = region.points
+    # the min_norm_point family's instance, without its D
+    instance = ProblemInstance(ShiftedNormSquare(np.zeros(region.n), scale=0.5), region,
+                               1.0, 1.0, np.nan, family="min_norm_point")
     start = int(np.argmin(np.linalg.norm(pts, axis=1)))
-    corral = [start]
-    lam = np.array([1.0])
-    x = pts[start].copy()
-    records = []
-    t0 = time.perf_counter_ns()
-    termination = "NumericalError"
-    cycles = 0
-    majors = 0
-    while True:
-        scores = pts @ x
-        j = int(scores.argmin())
-        gap = float(x @ x - scores[j])
-        records.append(IterationRecord(
-            k=majors, kind="FW", alpha=1.0, f=0.5 * float(x @ x), gap=gap,
-            support_size=len(corral), elapsed_ns=time.perf_counter_ns() - t0,
-            good=True))
-        if gap <= config.gap_tol:
-            termination = "GapTol"
-            records[-1].kind = "stop"
-            records[-1].alpha = 0.0
-            records[-1].good = False
-            break
-        if majors >= config.max_iter:
-            termination = "MaxIter"
-            records[-1].kind = "stop"
-            records[-1].alpha = 0.0
-            records[-1].good = False
-            break
-        if j in corral:
-            # the oracle re-proposed a corral member: no progress is possible
-            termination = "GapTol" if gap <= 100.0 * config.gap_tol else "NumericalError"
-            records[-1].kind = "stop"
-            records[-1].alpha = 0.0
-            records[-1].good = False
-            break
-        corral.append(j)
-        lam = np.append(lam, 0.0)
-        majors += 1
-        while True:
-            cycles += 1
-            if cycles > cycle_cap:
-                meta = {"x_final": x, "family": "min_norm_point",
-                        "variant": "WolfeMNP", "f_star": None}
-                return SolveReport(records, None, "NumericalError", majors, meta)
-            sub = pts[corral]
-            lam, keep = corral_step(sub @ sub.T, lam)
-            if keep is not None:
-                corral = [c for c, k_ in zip(corral, keep) if k_]
-            x = lam @ pts[corral]
-            if keep is None:
-                break
-    meta = {"x_final": x, "family": "min_norm_point", "variant": "WolfeMNP",
-            "f_star": None, "corral": list(corral), "weights": lam.copy()}
-    return SolveReport(records, None, termination, majors, meta)
+    report = solve(instance, replace(config, variant="EFW", efw_inner_tol=0.0),
+                   initial_active=ActiveSet.from_atom(DenseAtom(pts[start].copy())))
+    active = report.active_set
+    # the LMO's atoms are copies of rows: each is found again by exact equality
+    corral = [int((pts == a.vector).all(axis=1).argmax()) for a in active.atoms]
+    report.meta.update(variant="WolfeMNP", corral=corral, weights=active.weights.copy())
+    return report
 
 
 def hull_distance(points_a, points_b, gap_tol=None):
@@ -239,8 +208,6 @@ def hull_distance(points_a, points_b, gap_tol=None):
 
     Computed as the norm of the min-norm point of the Minkowski difference.
     """
-    from .solvers import SolverConfig
-
     a = np.asarray(points_a, dtype=float)
     b = np.asarray(points_b, dtype=float)
     diffs = (a[:, None, :] - b[None, :, :]).reshape(-1, a.shape[1])

@@ -54,7 +54,9 @@ class _QuadraticForm:
     missing A or W acts as the identity and a missing t as zero, while b and
     c are added only when given (adding zeros would turn a -0.0 into +0.0).
     A weighted form has neither A nor t, so it is x^T W x plus the linear
-    part.  ``a`` is public: the solvers track A x for forms that have one.
+    part.  The scale s is any finite nonzero number (1/2 ||x||^2 has s = 1/2
+    and no W to store).  ``a`` is public: the solvers track A x for forms
+    that have one.
     """
 
     def __init__(self, a=None, w=None, t=None, b=None, c=None, s=+1):
@@ -82,9 +84,9 @@ class _QuadraticForm:
         if self._b is not None and self._b.shape != self.shape:
             raise InputError("linear term has wrong dimension")
         self._c = None if c is None else float(_finite(c, "constant"))
-        if s not in (-1, +1):
-            raise InputError("sign must be -1 or +1")
-        self._s = int(s)
+        if not (np.isfinite(s) and s != 0):
+            raise InputError("scale must be finite and nonzero")
+        self._s = s
 
     def _value_and_wr(self, x, ax):
         """(f(x), W r): ``ax``, when given, is the image A x held by the caller."""
@@ -135,20 +137,22 @@ class _QuadraticForm:
         return smax ** 2, smin ** 2
 
     def lipschitz_upper(self):
-        return 2.0 * self._spectrum[0]
+        return 2.0 * abs(self._s) * self._spectrum[0]
 
     def strong_convexity_lower(self):
         if self._s < 0 or (self.a is not None and self.a.shape[0] < self.a.shape[1]):
             return 0.0
         low = self._spectrum[1]
-        return 2.0 * low if low > 0 else 0.0
+        return 2.0 * self._s * low if low > 0 else 0.0
 
 
 class FactoredQuadratic(_QuadraticForm):
     """sign * x^T A^T A x + b^T x + c."""
 
     def __init__(self, a, b=None, c=0.0, sign=+1):
-        super().__init__(a=a, b=np.zeros(np.shape(a)[-1]) if b is None else b, c=c, s=sign)
+        if sign not in (-1, +1):
+            raise InputError("sign must be -1 or +1")
+        super().__init__(a=a, b=np.zeros(np.shape(a)[-1]) if b is None else b, c=c, s=int(sign))
         self.b, self.c, self.sign = self._b, self._c, self._s
 
 
@@ -173,10 +177,10 @@ class Quadratic(_QuadraticForm):
 
 
 class ShiftedNormSquare(_QuadraticForm):
-    """||x - center||^2."""
+    """scale * ||x - center||^2 (scale 1/2 is the min-norm point's objective)."""
 
-    def __init__(self, center):
-        super().__init__(t=center)
+    def __init__(self, center, scale=1):
+        super().__init__(t=center, s=scale)
         self.center = self._t
 
 
@@ -556,8 +560,8 @@ def build_instance(family, seed=0, **params):
     if family == "min_norm_point":
         pts = np.asarray(need("points"), dtype=float)
         region = rg.VertexHull(pts)
-        obj = ShiftedNormSquare(np.zeros(pts.shape[1]))
-        return ProblemInstance(obj, region, 2.0, 2.0, region.diameter(),
+        obj = ShiftedNormSquare(np.zeros(pts.shape[1]), scale=0.5)  # as Wolfe's method minimizes
+        return ProblemInstance(obj, region, 1.0, 1.0, region.diameter(),
                                family="min_norm_point")
     if family == "base_polytope_norm":
         oracle_name = params.get("oracle", "cardinality_cap")

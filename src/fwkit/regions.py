@@ -72,7 +72,7 @@ class Simplex:
 
     def max_step(self, x, d):
         x, d = _step_inputs(x, d, self.shape)
-        if abs(d.sum()) > 1e-9 * max(1.0, np.abs(d).max()):
+        if abs(d.sum()) > 1e-9 * np.abs(d).max():  # d leaves the hyperplane sum x = const
             return 0.0
         neg = d < 0
         if not np.any(neg):
@@ -106,9 +106,12 @@ class L1Ball:
     def max_step(self, x, d):
         x, d = _step_inputs(x, d, self.shape)
         # ||x + a d||_1 is piecewise linear convex in a; walk its breakpoints.
+        # One within rounding of the sphere counts as inside, so a direction
+        # along a face of the sphere walks the whole face.
         phi0 = np.abs(x).sum()
         if phi0 > self.tau + 1e-9:
             raise ContractViolation("x is infeasible")
+        inside = self.tau * (1.0 + 1e-12)
         bps = sorted({float(-xi / di) for xi, di in zip(x, d)
                       if di != 0.0 and -xi / di > 0.0})
         prev_a, prev_phi = 0.0, phi0
@@ -117,13 +120,14 @@ class L1Ball:
                 slope = float(np.sum(np.sign(x + (prev_a + 1.0) * d) * d))
                 if slope <= 0:
                     return np.inf
-                return prev_a + (self.tau - prev_phi) / slope
-            phi = float(np.abs(x + a * d).sum())
-            if phi > self.tau:
+            else:
+                phi = float(np.abs(x + a * d).sum())
+                if phi <= inside:
+                    prev_a, prev_phi = a, phi
+                    continue
                 slope = (phi - prev_phi) / (a - prev_a)
-                return prev_a + (self.tau - prev_phi) / slope
-            prev_a, prev_phi = a, phi
-        return prev_a
+            # x on the sphere to rounding (prev_phi above tau) may step 0, never back
+            return max(prev_a + (self.tau - prev_phi) / slope, prev_a)
 
     def vertices(self):
         vs = []
@@ -431,14 +435,15 @@ class BasePolytope:
         x, d = _step_inputs(x, d, self.shape)
         if self.n > 16:
             raise CapabilityError("ratio test enumeration limited to n <= 16")
-        if abs(d.sum()) > 1e-9 * max(1.0, np.abs(d).max()):
+        if abs(d.sum()) > 1e-9 * np.abs(d).max():  # d leaves the hyperplane sum x = const
             return 0.0
         alpha = np.inf
+        flat = 1e-12 * np.abs(d).sum()  # a facet d runs along to rounding does not block it
         for k in range(1, self.n):
             for subset in itertools.combinations(range(self.n), k):
                 idx = list(subset)
                 dsum = d[idx].sum()
-                if dsum > 1e-15:
+                if dsum > flat:
                     slack = self.oracle(frozenset(subset)) - x[idx].sum()
                     alpha = min(alpha, max(slack, 0.0) / dsum)
         return alpha
@@ -519,7 +524,8 @@ class VertexHull:
     """Convex hull of an explicit vertex list (rows of ``points``)."""
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
+        # C order: D sums each row's squares in one order, whatever the caller's layout
+        pts = np.ascontiguousarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise InputError("vertex hull needs a (k, n) array of vertices")
         if not np.all(np.isfinite(pts)):
@@ -533,8 +539,6 @@ class VertexHull:
         return DenseAtom(self.points[int((self.points @ g).argmin())].copy())
 
     def diameter(self):
-        if len(self.points) > 4096:
-            raise CapabilityError("diameter enumeration limited to 4096 vertices")
         return _max_pairwise_distance(self.points)
 
     def contains(self, x, tol=1e-9):

@@ -2,12 +2,12 @@
 
 ``solve`` runs every variant, on what ``CAPABILITIES`` lets it run on.
 Classic FW, away-step (AFW), pairwise (PFW) and fully corrective (EFW)
-share one driver; in-face (FDFW), block coordinate (BCFW) and Wolfe's
-min-norm point (see ``minnorm``) keep their own loops.  EFW's correction
-and the min-norm point share ``minnorm``'s minor cycle of Wolfe's corral
-method.  Every run produces a ``SolveReport`` with a per-iteration trace:
-objective, FW gap, step kind and size, support size, and good-step
-classification.
+share one driver; Wolfe's min-norm point (``minnorm.solve_wolfe_mnp``) is
+EFW on the ``min_norm_point`` instance, so it runs in that driver too, and
+in-face (FDFW) and block coordinate (BCFW) keep their own loops.  EFW
+corrects by ``minnorm``'s corral method.  Every run produces a
+``SolveReport`` with a per-iteration trace: objective, FW gap, step kind
+and size, support size, and good-step classification.
 
 A record at index k describes the state x_k plus the step taken from it;
 the final record marks the stopping state with kind "stop" and alpha 0.
@@ -422,9 +422,11 @@ def solve(instance, config, inexact=None, initial_active=None):
         return _solve_fdfw(instance, config)
     if variant == "BCFW":
         return _solve_bcfw(instance, config)
-    from .minnorm import solve_wolfe_mnp
+    from . import minnorm  # the attribute is read per call, where a caller may wrap it
 
-    return solve_wolfe_mnp(instance.region.points, config)
+    report = minnorm.solve_wolfe_mnp(instance.region.points, config)
+    report.meta["D"] = instance.D  # computed once, when the instance was built
+    return report
 
 
 def _run_atomic(instance, config, inexact=None, initial_active=None):
@@ -435,7 +437,8 @@ def _run_atomic(instance, config, inexact=None, initial_active=None):
     set.  FW steps toward the LMO atom s, AFW may step away from the active
     atom v maximizing <g, v> instead, PFW moves weight from v to s, and EFW
     re-optimizes all the weights (``_correct``).  x jumps each EFW round, so
-    EFW evaluates f at x afresh and tracks no A x.
+    EFW evaluates f at x afresh and tracks no A x.  A move that leaves x
+    where it was ends the run by the stationary rule (``_stationary``).
     """
     obj, region = instance.objective, instance.region
     corrective = config.variant == "EFW"
@@ -459,6 +462,7 @@ def _run_atomic(instance, config, inexact=None, initial_active=None):
     k = 0
     evals = 0  # gradient passes at iterates when there is no image to count them
     cycles = 0  # EFW's corral cycles
+    settled = False  # whether the last correction ended within its cycle cap
     try:
         while True:
             if image is None:
@@ -485,9 +489,18 @@ def _run_atomic(instance, config, inexact=None, initial_active=None):
                 tracer.push(rec, terminal=True)
                 break
             if corrective:
-                cycles += _correct(active, s_atom, cache, inner_tol)
+                # once a correction has settled the weights, s holding weight
+                # leaves nothing to correct; a round that leaves x where it was
+                # (the corral turned s away) would only repeat itself: both end the run
+                if not settled or active.find(s_atom) is None:
+                    used, settled = _correct(active, s_atom, cache, inner_tol)
+                    cycles += used
                 x_new = reconstruct_point(active)
                 d = x_new - x
+                if not d.any():
+                    termination = _stationary(gap, config)
+                    tracer.push(rec, terminal=True)
+                    break
                 tracer.mark_step(rec, "FullCorrective", 1.0, float(np.vdot(g, d)), _norm(d), 1.0)
                 tracer.push(rec)
                 x = x_new
@@ -523,8 +536,7 @@ def _run_atomic(instance, config, inexact=None, initial_active=None):
                 if image is not None and image.steps:
                     image.resync(x)
                     continue
-                # stationary over the current atoms; the gap check above governs
-                termination = "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
+                termination = _stationary(gap, config)
                 tracer.push(rec, terminal=True)
                 break
             # the step's atoms are looked up once: in the cache (for their
@@ -569,6 +581,16 @@ def _run_atomic(instance, config, inexact=None, initial_active=None):
     return SolveReport(tracer.records, active, termination, tracer.good_steps, meta)
 
 
+def _stationary(gap, config):
+    """Termination of a run stationary over its atoms: the gap check governs, within 10x."""
+    return "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
+
+
+def _cycle_cap(atoms):
+    """The minor cycles one EFW correction may run over ``atoms`` atoms."""
+    return max(200, 40 * atoms)
+
+
 def _correct(active, s_atom, cache, inner_tol):
     """EFW's round: s joins at weight 0, then f is minimized over the hull of the active atoms.
 
@@ -576,7 +598,8 @@ def _correct(active, s_atom, cache, inner_tol):
     the current weights, runs down to a weights' FW gap of ``inner_tol`` on
     the weights' gradient M lam (``_AtomCache.matrix``): a hull that
     contains the optimum is corrected to it in one round.  Returns the
-    corral cycles used.
+    corral cycles used and whether they stopped short of their cap (the
+    weights settled).
     """
     from .minnorm import corral_weights
 
@@ -585,10 +608,11 @@ def _correct(active, s_atom, cache, inner_tol):
     mat = cache.matrix(active)
     if not np.isfinite(mat).all():
         raise NumericalError("non-finite gradient at an active atom")
-    lam, used = corral_weights(mat, active.weights, inner_tol, max(200, 40 * len(active)))
+    cap = _cycle_cap(len(active))
+    lam, used = corral_weights(mat, active.weights, inner_tol, cap)
     active.weights = lam  # one weight per atom: the atoms' index arrays stay valid
     active._prune_and_renormalize()
-    return used
+    return used, used < cap
 
 
 def _solve_fdfw(instance, config):
@@ -633,7 +657,7 @@ def _solve_fdfw(instance, config):
             else:
                 kind, d, dg, alpha_max = "FW", d_fw, dg_fw, 1.0
             if alpha_max <= 0.0 or not np.any(d):
-                termination = "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
+                termination = _stationary(gap, config)
                 tracer.push(rec, terminal=True)
                 break
             alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f, slope=dg)

@@ -157,9 +157,10 @@ def test_compare_failed_run_marks_row_and_exits_three(tmp_path, monkeypatch):
     assert lines[2].endswith("failed")
 
 
-def test_compare_writes_nan_h_and_q_for_wolfe_mnp_rows(tmp_path, monkeypatch):
-    # WolfeMNP records 1/2 ||x||^2: measured against f* of ||x||^2 its row
-    # once read final_h = -2.25 where AFW's read 0
+def test_compare_measures_wolfe_mnp_rows_against_the_instances_f_star(tmp_path, monkeypatch):
+    # WolfeMNP records the min_norm_point instance's f = 1/2 ||x||^2, so its
+    # row is measured against the same f* as AFW's: both read final_h ~ 0
+    # (when the instance's f was ||x||^2 the row once read -2.25)
     problem = {"family": "min_norm_point", "seed": 0,
                "params": {"points": [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]}}
     paths = []
@@ -177,15 +178,13 @@ def test_compare_writes_nan_h_and_q_for_wolfe_mnp_rows(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "reference_f_star", counted)
     out = tmp_path / "t.csv"
-    assert cli.main(["compare", "--configs", paths[0], "--out", str(out)]) == 0
-    assert references == []
     assert cli.main(["compare", "--configs", *paths, "--out", str(out)]) == 0
-    assert references == ["min_norm_point"]
+    assert references == ["min_norm_point", "min_norm_point"]
     rows = list(csv.DictReader(open(out)))
     assert [r["solver"] for r in rows] == ["WolfeMNP", "AFW"]
-    assert rows[0]["final_h"] == rows[0]["fitted_q"] == "nan"
-    assert rows[0]["status"] == "ok"
-    assert abs(float(rows[1]["final_h"])) <= 1e-9
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    for row in rows:
+        assert abs(float(row["final_h"])) <= 1e-9
 
 
 def test_compare_mistyped_solver_field_exits_two_like_run(tmp_path, capsys):
@@ -327,16 +326,20 @@ def test_run_refuses_an_f_star_reference_that_cannot_run(tmp_path):
 
 
 @pytest.mark.parametrize("check", ["sublinear_bound", "min_gap_rate"])
-def test_wolfe_mnp_refuses_checks_on_f_star_or_l(tmp_path, check):
-    # WolfeMNP records 1/2 ||x||^2 and no L or D; these checks once ended
-    # in an uncaught KeyError
+def test_wolfe_mnp_runs_checks_on_f_star_or_l(tmp_path, check):
+    # WolfeMNP records the instance's f, whose L and D the report carries:
+    # checks that read f* or L run on its trace (they were once refused, and
+    # before that ended in an uncaught KeyError)
     cfg_path = tmp_path / "w.json"
-    write_config(cfg_path,
-                 problem={"family": "min_norm_point", "seed": 0,
-                          "params": {"points": [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]}},
-                 solver={"variant": "WolfeMNP", "stepsize": "diminishing"},
-                 checks=[check])
-    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    cfg = write_config(cfg_path,
+                       problem={"family": "min_norm_point", "seed": 0,
+                                "params": {"points": [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]}},
+                       solver={"variant": "WolfeMNP", "stepsize": "diminishing"},
+                       checks=[check])
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    report = json.loads(open(cfg["output"]["prefix"] + ".report.json").read())
+    assert report["termination"] == "GapTol"
+    assert [(c["check"], c["pass"]) for c in report["checks"]] == [(check, True)]
 
 
 _MATRIX_PARAMS = {

@@ -1,0 +1,94 @@
+"""The parent-versus-change identity check (``tools/identity.py``) on a tiny solve matrix.
+
+The command runs its fixed matrix in two trees; here the same summaries and
+comparison run in-process on a few solves of this tree, once as they are
+and once with a planted change.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fwkit.objectives import build_instance
+from fwkit.solvers import SolverConfig, solve
+from fwkit.stepsizes import ExactLine, LipschitzDep
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+_spec = importlib.util.spec_from_file_location("identity", _TOOL)
+identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(identity)
+
+
+def _summaries(plant=None):
+    """Summaries of five solves (one refused); ``plant`` may alter each report first."""
+    simplex = build_instance("simplex_distance", n=6)
+    interior = build_instance("interior_quadratic", n=8, seed=2)
+    points = np.random.default_rng(1).standard_normal((10, 3)) + 1.0
+    jobs = [(simplex, SolverConfig(variant="FW", stepsize=LipschitzDep(simplex.L), gap_tol=1e-6)),
+            (interior, SolverConfig(variant="EFW", stepsize=ExactLine(), gap_tol=1e-10)),
+            (interior, SolverConfig(variant="PFW", stepsize=ExactLine(), gap_tol=1e-10)),
+            (build_instance("min_norm_point", points=points),
+             SolverConfig(variant="WolfeMNP", gap_tol=1e-12)),
+            (build_instance("lasso", m=5, n=8, seed=2), SolverConfig(variant="FDFW"))]
+    out = {}
+    for i, (inst, config) in enumerate(jobs):
+        report = error = None
+        try:
+            report = solve(inst, config)
+        except Exception as exc:
+            error = exc
+        if report is not None and plant is not None:
+            plant(config.variant, report)
+        out[("tiny", 0, i, "job%d" % i, config.variant)] = identity.summarise(inst, report, error)
+    return out
+
+
+def test_the_tree_against_itself_shows_no_difference(capsys):
+    assert identity.compare(_summaries(), _summaries()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["%-9s 0 of 1 solves differ" % v
+                     for v in ("EFW", "FDFW", "FW", "PFW", "WolfeMNP")]
+
+
+def test_a_planted_one_ulp_change_in_a_record_is_caught(capsys):
+    def plant(variant, report):
+        if variant == "EFW":
+            rec = report.records[2]
+            rec.f = float(np.nextafter(rec.f, np.inf))
+
+    parent, change = _summaries(), _summaries(plant)
+    assert identity.compare(parent, change) == 1
+    out = capsys.readouterr().out
+    assert "tiny seed 0 job 1 job1: f (record 2), 1 field(s) differ" in out
+    assert "EFW       1 of 1 solves differ" in out
+    # naming the field to skip lets the rest compare equal
+    assert identity.compare(parent, change, skip={"f"}) == 0
+
+
+@pytest.mark.parametrize("field", ["x_final", "meta.corral", "support", "termination"])
+def test_every_kind_of_field_is_compared(field):
+    def plant(variant, report):
+        if variant != "WolfeMNP":
+            return
+        if field == "x_final":
+            report.meta["x_final"] = report.meta["x_final"].copy()
+            report.meta["x_final"][0] = np.nextafter(report.meta["x_final"][0], np.inf)
+        elif field == "meta.corral":
+            report.meta["corral"] = report.meta["corral"][::-1]
+        elif field == "support":
+            report.records[0].support = frozenset({99})
+        else:
+            report.termination = "MaxIter"
+
+    parent, change = _summaries(), _summaries(plant)
+    key = next(k for k in parent if k[4] == "WolfeMNP")
+    assert [name for name, _ in identity.differences(parent[key], change[key])] == [field]
+    assert identity.differences(parent[key], change[key], skip={field.split(".")[0]}) == []
+
+
+def test_constants_and_refusals_come_first():
+    a = identity.summarise(build_instance("simplex_distance", n=4), error=ValueError())
+    b = dict(a, D=(1.5).hex(), error="InputError", termination="GapTol")
+    assert [name for name, _ in identity.differences(a, b)] == ["error", "D", "termination"]

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fwkit.errors import InputError
 from fwkit.minnorm import corral_step, hull_distance, solve_wolfe_mnp
-from fwkit.objectives import FactoredQuadratic, ProblemInstance
-from fwkit.regions import Simplex
+from fwkit.objectives import FactoredQuadratic, ProblemInstance, build_instance
+from fwkit.regions import Simplex, VertexHull
 from fwkit.solvers import SolverConfig, solve
 from fwkit.stepsizes import ExactLine
 
@@ -94,3 +97,113 @@ def test_minor_cycle_blocked_by_a_weight_zero_atom_still_descends():
     assert keep.tolist() == [True, False, False]
     assert new.tolist() == [1.0]
     assert 0.5 * lam @ mat @ lam == pytest.approx(-0.58, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed, records", [(0, 5), (2, 4), (6, 4), (8, 4), (10, 4)])
+def test_a_run_at_its_rounding_floor_ends_with_numerical_error(seed, records):
+    # the origin lies in these hulls and gap_tol 1e-300 is out of reach: the run
+    # stops where no round can move x, at the record count of the loop this
+    # replaced; EFW's driver without that stop ran on to max_iter (501 records)
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((12, 3)) + rng.uniform(-1, 1, size=3)
+    report = solve_wolfe_mnp(pts, mnp_config(gap_tol=1e-300))
+    assert report.termination == "NumericalError"
+    assert len(report.records) == records
+
+
+def test_more_vertices_than_the_pairwise_block_still_solve():
+    # every point has first coordinate >= 1 and (1, +-1) are vertices, so the
+    # min-norm point is (1, 0); D of 5000 vertices is computed, not refused
+    rng = np.random.default_rng(7)
+    pts = np.vstack([[1.0, 1.0], [1.0, -1.0],
+                     rng.uniform([1.0, -1.0], [2.0, 1.0], size=(4998, 2))])
+    report = solve(build_instance("min_norm_point", points=pts), mnp_config())
+    assert report.termination == "GapTol"
+    assert np.allclose(report.meta["x_final"], [1.0, 0.0], atol=1e-12)
+    assert report.meta["D"] == pytest.approx(np.sqrt(5.0), abs=0.05)
+    direct = solve_wolfe_mnp(pts, mnp_config())
+    assert direct.meta["x_final"].tobytes() == report.meta["x_final"].tobytes()
+    with pytest.raises(InputError, match="too large"):
+        solve_wolfe_mnp(np.ones((10 ** 4 + 1, 2)), mnp_config())
+
+
+def test_records_hold_the_instances_f_and_full_corrective_steps():
+    pts = np.random.default_rng(3).standard_normal((20, 3)) + 1.0
+    report = solve_wolfe_mnp(pts, mnp_config(store_points=True))
+    inst = build_instance("min_norm_point", points=pts)
+    assert (inst.L, inst.mu) == (1.0, 1.0)
+    assert report.meta["variant"] == "WolfeMNP" and report.meta["family"] == "min_norm_point"
+    steps, stop = report.records[:-1], report.records[-1]
+    assert stop.kind == "stop" and report.good_steps == len(steps) >= 2
+    for rec, nxt in zip(report.records, report.records[1:]):
+        assert rec.f == pytest.approx(inst.objective.eval(rec.x)[0], abs=1e-15)
+        assert rec.f == pytest.approx(0.5 * rec.x @ rec.x, abs=1e-15)
+        assert rec.gap == pytest.approx(rec.x @ rec.x - np.min(pts @ rec.x), abs=1e-15)
+        # the step is the jump to the next corrected point: dg = <x, d> < 0, dnorm = |d|
+        d = nxt.x - rec.x
+        assert (rec.kind, rec.alpha, rec.good) == ("FullCorrective", 1.0, True)
+        assert rec.dg == pytest.approx(rec.x @ d, abs=1e-15) and rec.dg < 0.0
+        assert rec.dnorm == pytest.approx(np.linalg.norm(d), abs=1e-15)
+    corral, weights = report.meta["corral"], report.meta["weights"]
+    assert len(corral) == len(weights) == stop.support_size
+    assert np.allclose(weights @ pts[corral], report.meta["x_final"], atol=1e-15)
+
+
+def test_solve_reaches_the_module_attribute_at_call_time(monkeypatch):
+    # a wrapper bound to minnorm.solve_wolfe_mnp (as the benchmark's tracer
+    # binds one) sees every WolfeMNP solve
+    from fwkit import minnorm
+
+    calls = []
+    original = minnorm.solve_wolfe_mnp
+
+    def wrapped(vertices, config):
+        calls.append(len(vertices))
+        return original(vertices, config)
+
+    monkeypatch.setattr(minnorm, "solve_wolfe_mnp", wrapped)
+    pts = np.array([[2.0, 1.0], [1.0, 2.0], [3.0, 3.0]])
+    report = solve(build_instance("min_norm_point", points=pts), mnp_config())
+    assert calls == [3]
+    assert np.allclose(report.meta["x_final"], [1.5, 1.5], atol=1e-12)
+
+
+def test_the_diameter_is_computed_only_for_a_built_instance(monkeypatch):
+    # D is an O(k^2 n) pass the run never reads: solve_wolfe_mnp and
+    # hull_distance leave it NaN, solve reports the D its instance was built with
+    calls = []
+    original = VertexHull.diameter
+
+    def counted(self):
+        calls.append(len(self.points))
+        return original(self)
+
+    monkeypatch.setattr(VertexHull, "diameter", counted)
+    pts = np.random.default_rng(4).standard_normal((40, 3)) + 1.0
+    assert np.isnan(solve_wolfe_mnp(pts, mnp_config()).meta["D"])
+    assert hull_distance(pts, -pts + 5.0) > 0.0
+    assert calls == []
+    inst = build_instance("min_norm_point", points=pts)
+    report = solve(inst, mnp_config())
+    assert calls == [40]
+    assert report.meta["D"].hex() == inst.D.hex()
+
+
+def test_a_hull_in_thousands_of_dimensions_stores_no_n_by_n_weight():
+    # 1/2 ||x||^2 is a scaled norm, not a matrix: the solve's memory is a few
+    # copies of the points (20 x 3000 floats, 0.5 MB), not a 72 MB weight
+    n = 3000
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((20, n)) + 0.1
+    inst = build_instance("min_norm_point", points=pts)
+    assert inst.objective._w is None and inst.objective.lipschitz_upper() == 1.0
+    tracemalloc.start()
+    try:
+        report = solve_wolfe_mnp(pts, mnp_config())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.termination == "GapTol"
+    assert peak < 8 * n * n / 10
+    x = report.meta["x_final"]
+    assert report.records[-1].f == pytest.approx(0.5 * x @ x, rel=1e-15)

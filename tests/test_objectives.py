@@ -94,6 +94,17 @@ def test_strong_convexity_values():
     assert wide.strong_convexity_lower() == 0.0
 
 
+def test_half_norm_square_scales_the_unit_norm_square():
+    # 1/2 ||x - c||^2: value and curvature halved, gradient x - c, L = mu = 1
+    rng = np.random.default_rng(6)
+    c, x, d = rng.standard_normal((3, 5))
+    half, unit = ShiftedNormSquare(c, scale=0.5), ShiftedNormSquare(c)
+    (v, g), (v1, g1) = half.eval(x), unit.eval(x)
+    assert v == 0.5 * v1 and g.tobytes() == (x - c).tobytes() and (g1 == 2.0 * g).all()
+    assert half.curvature_along(d) == 0.5 * unit.curvature_along(d)
+    assert (half.lipschitz_upper(), half.strong_convexity_lower()) == (1.0, 1.0)
+
+
 def test_gradient_matches_finite_differences():
     # oracle: central differences, step 1e-6, 100 seeded points per variant
     rng = np.random.default_rng(2)
@@ -360,6 +371,8 @@ def test_compose_with_linear_matches_pointwise():
                  id="factored-c"),
     pytest.param(FactoredQuadratic, (np.eye(2), None, 0.0, 2), "sign", id="factored-sign"),
     pytest.param(ShiftedNormSquare, ([np.nan, 0.0],), "non-finite", id="shifted-center"),
+    pytest.param(ShiftedNormSquare, ([0.0], 0.0), "scale", id="shifted-scale-zero"),
+    pytest.param(ShiftedNormSquare, ([0.0], np.inf), "scale", id="shifted-scale-inf"),
 ])
 def test_quadratic_rejects_bad_input_at_construction(q, b, match):
     make, args = (q, b) if isinstance(q, type) else (Quadratic, (q, b))

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fwkit import regions
@@ -488,6 +488,17 @@ def test_hull_diameter_matches_the_loop_across_default_blocks(k, n):
     assert VertexHull(pts).diameter().hex() == _loop_max_distance(pts).hex()
 
 
+def test_hull_diameter_does_not_depend_on_the_memory_layout_of_the_points():
+    # a Fortran-ordered difference block once summed its squares in another
+    # order, so D differed in the last bits from that of the C-ordered copy
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        pts = rng.standard_normal((int(rng.integers(2, 60)), int(rng.integers(1, 41))))
+        hulls = VertexHull(np.asfortranarray(pts)), VertexHull(np.ascontiguousarray(pts))
+        assert hulls[0].points.flags.c_contiguous
+        assert hulls[0].diameter().hex() == hulls[1].diameter().hex()
+
+
 _SIZED = {"L1Ball": lambda size: L1Ball(size, 3),
           "L2Ball": lambda size: L2Ball(size, 3),
           "LinfBall": lambda size: LinfBall(size, 3),
@@ -599,3 +610,81 @@ def test_lmo_takes_a_finite_gradient_whose_squares_overflow(region):
     with np.errstate(over="ignore"):  # the L2 ball's norm overflows, as it always did
         assert np.isinf(g @ g)
         region.lmo(g)
+
+
+@st.composite
+def steps_from_feasible_points(draw):
+    """(region, x, d): a region that defines ``max_step``, a feasible x and a nonzero d.
+
+    x is a random point of the region, often on its boundary (zero weights,
+    clipped coordinates, a full-radius ball point); d is a Gaussian vector or
+    a solver's direction (toward a vertex, away from one, or between two).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 5))
+    edge = draw(st.booleans())  # push x onto the boundary
+    kind = draw(st.sampled_from(["simplex", "l1", "l2", "linf", "box", "nuclear",
+                                 "product", "cut", "cap"]))
+    if kind in ("simplex", "cut", "cap", "product"):
+        if kind == "simplex":
+            region = Simplex(n)
+        elif kind == "product":
+            region = ProductRegion([Simplex(int(rng.integers(1, 4))),
+                                    Box(-np.ones(2), np.ones(2)), L2Ball(1.0, 2)])
+        elif kind == "cut":
+            edges = [(u, v, float(rng.uniform(0.5, 2.0))) for u in range(n)
+                     for v in range(u + 1, n) if rng.random() < 0.6]
+            region = BasePolytope(graph_cut_oracle(n, edges), n)
+        else:
+            region = BasePolytope(cardinality_cap_oracle(n, int(rng.integers(1, n + 1))), n)
+        verts = np.array([region.lmo(rng.standard_normal(region.shape)).densify()
+                          for _ in range(4)])
+        w = rng.random(4) * (rng.random(4) < (0.5 if edge else 1.0))
+        w[0] += 0.1
+        x = (w / w.sum()) @ verts
+    elif kind == "nuclear":
+        region = NuclearBall(float(rng.uniform(0.5, 2.0)), 2, 3)
+        x = rng.standard_normal((2, 3))
+        x *= region.delta * (1.0 if edge else rng.random()) / np.linalg.svd(x, compute_uv=False).sum()
+    elif kind in ("l1", "l2"):
+        size = float(rng.uniform(0.1, 3.0))
+        region = L1Ball(size, n) if kind == "l1" else L2Ball(size, n)
+        x = rng.standard_normal(n) * (rng.random(n) < 0.7)
+        norm = np.abs(x).sum() if kind == "l1" else np.linalg.norm(x)
+        x *= 0.0 if norm == 0.0 else size * (1.0 if edge else rng.random()) / norm
+    else:
+        if kind == "linf":
+            region = LinfBall(float(rng.uniform(0.1, 3.0)), n)
+            lower, upper = -region.eps * np.ones(n), region.eps * np.ones(n)
+        else:
+            lower = rng.uniform(-2.0, 1.0, n)
+            upper = lower + rng.choice([0.0, 0.5, 2.0], n)
+            region = Box(lower, upper)
+        u = rng.random(n)
+        if edge:
+            u[rng.random(n) < 0.5] = rng.integers(0, 2)
+        x = lower + u * (upper - lower)
+    how = draw(st.sampled_from(["gaussian", "toward", "away", "pairwise"]))
+    s, v = (region.lmo(rng.standard_normal(region.shape)).densify() for _ in range(2))
+    d = {"gaussian": rng.standard_normal(region.shape), "toward": s - x,
+         "away": x - v, "pairwise": s - v}[how]
+    assume(np.any(d))
+    return region, x, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps_from_feasible_points())
+def test_max_step_is_the_exact_exit_along_d(case):
+    region, x, d = case
+    assert region.contains(x, 1e-9)
+    alpha = region.max_step(x, d)
+    assert 0.0 <= alpha < np.inf  # every region is bounded
+    size = max(1.0, float(np.abs(x).max()), alpha * float(np.abs(d).max()))
+    assert region.contains(x + alpha * d, 1e-9 * size)
+    # a step past alpha by 1e-6 of itself (by 1e-6 from alpha = 0) leaves the
+    # region by more than a thousandth of the overshoot of d's smallest entry,
+    # where the whole overshoot clears the rounding of the point
+    beyond = alpha * (1.0 + 1e-6) if alpha > 0.0 else 1e-6
+    assume((beyond - alpha) * float(np.abs(d).max()) > 1e-9 * size)
+    smallest = float(np.abs(d[d != 0.0]).min())
+    assert not region.contains(x + beyond * d, 1e-3 * (beyond - alpha) * smallest)

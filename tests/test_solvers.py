@@ -174,6 +174,36 @@ def test_efw_hull_already_contains_optimum():
     assert report.records[-1].k <= 1
 
 
+@pytest.mark.parametrize("family, params", [
+    ("interior_quadratic", dict(n=30, seed=3)), ("boundary_quadratic", dict(n=12, seed=3)),
+    ("simplex_distance", dict(n=8)), ("lasso", dict(m=40, n=120, seed=3))])
+def test_efw_at_its_rounding_floor_stops_instead_of_running_to_max_iter(family, params):
+    # gap_tol 1e-300 is out of reach: once a round can no longer move x (the
+    # LMO's atom already holds weight, or the corral turns it away) the run
+    # ends by the stationary rule; these runs once spun on to max_iter at the
+    # gap where they stop now
+    inst = build_instance(family, **params)
+    report = solve(inst, cfg("EFW", ExactLine(), gap_tol=1e-300, max_iter=2000, seed=1))
+    assert report.termination == "NumericalError"
+    assert len(report.records) < 100
+    assert report.records[-1].gap == min(r.gap for r in report.records) < 1e-14
+
+
+def test_efw_corrects_again_after_a_round_stopped_at_its_cycle_cap(monkeypatch):
+    # two minor cycles per round leave the weights unsettled: a round whose
+    # LMO atom already holds weight must still correct, not end the run
+    monkeypatch.setattr(solvers, "_cycle_cap", lambda atoms: 2)
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((30, 5)) + rng.uniform(-1, 1, size=5)
+    inst = build_instance("min_norm_point", points=pts)
+    start = ActiveSet.from_atom(DenseAtom(pts[np.argmin(np.linalg.norm(pts, axis=1))].copy()))
+    report = solve(inst, cfg("EFW", ExactLine(), efw_inner_tol=0.0), initial_active=start)
+    assert report.termination == "GapTol"
+    monkeypatch.undo()
+    settled = solve(inst, cfg("EFW", ExactLine(), efw_inner_tol=0.0), initial_active=start)
+    assert np.allclose(report.x_final, settled.x_final, atol=1e-9)
+
+
 def test_efw_inner_tol_dominates_outer():
     inst = build_instance("boundary_quadratic", n=6, support=2, seed=2)
     config = cfg("EFW", ExactLine(), gap_tol=1e-8, efw_inner_tol=1e-8)
