@@ -1,13 +1,13 @@
 """Frank-Wolfe solver family.
 
-``solve`` runs every variant, on what ``CAPABILITIES`` lets it run on.
-Classic FW, away-step (AFW), pairwise (PFW) and fully corrective (EFW)
-share one driver; Wolfe's min-norm point (``minnorm.solve_wolfe_mnp``) is
-EFW on the ``min_norm_point`` instance, so it runs in that driver too, and
-in-face (FDFW) and block coordinate (BCFW) keep their own loops.  EFW
-corrects by ``minnorm``'s corral method.  Every run produces a
-``SolveReport`` with a per-iteration trace: objective, FW gap, step kind
-and size, support size, and good-step classification.
+``solve`` runs every variant, on what ``CAPABILITIES`` lets it run on, in
+one loop (``_drive``) with a direction policy per family: atoms for FW,
+away-step (AFW), pairwise (PFW) and fully corrective (EFW), the face for
+in-face FW (FDFW) and blocks for block coordinate FW (BCFW).  EFW corrects
+by ``minnorm``'s corral method; Wolfe's min-norm point is EFW on the
+``min_norm_point`` instance.  Every run produces a ``SolveReport`` with a
+per-iteration trace: objective, FW gap, step kind and size, support size,
+and good-step classification.
 
 A record at index k describes the state x_k plus the step taken from it;
 the final record marks the stopping state with kind "stop" and alpha 0.
@@ -16,6 +16,7 @@ gradient, so sparsity bounds hold from the start.
 """
 
 import copy
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -207,17 +208,20 @@ class _Tracer:
             self.records.append(rec)
 
     def mark_step(self, rec, kind, alpha, dg, dnorm, alpha_max):
-        rec.kind = kind
+        # an away, pairwise or in-face step that reaches alpha_max is recorded as a "Drop"
         rec.alpha = float(alpha)
         rec.dg = float(dg)
         rec.dnorm = float(dnorm)
         rec.alpha_max = float(alpha_max)
         if kind == "FW":
-            rec.good = alpha >= 1.0 or alpha < alpha_max
+            rec.good = alpha >= 1.0 or 0.0 < alpha < alpha_max
         elif kind == "FullCorrective" or kind.startswith("Block"):
             rec.good = True
         else:
-            rec.good = alpha < alpha_max
+            rec.good = 0.0 < alpha < alpha_max
+            if alpha >= alpha_max:
+                kind = "Drop"
+        rec.kind = kind
         if rec.good:
             self.good_steps += 1
 
@@ -370,6 +374,7 @@ class _AffineImage:
             self.resync(x)
 
     def resync(self, x):
+        """Recompute A x (and g) from x, recording their drift; returns True."""
         exact = self.a @ x
         self.drift_max = max(self.drift_max, _norm(self.ax - exact))
         self.ax = exact
@@ -382,9 +387,10 @@ class _AffineImage:
                                         _norm(x - reconstruct_point(self.active)))
         self.steps = 0
         self.resyncs += 1
+        return True
 
 
-def _base_meta(instance, config):
+def _meta(instance, config, policy):
     return {
         "family": instance.family,
         "f_star": instance.f_star,
@@ -392,11 +398,13 @@ def _base_meta(instance, config):
         "mu": instance.mu,
         "D": instance.D,
         "variant": config.variant,
-        "stepsize": config.stepsize.name,
+        "stepsize": config.stepsize.name if policy.sized_by_rule else None,
         "seed": config.seed,
         "gap_tol": config.gap_tol,
         "max_iter": config.max_iter,
         **instance.meta,
+        "x_final": policy.x,
+        **policy.meta(),
     }
 
 
@@ -413,177 +421,209 @@ def solve(instance, config, inexact=None, initial_active=None):
     """
     variant = config.variant
     check_capability(instance, variant, inexact is not None)
-    atomic = variant in ("FW", "AFW", "PFW", "EFW")
-    if initial_active is not None and not atomic:
+    if initial_active is not None and variant not in ("FW", "AFW", "PFW", "EFW"):
         raise InputError("%s takes no initial active set" % variant)
-    if atomic:
-        return _run_atomic(instance, config, inexact=inexact, initial_active=initial_active)
-    if variant == "FDFW":
-        return _solve_fdfw(instance, config)
-    if variant == "BCFW":
-        return _solve_bcfw(instance, config)
-    from . import minnorm  # the attribute is read per call, where a caller may wrap it
+    if variant == "WolfeMNP":
+        from . import minnorm  # the attribute is read per call, where a caller may wrap it
 
-    report = minnorm.solve_wolfe_mnp(instance.region.points, config)
-    report.meta["D"] = instance.D  # computed once, when the instance was built
-    return report
-
-
-def _run_atomic(instance, config, inexact=None, initial_active=None):
-    """Shared driver of FW / AFW / PFW / EFW over an atom-tracking active set.
-
-    The variants share the start, the evaluation, the LMO, the gap, the
-    record and the termination; they differ in the move from the active
-    set.  FW steps toward the LMO atom s, AFW may step away from the active
-    atom v maximizing <g, v> instead, PFW moves weight from v to s, and EFW
-    re-optimizes all the weights (``_correct``).  x jumps each EFW round, so
-    EFW evaluates f at x afresh and tracks no A x.  A move that leaves x
-    where it was ends the run by the stationary rule (``_stationary``).
-    """
-    obj, region = instance.objective, instance.region
-    corrective = config.variant == "EFW"
-    away = config.variant == "AFW"  # PFW always takes its pairwise step
-    pairwise = config.variant == "PFW"
-    rule = copy.deepcopy(config.stepsize)
-    rng = np.random.default_rng(config.seed)
-    if initial_active is not None:
-        active = initial_active.copy()
-        x = reconstruct_point(active)
+        report = minnorm.solve_wolfe_mnp(instance.region.points, config)
+        report.meta["D"] = instance.D  # computed once, when the instance was built
+        return report
+    if variant in ("FDFW", "BCFW"):
+        policy = (_Face if variant == "FDFW" else _Blocks)(instance, config)
     else:
-        atom = _initial_atom(region, rng)
-        active = ActiveSet.from_atom(atom)
-        x = atom.densify().copy()
-    design = None if corrective else design_of(obj)
-    cache = _AtomCache(obj, design)
-    image = None if design is None else _AffineImage(cache, x, active=active)
-    inner_tol = max(config.efw_inner_tol, 0.1 * config.gap_tol)
-    tracer = _Tracer(config)
-    termination = "MaxIter"
-    k = 0
-    evals = 0  # gradient passes at iterates when there is no image to count them
-    cycles = 0  # EFW's corral cycles
-    settled = False  # whether the last correction ended within its cycle cap
+        policy = _Atoms(instance, config, inexact, initial_active)
+    return _drive(instance, config, policy)
+
+
+def _drive(instance, config, policy):
+    """The iteration loop of every variant: ``policy`` observes x and offers each step.
+
+    The run stops at ``max_iter``, or by the stationary rule (``GapTol``
+    within 10 ``gap_tol``, else ``NumericalError``) where the gap is within
+    ``gap_tol`` or no step moves x, once the policy has re-synced.  A zero
+    step from the rule is a ``NumericalError`` where the next pass repeats it.
+    """
+    tracer, termination, k = _Tracer(config), "MaxIter", 0
     try:
         while True:
-            if image is None:
-                f, g = obj.eval(x)
-                evals += 1
-            else:
-                f, g = image.value_and_grad(x)
-            if inexact is not None:
-                exact_atom, s_atom = inexact.query(g, x)
-            else:
-                exact_atom = s_atom = region.lmo(g)
-            s = exact_atom.densify()
-            gap = float(np.vdot(g, x) - np.vdot(g, s))
-            rec = tracer.make(k, f, gap, len(active), x)
-            if gap <= config.gap_tol:
-                if image is not None and image.steps:
-                    image.resync(x)  # GapTol only on a gap from an exact A x and g
+            f, g, gap, support_size, support = policy.observe()
+            rec = tracer.make(k, f, gap, support_size, policy.x, support)
+            if gap > config.gap_tol and k >= config.max_iter:
+                break
+            step = policy.step() if gap > config.gap_tol else None
+            if step is None:
+                if policy.resync():
                     continue
-                termination = "GapTol"
-                tracer.push(rec, terminal=True)
+                termination = "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
                 break
-            if k >= config.max_iter:
-                termination = "MaxIter"
-                tracer.push(rec, terminal=True)
-                break
-            if corrective:
-                # once a correction has settled the weights, s holding weight
-                # leaves nothing to correct; a round that leaves x where it was
-                # (the corral turned s away) would only repeat itself: both end the run
-                if not settled or active.find(s_atom) is None:
-                    used, settled = _correct(active, s_atom, cache, inner_tol)
-                    cycles += used
-                x_new = reconstruct_point(active)
-                d = x_new - x
-                if not d.any():
-                    termination = _stationary(gap, config)
-                    tracer.push(rec, terminal=True)
+            kind, dg, dnorm, alpha_max, alpha, d, ad, slope = step
+            if alpha is None:
+                alpha = compute_step(policy.rule, k, instance.objective, policy.x, g, d, alpha_max,
+                                     f=f, ad=ad, slope=slope)
+                if alpha <= 0.0 and policy.zero_step_ends_run:
+                    termination = "NumericalError"
                     break
-                tracer.mark_step(rec, "FullCorrective", 1.0, float(np.vdot(g, d)), _norm(d), 1.0)
-                tracer.push(rec)
-                x = x_new
-                k += 1
-                continue
-            s_used = s if s_atom is exact_atom else s_atom.densify()
-            v_atom = pos_v = None
-            if pairwise:
-                v_atom, w_v, pos_v = select_away_vertex(active, g)
-                kind, d, alpha_max = "Pairwise", s_used - v_atom.densify(), float(w_v)
-                dg = float(np.vdot(g, d))
-            else:
-                kind, d, alpha_max = "FW", s_used - x, 1.0
-                dg = float(np.vdot(g, d))
-                if away:
-                    v_atom, w_v, pos_v = select_away_vertex(active, g)
-                    d_aw = x - v_atom.densify()
-                    dg_aw = float(np.vdot(g, d_aw))
-                    if -dg_aw > -dg and w_v < 1.0:
-                        kind, d, dg, alpha_max = "Away", d_aw, dg_aw, away_step_cap(w_v)
-            # g is finite (the LMO checked it), so d = 0 gives dg = 0: only then is d scanned
-            if (dg == 0.0 and not d.any()) or (inexact is not None and dg >= 0.0):
-                if inexact is not None:
-                    # the degraded oracle may stall an iteration; the error
-                    # budget shrinks with k, so progress resumes on its own
-                    rec.kind = kind
-                    rec.dg = float(dg)
-                    rec.dnorm = _norm(d)
-                    rec.alpha_max = float(alpha_max)
-                    tracer.push(rec)
-                    k += 1
-                    continue
-                if image is not None and image.steps:
-                    image.resync(x)
-                    continue
-                termination = _stationary(gap, config)
-                tracer.push(rec, terminal=True)
-                break
-            # the step's atoms are looked up once: in the cache (for their
-            # images) and in the active set, whose position apply_step takes
-            toward = None if kind == "Away" else s_atom
-            s_entry = v_entry = ad = None
-            if image is not None:
-                s_entry = None if toward is None else cache.entry(s_atom)
-                v_entry = None if kind == "FW" else cache.entry(v_atom)
-                ad = image.direction(s_entry, v_entry)
-            alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f, ad=ad, slope=dg)
-            if alpha <= 0.0:
-                termination = "NumericalError"
-                tracer.push(rec, terminal=True)
-                break
-            pos_s = None if toward is None else \
-                active.find(s_atom, None if s_entry is None else s_entry[0])
-            apply_step(active, StepDescriptor(kind, toward, v_atom if kind != "FW" else None,
-                                              (pos_s, pos_v)), alpha)
-            x = s_used.copy() if kind == "FW" and alpha >= 1.0 else x + alpha * d
-            if image is not None:
-                image.move(kind, alpha, ad, x)
-            recorded_kind = "Drop" if kind != "FW" and alpha >= alpha_max else kind
-            tracer.mark_step(rec, recorded_kind, alpha, dg, _norm(d), alpha_max)
+            policy.move(alpha)
+            tracer.mark_step(rec, kind, alpha, dg, dnorm, alpha_max)
             tracer.push(rec)
             k += 1
+        tracer.push(rec, terminal=True)
     except NumericalError:
         termination = "NumericalError"
-    meta = _base_meta(instance, config)
-    meta["x_final"] = x
-    meta["grad_passes"] = evals + cache.passes if image is None else image.grad_passes
-    if corrective:
-        meta["correction_cycles"] = cycles
-    if image is not None:
-        meta.update(affine_resyncs=image.resyncs, affine_drift_max=image.drift_max,
-                    grad_drift_max=image.grad_drift_max,
-                    active_drift_max=image.active_drift_max)
-    if inexact is not None:
-        sched = inexact.schedule
-        meta.update(inexact_mode=sched.mode, inexact_delta=sched.delta,
-                    inexact_kappa=sched.kappa_upper)
-    return SolveReport(tracer.records, active, termination, tracer.good_steps, meta)
+    return SolveReport(tracer.records, policy.active, termination, tracer.good_steps,
+                       _meta(instance, config, policy))
 
 
-def _stationary(gap, config):
-    """Termination of a run stationary over its atoms: the gap check governs, within 10x."""
-    return "GapTol" if gap <= 10.0 * config.gap_tol else "NumericalError"
+class _Policy:
+    """How a family of variants observes the iterate ``x`` and steps from it.
+
+    ``observe()`` gives (f, g, gap, support size, support or None) at x.
+    ``step()`` gives None where no step moves x, else the tuple (kind,
+    <g, d>, ||d||, alpha_max, alpha, d, A d, slope): the record's fields,
+    the size the policy fixes or None to ask the rule, and what the rule
+    reads (d None for a rule that reads none; slope the <g, d> it may take
+    as given).  ``move(alpha)`` takes that step; ``resync()`` tells whether
+    it re-synced tracked state from x.
+    """
+
+    zero_step_ends_run = True
+    sized_by_rule = True  # else the report names no stepsize
+    active = None
+
+    def __init__(self, instance, config):
+        self.obj, self.region = instance.objective, instance.region
+        self.rule = copy.deepcopy(config.stepsize)
+        self.rng = np.random.default_rng(config.seed)
+
+    def resync(self):
+        return False
+
+    def meta(self):
+        return {}
+
+
+class _Atoms(_Policy):
+    """FW, AFW, PFW and EFW, over an atom-tracking active set.
+
+    FW steps toward the LMO atom s, AFW may step away from the active atom
+    v maximizing <g, v> instead, PFW moves weight from v to s, and EFW
+    re-optimizes all the weights (``_correct``) and moves x at alpha 1, so
+    it evaluates f afresh where the others track A x (``_AffineImage``) on
+    a quadratic form.  Under an inexact oracle a direction that does not
+    descend is a step of size 0: the error budget shrinks with k.
+    """
+
+    def __init__(self, instance, config, inexact=None, initial_active=None):
+        super().__init__(instance, config)
+        self.corrective, self.away, self.pairwise = (config.variant == v
+                                                     for v in ("EFW", "AFW", "PFW"))
+        self.inexact, self.sized_by_rule = inexact, not self.corrective
+        if initial_active is not None:
+            self.active = initial_active.copy()
+            self.x = reconstruct_point(self.active)
+        else:
+            atom = _initial_atom(self.region, self.rng)
+            self.active = ActiveSet.from_atom(atom)
+            self.x = atom.densify().copy()
+        design = None if self.corrective else design_of(self.obj)
+        cache = self.cache = _AtomCache(self.obj, design)
+        self.image = None if design is None else _AffineImage(cache, self.x, active=self.active)
+        self.inner_tol = max(config.efw_inner_tol, 0.1 * config.gap_tol)
+        self.evals = self.cycles = 0  # evaluations at iterates without an image; corral cycles
+        self.settled = False  # whether the last correction ended within its cycle cap
+
+    def observe(self):
+        x, image = self.x, self.image
+        if image is None:
+            f, g = self.obj.eval(x)
+            self.evals += 1
+        else:
+            f, g = image.value_and_grad(x)
+        if self.inexact is not None:
+            exact_atom, s_atom = self.inexact.query(g, x)
+        else:
+            exact_atom = s_atom = self.region.lmo(g)
+        s = exact_atom.densify()
+        self.g, self.s, self.s_atom, self.exact = g, s, s_atom, s_atom is exact_atom
+        return f, g, float(np.vdot(g, x) - np.vdot(g, s)), len(self.active), None
+
+    def resync(self):
+        return self.image is not None and self.image.steps > 0 and self.image.resync(self.x)
+
+    def step(self):
+        x, g, active, s_atom = self.x, self.g, self.active, self.s_atom
+        if self.corrective:
+            # once a correction has settled the weights, s holding weight
+            # leaves nothing to correct; a round that leaves x where it was
+            # (the corral turned s away) would only repeat itself: both end the run
+            if not self.settled or active.find(s_atom) is None:
+                used, self.settled = _correct(active, s_atom, self.cache, self.inner_tol)
+                self.cycles += used
+            self.target = reconstruct_point(active)
+            d = self.target - x
+            if not d.any():
+                return None
+            return "FullCorrective", float(np.vdot(g, d)), _norm(d), 1.0, 1.0, None, None, None
+        s = self.s if self.exact else s_atom.densify()
+        v_atom = pos_v = None
+        if self.away or self.pairwise:
+            v_atom, w_v, pos_v = select_away_vertex(active, g)
+        if self.pairwise:
+            kind, d, alpha_max = "Pairwise", s - v_atom.densify(), float(w_v)
+        else:
+            kind, d, alpha_max = "FW", s - x, 1.0
+        dg = float(np.vdot(g, d))
+        if self.away:
+            d_aw = x - v_atom.densify()
+            dg_aw = float(np.vdot(g, d_aw))
+            if -dg_aw > -dg and w_v < 1.0:
+                kind, d, dg, alpha_max = "Away", d_aw, dg_aw, away_step_cap(w_v)
+        if self.inexact is not None and dg >= 0.0:
+            return kind, dg, _norm(d), alpha_max, 0.0, None, None, None
+        # g is finite (the LMO checked it), so d = 0 gives dg = 0: only then is d scanned
+        if dg == 0.0 and not d.any():
+            return None
+        # the step's atoms are looked up once: in the cache (for their
+        # images) and in the active set, whose position apply_step takes
+        toward = None if kind == "Away" else s_atom
+        s_entry = ad = None
+        if self.image is not None:
+            s_entry = None if toward is None else self.cache.entry(s_atom)
+            v_entry = None if kind == "FW" else self.cache.entry(v_atom)
+            ad = self.image.direction(s_entry, v_entry)
+        pos_s = None if toward is None else \
+            active.find(toward, None if s_entry is None else s_entry[0])
+        self.ends = s, d, ad, StepDescriptor(kind, toward, None if kind == "FW" else v_atom,
+                                             (pos_s, pos_v))
+        return kind, dg, _norm(d), alpha_max, None, d, ad, dg
+
+    def move(self, alpha):
+        if self.corrective:
+            self.x = self.target
+        elif alpha != 0.0:  # 0 is the inexact oracle's stall, which leaves x
+            s, d, ad, descriptor = self.ends
+            apply_step(self.active, descriptor, alpha)
+            kind = descriptor.kind
+            self.x = s.copy() if kind == "FW" and alpha >= 1.0 else self.x + alpha * d
+            if self.image is not None:
+                self.image.move(kind, alpha, ad, self.x)
+
+    def meta(self):
+        image = self.image
+        if image is None:
+            meta = {"grad_passes": self.evals + self.cache.passes}
+            if self.corrective:
+                meta["correction_cycles"] = self.cycles
+        else:
+            meta = dict(grad_passes=image.grad_passes, affine_resyncs=image.resyncs,
+                        affine_drift_max=image.drift_max, grad_drift_max=image.grad_drift_max,
+                        active_drift_max=image.active_drift_max)
+        if self.inexact is not None:
+            sched = self.inexact.schedule
+            meta.update(inexact_mode=sched.mode, inexact_delta=sched.delta,
+                        inexact_kappa=sched.kappa_upper)
+        return meta
 
 
 def _cycle_cap(atoms):
@@ -615,178 +655,134 @@ def _correct(active, s_atom, cache, inner_tol):
     return used, used < cap
 
 
-def _solve_fdfw(instance, config):
-    """In-face variant: away candidates come from the minimal face of x."""
-    obj, region = instance.objective, instance.region
-    rule = copy.deepcopy(config.stepsize)
-    rng = np.random.default_rng(config.seed)
-    atom = _initial_atom(region, rng)
-    x = atom.densify().copy()
-    tracer = _Tracer(config)
-    termination = "MaxIter"
-    k = 0
+class _Face(_Policy):
+    """In-face FW (FDFW) on a simplex or a box, with no active set.
 
-    def support_size(pt):
-        if isinstance(region, rg.Simplex):
-            return int(np.sum(pt > 1e-12))
-        free = (pt > region.lower + 1e-12) & (pt < region.upper - 1e-12)
-        return int(np.sum(free)) + 1
+    The away vertex comes from x's minimal face (``face_away_vertex``), an
+    in-face step stops at the face's boundary (``max_step``), and
+    coordinates within 1e-12 of a face snap onto it.  The gap is <g, x - s>,
+    and the support counts x's free coordinates (plus one on a box).
+    """
 
-    try:
-        while True:
-            f, g = obj.eval(x)
-            s_atom = region.lmo(g)
-            s = s_atom.densify()
-            gap = float(np.vdot(g, x - s))
-            rec = tracer.make(k, f, gap, support_size(x), x)
-            if gap <= config.gap_tol:
-                termination = "GapTol"
-                tracer.push(rec, terminal=True)
-                break
-            if k >= config.max_iter:
-                termination = "MaxIter"
-                tracer.push(rec, terminal=True)
-                break
-            d_fw = s - x
-            dg_fw = float(np.vdot(g, d_fw))
-            v = rg.face_away_vertex(region, x, g).densify()
-            d_aw = x - v
-            dg_aw = float(np.vdot(g, d_aw))
-            if -dg_aw > -dg_fw and np.any(d_aw):
-                kind, d, dg, alpha_max = "InFace", d_aw, dg_aw, region.max_step(x, d_aw)
-            else:
-                kind, d, dg, alpha_max = "FW", d_fw, dg_fw, 1.0
-            if alpha_max <= 0.0 or not np.any(d):
-                termination = _stationary(gap, config)
-                tracer.push(rec, terminal=True)
-                break
-            alpha = compute_step(rule, k, obj, x, g, d, alpha_max, f=f, slope=dg)
-            if alpha <= 0.0:
-                termination = "NumericalError"
-                tracer.push(rec, terminal=True)
-                break
-            x = s.copy() if kind == "FW" and alpha >= 1.0 else x + alpha * d
-            # snap coordinates that numerically reached a face
-            if isinstance(region, rg.Simplex):
-                x[np.abs(x) <= 1e-12] = 0.0
-                x = np.maximum(x, 0.0)
-                x /= x.sum()
-            else:
-                x = np.where(np.abs(x - region.lower) <= 1e-12, region.lower, x)
-                x = np.where(np.abs(x - region.upper) <= 1e-12, region.upper, x)
-            recorded_kind = "Drop" if kind == "InFace" and alpha >= alpha_max else kind
-            tracer.mark_step(rec, recorded_kind, alpha, dg, _norm(d), alpha_max)
-            tracer.push(rec)
-            k += 1
-    except NumericalError:
-        termination = "NumericalError"
-    meta = _base_meta(instance, config)
-    meta["x_final"] = x
-    return SolveReport(tracer.records, None, termination, tracer.good_steps, meta)
+    def __init__(self, instance, config):
+        super().__init__(instance, config)
+        self.x = _initial_atom(self.region, self.rng).densify().copy()
+        self.simplex = isinstance(self.region, rg.Simplex)
+
+    def observe(self):
+        x, region = self.x, self.region
+        f, g = self.obj.eval(x)
+        s = self.s = region.lmo(g).densify()
+        self.g, gap = g, float(np.vdot(g, x - s))
+        if self.simplex:
+            return f, g, gap, int(np.sum(x > 1e-12)), None
+        free = (x > region.lower + 1e-12) & (x < region.upper - 1e-12)
+        return f, g, gap, int(np.sum(free)) + 1, None
+
+    def step(self):
+        x, g, region = self.x, self.g, self.region
+        d_fw = self.s - x
+        dg_fw = float(np.vdot(g, d_fw))
+        d_aw = x - rg.face_away_vertex(region, x, g).densify()
+        dg_aw = float(np.vdot(g, d_aw))
+        if -dg_aw > -dg_fw and np.any(d_aw):
+            kind, d, dg, alpha_max = "InFace", d_aw, dg_aw, region.max_step(x, d_aw)
+        else:
+            kind, d, dg, alpha_max = "FW", d_fw, dg_fw, 1.0
+        if alpha_max <= 0.0 or not np.any(d):
+            return None
+        self.fw, self.d = kind == "FW", d
+        return kind, dg, _norm(d), alpha_max, None, d, None, dg
+
+    def move(self, alpha):
+        x = self.s.copy() if self.fw and alpha >= 1.0 else self.x + alpha * self.d
+        if self.simplex:
+            x[np.abs(x) <= 1e-12] = 0.0
+            x = np.maximum(x, 0.0)
+            x /= x.sum()
+        else:
+            x = np.where(np.abs(x - self.region.lower) <= 1e-12, self.region.lower, x)
+            x = np.where(np.abs(x - self.region.upper) <= 1e-12, self.region.upper, x)
+        self.x = x
 
 
-def _solve_bcfw(instance, config):
-    """Block coordinate FW (Lacoste-Julien et al., 2013): a random block steps each round.
+class _Blocks(_Policy):
+    """Block coordinate FW (Lacoste-Julien et al., 2013): a random block steps each pass.
 
     A step on block i changes only its value, gradient, LMO vertex, gap term
-    and support, so these are cached per block and a step with alpha > 0
-    refreshes block i alone; its support set is rebuilt only when the bytes
-    of its mask |x_i| > 1e-12 change.  f and the gap sum the cached terms in
-    block order, as ``BlockSeparable.eval`` does; the step rules get the
-    full-length g and direction, as block slices' dot products round apart.
-    The blocks are drawn 64 at a time, which gives the stream of one
-    ``rng.integers(m)`` per iteration.
+    and support, so these are cached per block; its support set is rebuilt
+    only when the bytes of its mask |x_i| > 1e-12 change.  f and the gap sum
+    the terms in block order, as ``BlockSeparable.eval`` does; the rules get
+    the full-length g and direction, as block slices' dot products round
+    apart.  A block that does not descend steps by 0, and a zero from the
+    rule is no error: the next pass draws another block.
     """
-    obj, region = instance.objective, instance.region
-    m = len(region.blocks)
-    rule = copy.deepcopy(config.stepsize)
-    if isinstance(rule, (Diminishing, BlockDiminishing)):
-        rule = BlockDiminishing(m=m)
-    rng = np.random.default_rng(config.seed)
-    x = np.concatenate([b.lmo(rng.standard_normal(b.shape)).densify() for b in region.blocks])
-    g = np.zeros(obj.shape)
-    slices = [region.block_slice(i) for i in range(m)]
-    kinds = ["Block(%d)" % i for i in range(m)]
-    vals, verts, gaps, sups, masks = ([None] * m for _ in range(5))  # per block
 
-    def refresh(i):
-        """Recompute block i's cached terms; True when its support moved."""
-        sl = slices[i]
-        xi = x[sl]
-        vals[i], g[sl] = obj.parts[i].eval(xi)
-        gi = g[sl]
-        verts[i] = region.blocks[i].lmo(gi).densify()
-        gaps[i] = float(gi @ xi - gi @ verts[i])
-        mask = np.abs(xi) > _SUPPORT_TOL
-        key = mask.tobytes()
-        if key == masks[i]:
-            return False
-        masks[i] = key
-        sups[i] = frozenset((mask.nonzero()[0] + sl.start).tolist())
-        return True
+    zero_step_ends_run = False
 
-    def blocks():
-        while True:
-            yield from rng.integers(m, size=64).tolist()
+    def __init__(self, instance, config):
+        super().__init__(instance, config)
+        region = self.region
+        m = self.m = len(region.blocks)
+        if isinstance(self.rule, (Diminishing, BlockDiminishing)):
+            self.rule = BlockDiminishing(m=m)
+        self.x = np.concatenate([b.lmo(self.rng.standard_normal(b.shape)).densify()
+                                 for b in region.blocks])
+        self.g = np.zeros(self.obj.shape)
+        self.slices = [region.block_slice(i) for i in range(m)]
+        self.kinds = ["Block(%d)" % i for i in range(m)]
+        self.vals, self.verts, self.gaps, self.sups, self.masks = ([None] * m for _ in range(5))
+        self.block_evals, self.support = m, None
+        # one rng.integers(m) per pass, drawn 64 at a time
+        self.draws = (i for _ in itertools.repeat(None)
+                      for i in self.rng.integers(m, size=64).tolist())
 
-    def totals():
+    def _update(self, blocks):
+        for i in blocks:
+            sl = self.slices[i]
+            xi = self.x[sl]
+            self.vals[i], self.g[sl] = self.obj.parts[i].eval(xi)
+            gi = self.g[sl]
+            self.verts[i] = self.region.blocks[i].lmo(gi).densify()
+            self.gaps[i] = float(gi @ xi - gi @ self.verts[i])
+            mask = np.abs(xi) > _SUPPORT_TOL
+            key = mask.tobytes()
+            if key != self.masks[i]:
+                self.masks[i], self.support = key, None
+                self.sups[i] = frozenset((mask.nonzero()[0] + sl.start).tolist())
+
+    def observe(self):
+        if self.vals[0] is None:  # the first pass evaluates every block
+            self._update(range(self.m))
+        if self.support is None and self.x.size <= _SUPPORT_MAX:
+            self.support = frozenset().union(*self.sups)  # records share it while it stays
         f = gap = 0.0
-        for i in range(m):
-            f += vals[i]
-            gap += gaps[i]
-        return f, gap, sum(map(len, sups))
+        for i in range(self.m):
+            f += self.vals[i]
+            gap += self.gaps[i]
+        return f, self.g, gap, sum(map(len, self.sups)), self.support
 
-    def union():
-        return frozenset().union(*sups) if x.size <= _SUPPORT_MAX else None
+    def step(self):
+        i = self.i = next(self.draws)
+        sl = self.slices[i]
+        d_bl = self.d_bl = self.verts[i] - self.x[sl]
+        dg = float(self.g[sl] @ d_bl)
+        if dg >= 0.0:  # also when d_bl = 0: the LMO checked that g is finite
+            return self.kinds[i], dg, _norm(d_bl), 1.0, 0.0, None, None, None
+        d_full = None
+        if not isinstance(self.rule, BlockDiminishing):  # which reads no direction
+            d_full = np.zeros_like(self.x)
+            d_full[sl] = d_bl
+        return self.kinds[i], dg, _norm(d_bl), 1.0, None, d_full, None, None
 
-    tracer = _Tracer(config)
-    termination = "MaxIter"
-    k = 0
-    block_evals = m
-    draws = blocks()
-    try:
-        for i in range(m):
-            refresh(i)
-        f, gap, support_size = totals()
-        support = union()
-        while True:
-            rec = tracer.make(k, f, gap, support_size, x, support)
-            if gap <= config.gap_tol:
-                termination = "GapTol"
-                tracer.push(rec, terminal=True)
-                break
-            if k >= config.max_iter:
-                termination = "MaxIter"
-                tracer.push(rec, terminal=True)
-                break
-            i = next(draws)
-            sl = slices[i]
-            d_bl = verts[i] - x[sl]
-            dg = float(g[sl] @ d_bl)
-            if dg >= 0.0:  # also when d_bl = 0: the LMO checked that g is finite
-                alpha = 0.0
-            else:
-                d_full = None
-                if not isinstance(rule, BlockDiminishing):
-                    d_full = np.zeros_like(x)
-                    d_full[sl] = d_bl
-                alpha = compute_step(rule, k, obj, x, g, d_full, 1.0, f=f)
-            if alpha > 0.0:
-                x[sl] = x[sl] + alpha * d_bl
-                if refresh(i):
-                    support = union()  # else the last record's set, shared
-                block_evals += 1
-                f, gap, support_size = totals()
-            tracer.mark_step(rec, kinds[i], alpha, dg, _norm(d_bl), 1.0)
-            tracer.push(rec)
-            k += 1
-    except NumericalError:
-        termination = "NumericalError"
-    meta = _base_meta(instance, config)
-    meta["x_final"] = x
-    meta["blocks"] = m
-    meta["block_evals"] = block_evals
-    return SolveReport(tracer.records, None, termination, tracer.good_steps, meta)
+    def move(self, alpha):
+        if alpha > 0.0:
+            self.x[self.slices[self.i]] += alpha * self.d_bl
+            self._update((self.i,))
+            self.block_evals += 1
+
+    def meta(self):
+        return {"blocks": self.m, "block_evals": self.block_evals}
 
 
 def reference_f_star(instance, gap_tol=1e-12, max_iter=100000, seed=1):

@@ -22,7 +22,7 @@ _spec.loader.exec_module(identity)
 
 
 def _summaries(plant=None):
-    """Summaries of five solves (one refused); ``plant`` may alter each report first."""
+    """Summaries of seven solves (one refused); ``plant`` may alter each report first."""
     simplex = build_instance("simplex_distance", n=6)
     interior = build_instance("interior_quadratic", n=8, seed=2)
     points = np.random.default_rng(1).standard_normal((10, 3)) + 1.0
@@ -31,7 +31,10 @@ def _summaries(plant=None):
             (interior, SolverConfig(variant="PFW", stepsize=ExactLine(), gap_tol=1e-10)),
             (build_instance("min_norm_point", points=points),
              SolverConfig(variant="WolfeMNP", gap_tol=1e-12)),
-            (build_instance("lasso", m=5, n=8, seed=2), SolverConfig(variant="FDFW"))]
+            (build_instance("lasso", m=5, n=8, seed=2), SolverConfig(variant="FDFW")),
+            (build_instance("boundary_quadratic", n=8, seed=3),
+             SolverConfig(variant="FDFW", stepsize=ExactLine(), gap_tol=1e-10)),
+            (build_instance("product", b=3, n=5), SolverConfig(variant="BCFW", gap_tol=5e-2))]
     out = {}
     for i, (inst, config) in enumerate(jobs):
         report = error = None
@@ -48,8 +51,9 @@ def _summaries(plant=None):
 def test_the_tree_against_itself_shows_no_difference(capsys):
     assert identity.compare(_summaries(), _summaries()) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["%-9s 0 of 1 solves differ" % v
-                     for v in ("EFW", "FDFW", "FW", "PFW", "WolfeMNP")]
+    assert lines == ["%-9s 0 of %d solves differ" % (v, n)
+                     for v, n in (("BCFW", 1), ("EFW", 1), ("FDFW", 2), ("FW", 1), ("PFW", 1),
+                                  ("WolfeMNP", 1))]
 
 
 def test_a_planted_one_ulp_change_in_a_record_is_caught(capsys):

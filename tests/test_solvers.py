@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fwkit import solvers
 from fwkit.atoms import ActiveSet, DenseAtom, SignedUnitAtom
-from fwkit.diagnostics import fit_geometric_rate
+from fwkit.diagnostics import fit_geometric_rate, per_step_guarantees
 from fwkit.errors import CapabilityError, InputError
 from fwkit.minnorm import corral_weights
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
@@ -809,6 +809,20 @@ def test_config_takes_a_rule_of_the_caller_s_own():
     assert [r.alpha for r in report.records[:2]] == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("variant", ["EFW", "WolfeMNP"])
+def test_a_run_that_asks_no_step_rule_names_none(variant):
+    # EFW and Wolfe's method size every step by their correction; their
+    # reports once named the config's rule all the same ("diminishing" for
+    # a config from `fwkit gen --family min_norm_point`)
+    pts = np.random.default_rng(3).standard_normal((12, 3)) + 1.0
+    inst = build_instance("min_norm_point", points=pts)
+    report = solve(inst, cfg(variant, Diminishing()))
+    assert report.termination == "GapTol" and report.meta["stepsize"] is None
+    with pytest.raises(InputError, match="Lipschitz rule"):
+        per_step_guarantees(report)
+    assert solve(inst, cfg("AFW", Diminishing(), max_iter=5)).meta["stepsize"] == "diminishing"
+
+
 class _TurnsNaN:
     """Its objective's gradient, with a NaN from the ``after``-th evaluation on."""
 
@@ -835,14 +849,23 @@ def test_a_gradient_turning_nan_mid_solve_raises_input_error(variant):
     assert obj.calls >= 4
 
 
-@pytest.mark.parametrize("variant", ["FW", "AFW", "PFW"])
-@pytest.mark.parametrize("family", ["boundary_quadratic", "simplex_distance"])
-def test_atomic_driver_calls_its_layers_through_their_module_names(monkeypatch, variant,
-                                                                   family):
+_LAYER_CASES = [pytest.param(family, variant, ExactLine, id="%s-%s" % (family, variant))
+                for variant in ("FW", "AFW", "PFW")
+                for family in ("boundary_quadratic", "simplex_distance")]
+_LAYER_CASES += [
+    pytest.param("boundary_quadratic", "FDFW", ExactLine, id="boundary_quadratic-FDFW"),
+    pytest.param("product", "BCFW", Diminishing, id="product-BCFW-diminishing"),
+    pytest.param("product", "BCFW", ExactLine, id="product-BCFW-exact")]
+
+
+@pytest.mark.parametrize("family, variant, rule", _LAYER_CASES)
+def test_atomic_driver_calls_its_layers_through_their_module_names(monkeypatch, family, variant,
+                                                                   rule):
     # a tracer that rebinds solvers.compute_step, solvers.apply_step,
-    # solvers.select_away_vertex and the classes' eval and lmo sees every call
-    inst = build_instance(family, n=8, seed=2)
-    config = cfg(variant, ExactLine(), max_iter=40, gap_tol=1e-300)
+    # solvers.select_away_vertex and the classes' eval and lmo sees every
+    # call; BCFW evaluates its parts and its blocks' LMOs, not the product's
+    inst = build_instance(family, n=8, seed=2, **({"b": 3} if family == "product" else {}))
+    config = cfg(variant, rule(), max_iter=40, gap_tol=1e-300)
     plain = solve(inst, config)
     counts = dict.fromkeys(["eval", "lmo", "compute_step", "apply_step",
                             "select_away_vertex"], 0)
@@ -855,15 +878,25 @@ def test_atomic_driver_calls_its_layers_through_their_module_names(monkeypatch, 
 
     for name in ("compute_step", "apply_step", "select_away_vertex"):
         monkeypatch.setattr(solvers, name, counted(name, getattr(solvers, name)))
-    monkeypatch.setattr(type(inst.objective), "eval",
-                        counted("eval", type(inst.objective).eval))
-    monkeypatch.setattr(type(inst.region), "lmo", counted("lmo", type(inst.region).lmo))
+    obj, region = inst.objective, inst.region
+    if variant == "BCFW":
+        obj, region = obj.parts[0], region.blocks[0]  # the parts share a class, as do the blocks
+    monkeypatch.setattr(type(obj), "eval", counted("eval", type(obj).eval))
+    monkeypatch.setattr(type(region), "lmo", counted("lmo", type(region).lmo))
     report = solve(inst, config)
-    assert [r.f for r in report.records] == [r.f for r in plain.records]
+    assert [_record_bits(r) for r in report.records] == [_record_bits(r) for r in plain.records]
     steps = sum(r.kind != "stop" for r in report.records)
     assert steps > 0
     # one per pass of the loop (a re-sync repeats a pass) and the initial vertex
     assert counts["lmo"] >= len(report.records) + 1
+    if variant in ("FDFW", "BCFW"):
+        # no active set; every FDFW step and every descending BCFW block asks the rule
+        asked = sum(r.kind != "stop" and (variant == "FDFW" or r.dg < 0.0)
+                    for r in report.records)
+        assert counts["compute_step"] == asked > 0
+        assert counts["apply_step"] == counts["select_away_vertex"] == 0
+        assert counts["eval"] >= len(report.records)
+        return
     assert counts["eval"] >= 1
     assert counts["compute_step"] == counts["apply_step"] == steps
     assert counts["select_away_vertex"] == (0 if variant == "FW" else steps)
