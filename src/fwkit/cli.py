@@ -23,19 +23,12 @@ from . import diagnostics as dg
 from . import objectives as ob
 from . import regions as rg
 from .errors import CapabilityError, FwkitError, InputError
-from .solvers import CAPABILITIES, SolverConfig, check_capability, reference_f_star, solve
-from .stepsizes import RULES, rule_from_name
+from .solvers import REFERENCE_VARIANT, SolverConfig, check_capability, reference_f_star, solve
+from .stepsizes import rule_from_name
 
-_FAMILIES = ("lasso", "meb_dual", "svm_dual", "max_clique", "matcomp",
-             "simplex_distance", "interior_quadratic", "boundary_quadratic",
-             "ball_quadratic", "product", "base_polytope_norm",
-             "min_norm_point")
-_CHECKS = ("sublinear_bound", "lower_bound", "inexact_rate",
-           "strongly_convex_domain", "min_gap_rate", "nonconvex_min_gap",
-           "per_step_guarantees")
-# checks that read f* (reference_f_star supplies it where the family has none)
-_NEEDS_F_STAR = ("sublinear_bound", "lower_bound", "inexact_rate",
-                 "strongly_convex_domain", "per_step_guarantees")
+# the solver block's numeric fields; an absent one keeps SolverConfig's default
+_SOLVER_FIELDS = (("max_iter", int), ("gap_tol", float), ("seed", int),
+                  ("efw_inner_tol", float), ("record_every", int))
 
 
 class ConfigError(Exception):
@@ -63,30 +56,10 @@ def _validate(cfg, base_dir="."):
     for key in ("problem", "solver", "output"):
         if key not in cfg:
             _fail("config lacks the %r block" % key)
-    prob = cfg["problem"]
-    if prob.get("family") not in _FAMILIES:
-        _fail("unknown problem family %r" % prob.get("family"))
-    sol = cfg["solver"]
-    if sol.get("variant") not in CAPABILITIES:
-        _fail("unknown solver variant %r" % sol.get("variant"))
-    step = sol.get("stepsize", "diminishing")
-    if not isinstance(step, str) or step not in RULES:
-        _fail("unknown stepsize %r" % step)
+    prob, sol = cfg["problem"], cfg["solver"]
     for check in cfg.get("checks", []):
-        if check not in _CHECKS:
+        if check not in dg.CHECKS:
             _fail("unknown check %r" % check)
-    check_needs = {
-        "lower_bound": ("simplex_distance",),
-        "strongly_convex_domain": ("ball_quadratic",),
-    }
-    for check in cfg.get("checks", []):
-        allowed = check_needs.get(check)
-        if allowed and prob.get("family") not in allowed:
-            _fail("check %s does not apply to family %s" % (check, prob.get("family")))
-        if check == "inexact_rate" and sol.get("inexact", {}).get("mode") != "decaying":
-            _fail("check inexact_rate needs a decaying inexact oracle")
-        if check == "per_step_guarantees" and sol.get("stepsize") != "lipschitz":
-            _fail("check per_step_guarantees needs the lipschitz stepsize")
     out = cfg["output"]
     if "prefix" not in out:
         _fail("output block needs a prefix")
@@ -105,46 +78,54 @@ def _validate(cfg, base_dir="."):
 def _prepare(path, needs_f_star=False):
     """A config file's validated blocks, instance, solver config and inexact oracle.
 
-    A variant, or an f* reference for the checks, that cannot run on the
-    instance is refused here, before any solve.
+    The family, variant and stepsize are refused where they are declared
+    (``build_instance``, ``check_capability``, ``rule_from_name``).  A
+    variant, a check whose hypothesis the run's report would not meet, or
+    an f* reference for the checks that cannot run on the instance is
+    refused here, before any solve.
     """
     cfg = _load_config(path)
     prob, sol, checks, out, params, data = _validate(cfg, os.path.dirname(path) or ".")
     instance = _build_problem(prob, params, data)
-    check_capability(instance, sol["variant"], inexact=bool(sol.get("inexact")))
-    if instance.f_star is None and (needs_f_star or any(c in _NEEDS_F_STAR for c in checks)):
+    check_capability(instance, sol.get("variant"), inexact=bool(sol.get("inexact")))
+    config, inexact = _solver_config(sol, instance), _maybe_inexact(sol, instance)
+    meta = {"family": instance.family, "stepsize": config.stepsize.name,
+            "inexact_mode": None if inexact is None else inexact.schedule.mode}
+    for check in checks:
+        dg.require(check, meta)
+    if instance.f_star is None and (needs_f_star or _reads_f_star(checks)):
         try:
-            check_capability(instance, "AFW")  # the solver of reference_f_star
+            check_capability(instance, REFERENCE_VARIANT)
         except CapabilityError as exc:
             _fail("f* is unknown for family %s and its reference run cannot start: %s"
                   % (instance.family, exc))
-    return prob, sol, checks, out, instance, _solver_config(sol, instance), \
-        _maybe_inexact(sol, instance)
+    return prob, sol, checks, out, instance, config, inexact
+
+
+def _reads_f_star(checks):
+    return any(dg.CHECKS[check].reads_f_star for check in checks)
 
 
 def _build_problem(prob, params, data):
-    family = prob["family"]
+    """The problem block's instance, with ``data``'s files loaded as the parameters they hold.
+
+    Inline parameters go to ``build_instance`` as they are: it converts
+    them, and names a missing one.
+    """
+    family = prob.get("family")
     seed = int(prob.get("seed", 0))
     kwargs = dict(params)
     if family == "lasso" and "design" in data:
         kwargs["design"] = np.load(data["design"])
         kwargs["response"] = np.load(data["response"])
-    if family == "max_clique":
-        if "edges" in data:
-            kwargs["edges"] = ob.load_edge_list(data["edges"], weighted=False)
-        elif "edges" in kwargs:
-            kwargs["edges"] = [tuple(e) for e in kwargs["edges"]]
+    if family in ("max_clique", "base_polytope_norm") and "edges" in data:
+        kwargs["edges"] = ob.load_edge_list(data["edges"], weighted=family != "max_clique")
     if family == "matcomp" and "observations" in data:
         kwargs["observations"] = ob.load_observations(data["observations"])
-    if family == "base_polytope_norm" and "edges" in data:
-        kwargs["edges"] = ob.load_edge_list(data["edges"])
     if family in ("meb_dual", "svm_dual", "min_norm_point"):
-        # a missing array is left to build_instance, which names it
         for key in ("points", "labels") if family == "svm_dual" else ("points",):
             if key in data:
                 kwargs[key] = np.load(data[key])
-            elif key in kwargs:
-                kwargs[key] = np.asarray(kwargs[key], dtype=float)
     return ob.build_instance(family, seed=seed, **kwargs)
 
 
@@ -152,13 +133,8 @@ def _solver_config(sol, instance):
     step_name = sol.get("stepsize", "diminishing")
     L = instance.L if instance.L > 0 else None
     rule = rule_from_name(step_name, L=L)
-    return SolverConfig(
-        variant=sol["variant"], stepsize=rule,
-        max_iter=int(sol.get("max_iter", 1000)),
-        gap_tol=float(sol.get("gap_tol", 1e-8)),
-        seed=int(sol.get("seed", 0)),
-        efw_inner_tol=float(sol.get("efw_inner_tol", 1e-10)),
-        record_every=int(sol.get("record_every", 1)))
+    return SolverConfig(variant=sol["variant"], stepsize=rule,
+                        **{key: cast(sol[key]) for key, cast in _SOLVER_FIELDS if key in sol})
 
 
 def _maybe_inexact(sol, instance):
@@ -206,27 +182,6 @@ def _write_trace(report, prefix, fmt):
     return path
 
 
-def _run_checks(report, checks):
-    results = []
-    for name in checks:
-        if name == "sublinear_bound":
-            results.append(dg.verify_sublinear_bound(report))
-        elif name == "lower_bound":
-            n = len(report.meta["x_final"])
-            results.append(dg.lower_bound_check(report, n))
-        elif name == "inexact_rate":
-            results.append(dg.inexact_rate_check(report))
-        elif name == "strongly_convex_domain":
-            results.append(dg.strongly_convex_domain_check(report))
-        elif name == "min_gap_rate":
-            results.append(dg.min_gap_rate_check(report))
-        elif name == "nonconvex_min_gap":
-            results.append(dg.nonconvex_min_gap_check(report))
-        elif name == "per_step_guarantees":
-            results.append(dg.per_step_guarantees(report))
-    return results
-
-
 def _write_report(report, check_results, prefix):
     payload = {
         "termination": report.termination,
@@ -254,8 +209,9 @@ def cmd_run(args):
     os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
     try:
         report = solve(instance, config, inexact=inexact)
-        report = _ensure_f_star(instance, report, any(c in _NEEDS_F_STAR for c in checks))
-        results = _run_checks(report, checks)
+        report = _ensure_f_star(instance, report, _reads_f_star(checks))
+        # each function is looked up per call, where a caller may wrap it
+        results = [getattr(dg, dg.CHECKS[name].function)(report) for name in checks]
     except FwkitError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 3
@@ -336,7 +292,7 @@ def cmd_gen(args):
     try:
         params = _parse_params(args.param)
         family = args.family
-        if family not in _FAMILIES:
+        if family not in ob.FAMILIES:
             _fail("unknown problem family %r" % family)
         seed = int(args.seed)
         prefix = args.out
@@ -383,9 +339,12 @@ def cmd_gen(args):
                 np.save(prefix + ".labels.npy", labels)
                 data["labels"] = base + ".labels.npy"
             prob["params"] = {}
-        variant = {"product": "BCFW", "min_norm_point": "WolfeMNP"}.get(family, "FW")
+        # BCFW + diminishing stalls short of gap_tol 1e-6 within 1000 passes
+        variant, stepsize = {"product": ("BCFW", "exact"),
+                             "min_norm_point": ("WolfeMNP", "diminishing")}.get(
+                                 family, ("FW", "diminishing"))
         solver_block = {"variant": variant,
-                        "stepsize": "diminishing", "max_iter": 1000,
+                        "stepsize": stepsize, "max_iter": 1000,
                         "gap_tol": 1e-6, "seed": 0, "record_every": 1}
         config = {"problem": {**prob, "data": data} if data else prob,
                   "solver": solver_block,

@@ -7,12 +7,49 @@ violating iteration if any.  Rate fits regress log primal gap against the
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 
 _H_SLACK = 1e-9
+
+
+class Check(NamedTuple):
+    """A check's function in this module, whether it reads f*, and its hypothesis or None."""
+
+    function: str
+    reads_f_star: bool
+    hypothesis: tuple = None  # (report.meta key, the value it must hold, wording)
+
+
+# the checks by name: the CLI validates, fetches f* and dispatches from here,
+# and each function refuses a report outside its hypothesis with ``require``
+CHECKS = {
+    "sublinear_bound": Check("verify_sublinear_bound", True),
+    "lower_bound": Check("lower_bound_check", True,
+                         ("family", "simplex_distance", "the simplex distance family")),
+    "inexact_rate": Check("inexact_rate_check", True,
+                          ("inexact_mode", "decaying", "a decaying inexact oracle")),
+    "strongly_convex_domain": Check("strongly_convex_domain_check", True,
+                                    ("family", "ball_quadratic", "the ball quadratic family")),
+    "min_gap_rate": Check("min_gap_rate_check", False),
+    "nonconvex_min_gap": Check("nonconvex_min_gap_check", False),
+    "per_step_guarantees": Check("per_step_guarantees", True,
+                                 ("stepsize", "lipschitz", "the Lipschitz rule")),
+}
+
+
+def require(name, meta):
+    """Raise ``InputError`` unless ``meta`` (a report's, or the one a run
+    will carry) meets the hypothesis of check ``name``."""
+    hypothesis = CHECKS[name].hypothesis
+    if hypothesis is not None:
+        key, value, wording = hypothesis
+        if meta.get(key) != value:
+            raise InputError("%s applies to %s (%s %r), not to %s %r"
+                             % (name, wording, key, value, key, meta.get(key)))
 
 
 @dataclass
@@ -37,8 +74,8 @@ class RateFit:
     """Fitted per-(good-)step geometric factor and fit quality."""
 
 
-def _gaps_with_index(report):
-    f_star = report.meta.get("f_star")
+def _gaps_with_index(report, f_star=None):
+    f_star = report.meta.get("f_star") if f_star is None else f_star
     if f_star is None:
         raise InputError("check needs a known f_star")
     ks = np.array([r.k for r in report.records])
@@ -46,22 +83,39 @@ def _gaps_with_index(report):
     return ks, hs
 
 
+def _below(name, ks, values, bound):
+    """Check ``name``: values[k] <= bound(k) + 1e-9 at every recorded k >= 1.
+
+    The margin is the least slack, infinite on a trace without such k; a
+    failure names the first k past its bound.
+    """
+    mask = ks >= 1
+    excess = values[mask] - (bound(ks[mask]) + _H_SLACK)
+    margin = float(-np.max(excess)) if excess.size else np.inf
+    ok = bool(np.all(excess <= 0.0))
+    return CheckResult(name, ok, margin, None if ok else int(ks[mask][np.argmax(excess > 0.0)]))
+
+
+def _bounded_growth(ks, weighted):
+    """(ok, margin, first violating k): ``weighted`` past k = 20 stays within
+    twice its largest value over k = 1..20 (plus 1e-9)."""
+    head = weighted[(ks >= 1) & (ks <= 20)]
+    if head.size == 0:
+        raise InputError("trace too short")
+    limit = 2.0 * float(np.max(head)) + _H_SLACK
+    late = ks > 20
+    tail = weighted[late]
+    ok = bool(np.all(tail <= limit))
+    margin = float(limit - np.max(tail)) if tail.size else np.inf
+    return ok, margin, None if ok else int(ks[late][np.argmax(tail > limit)])
+
+
 def verify_sublinear_bound(report, L=None, D=None, f_star=None):
     """h_k <= 2 L D^2 / (k + 2) for every recorded k >= 1."""
     L = report.meta["L"] if L is None else L
     D = report.meta["D"] if D is None else D
-    if f_star is None:
-        ks, hs = _gaps_with_index(report)
-    else:
-        ks = np.array([r.k for r in report.records])
-        hs = np.array([r.f - f_star for r in report.records])
-    mask = ks >= 1
-    bound = 2.0 * L * D ** 2 / (ks[mask] + 2.0) + _H_SLACK
-    excess = hs[mask] - bound
-    if np.all(excess <= 0.0):
-        return CheckResult("sublinear_bound", True, float(-np.max(excess)) if excess.size else np.inf)
-    first = int(ks[mask][np.argmax(excess > 0.0)])
-    return CheckResult("sublinear_bound", False, float(-np.max(excess)), first)
+    ks, hs = _gaps_with_index(report, f_star)
+    return _below("sublinear_bound", ks, hs, lambda k: 2.0 * L * D ** 2 / (k + 2.0))
 
 
 def fit_geometric_rate(report, good_only=True, f_star=None):
@@ -135,10 +189,13 @@ def support_identification(report, i_star):
     return hit
 
 
-def lower_bound_check(report, n):
-    """Sparsity lower bound h_k >= 1/(k+1) - 1/n on the simplex-distance family."""
-    if report.meta.get("family") != "simplex_distance":
-        raise InputError("lower bound applies to the simplex distance family")
+def lower_bound_check(report, n=None):
+    """Sparsity lower bound h_k >= 1/(k+1) - 1/n on the simplex-distance family.
+
+    n defaults to the dimension of the report's final iterate.
+    """
+    require("lower_bound", report.meta)
+    n = len(report.meta["x_final"]) if n is None else n
     ks, hs = _gaps_with_index(report)
     ok = True
     margin = np.inf
@@ -156,37 +213,19 @@ def lower_bound_check(report, n):
 
 def inexact_rate_check(report, delta=None, kappa_upper=None):
     """h_k <= 2 kappa (1 + delta) / (k + 2) for decaying-error oracle runs."""
-    if report.meta.get("inexact_mode") != "decaying":
-        raise InputError("rate bound is only claimed for the decaying schedule")
+    require("inexact_rate", report.meta)
     delta = report.meta["inexact_delta"] if delta is None else delta
     kappa_upper = report.meta["inexact_kappa"] if kappa_upper is None else kappa_upper
     ks, hs = _gaps_with_index(report)
-    mask = ks >= 1
-    bound = 2.0 * kappa_upper * (1.0 + delta) / (ks[mask] + 2.0) + _H_SLACK
-    excess = hs[mask] - bound
-    if np.all(excess <= 0.0):
-        return CheckResult("inexact_rate", True, float(-np.max(excess)) if excess.size else np.inf)
-    first = int(ks[mask][np.argmax(excess > 0.0)])
-    return CheckResult("inexact_rate", False, float(-np.max(excess)), first)
+    return _below("inexact_rate", ks, hs, lambda k: 2.0 * kappa_upper * (1.0 + delta) / (k + 2.0))
 
 
 def strongly_convex_domain_check(report):
     """k^2 h_k boundedness on ball instances; geometric rate when the gradient
     is bounded away from zero."""
-    if report.meta.get("family") != "ball_quadratic":
-        raise InputError("check applies to the ball quadratic family")
+    require("strongly_convex_domain", report.meta)
     ks, hs = _gaps_with_index(report)
-    weighted = ks.astype(float) ** 2 * hs
-    head = weighted[(ks >= 1) & (ks <= 20)]
-    if head.size == 0:
-        raise InputError("trace too short")
-    c2 = float(np.max(head))
-    tail = weighted[ks > 20]
-    ok = bool(np.all(tail <= 2.0 * c2 + _H_SLACK))
-    margin = float(2.0 * c2 + _H_SLACK - np.max(tail)) if tail.size else np.inf
-    first = None
-    if not ok:
-        first = int(ks[ks > 20][np.argmax(tail > 2.0 * c2 + _H_SLACK)])
+    ok, margin, first = _bounded_growth(ks, ks.astype(float) ** 2 * hs)
     if ok and report.meta.get("grad_lower_bound", 0.0) > 0.0:
         fit = fit_geometric_rate(report, good_only=True)
         if not fit.q < 1.0:
@@ -198,30 +237,16 @@ def min_gap_rate_check(report, kappa_upper=None, slack=0.1):
     """min_{i<=k} G(x_i) <= (9 kappa / 2k) (1 + slack) for diminishing FW."""
     kappa = report.meta["L"] * report.meta["D"] ** 2 if kappa_upper is None else kappa_upper
     ks = np.array([r.k for r in report.records])
-    gs = np.array([r.gap for r in report.records])
-    running = np.minimum.accumulate(gs)
-    mask = ks >= 1
-    bound = 9.0 * kappa / (2.0 * ks[mask]) * (1.0 + slack) + _H_SLACK
-    excess = running[mask] - bound
-    if np.all(excess <= 0.0):
-        return CheckResult("min_gap_rate", True, float(-np.max(excess)) if excess.size else np.inf)
-    first = int(ks[mask][np.argmax(excess > 0.0)])
-    return CheckResult("min_gap_rate", False, float(-np.max(excess)), first)
+    running = np.minimum.accumulate(np.array([r.gap for r in report.records]))
+    return _below("min_gap_rate", ks, running,
+                  lambda k: 9.0 * kappa / (2.0 * k) * (1.0 + slack))
 
 
 def nonconvex_min_gap_check(report):
-    """Boundedness proxy for min-gap * sqrt(k) on non-convex runs."""
+    """Boundedness proxy for min-gap * sqrt(k) on non-convex runs (no violating k is named)."""
     ks = np.array([r.k for r in report.records])
-    gs = np.array([r.gap for r in report.records])
-    running = np.minimum.accumulate(gs)
-    weighted = running * np.sqrt(np.maximum(ks, 1))
-    head = weighted[(ks >= 1) & (ks <= 20)]
-    if head.size == 0:
-        raise InputError("trace too short")
-    c = float(np.max(head))
-    tail = weighted[ks > 20]
-    ok = bool(np.all(tail <= 2.0 * c + _H_SLACK))
-    margin = float(2.0 * c + _H_SLACK - np.max(tail)) if tail.size else np.inf
+    running = np.minimum.accumulate(np.array([r.gap for r in report.records]))
+    ok, margin, _ = _bounded_growth(ks, running * np.sqrt(np.maximum(ks, 1)))
     return CheckResult("nonconvex_min_gap", ok, margin)
 
 
@@ -233,8 +258,7 @@ def per_step_guarantees(report, L=None, f_star=None):
     satisfy h_next <= min(L ||d||^2, h) / 2.  Both with 1e-10 slack.
     Requires a contiguous trace (record_every = 1).
     """
-    if report.meta.get("stepsize") != "lipschitz":
-        raise InputError("per-step guarantees apply to the Lipschitz rule")
+    require("per_step_guarantees", report.meta)
     L = report.meta["L"] if L is None else L
     f_star = report.meta.get("f_star") if f_star is None else f_star
     recs = report.records

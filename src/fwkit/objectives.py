@@ -406,8 +406,14 @@ def _simplex_interior_distance(z):
     return float(np.min(z) * np.sqrt(n / (n - 1.0)))
 
 
+# the families ``build_instance`` builds
+FAMILIES = ("lasso", "meb_dual", "svm_dual", "max_clique", "matcomp",
+            "simplex_distance", "interior_quadratic", "boundary_quadratic",
+            "ball_quadratic", "product", "base_polytope_norm", "min_norm_point")
+
+
 def build_instance(family, seed=0, **params):
-    """Seeded construction of one benchmark problem family.
+    """Seeded construction of one benchmark problem family (one of ``FAMILIES``).
 
     A parameter the family needs and ``params`` lacks raises ``InputError``.
     """

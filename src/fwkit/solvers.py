@@ -55,11 +55,13 @@ def _is_polytopal(region):
 
 
 class Capability(NamedTuple):
-    """A variant's needs: a predicate on the instance, its wording, and if it takes inexact LMOs."""
+    """A variant's needs: a predicate on the instance, its wording, and if it
+    takes inexact LMOs and a caller's initial active set."""
 
     needs: object
     wording: str
     inexact: bool
+    initial_active: bool = False
 
 
 def _on_blocks(instance):
@@ -68,9 +70,9 @@ def _on_blocks(instance):
             and list(obj.sizes) == region.sizes)
 
 
-_POLYTOPE = Capability(lambda inst: _is_polytopal(inst.region), "a polytopal region", True)
+_POLYTOPE = Capability(lambda inst: _is_polytopal(inst.region), "a polytopal region", True, True)
 CAPABILITIES = {
-    "FW": Capability(lambda inst: True, "", True),
+    "FW": Capability(lambda inst: True, "", True, True),
     "AFW": _POLYTOPE,
     "PFW": _POLYTOPE,
     "EFW": _POLYTOPE._replace(inexact=False),
@@ -112,6 +114,9 @@ class SolverConfig:
             raise InputError("gap_tol must be positive")
         if self.record_every < 1:
             raise InputError("record_every must be >= 1")
+        if self.variant == "WolfeMNP" and self.efw_inner_tol != SolverConfig.efw_inner_tol:
+            raise InputError("WolfeMNP takes no efw_inner_tol (got %r): its corral runs to "
+                             "a weights' gap of gap_tol/10" % (self.efw_inner_tol,))
         if self.stepsize is None:
             self.stepsize = Diminishing()
         elif (isinstance(self.stepsize, type) or not callable(getattr(self.stepsize, "step", None))
@@ -208,14 +213,15 @@ class _Tracer:
             self.records.append(rec)
 
     def mark_step(self, rec, kind, alpha, dg, dnorm, alpha_max):
-        # an away, pairwise or in-face step that reaches alpha_max is recorded as a "Drop"
+        # an away, pairwise or in-face step that reaches alpha_max is recorded as a "Drop";
+        # a block step is judged as an FW step (alpha_max 1: good iff alpha > 0)
         rec.alpha = float(alpha)
         rec.dg = float(dg)
         rec.dnorm = float(dnorm)
         rec.alpha_max = float(alpha_max)
-        if kind == "FW":
+        if kind == "FW" or kind.startswith("Block"):
             rec.good = alpha >= 1.0 or 0.0 < alpha < alpha_max
-        elif kind == "FullCorrective" or kind.startswith("Block"):
+        elif kind == "FullCorrective":
             rec.good = True
         else:
             rec.good = 0.0 < alpha < alpha_max
@@ -416,12 +422,12 @@ def _initial_atom(region, rng):
 def solve(instance, config, inexact=None, initial_active=None):
     """Run ``config.variant`` on a problem instance, after ``check_capability``.
 
-    ``initial_active`` starts FW, AFW, PFW and EFW from a given active set;
-    the other variants refuse one with ``InputError`` before any work.
+    ``initial_active`` starts a variant whose capability takes one from a
+    given active set; the others refuse one with ``InputError`` before any work.
     """
     variant = config.variant
     check_capability(instance, variant, inexact is not None)
-    if initial_active is not None and variant not in ("FW", "AFW", "PFW", "EFW"):
+    if initial_active is not None and not CAPABILITIES[variant].initial_active:
         raise InputError("%s takes no initial active set" % variant)
     if variant == "WolfeMNP":
         from . import minnorm  # the attribute is read per call, where a caller may wrap it
@@ -785,15 +791,18 @@ class _Blocks(_Policy):
         return {"blocks": self.m, "block_evals": self.block_evals}
 
 
+REFERENCE_VARIANT = "AFW"
+
+
 def reference_f_star(instance, gap_tol=1e-12, max_iter=100000, seed=1):
-    """Reference optimal value from a long away-step run; ``CAPABILITIES["AFW"]`` applies.
+    """Reference optimal value from a long away-step run of ``REFERENCE_VARIANT``.
 
     Convex instances get the certified lower bound max over the trace of
     f(x_k) - G(x_k), which never exceeds f*, with error at most the
     smallest gap reached.  Non-convex instances (where f - G certifies
     nothing) get the best objective value observed instead.
     """
-    config = SolverConfig(variant="AFW", stepsize=ExactLine(), max_iter=max_iter,
+    config = SolverConfig(variant=REFERENCE_VARIANT, stepsize=ExactLine(), max_iter=max_iter,
                           gap_tol=gap_tol, seed=seed, record_every=1)
     report = solve(instance, config)
     if instance.meta.get("convex", True):

@@ -5,6 +5,8 @@ import os
 import pytest
 
 from fwkit import cli
+from fwkit import diagnostics as dg
+from fwkit.errors import InputError
 
 
 def write_config(path, **overrides):
@@ -259,6 +261,60 @@ def test_run_inexact_oracle_with_rate_check(tmp_path):
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
 
 
+def test_run_inexact_rate_on_the_default_decaying_schedule(tmp_path):
+    # an inexact block without "mode" runs the decaying schedule, whose rate
+    # the check claims: the config was once refused with exit 2
+    cfg_path = tmp_path / "inexact.json"
+    cfg = write_config(cfg_path,
+                       problem={"family": "simplex_distance", "seed": 0, "params": {"n": 15}},
+                       solver={"variant": "FW", "stepsize": "diminishing",
+                               "max_iter": 800, "gap_tol": 1e-300,
+                               "inexact": {"delta": 1.0, "seed": 0}},
+                       checks=["inexact_rate"])
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    report = json.loads(open(cfg["output"]["prefix"] + ".report.json").read())
+    assert [(c["check"], c["pass"]) for c in report["checks"]] == [("inexact_rate", True)]
+
+
+# a config block that violates each value a check's hypothesis may require
+_VIOLATING = {
+    "family": lambda value: {"problem": {"family": "interior_quadratic" if value == "simplex_distance"
+                                         else "simplex_distance", "seed": 0, "params": {"n": 5}}},
+    "stepsize": lambda value: {"solver": {"stepsize": "exact" if value != "exact" else "armijo"}},
+    "inexact_mode": lambda value: {"solver": {"inexact": {
+        "mode": "constant" if value != "constant" else "decaying", "delta": 0.1}}},
+}
+_HYPOTHESES = [name for name, check in dg.CHECKS.items() if check.hypothesis is not None]
+
+
+@pytest.mark.parametrize("name", _HYPOTHESES)
+def test_cli_refuses_a_config_against_a_check_hypothesis(tmp_path, name):
+    key, value, _ = dg.CHECKS[name].hypothesis
+    cfg_path = tmp_path / "c.json"
+    cfg = write_config(cfg_path, checks=[name], **_VIOLATING[key](value))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    out = tmp_path / "t.csv"
+    assert cli.main(["compare", "--configs", str(cfg_path), "--out", str(out)]) == 2
+    assert not os.path.exists(cfg["output"]["prefix"] + ".trace.csv")
+    assert not os.path.exists(cfg["output"]["prefix"] + ".report.json")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", _HYPOTHESES)
+def test_a_check_refuses_a_report_against_its_hypothesis(tmp_path, name):
+    key, value, wording = dg.CHECKS[name].hypothesis
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path, checks=[])
+    _, _, _, _, instance, config, _ = cli._prepare(str(cfg_path))
+    report = cli.solve(instance, config)
+    report.meta.update(inexact_mode="decaying", inexact_delta=0.0, inexact_kappa=1.0)
+    report.meta[key] = "not " + value
+    with pytest.raises(InputError, match=wording):
+        getattr(dg, dg.CHECKS[name].function)(report)
+    report.meta[key] = value  # the hypothesis met, the check runs
+    assert getattr(dg, dg.CHECKS[name].function)(report).check == name
+
+
 def test_run_submodular_builtin_with_edge_file(tmp_path):
     edge_file = tmp_path / "graph.txt"
     edge_file.write_text("1 2 2.0\n2 3 1.0\n3 4 3.0\n1 4 1.0\n")
@@ -289,6 +345,16 @@ def test_gen_min_norm_point_runs_wolfe(tmp_path):
         os.chdir(cwd)
 
 
+def test_run_refuses_a_wolfe_mnp_efw_inner_tol(tmp_path):
+    cfg_path = tmp_path / "w.json"
+    cfg = write_config(cfg_path,
+                       problem={"family": "min_norm_point", "seed": 0,
+                                "params": {"points": [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]}},
+                       solver={"variant": "WolfeMNP", "efw_inner_tol": 1e-6}, checks=[])
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert not os.path.exists(cfg["output"]["prefix"] + ".trace.csv")
+
+
 def test_wolfe_mnp_rejects_other_families(tmp_path):
     cfg_path = tmp_path / "w.json"
     write_config(cfg_path, solver={"variant": "WolfeMNP"}, checks=[])
@@ -307,6 +373,11 @@ def test_gen_product_is_bcfw_compatible(tmp_path):
         assert cli.main(["run", "--config", "prod.config.json"]) == 0
     finally:
         os.chdir(cwd)
+    # the generated config reaches its gap_tol (BCFW + diminishing ended
+    # MaxIter at gap 1.4e-2 on b=3, n=5, seed 1)
+    report = json.loads((tmp_path / "prod.run.report.json").read_text())
+    assert cfg["solver"]["stepsize"] == "exact"
+    assert report["termination"] == "GapTol"
 
 
 def test_run_refuses_an_f_star_reference_that_cannot_run(tmp_path):
@@ -361,9 +432,10 @@ _MATRIX_PARAMS = {
 
 def test_run_exits_two_exactly_where_the_capability_table_refuses(tmp_path):
     from fwkit.errors import CapabilityError
+    from fwkit.objectives import FAMILIES
     from fwkit.solvers import CAPABILITIES, check_capability
 
-    assert set(_MATRIX_PARAMS) == set(cli._FAMILIES)
+    assert set(_MATRIX_PARAMS) == set(FAMILIES)
     for family, params in _MATRIX_PARAMS.items():
         for variant in CAPABILITIES:
             for inexact in (False, True):

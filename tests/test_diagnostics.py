@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fwkit.diagnostics import (CheckResult, active_set_radius,
+from fwkit.diagnostics import (CHECKS, CheckResult, active_set_radius,
                                affine_invariance_harness, fit_geometric_rate,
                                inexact_rate_check, lower_bound_check,
                                min_gap_rate_check, nonconvex_min_gap_check,
@@ -243,3 +245,12 @@ def test_check_result_json_shape():
     res = CheckResult("demo", True, 0.25, None)
     js = res.as_json()
     assert js == {"check": "demo", "pass": True, "margin": 0.25, "k_violation": None}
+
+
+def test_readme_lists_each_check_as_the_registry_declares_it():
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    for name, check in CHECKS.items():
+        hypothesis = "none" if check.hypothesis is None else "`%s` is `%s`" % check.hypothesis[:2]
+        row = "| `%s` | `%s` | %s | %s |" % (name, check.function,
+                                             "yes" if check.reads_f_star else "no", hypothesis)
+        assert row in lines, row

@@ -433,6 +433,22 @@ def test_bcfw_zero_gradient_block_is_a_zero_step():
     assert zero_steps and report.meta["block_evals"] == 2 + moved
 
 
+def test_bcfw_judges_block_steps_by_the_fw_rule():
+    # a block step is good iff alpha > 0, and never a "Drop": on this instance
+    # the 29 Block(0) steps have alpha 0, and good_steps once read 50 of 50
+    region = ProductRegion([Simplex(1), Simplex(3)])
+    obj = BlockSeparable([ShiftedNormSquare(np.ones(1)),
+                          ShiftedNormSquare(np.full(3, 1.0 / 3.0))])
+    inst = ProblemInstance(obj, region, 2.0, 2.0, region.diameter(),
+                           f_star=0.0, family="product")
+    report = solve(inst, cfg("BCFW", Diminishing(), max_iter=50, gap_tol=1e-14, seed=1))
+    steps = report.records[:-1]
+    assert len(steps) == 50 and all(r.kind.startswith("Block") for r in steps)
+    assert sum(r.kind == "Block(0)" and r.alpha == 0.0 for r in steps) == 29
+    assert all(r.good == (r.alpha > 0.0) for r in steps)
+    assert report.good_steps == sum(r.good for r in steps) == 21
+
+
 def test_bcfw_with_per_block_lipschitz_rule_is_monotone():
     inst = build_instance("product", b=3, n=4)
     report = solve(inst, cfg("BCFW", LipschitzDep(inst.L), max_iter=300,
