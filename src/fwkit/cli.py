@@ -23,12 +23,12 @@ from . import diagnostics as dg
 from . import objectives as ob
 from . import regions as rg
 from .errors import CapabilityError, FwkitError, InputError
-from .solvers import REFERENCE_VARIANT, SolverConfig, check_capability, reference_f_star, solve
+from .solvers import REFERENCE_VARIANT, SolverConfig, check_capability, planned_meta, \
+    reference_f_star, solve
 from .stepsizes import rule_from_name
 
 # the solver block's numeric fields; an absent one keeps SolverConfig's default
-_SOLVER_FIELDS = (("max_iter", int), ("gap_tol", float), ("seed", int),
-                  ("efw_inner_tol", float), ("record_every", int))
+_SOLVER_FIELDS = {"max_iter": int, "gap_tol": float, "seed": int, "record_every": int}
 
 
 class ConfigError(Exception):
@@ -57,12 +57,16 @@ def _validate(cfg, base_dir="."):
         if key not in cfg:
             _fail("config lacks the %r block" % key)
     prob, sol = cfg["problem"], cfg["solver"]
+    for key in sol:
+        if key not in _SOLVER_FIELDS and key not in ("variant", "stepsize", "inexact"):
+            _fail("unknown solver field %r" % key)
     for check in cfg.get("checks", []):
         if check not in dg.CHECKS:
             _fail("unknown check %r" % check)
     out = cfg["output"]
     if "prefix" not in out:
         _fail("output block needs a prefix")
+    out["prefix"] = os.path.join(base_dir, out["prefix"])
     if out.get("format", "csv") not in ("csv", "json"):
         _fail("output format must be csv or json")
     params = dict(prob.get("params", {}))
@@ -80,8 +84,8 @@ def _prepare(path, needs_f_star=False):
 
     The family, variant and stepsize are refused where they are declared
     (``build_instance``, ``check_capability``, ``rule_from_name``).  A
-    variant, a check whose hypothesis the run's report would not meet, or
-    an f* reference for the checks that cannot run on the instance is
+    check whose hypothesis the run's ``planned_meta`` does not meet, or an
+    f* reference for the checks that cannot run on the instance, is
     refused here, before any solve.
     """
     cfg = _load_config(path)
@@ -89,8 +93,7 @@ def _prepare(path, needs_f_star=False):
     instance = _build_problem(prob, params, data)
     check_capability(instance, sol.get("variant"), inexact=bool(sol.get("inexact")))
     config, inexact = _solver_config(sol, instance), _maybe_inexact(sol, instance)
-    meta = {"family": instance.family, "stepsize": config.stepsize.name,
-            "inexact_mode": None if inexact is None else inexact.schedule.mode}
+    meta = planned_meta(instance, config, inexact)
     for check in checks:
         dg.require(check, meta)
     if instance.f_star is None and (needs_f_star or _reads_f_star(checks)):
@@ -134,7 +137,7 @@ def _solver_config(sol, instance):
     L = instance.L if instance.L > 0 else None
     rule = rule_from_name(step_name, L=L)
     return SolverConfig(variant=sol["variant"], stepsize=rule,
-                        **{key: cast(sol[key]) for key, cast in _SOLVER_FIELDS if key in sol})
+                        **{k: cast(sol[k]) for k, cast in _SOLVER_FIELDS.items() if k in sol})
 
 
 def _maybe_inexact(sol, instance):
@@ -217,11 +220,7 @@ def cmd_run(args):
         return 3
     _write_trace(report, prefix, out.get("format", "csv"))
     _write_report(report, results, prefix)
-    if report.termination == "NumericalError":
-        return 3
-    if all(c.ok for c in results):
-        return 0
-    return 3
+    return 0 if report.termination != "NumericalError" and all(c.ok for c in results) else 3
 
 
 def _compare_one(path):
@@ -244,14 +243,11 @@ def _compare_one(path):
 
 
 def cmd_compare(args):
-    rows = []
-    problems = []
     threads = max(1, int(os.environ.get("FWKIT_THREADS", "1")))
     try:
-        for path in args.configs:
-            cfg = _load_config(path)
-            problems.append(json.dumps(cfg.get("problem"), sort_keys=True))
-        if len(set(problems)) > 1:
+        problems = {json.dumps(_load_config(path).get("problem"), sort_keys=True)
+                    for path in args.configs}
+        if len(problems) > 1:
             print("config error: compare needs a shared problem block", file=sys.stderr)
             return 2
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -270,9 +266,7 @@ def cmd_compare(args):
                 row["solver"], row["iters_to_tol"], _fmt(row["final_h"]),
                 _fmt(row["fitted_q"]), _fmt(row["good_fraction"]),
                 "failed" if row["failed"] else "ok"))
-    if any(row["failed"] for row in rows):
-        return 3
-    return 0
+    return 3 if any(row["failed"] for row in rows) else 0
 
 
 def _parse_params(pairs):

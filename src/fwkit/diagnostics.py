@@ -243,11 +243,12 @@ def min_gap_rate_check(report, kappa_upper=None, slack=0.1):
 
 
 def nonconvex_min_gap_check(report):
-    """Boundedness proxy for min-gap * sqrt(k) on non-convex runs (no violating k is named)."""
+    """Boundedness proxy for min-gap * sqrt(k) on non-convex runs (``_bounded_growth``);
+    a failure names the first k past the bound."""
     ks = np.array([r.k for r in report.records])
     running = np.minimum.accumulate(np.array([r.gap for r in report.records]))
-    ok, margin, _ = _bounded_growth(ks, running * np.sqrt(np.maximum(ks, 1)))
-    return CheckResult("nonconvex_min_gap", ok, margin)
+    ok, margin, first = _bounded_growth(ks, running * np.sqrt(np.maximum(ks, 1)))
+    return CheckResult("nonconvex_min_gap", ok, margin, first)
 
 
 def per_step_guarantees(report, L=None, f_star=None):

@@ -28,7 +28,7 @@ from .atoms import ActiveSet, DenseAtom
 from .errors import InputError
 from .objectives import ProblemInstance, ShiftedNormSquare
 from .regions import VertexHull
-from .solvers import SolverConfig, solve
+from .solvers import SolverConfig, _Atoms
 
 _COEFF_ZERO = 1e-12
 
@@ -174,32 +174,28 @@ def solve_wolfe_mnp(vertices, config):
     Wolfe's method is EFW on f = 1/2 ||x||^2 over the vertices' hull (the
     ``min_norm_point`` instance), started from the vertex of least norm:
     each round the LMO's vertex joins the corral and ``corral_weights``
-    drives the weights' FW gap to 0.1 * gap_tol.  Records hold f and the
+    drives the weights' FW gap to WolfeMNP's corral tolerance, 0.1 * gap_tol
+    (``solvers.CAPABILITIES``).  Records hold f and the
     gap <x, x - s>, one per round; the run ends at the gap tolerance, at
     max_iter, or where no round can move x (the driver's stationary rule).
     The meta adds the corral as point indices and its weights.  Its D is
     NaN: the run never reads the diameter, an O(k^2 n) pass, so it is not
     computed (``solve`` on a built instance reports that instance's D).
     """
-    pts = np.asarray(vertices, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise InputError("vertices must form a nonempty (k, n) array")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("vertices have non-finite entries")
-    if pts.shape[0] > 10 ** 4:
-        raise InputError("vertex list too large")
-    region = VertexHull(pts)
+    region = VertexHull(vertices)  # which refuses anything but a finite (k, n) array
     pts = region.points
+    if len(pts) > 10 ** 4:
+        raise InputError("vertex list too large")
     # the min_norm_point family's instance, without its D
     instance = ProblemInstance(ShiftedNormSquare(np.zeros(region.n), scale=0.5), region,
                                1.0, 1.0, np.nan, family="min_norm_point")
     start = int(np.argmin(np.linalg.norm(pts, axis=1)))
-    report = solve(instance, replace(config, variant="EFW", efw_inner_tol=0.0),
-                   initial_active=ActiveSet.from_atom(DenseAtom(pts[start].copy())))
+    report = _Atoms.run(instance, replace(config, variant="WolfeMNP"), None,
+                        ActiveSet.from_atom(DenseAtom(pts[start].copy())))
     active = report.active_set
     # the LMO's atoms are copies of rows: each is found again by exact equality
     corral = [int((pts == a.vector).all(axis=1).argmax()) for a in active.atoms]
-    report.meta.update(variant="WolfeMNP", corral=corral, weights=active.weights.copy())
+    report.meta.update(corral=corral, weights=active.weights.copy())
     return report
 
 

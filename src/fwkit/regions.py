@@ -4,11 +4,22 @@ Every region answers ``lmo(g)`` with an extreme point minimizing ``<g, z>``
 (ties broken toward the lowest coordinate/vertex index), knows its own
 diameter and maximal feasible step along a direction, and can test
 membership.  The module also provides the greedy oracle for submodular
-base polytopes, the Frank-Wolfe gap, minimal-face selectors used by the
-in-face solver, a brute-force pyramidal width, and a wrapper that degrades
-an exact oracle into an adversarial inexact one.
+base polytopes, the Frank-Wolfe gap, minimal-face selectors, a brute-force
+pyramidal width, and a wrapper that degrades an exact oracle into an
+adversarial inexact one.
+
+A region declares what ``solvers.CAPABILITIES`` asks of it.  AFW, PFW and
+EFW need ``polytopal`` True: the hull of finitely many atoms (a product is
+polytopal when its blocks are).  In-face FW (FDFW) needs the
+``FACE_OPERATIONS`` on x's minimal face: ``face_away_vertex(x, g, tol)``
+(its vertex maximizing <g, v>), ``face_support(x, tol)`` (the support a
+record counts) and ``snap_to_face(x, tol)`` (x put on the faces it is
+within tol of).  ``minimal_face(x, tol)`` (the face's vertices or a lazy
+selector) is optional and serves ``minimal_face_vertices`` only.  The
+simplex and the box declare all four, with tol 1e-12.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -19,6 +30,9 @@ from .errors import CapabilityError, ContractViolation, InputError, NumericalErr
 
 _RESIDUAL_BOUND = 1e-10  # relative residual past which a singular triple is refused
 _PAIR_BLOCK = 1 << 16  # float64 entries in one block of pairwise differences (512 KiB)
+_FACE_TOL = 1e-12  # a coordinate this close to a face lies on it
+# what a region declares to have minimal faces, and so to run in-face FW
+FACE_OPERATIONS = ("face_away_vertex", "face_support", "snap_to_face")
 
 
 def _size(value, what):
@@ -53,6 +67,8 @@ def _check_gradient(g, shape):
 class Simplex:
     """Standard simplex: x >= 0, sum x = 1."""
 
+    polytopal = True
+
     def __init__(self, n):
         if n < 1:
             raise InputError("simplex dimension must be >= 1")
@@ -82,9 +98,26 @@ class Simplex:
     def vertices(self):
         return np.eye(self.n)
 
+    def minimal_face(self, x, tol=_FACE_TOL):
+        return [SignedUnitAtom(i, +1, 1.0, self.n) for i in range(self.n) if x[i] > tol]
+
+    def face_away_vertex(self, x, g, tol=_FACE_TOL):
+        support = np.flatnonzero(x > tol)
+        return SignedUnitAtom.trusted(int(support[int(g[support].argmax())]), 1, 1.0, self.n)
+
+    def face_support(self, x, tol=_FACE_TOL):
+        return int(np.sum(x > tol))
+
+    def snap_to_face(self, x, tol=_FACE_TOL):
+        x = np.maximum(np.where(np.abs(x) <= tol, 0.0, x), 0.0)
+        x /= x.sum()
+        return x
+
 
 class L1Ball:
     """Scaled cross-polytope: ||x||_1 <= tau."""
+
+    polytopal = True
 
     def __init__(self, tau, n):
         self.tau = _size(tau, "tau")
@@ -130,17 +163,15 @@ class L1Ball:
             return max(prev_a + (self.tau - prev_phi) / slope, prev_a)
 
     def vertices(self):
-        vs = []
-        for i in range(self.n):
-            for sign in (+1, -1):
-                v = np.zeros(self.n)
-                v[i] = sign * self.tau
-                vs.append(v)
-        return np.array(vs)
+        vs, i = np.zeros((2 * self.n, self.n)), np.arange(self.n)
+        vs[2 * i, i], vs[2 * i + 1, i] = self.tau, -self.tau  # +tau e_i, then -tau e_i
+        return vs
 
 
 class L2Ball:
     """Euclidean ball of radius eps centered at the origin."""
+
+    polytopal = False
 
     def __init__(self, eps, n):
         self.eps = _size(eps, "eps")
@@ -173,6 +204,8 @@ class L2Ball:
 class LinfBall:
     """Hypercube ||x||_inf <= eps."""
 
+    polytopal = True
+
     def __init__(self, eps, n):
         self.eps = _size(eps, "eps")
         self.n = int(n)
@@ -191,20 +224,20 @@ class LinfBall:
         x = np.asarray(x, dtype=float)
         return x.shape == self.shape and np.max(np.abs(x)) <= self.eps + tol
 
+    def _box(self):
+        return Box(-self.eps * np.ones(self.n), self.eps * np.ones(self.n))
+
     def max_step(self, x, d):
-        return Box(-self.eps * np.ones(self.n), self.eps * np.ones(self.n)).max_step(x, d)
+        return self._box().max_step(x, d)
 
     def vertices(self):
-        if self.n > 16:
-            raise CapabilityError("vertex enumeration limited to n <= 16")
-        vs = []
-        for signs in itertools.product((-1.0, 1.0), repeat=self.n):
-            vs.append(self.eps * np.array(signs))
-        return np.array(vs)
+        return self._box().vertices()
 
 
 class Box:
     """Axis-aligned box lower <= x <= upper."""
+
+    polytopal = True
 
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=float)
@@ -249,9 +282,29 @@ class Box:
             vs.append(np.where(np.array(bits) == 0, self.lower, self.upper))
         return np.array(vs)
 
+    def minimal_face(self, x, tol=_FACE_TOL):
+        return BoxFace(self, x, tol)
+
+    def face_away_vertex(self, x, g, tol=_FACE_TOL):
+        """The face's vertex maximizing <g, v>, coordinatewise: a coordinate of x within
+        tol of a bound stays at it, a free one goes to the bound g points at."""
+        v = np.where(g > 0.0, self.upper, self.lower)
+        v = np.where(np.abs(x - self.lower) <= tol, self.lower, v)
+        return DenseAtom(np.where(np.abs(x - self.upper) <= tol, self.upper, v))
+
+    def face_support(self, x, tol=_FACE_TOL):
+        """The free coordinates of x, plus one."""
+        return int(np.sum((x > self.lower + tol) & (x < self.upper - tol))) + 1
+
+    def snap_to_face(self, x, tol=_FACE_TOL):
+        x = np.where(np.abs(x - self.lower) <= tol, self.lower, x)
+        return np.where(np.abs(x - self.upper) <= tol, self.upper, x)
+
 
 class NuclearBall:
     """Nuclear-norm ball of matrices: ||X||_* <= delta."""
+
+    polytopal = False
 
     def __init__(self, delta, m, n):
         self.delta = _size(delta, "delta")
@@ -353,6 +406,8 @@ class BasePolytope:
     (the cut and cap functions carry one), else from 2n + 1 calls of ``oracle``.
     """
 
+    polytopal = True
+
     def __init__(self, oracle, n):
         self.n = int(n)
         self.shape = (self.n,)
@@ -387,15 +442,11 @@ class BasePolytope:
         # documented upper bound when enumeration is out of reach
         if self._end_gains is not None:
             first, last = self._end_gains()
-            worst = float(np.max(np.abs(first) + np.abs(last), initial=0.0))
-            return 2.0 * worst * np.sqrt(self.n)
-        worst = 0.0
-        ground = frozenset(range(self.n))
-        rv = self.total()
-        for i in range(self.n):
-            hi = abs(self.oracle(frozenset([i])))
-            lo = abs(rv - self.oracle(ground - {i}))
-            worst = max(worst, hi + lo)
+        else:  # r({i}) and r(V) - r(V - {i}) by 2n calls
+            ground, rv = frozenset(range(self.n)), self.total()
+            first = np.array([self.oracle(frozenset([i])) for i in range(self.n)], dtype=float)
+            last = np.array([rv - self.oracle(ground - {i}) for i in range(self.n)], dtype=float)
+        worst = float(np.max(np.abs(first) + np.abs(last), initial=0.0))
         return 2.0 * worst * np.sqrt(self.n)
 
     def contains(self, x, tol=1e-9):
@@ -492,6 +543,7 @@ class ProductRegion:
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.n = int(self.offsets[-1])
         self.shape = (self.n,)
+        self.polytopal = all(getattr(b, "polytopal", False) for b in self.blocks)
 
     def block_slice(self, i):
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
@@ -522,6 +574,8 @@ class ProductRegion:
 
 class VertexHull:
     """Convex hull of an explicit vertex list (rows of ``points``)."""
+
+    polytopal = True
 
     def __init__(self, points):
         # C order: D sums each row's squares in one order, whatever the caller's layout
@@ -583,52 +637,31 @@ def fw_gap(region, x, g):
 
 
 class BoxFace:
-    """Minimal face of a box at x: fixed coordinates stay put, free ones span.
+    """Minimal face of a box at x, a lazy vertex selector: its 2^free corners are never listed."""
 
-    Acts as a lazy vertex selector so the 2^free corners are never listed.
-    """
-
-    def __init__(self, box, x, tol=1e-12):
-        self.box = box
-        self.x = np.asarray(x, dtype=float)
-        self.at_lower = np.abs(self.x - box.lower) <= tol
-        self.at_upper = np.abs(self.x - box.upper) <= tol
+    def __init__(self, box, x, tol=_FACE_TOL):
+        self.box, self.x, self.tol = box, np.asarray(x, dtype=float), tol
 
     def away_vertex(self, g):
-        """Face vertex maximizing <g, v>, computed coordinatewise."""
-        g = np.asarray(g, dtype=float)
-        v = np.where(g > 0.0, self.box.upper, self.box.lower)
-        v = np.where(self.at_lower, self.box.lower, v)
-        v = np.where(self.at_upper, self.box.upper, v)
-        return DenseAtom(v)
+        return self.box.face_away_vertex(self.x, np.asarray(g, dtype=float), self.tol)
 
 
-def minimal_face_vertices(region, x, tol=1e-12):
-    """Vertices of the minimal face of the region containing x.
-
-    Simplex: the unit atoms on the support of x.  Box: a lazy ``BoxFace``
-    selector.  Other regions are not supported (the in-face solver is
-    restricted to simplex and box).
-    """
-    x = np.asarray(x, dtype=float)
-    if isinstance(region, Simplex):
-        return [SignedUnitAtom(i, +1, 1.0, region.n) for i in range(region.n) if x[i] > tol]
-    if isinstance(region, Box):
-        return BoxFace(region, x, tol)
-    raise CapabilityError("minimal faces implemented for simplex and box only")
+def _face_operation(region, name):
+    if not hasattr(region, name):
+        raise CapabilityError("%s declares no minimal faces" % type(region).__name__)
+    return getattr(region, name)
 
 
-def face_away_vertex(region, x, g, tol=1e-12):
+def minimal_face_vertices(region, x, tol=_FACE_TOL):
+    """Vertices of x's minimal face: the unit atoms on x's support on a simplex, a lazy
+    ``BoxFace`` selector on a box; ``CapabilityError`` where the region declares none."""
+    return _face_operation(region, "minimal_face")(np.asarray(x, dtype=float), tol)
+
+
+def face_away_vertex(region, x, g, tol=_FACE_TOL):
     """Away vertex over the minimal face of x (ties: lowest coordinate index)."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if isinstance(region, Simplex):
-        support = np.flatnonzero(x > tol)
-        best = support[int(g[support].argmax())]
-        return SignedUnitAtom.trusted(int(best), 1, 1.0, region.n)
-    if isinstance(region, Box):
-        return BoxFace(region, x, tol).away_vertex(g)
-    raise CapabilityError("minimal faces implemented for simplex and box only")
+    return _face_operation(region, "face_away_vertex")(np.asarray(x, dtype=float),
+                                                       np.asarray(g, dtype=float), tol)
 
 
 def _is_face(points, subset_mask):
@@ -723,19 +756,14 @@ class InexactLMO:
         self.schedule = schedule
         self.rng = np.random.default_rng(schedule.seed)
         self.calls = 0
-        self._verts = None
-        self._verts_known = False
 
-    def _vertex_table(self):
-        if not self._verts_known:
-            self._verts_known = True
-            enumerate_vertices = getattr(self.region, "vertices", None)
-            if enumerate_vertices is not None:
-                try:
-                    self._verts = enumerate_vertices()
-                except CapabilityError:
-                    self._verts = None
-        return self._verts
+    @functools.cached_property
+    def _verts(self):
+        """The region's vertex list, listed on first use; None where it lists none."""
+        try:
+            return self.region.vertices() if hasattr(self.region, "vertices") else None
+        except CapabilityError:
+            return None
 
     def query(self, g, x):
         """Returns (exact_atom, served_atom) and advances the call counter."""
@@ -745,7 +773,7 @@ class InexactLMO:
         delta_k = self.schedule.value(k)
         if delta_k <= 0.0:
             return exact, exact
-        verts = self._vertex_table()
+        verts = self._verts
         if verts is None:
             return exact, exact
         g = np.asarray(g, dtype=float)

@@ -1,7 +1,7 @@
 """Frank-Wolfe solver family.
 
-``solve`` runs every variant, on what ``CAPABILITIES`` lets it run on, in
-one loop (``_drive``) with a direction policy per family: atoms for FW,
+``solve`` runs every variant as ``CAPABILITIES`` declares it, in one
+loop (``_drive``) with a direction policy per family: atoms for FW,
 away-step (AFW), pairwise (PFW) and fully corrective (EFW), the face for
 in-face FW (FDFW) and blocks for block coordinate FW (BCFW).  EFW corrects
 by ``minnorm``'s corral method; Wolfe's min-norm point is EFW on the
@@ -31,10 +31,6 @@ from .errors import CapabilityError, InputError, NumericalError
 from .objectives import BlockSeparable, design_of
 from .stepsizes import BlockDiminishing, Diminishing, ExactLine, compute_step
 
-_POLYTOPAL = (rg.Simplex, rg.L1Ball, rg.Box, rg.LinfBall, rg.BasePolytope,
-              rg.VertexHull)
-
-
 # steps between recomputations of a tracked image A x from x (see _AffineImage)
 _RESYNC_EVERY = 64
 # entries of A from which _AffineImage tracks the gradient too (see there).
@@ -46,47 +42,20 @@ _RESYNC_EVERY = 64
 _TRACK_GRADIENT_MIN = 4096
 
 
-def _is_polytopal(region):
-    if isinstance(region, _POLYTOPAL):
-        return True
-    if isinstance(region, rg.ProductRegion):
-        return all(_is_polytopal(b) for b in region.blocks)
-    return False
-
-
 class Capability(NamedTuple):
-    """A variant's needs: a predicate on the instance, its wording, and if it
-    takes inexact LMOs and a caller's initial active set."""
+    """A variant's needs (a predicate on the instance, and its wording) and how it runs."""
 
     needs: object
     wording: str
-    inexact: bool
-    initial_active: bool = False
-
-
-def _on_blocks(instance):
-    region, obj = instance.region, instance.objective
-    return (isinstance(region, rg.ProductRegion) and isinstance(obj, BlockSeparable)
-            and list(obj.sizes) == region.sizes)
-
-
-_POLYTOPE = Capability(lambda inst: _is_polytopal(inst.region), "a polytopal region", True, True)
-CAPABILITIES = {
-    "FW": Capability(lambda inst: True, "", True, True),
-    "AFW": _POLYTOPE,
-    "PFW": _POLYTOPE,
-    "EFW": _POLYTOPE._replace(inexact=False),
-    "FDFW": Capability(lambda inst: isinstance(inst.region, (rg.Simplex, rg.Box)),
-                       "a simplex or box region", False),
-    "BCFW": Capability(_on_blocks, "a product region and a BlockSeparable objective on "
-                       "its blocks", False),
-    "WolfeMNP": Capability(lambda inst: isinstance(inst.region, rg.VertexHull),
-                           "an explicit vertex list (a VertexHull region)", False),
-}
+    inexact: bool  # takes an inexact LMO
+    initial_active: bool  # takes a caller's initial active set
+    runs: object  # runs(instance, config, inexact, initial_active) gives the SolveReport
+    corral_tol: object = None  # gap_tol -> a corral's weights' FW gap; None: the rule sizes steps
 
 
 def check_capability(instance, variant, inexact=False):
-    """Raise ``CapabilityError`` unless ``variant`` runs on ``instance`` (inexact LMO if set)."""
+    """``variant``'s ``Capability``; ``CapabilityError`` unless it runs on
+    ``instance`` (with an inexact LMO if set)."""
     cap = CAPABILITIES.get(variant)
     if cap is None:
         raise InputError("unknown solver variant %r" % variant)
@@ -94,6 +63,7 @@ def check_capability(instance, variant, inexact=False):
         raise CapabilityError("%s needs %s" % (variant, cap.wording))
     if inexact and not cap.inexact:
         raise CapabilityError("%s takes no inexact oracle" % variant)
+    return cap
 
 
 @dataclass
@@ -103,7 +73,6 @@ class SolverConfig:
     max_iter: int = 1000
     gap_tol: float = 1e-8
     seed: int = 0
-    efw_inner_tol: float = 1e-10
     record_every: int = 1
     store_points: bool = False
 
@@ -114,9 +83,6 @@ class SolverConfig:
             raise InputError("gap_tol must be positive")
         if self.record_every < 1:
             raise InputError("record_every must be >= 1")
-        if self.variant == "WolfeMNP" and self.efw_inner_tol != SolverConfig.efw_inner_tol:
-            raise InputError("WolfeMNP takes no efw_inner_tol (got %r): its corral runs to "
-                             "a weights' gap of gap_tol/10" % (self.efw_inner_tol,))
         if self.stepsize is None:
             self.stepsize = Diminishing()
         elif (isinstance(self.stepsize, type) or not callable(getattr(self.stepsize, "step", None))
@@ -396,22 +362,20 @@ class _AffineImage:
         return True
 
 
-def _meta(instance, config, policy):
-    return {
-        "family": instance.family,
-        "f_star": instance.f_star,
-        "L": instance.L,
-        "mu": instance.mu,
-        "D": instance.D,
-        "variant": config.variant,
-        "stepsize": config.stepsize.name if policy.sized_by_rule else None,
-        "seed": config.seed,
-        "gap_tol": config.gap_tol,
-        "max_iter": config.max_iter,
-        **instance.meta,
-        "x_final": policy.x,
-        **policy.meta(),
-    }
+def planned_meta(instance, config, inexact=None):
+    """A report's meta as known before the run, which adds its results: the instance's
+    constants, family and meta, the config's variant, seed, tolerances and rule (None
+    where the rule sizes no step), and the inexact oracle's schedule."""
+    rule = config.stepsize.name if CAPABILITIES[config.variant].corral_tol is None else None
+    meta = {"family": instance.family, "f_star": instance.f_star, "L": instance.L,
+            "mu": instance.mu, "D": instance.D, "variant": config.variant, "stepsize": rule,
+            "seed": config.seed, "gap_tol": config.gap_tol, "max_iter": config.max_iter,
+            **instance.meta}
+    if inexact is not None:
+        sched = inexact.schedule
+        meta.update(inexact_mode=sched.mode, inexact_delta=sched.delta,
+                    inexact_kappa=sched.kappa_upper)
+    return meta
 
 
 def _initial_atom(region, rng):
@@ -425,21 +389,19 @@ def solve(instance, config, inexact=None, initial_active=None):
     ``initial_active`` starts a variant whose capability takes one from a
     given active set; the others refuse one with ``InputError`` before any work.
     """
-    variant = config.variant
-    check_capability(instance, variant, inexact is not None)
-    if initial_active is not None and not CAPABILITIES[variant].initial_active:
-        raise InputError("%s takes no initial active set" % variant)
-    if variant == "WolfeMNP":
-        from . import minnorm  # the attribute is read per call, where a caller may wrap it
+    cap = check_capability(instance, config.variant, inexact is not None)
+    if initial_active is not None and not cap.initial_active:
+        raise InputError("%s takes no initial active set" % config.variant)
+    return cap.runs(instance, config, inexact, initial_active)
 
-        report = minnorm.solve_wolfe_mnp(instance.region.points, config)
-        report.meta["D"] = instance.D  # computed once, when the instance was built
-        return report
-    if variant in ("FDFW", "BCFW"):
-        policy = (_Face if variant == "FDFW" else _Blocks)(instance, config)
-    else:
-        policy = _Atoms(instance, config, inexact, initial_active)
-    return _drive(instance, config, policy)
+
+def _wolfe_mnp(instance, config, inexact=None, initial_active=None):
+    """Wolfe's method on the instance's points (``minnorm.solve_wolfe_mnp``)."""
+    from . import minnorm  # the attribute is read per call, where a caller may wrap it
+
+    report = minnorm.solve_wolfe_mnp(instance.region.points, config)
+    report.meta["D"] = instance.D  # computed once, when the instance was built
+    return report
 
 
 def _drive(instance, config, policy):
@@ -478,7 +440,8 @@ def _drive(instance, config, policy):
     except NumericalError:
         termination = "NumericalError"
     return SolveReport(tracer.records, policy.active, termination, tracer.good_steps,
-                       _meta(instance, config, policy))
+                       {**planned_meta(instance, config, policy.inexact), "x_final": policy.x,
+                        **policy.meta()})
 
 
 class _Policy:
@@ -494,13 +457,17 @@ class _Policy:
     """
 
     zero_step_ends_run = True
-    sized_by_rule = True  # else the report names no stepsize
-    active = None
+    active = inexact = None
 
-    def __init__(self, instance, config):
+    def __init__(self, instance, config, inexact=None, initial_active=None):
         self.obj, self.region = instance.objective, instance.region
         self.rule = copy.deepcopy(config.stepsize)
         self.rng = np.random.default_rng(config.seed)
+
+    @classmethod
+    def run(cls, instance, config, inexact=None, initial_active=None):
+        """Solve with ``_drive`` and a fresh policy of this class (see ``CAPABILITIES``)."""
+        return _drive(instance, config, cls(instance, config, inexact, initial_active))
 
     def resync(self):
         return False
@@ -516,15 +483,18 @@ class _Atoms(_Policy):
     v maximizing <g, v> instead, PFW moves weight from v to s, and EFW
     re-optimizes all the weights (``_correct``) and moves x at alpha 1, so
     it evaluates f afresh where the others track A x (``_AffineImage``) on
-    a quadratic form.  Under an inexact oracle a direction that does not
-    descend is a step of size 0: the error budget shrinks with k.
+    a quadratic form.  A variant is fully corrective where its capability
+    declares a corral tolerance (EFW, and WolfeMNP on its own instance).
+    Under an inexact oracle a direction that does not descend is a step of
+    size 0: the error budget shrinks with k.
     """
 
     def __init__(self, instance, config, inexact=None, initial_active=None):
         super().__init__(instance, config)
-        self.corrective, self.away, self.pairwise = (config.variant == v
-                                                     for v in ("EFW", "AFW", "PFW"))
-        self.inexact, self.sized_by_rule = inexact, not self.corrective
+        corral_tol = CAPABILITIES[config.variant].corral_tol
+        self.corrective = corral_tol is not None
+        self.away, self.pairwise = config.variant == "AFW", config.variant == "PFW"
+        self.inexact = inexact
         if initial_active is not None:
             self.active = initial_active.copy()
             self.x = reconstruct_point(self.active)
@@ -535,7 +505,7 @@ class _Atoms(_Policy):
         design = None if self.corrective else design_of(self.obj)
         cache = self.cache = _AtomCache(self.obj, design)
         self.image = None if design is None else _AffineImage(cache, self.x, active=self.active)
-        self.inner_tol = max(config.efw_inner_tol, 0.1 * config.gap_tol)
+        self.corral_tol = corral_tol and corral_tol(config.gap_tol)
         self.evals = self.cycles = 0  # evaluations at iterates without an image; corral cycles
         self.settled = False  # whether the last correction ended within its cycle cap
 
@@ -564,7 +534,7 @@ class _Atoms(_Policy):
             # leaves nothing to correct; a round that leaves x where it was
             # (the corral turned s away) would only repeat itself: both end the run
             if not self.settled or active.find(s_atom) is None:
-                used, self.settled = _correct(active, s_atom, self.cache, self.inner_tol)
+                used, self.settled = _correct(active, s_atom, self.cache, self.corral_tol)
                 self.cycles += used
             self.target = reconstruct_point(active)
             d = self.target - x
@@ -625,10 +595,6 @@ class _Atoms(_Policy):
             meta = dict(grad_passes=image.grad_passes, affine_resyncs=image.resyncs,
                         affine_drift_max=image.drift_max, grad_drift_max=image.grad_drift_max,
                         active_drift_max=image.active_drift_max)
-        if self.inexact is not None:
-            sched = self.inexact.schedule
-            meta.update(inexact_mode=sched.mode, inexact_delta=sched.delta,
-                        inexact_kappa=sched.kappa_upper)
         return meta
 
 
@@ -637,11 +603,11 @@ def _cycle_cap(atoms):
     return max(200, 40 * atoms)
 
 
-def _correct(active, s_atom, cache, inner_tol):
+def _correct(active, s_atom, cache, corral_tol):
     """EFW's round: s joins at weight 0, then f is minimized over the hull of the active atoms.
 
     Wolfe's corral method (``minnorm.corral_weights``), warm started from
-    the current weights, runs down to a weights' FW gap of ``inner_tol`` on
+    the current weights, runs down to a weights' FW gap of ``corral_tol`` on
     the weights' gradient M lam (``_AtomCache.matrix``): a hull that
     contains the optimum is corrected to it in one round.  Returns the
     corral cycles used and whether they stopped short of their cap (the
@@ -655,41 +621,38 @@ def _correct(active, s_atom, cache, inner_tol):
     if not np.isfinite(mat).all():
         raise NumericalError("non-finite gradient at an active atom")
     cap = _cycle_cap(len(active))
-    lam, used = corral_weights(mat, active.weights, inner_tol, cap)
+    lam, used = corral_weights(mat, active.weights, corral_tol, cap)
     active.weights = lam  # one weight per atom: the atoms' index arrays stay valid
     active._prune_and_renormalize()
     return used, used < cap
 
 
 class _Face(_Policy):
-    """In-face FW (FDFW) on a simplex or a box, with no active set.
+    """In-face FW (FDFW) on a region's minimal faces, with no active set.
 
-    The away vertex comes from x's minimal face (``face_away_vertex``), an
-    in-face step stops at the face's boundary (``max_step``), and
-    coordinates within 1e-12 of a face snap onto it.  The gap is <g, x - s>,
-    and the support counts x's free coordinates (plus one on a box).
+    The region owns its faces (see ``regions.FACE_OPERATIONS``): the away
+    vertex comes from x's minimal face, an in-face step stops at the face's
+    boundary (``max_step``), each move snaps x onto the faces it is within
+    rounding of, and the support is the region's count for x's face.  The
+    gap is <g, x - s>.
     """
 
-    def __init__(self, instance, config):
-        super().__init__(instance, config)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.x = _initial_atom(self.region, self.rng).densify().copy()
-        self.simplex = isinstance(self.region, rg.Simplex)
 
     def observe(self):
         x, region = self.x, self.region
         f, g = self.obj.eval(x)
         s = self.s = region.lmo(g).densify()
-        self.g, gap = g, float(np.vdot(g, x - s))
-        if self.simplex:
-            return f, g, gap, int(np.sum(x > 1e-12)), None
-        free = (x > region.lower + 1e-12) & (x < region.upper - 1e-12)
-        return f, g, gap, int(np.sum(free)) + 1, None
+        self.g = g
+        return f, g, float(np.vdot(g, x - s)), region.face_support(x), None
 
     def step(self):
         x, g, region = self.x, self.g, self.region
         d_fw = self.s - x
         dg_fw = float(np.vdot(g, d_fw))
-        d_aw = x - rg.face_away_vertex(region, x, g).densify()
+        d_aw = x - region.face_away_vertex(x, g).densify()
         dg_aw = float(np.vdot(g, d_aw))
         if -dg_aw > -dg_fw and np.any(d_aw):
             kind, d, dg, alpha_max = "InFace", d_aw, dg_aw, region.max_step(x, d_aw)
@@ -702,14 +665,7 @@ class _Face(_Policy):
 
     def move(self, alpha):
         x = self.s.copy() if self.fw and alpha >= 1.0 else self.x + alpha * self.d
-        if self.simplex:
-            x[np.abs(x) <= 1e-12] = 0.0
-            x = np.maximum(x, 0.0)
-            x /= x.sum()
-        else:
-            x = np.where(np.abs(x - self.region.lower) <= 1e-12, self.region.lower, x)
-            x = np.where(np.abs(x - self.region.upper) <= 1e-12, self.region.upper, x)
-        self.x = x
+        self.x = self.region.snap_to_face(x)
 
 
 class _Blocks(_Policy):
@@ -726,8 +682,8 @@ class _Blocks(_Policy):
 
     zero_step_ends_run = False
 
-    def __init__(self, instance, config):
-        super().__init__(instance, config)
+    def __init__(self, *args):
+        super().__init__(*args)
         region = self.region
         m = self.m = len(region.blocks)
         if isinstance(self.rule, (Diminishing, BlockDiminishing)):
@@ -790,6 +746,29 @@ class _Blocks(_Policy):
     def meta(self):
         return {"blocks": self.m, "block_evals": self.block_evals}
 
+
+def _on_blocks(instance):
+    region, obj = instance.region, instance.objective
+    return (isinstance(region, rg.ProductRegion) and isinstance(obj, BlockSeparable)
+            and list(obj.sizes) == region.sizes)
+
+
+_POLYTOPE = Capability(lambda inst: getattr(inst.region, "polytopal", False),
+                       "a polytopal region", True, True, _Atoms.run)
+CAPABILITIES = {
+    "FW": Capability(lambda inst: True, "", True, True, _Atoms.run),
+    "AFW": _POLYTOPE,
+    "PFW": _POLYTOPE,
+    "EFW": _POLYTOPE._replace(inexact=False, corral_tol=lambda gap_tol: max(1e-10, 0.1 * gap_tol)),
+    "FDFW": Capability(lambda inst: all(hasattr(inst.region, op) for op in rg.FACE_OPERATIONS),
+                       "a region with minimal-face operations (a simplex or a box)", False,
+                       False, _Face.run),
+    "BCFW": Capability(_on_blocks, "a product region and a BlockSeparable objective on "
+                       "its blocks", False, False, _Blocks.run),
+    "WolfeMNP": Capability(lambda inst: isinstance(inst.region, rg.VertexHull),
+                           "an explicit vertex list (a VertexHull region)", False, False,
+                           _wolfe_mnp, lambda gap_tol: 0.1 * gap_tol),
+}
 
 REFERENCE_VARIANT = "AFW"
 

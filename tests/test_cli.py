@@ -2,7 +2,10 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwkit import cli
 from fwkit import diagnostics as dg
@@ -345,14 +348,46 @@ def test_gen_min_norm_point_runs_wolfe(tmp_path):
         os.chdir(cwd)
 
 
-def test_run_refuses_a_wolfe_mnp_efw_inner_tol(tmp_path):
+@pytest.mark.parametrize("variant", ["WolfeMNP", "EFW"])
+def test_run_refuses_a_solver_field_it_does_not_know(tmp_path, capsys, variant):
+    # efw_inner_tol is no field: each variant's corral tolerance is its capability's
     cfg_path = tmp_path / "w.json"
     cfg = write_config(cfg_path,
                        problem={"family": "min_norm_point", "seed": 0,
                                 "params": {"points": [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]}},
-                       solver={"variant": "WolfeMNP", "efw_inner_tol": 1e-6}, checks=[])
+                       solver={"variant": variant, "efw_inner_tol": 1e-6}, checks=[])
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "unknown solver field 'efw_inner_tol'" in capsys.readouterr().err
     assert not os.path.exists(cfg["output"]["prefix"] + ".trace.csv")
+
+
+@pytest.mark.parametrize("variant", ["EFW", "WolfeMNP"])
+def test_run_refuses_per_step_guarantees_where_no_rule_sizes_the_steps(tmp_path, capsys,
+                                                                        variant):
+    # EFW and Wolfe's method report no stepsize, so the check's hypothesis
+    # fails on the planned meta: refused before the solve (this config once
+    # solved in full, then exited 3 with no trace)
+    cfg_path = tmp_path / "e.json"
+    cfg = write_config(cfg_path,
+                       problem={"family": "min_norm_point", "seed": 0,
+                                "params": {"points": [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]}},
+                       solver={"variant": variant, "stepsize": "lipschitz"},
+                       checks=["per_step_guarantees"])
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "not to stepsize None" in capsys.readouterr().err
+    assert not os.path.exists(cfg["output"]["prefix"] + ".trace.csv")
+    assert not os.path.exists(cfg["output"]["prefix"] + ".report.json")
+
+
+def test_run_writes_its_prefix_relative_to_the_config_file(tmp_path, monkeypatch):
+    # like the data paths: `fwkit run --config cli/prod1.config.json` writes cli/prod1.run.*
+    (tmp_path / "cli").mkdir()
+    write_config(tmp_path / "cli" / "c.json", output={"prefix": "out/c.run"})
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--config", os.path.join("cli", "c.json")]) == 0
+    assert sorted(os.listdir(tmp_path / "cli" / "out")) == ["c.run.report.json",
+                                                            "c.run.trace.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["cli"]
 
 
 def test_wolfe_mnp_rejects_other_families(tmp_path):
@@ -462,6 +497,43 @@ def test_run_exits_two_exactly_where_the_capability_table_refuses(tmp_path):
                 except CapabilityError:
                     raised = True
                 assert (code == 2) == refused == raised, name
+
+
+def _accepted_pairs():
+    from fwkit.errors import CapabilityError
+    from fwkit.solvers import CAPABILITIES, check_capability
+
+    pairs = []
+    for family, params in sorted(_MATRIX_PARAMS.items()):
+        instance = cli._build_problem({"family": family}, dict(params), {})
+        for variant in CAPABILITIES:
+            try:
+                check_capability(instance, variant)
+            except CapabilityError:
+                continue
+            pairs.append((family, variant))
+    return pairs
+
+
+@pytest.mark.parametrize("family,variant", _accepted_pairs())
+@settings(max_examples=4, deadline=None)
+@given(rule=st.sampled_from(["diminishing", "exact", "lipschitz", "armijo"]),
+       inexact=st.sampled_from([None, "constant", "decaying"]), seed=st.integers(0, 3))
+def test_planned_meta_is_the_reports_meta_on_every_planned_key(family, variant, rule, inexact,
+                                                                seed):
+    from fwkit.solvers import CAPABILITIES, planned_meta
+
+    sol = {"variant": variant, "stepsize": rule, "max_iter": 4, "gap_tol": 1e-9, "seed": seed}
+    if inexact is not None and CAPABILITIES[variant].inexact:
+        sol["inexact"] = {"mode": inexact, "delta": 0.5}
+    instance = cli._build_problem({"family": family}, dict(_MATRIX_PARAMS[family]), {})
+    config, oracle = cli._solver_config(sol, instance), cli._maybe_inexact(sol, instance)
+    planned = planned_meta(instance, config, oracle)
+    meta = cli.solve(instance, config, inexact=oracle).meta
+    assert {"family", "variant", "stepsize", "L", "D"} <= set(planned)
+    assert ("inexact_mode" in planned) == ("inexact" in sol)
+    for key, value in planned.items():
+        np.testing.assert_equal(meta[key], value, err_msg=key)
 
 
 @pytest.mark.parametrize("family,params,missing", [

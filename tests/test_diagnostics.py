@@ -217,6 +217,16 @@ def test_nonconvex_min_gap_boundedness():
     assert nonconvex_min_gap_check(rep).ok
 
 
+def test_nonconvex_min_gap_names_the_first_violating_k():
+    # a gap stuck at 1: min-gap * sqrt(k) passes twice its largest value over
+    # k = 1..20 (sqrt(80)) first at k = 81
+    rep = synth_report([1.0] * 100)
+    result = nonconvex_min_gap_check(rep)
+    assert not result.ok and result.k_violation == 81
+    assert result.as_json()["k_violation"] == 81
+    assert nonconvex_min_gap_check(synth_report([1.0] * 81)).ok  # k = 80 sits on the bound
+
+
 def test_per_step_guarantees_requires_lipschitz():
     rep = synth_report([1.0, 0.5], meta={"stepsize": "exact"})
     with pytest.raises(InputError):

@@ -96,3 +96,20 @@ def test_constants_and_refusals_come_first():
     a = identity.summarise(build_instance("simplex_distance", n=4), error=ValueError())
     b = dict(a, D=(1.5).hex(), error="InputError", termination="GapTol")
     assert [name for name, _ in identity.differences(a, b)] == ["error", "D", "termination"]
+
+
+def test_the_fixed_matrix_holds_the_regions_the_benchmark_never_runs(capsys):
+    jobs = identity.fixed_jobs()
+    assert [(name.split("/")[0], config.variant, start is not None)
+            for name, _, config, start in jobs] == (
+        [("box", "FDFW", False)] * 2
+        + [(region, variant, False) for region in ("box", "linf", "hull", "product")
+           for variant in ("AFW", "PFW")]
+        + [("interior", "EFW", True)])
+    # FDFW on a box, whose minimal-face operations the box declares
+    name, inst, config, start = jobs[0]
+    summary = identity._summary(inst, config, start)
+    assert summary["error"] is None and summary["termination"] == "GapTol"
+    key = ("fixed", 0, 0, name, config.variant)
+    assert identity.compare({key: summary}, {key: identity._summary(inst, config, start)}) == 0
+    assert capsys.readouterr().out == "FDFW      0 of 1 solves differ\n"

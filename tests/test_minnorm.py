@@ -207,14 +207,3 @@ def test_a_hull_in_thousands_of_dimensions_stores_no_n_by_n_weight():
     assert peak < 8 * n * n / 10
     x = report.meta["x_final"]
     assert report.records[-1].f == pytest.approx(0.5 * x @ x, rel=1e-15)
-
-
-def test_wolfe_mnp_refuses_an_efw_inner_tol_it_would_ignore():
-    # Wolfe's method corrects to a weights' gap of gap_tol/10; a WolfeMNP
-    # config's efw_inner_tol was once accepted and silently set to 0
-    with pytest.raises(InputError, match="efw_inner_tol"):
-        SolverConfig(variant="WolfeMNP", efw_inner_tol=1e-6)
-    default = SolverConfig(variant="WolfeMNP", efw_inner_tol=SolverConfig.efw_inner_tol)
-    report = solve_wolfe_mnp(np.eye(3), default)
-    assert report.termination == "GapTol"
-    assert hull_distance(np.eye(2), np.eye(2) + 3.0) == pytest.approx(np.sqrt(18.0))

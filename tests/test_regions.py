@@ -358,6 +358,46 @@ def test_minimal_face_unsupported_region():
         minimal_face_vertices(L2Ball(1.0, 2), np.zeros(2))
 
 
+class _Declared:
+    """A box seen through a wrapper: the region's attributes, and only the declarations given."""
+
+    def __init__(self, box, **declared):
+        self.box = box
+        self.__dict__.update(declared)
+
+    def __getattr__(self, name):
+        if name in ("polytopal", "minimal_face") or name in regions.FACE_OPERATIONS:
+            raise AttributeError(name)
+        return getattr(self.box, name)
+
+
+def test_the_variants_a_region_runs_follow_its_declarations_not_its_class():
+    box = Box([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0])
+    obj = ShiftedNormSquare(np.array([2.0, 0.1, -1.0]))
+    # the three operations FDFW calls, without the optional minimal_face
+    faces = {op: getattr(box, op) for op in regions.FACE_OPERATIONS}
+
+    def inst(region):
+        return ProblemInstance(obj, region, 2.0, 2.0, box.diameter())
+
+    plain = _Declared(box)
+    for variant in ("AFW", "FDFW"):
+        with pytest.raises(CapabilityError):
+            solve(inst(plain), SolverConfig(variant=variant))
+    with pytest.raises(CapabilityError):
+        minimal_face_vertices(plain, np.zeros(3))
+    for variant, declared in (("AFW", {"polytopal": True}), ("FDFW", faces)):
+        config = SolverConfig(variant=variant, stepsize=ExactLine(), gap_tol=1e-10)
+        ref = solve(inst(box), config)
+        got = solve(inst(_Declared(box, **declared)), config)
+        assert [(r.kind, r.f, r.gap) for r in got.records] == \
+            [(r.kind, r.f, r.gap) for r in ref.records]
+    # a product is polytopal when every block is
+    assert ProductRegion([Simplex(2), box]).polytopal
+    assert not ProductRegion([Simplex(2), L2Ball(1.0, 2)]).polytopal
+    assert not ProductRegion([Simplex(2), plain]).polytopal
+
+
 def test_diameters_closed_forms():
     assert Simplex(5).diameter() == pytest.approx(np.sqrt(2.0))
     assert L1Ball(3.0, 7).diameter() == pytest.approx(6.0)

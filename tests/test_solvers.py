@@ -192,24 +192,36 @@ def test_efw_at_its_rounding_floor_stops_instead_of_running_to_max_iter(family, 
 def test_efw_corrects_again_after_a_round_stopped_at_its_cycle_cap(monkeypatch):
     # two minor cycles per round leave the weights unsettled: a round whose
     # LMO atom already holds weight must still correct, not end the run
+    # (Wolfe's method: EFW from the vertex of least norm, corral tolerance gap_tol/10)
     monkeypatch.setattr(solvers, "_cycle_cap", lambda atoms: 2)
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((30, 5)) + rng.uniform(-1, 1, size=5)
     inst = build_instance("min_norm_point", points=pts)
-    start = ActiveSet.from_atom(DenseAtom(pts[np.argmin(np.linalg.norm(pts, axis=1))].copy()))
-    report = solve(inst, cfg("EFW", ExactLine(), efw_inner_tol=0.0), initial_active=start)
+    report = solve(inst, cfg("WolfeMNP", ExactLine()))
     assert report.termination == "GapTol"
     monkeypatch.undo()
-    settled = solve(inst, cfg("EFW", ExactLine(), efw_inner_tol=0.0), initial_active=start)
+    settled = solve(inst, cfg("WolfeMNP", ExactLine()))
     assert np.allclose(report.x_final, settled.x_final, atol=1e-9)
 
 
-def test_efw_inner_tol_dominates_outer():
-    inst = build_instance("boundary_quadratic", n=6, support=2, seed=2)
-    config = cfg("EFW", ExactLine(), gap_tol=1e-8, efw_inner_tol=1e-8)
-    report = solve(inst, config)
-    assert report.termination == "GapTol"
-    assert report.records[-1].gap <= 1e-8
+@pytest.mark.parametrize("variant,gap_tol,corral_tol", [
+    ("EFW", 1e-6, 0.1 * 1e-6), ("EFW", 1e-12, 1e-10), ("WolfeMNP", 1e-12, 0.1 * 1e-12)])
+def test_each_correction_runs_to_its_variants_corral_tolerance(monkeypatch, variant, gap_tol,
+                                                                corral_tol):
+    # EFW's corral stops at a weights' gap of max(1e-10, gap_tol/10), Wolfe's
+    # method at gap_tol/10, as CAPABILITIES declares
+    from fwkit import minnorm
+
+    tols = []
+    corral = minnorm.corral_weights
+    monkeypatch.setattr(minnorm, "corral_weights",
+                        lambda mat, lam, tol, cap: tols.append(tol) or corral(mat, lam, tol, cap))
+    pts = np.random.default_rng(4).standard_normal((12, 3)) + 1.0
+    report = solve(build_instance("min_norm_point", points=pts), cfg(variant, ExactLine(),
+                                                                     gap_tol=gap_tol))
+    assert report.termination == "GapTol" and report.records[-1].gap <= gap_tol
+    assert tols and set(tols) == {corral_tol}
+    assert solvers.CAPABILITIES[variant].corral_tol(gap_tol) == corral_tol
 
 
 def test_efw_prunes_zero_weight_atoms():

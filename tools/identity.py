@@ -9,7 +9,9 @@ repository (no network), and the working tree is the change.  A subprocess
 per tree runs the same matrix with that tree's ``fwkit`` and BLAS pinned to
 one thread: every job of the benchmark's ``small-audit`` and ``lasso-dense``
 workloads (``perfbench/workloads.py`` of the working tree) for seeds 1 and
-2, which covers FW, AFW, PFW, EFW, FDFW, BCFW and WolfeMNP.
+2, which covers FW, AFW, PFW, EFW, FDFW, BCFW and WolfeMNP, and the small
+``fixed_jobs`` matrix of regions and starts those workloads never run
+(keyed as workload ``fixed``).
 
 Per solve it compares the instance's L, mu and D as ``float.hex()``, the
 refusal's error class, the record count, every record field but the wall
@@ -116,22 +118,66 @@ def differences(a, b, skip=()):
     return [(name, detail) for _, name, detail in sorted(found)]
 
 
-def run_matrix(matrix=MATRIX):
-    """{(workload, seed, job index, job name, variant): summary} for every job of the matrix."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+def fixed_jobs():
+    """[(job name, instance, config, initial active set or None)]: solves outside the benchmark.
+
+    FDFW on a box; AFW and PFW on a box, an l-inf ball, a vertex hull and a
+    product of simplices; EFW from a given active set.  Least squares on the
+    box and the ball track A x; the hull and the product do not.
+    """
     import fwkit as fw
+
+    rng = np.random.default_rng(19)
+    n = 6
+    lsq = fw.LeastSquares(rng.standard_normal((10, n)), 2.0 * rng.standard_normal(10))
+    box = fw.Box(-rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n))
+    hull = fw.VertexHull(rng.standard_normal((12, 3)) + 0.5)
+    regions = {"box": fw.ProblemInstance(lsq, box, lsq.lipschitz_upper(), 0.0, box.diameter()),
+               "linf": fw.ProblemInstance(lsq, fw.LinfBall(0.5, n), lsq.lipschitz_upper(), 0.0,
+                                          fw.LinfBall(0.5, n).diameter()),
+               "hull": fw.build_instance("min_norm_point", points=hull.points),
+               "product": fw.build_instance("product", b=3, n=4)}
+
+    def config(variant, rule, seed=0):
+        return fw.SolverConfig(variant=variant, stepsize=rule, max_iter=1500, gap_tol=1e-10,
+                               seed=seed)
+
+    jobs = [("box/FDFW+exact", regions["box"], config("FDFW", fw.ExactLine()), None),
+            ("box/FDFW+armijo", regions["box"], config("FDFW", fw.Armijo(), 1), None)]
+    for name, inst in regions.items():
+        jobs += [("%s/AFW+exact" % name, inst, config("AFW", fw.ExactLine()), None),
+                 ("%s/PFW+armijo" % name, inst, config("PFW", fw.Armijo(), 1), None)]
+    interior = fw.build_instance("interior_quadratic", n=8, seed=3)
+    start = fw.ActiveSet([fw.SignedUnitAtom(i, 1, 1.0, 8) for i in (1, 4, 6)],
+                         np.array([0.5, 0.3, 0.2]))
+    jobs.append(("interior/EFW+exact from 3 atoms", interior, config("EFW", fw.ExactLine()),
+                 start))
+    return jobs
+
+
+def _summary(instance, config, initial_active=None):
+    import fwkit as fw
+
+    try:
+        report = fw.solve(instance, config, initial_active=initial_active)
+    except Exception as exc:  # a refusal compares by its class
+        return summarise(instance, error=exc)
+    return summarise(instance, report)
+
+
+def run_matrix(matrix=MATRIX):
+    """{(workload, seed, job index, job name, variant): summary} for every job of the matrix
+    and of ``fixed_jobs``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     out = {}
     for name, seed in matrix:
         for i, job in enumerate(workloads.build(name, seed).jobs):
-            report = error = None
-            try:
-                report = fw.solve(job.instance, job.config)
-            except Exception as exc:  # a refusal compares by its class
-                error = exc
-            out[(name, seed, i, job.name, job.config.variant)] = summarise(job.instance,
-                                                                           report, error)
+            out[(name, seed, i, job.name, job.config.variant)] = _summary(job.instance,
+                                                                          job.config)
+    for i, (name, inst, config, start) in enumerate(fixed_jobs()):
+        out[("fixed", 0, i, name, config.variant)] = _summary(inst, config, start)
     return out
 
 
