@@ -16,7 +16,8 @@ dense vector (the greedy vertices of a base polytope, the vertices of a
 hull), the set keeps them stacked as the rows of one array, and the away
 vertex is one matrix-vector product; its values round apart from the
 loop's per-atom dot products, by the last bits of a sum.  Matrix and
-rank-one sets keep the per-atom loop.
+rank-one sets keep the per-atom loop.  The same tables give the pairings
+<v_i, w_j> that the fully corrective step solves on (``pairing_matrix``).
 """
 
 import numpy as np
@@ -334,6 +335,22 @@ def reconstruct_point(active_set):
         else:
             x += w * a.densify()
     return x
+
+
+def atom_image(atom, a):
+    """The image A v of an atom: a scaled column of ``a`` for a signed-unit atom."""
+    if atom.tag == "signed_unit":
+        return (atom.sign * atom.scale) * a[:, atom.index]
+    return a @ atom.densify()
+
+
+def pairing_matrix(active_set, vectors):
+    """M_ij = <v_i, vectors[j]> over the set's atoms v_i, one row of ``vectors`` per atom."""
+    if active_set._idx is not None:
+        return active_set._coef[:, None] * vectors[:, active_set._idx].T
+    if active_set._rows is not None:
+        return active_set._rows @ vectors.T
+    return np.array([a.densify().ravel() for a in active_set.atoms]) @ vectors.T
 
 
 def select_away_vertex(active_set, g):

@@ -29,6 +29,11 @@ from .stepsizes import rule_from_name
 
 # the solver block's numeric fields; an absent one keeps SolverConfig's default
 _SOLVER_FIELDS = {"max_iter": int, "gap_tol": float, "seed": int, "record_every": int}
+# the keys each block takes; any other is refused by name
+_KEYS = {"config": ("problem", "solver", "checks", "output"),
+         "problem": ("family", "seed", "params", "data"), "output": ("prefix", "format"),
+         "solver": ("variant", "stepsize", "inexact", *_SOLVER_FIELDS),
+         "inexact": ("mode", "delta", "kappa_upper", "seed")}
 
 
 class ConfigError(Exception):
@@ -57,9 +62,14 @@ def _validate(cfg, base_dir="."):
         if key not in cfg:
             _fail("config lacks the %r block" % key)
     prob, sol = cfg["problem"], cfg["solver"]
-    for key in sol:
-        if key not in _SOLVER_FIELDS and key not in ("variant", "stepsize", "inexact"):
-            _fail("unknown solver field %r" % key)
+    inexact = isinstance(sol, dict) and sol.get("inexact") or {}
+    for name, block in (("config", cfg), ("problem", prob), ("solver", sol),
+                        ("output", cfg["output"]), ("inexact", inexact)):
+        if not isinstance(block, dict):
+            _fail("the %s block must be a JSON object" % name)
+        for key in block:
+            if key not in _KEYS[name]:
+                _fail("unknown %s field %r" % (name, key))
     for check in cfg.get("checks", []):
         if check not in dg.CHECKS:
             _fail("unknown check %r" % check)

@@ -28,7 +28,7 @@ from .atoms import ActiveSet, DenseAtom
 from .errors import InputError
 from .objectives import ProblemInstance, ShiftedNormSquare
 from .regions import VertexHull
-from .solvers import SolverConfig, _Atoms
+from .solvers import SolverConfig, _Corrective
 
 _COEFF_ZERO = 1e-12
 
@@ -190,8 +190,8 @@ def solve_wolfe_mnp(vertices, config):
     instance = ProblemInstance(ShiftedNormSquare(np.zeros(region.n), scale=0.5), region,
                                1.0, 1.0, np.nan, family="min_norm_point")
     start = int(np.argmin(np.linalg.norm(pts, axis=1)))
-    report = _Atoms.run(instance, replace(config, variant="WolfeMNP"), None,
-                        ActiveSet.from_atom(DenseAtom(pts[start].copy())))
+    report = _Corrective.run(instance, replace(config, variant="WolfeMNP"), None,
+                             ActiveSet.from_atom(DenseAtom(pts[start].copy())))
     active = report.active_set
     # the LMO's atoms are copies of rows: each is found again by exact equality
     corral = [int((pts == a.vector).all(axis=1).argmax()) for a in active.atoms]

@@ -11,12 +11,12 @@ adversarial inexact one.
 A region declares what ``solvers.CAPABILITIES`` asks of it.  AFW, PFW and
 EFW need ``polytopal`` True: the hull of finitely many atoms (a product is
 polytopal when its blocks are).  In-face FW (FDFW) needs the
-``FACE_OPERATIONS`` on x's minimal face: ``face_away_vertex(x, g, tol)``
-(its vertex maximizing <g, v>), ``face_support(x, tol)`` (the support a
-record counts) and ``snap_to_face(x, tol)`` (x put on the faces it is
-within tol of).  ``minimal_face(x, tol)`` (the face's vertices or a lazy
-selector) is optional and serves ``minimal_face_vertices`` only.  The
-simplex and the box declare all four, with tol 1e-12.
+``FACE_OPERATIONS``: ``face_away_vertex(x, g, tol)`` (the vertex of x's
+minimal face maximizing <g, v>), ``face_support(x, tol)`` (the support a
+record counts), ``snap_to_face(x, tol)`` (x put on the faces it is within
+tol of) and ``max_step``, where an in-face step stops.  ``minimal_face(x,
+tol)`` is optional and serves ``minimal_face_vertices`` only.  The simplex
+and the box (so the l-inf ball) declare all five, with tol 1e-12.
 """
 
 import functools
@@ -32,7 +32,7 @@ _RESIDUAL_BOUND = 1e-10  # relative residual past which a singular triple is ref
 _PAIR_BLOCK = 1 << 16  # float64 entries in one block of pairwise differences (512 KiB)
 _FACE_TOL = 1e-12  # a coordinate this close to a face lies on it
 # what a region declares to have minimal faces, and so to run in-face FW
-FACE_OPERATIONS = ("face_away_vertex", "face_support", "snap_to_face")
+FACE_OPERATIONS = ("face_away_vertex", "face_support", "snap_to_face", "max_step")
 
 
 def _size(value, what):
@@ -201,39 +201,6 @@ class L2Ball:
         return (-xd + np.sqrt(disc)) / dd
 
 
-class LinfBall:
-    """Hypercube ||x||_inf <= eps."""
-
-    polytopal = True
-
-    def __init__(self, eps, n):
-        self.eps = _size(eps, "eps")
-        self.n = int(n)
-        self.shape = (self.n,)
-
-    def lmo(self, g):
-        g = _check_gradient(g, self.shape)
-        # sign(0) := +1 so the zero-gradient coordinates land deterministically
-        s = np.where(g >= 0.0, 1.0, -1.0)
-        return DenseAtom(-self.eps * s)
-
-    def diameter(self):
-        return 2.0 * self.eps * np.sqrt(self.n)
-
-    def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
-        return x.shape == self.shape and np.max(np.abs(x)) <= self.eps + tol
-
-    def _box(self):
-        return Box(-self.eps * np.ones(self.n), self.eps * np.ones(self.n))
-
-    def max_step(self, x, d):
-        return self._box().max_step(x, d)
-
-    def vertices(self):
-        return self._box().vertices()
-
-
 class Box:
     """Axis-aligned box lower <= x <= upper."""
 
@@ -253,7 +220,7 @@ class Box:
 
     def lmo(self, g):
         g = _check_gradient(g, self.shape)
-        return DenseAtom(np.where(g > 0.0, self.lower, np.where(g < 0.0, self.upper, self.lower)))
+        return DenseAtom(np.where(g < 0.0, self.upper, self.lower))  # g_i = +-0 gives lower_i
 
     def diameter(self):
         return float(np.linalg.norm(self.upper - self.lower))
@@ -265,22 +232,16 @@ class Box:
 
     def max_step(self, x, d):
         x, d = _step_inputs(x, d, self.shape)
-        alpha = np.inf
-        pos = d > 0
-        if np.any(pos):
-            alpha = min(alpha, float(np.min((self.upper[pos] - x[pos]) / d[pos])))
-        neg = d < 0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min((x[neg] - self.lower[neg]) / -d[neg])))
-        return max(alpha, 0.0)
+        moving = d != 0.0  # each moving coordinate's room to the bound d points at
+        with np.errstate(over="ignore"):  # past the float range (a subnormal d_i): inf
+            room = np.where(d > 0.0, self.upper - x, x - self.lower)[moving] / np.abs(d[moving])
+        return max(float(np.min(room)), 0.0)
 
     def vertices(self):
         if self.n > 16:
             raise CapabilityError("vertex enumeration limited to n <= 16")
-        vs = []
-        for bits in itertools.product((0, 1), repeat=self.n):
-            vs.append(np.where(np.array(bits) == 0, self.lower, self.upper))
-        return np.array(vs)
+        corners = np.array(list(itertools.product((False, True), repeat=self.n)))
+        return np.where(corners, self.upper, self.lower)
 
     def minimal_face(self, x, tol=_FACE_TOL):
         return BoxFace(self, x, tol)
@@ -299,6 +260,17 @@ class Box:
     def snap_to_face(self, x, tol=_FACE_TOL):
         x = np.where(np.abs(x - self.lower) <= tol, self.lower, x)
         return np.where(np.abs(x - self.upper) <= tol, self.upper, x)
+
+
+class LinfBall(Box):
+    """Hypercube ||x||_inf <= eps: the box [-eps, eps]^n, with its closed-form diameter."""
+
+    def __init__(self, eps, n):
+        self.eps = _size(eps, "eps")
+        super().__init__(-self.eps * np.ones(int(n)), self.eps * np.ones(int(n)))
+
+    def diameter(self):
+        return 2.0 * self.eps * np.sqrt(self.n)
 
 
 class NuclearBall:
@@ -469,14 +441,7 @@ class BasePolytope:
             return None
         seen = {}
         for order in itertools.permutations(range(self.n)):
-            v = np.zeros(self.n)
-            prefix = set()
-            prev = 0.0
-            for j in order:
-                prefix.add(j)
-                cur = float(self.oracle(frozenset(prefix)))
-                v[j] = cur - prev
-                prev = cur
+            v = _prefix_gains(self.oracle, order, 0.0)
             seen.setdefault(v.round(12).tobytes(), v)
             if limit is not None and len(seen) > limit:
                 return None
@@ -515,16 +480,20 @@ def base_polytope_greedy(oracle, w):
     w = np.asarray(w, dtype=float)
     if not np.isfinite(w).all():
         raise InputError("weight vector has non-finite entries")
-    order = _greedy_order(w)
-    s = np.zeros(order.size)
+    return _prefix_gains(oracle, _greedy_order(w), float(oracle(frozenset())))
+
+
+def _prefix_gains(oracle, order, start):
+    """Gains of ``oracle`` along ``order`` (entry j element j's); ``start`` is r(empty)."""
+    gains = np.zeros(len(order))
     prefix = set()
-    prev = float(oracle(frozenset()))
+    prev = start
     for j in order:
         prefix.add(int(j))
         cur = float(oracle(frozenset(prefix)))
-        s[j] = cur - prev
+        gains[j] = cur - prev
         prev = cur
-    return s
+    return gains
 
 
 class ProductRegion:

@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import regions as rg
-from .atoms import ActiveSet, StepDescriptor, apply_step, atoms_equal, \
-    away_step_cap, reconstruct_point, select_away_vertex
+from .atoms import ActiveSet, StepDescriptor, apply_step, atom_image, atoms_equal, \
+    away_step_cap, pairing_matrix, reconstruct_point, select_away_vertex
 from .errors import CapabilityError, InputError, NumericalError
 from .objectives import BlockSeparable, design_of
 from .stepsizes import BlockDiminishing, Diminishing, ExactLine, compute_step
@@ -209,9 +209,7 @@ class _AtomCache:
 
     f is quadratic, so on weights lam that sum to one f(sum_j lam_j v_j) has
     the gradient M lam with M_ij = <v_i, grad f(v_j)>.  ``matrix`` builds M
-    over an active set: on signed-unit atoms row i is coef_i times the
-    gradients' entries at idx_i; on dense vectors, the stacked rows times
-    the gradients.
+    over an active set (``atoms.pairing_matrix``).
     """
 
     def __init__(self, obj, a=None):
@@ -224,10 +222,7 @@ class _AtomCache:
         key = atom._key()
         entry = self._atoms.get(key)
         if entry is None or (entry[0] is not atom and not atoms_equal(entry[0], atom)):
-            image = None
-            if self.a is not None:
-                image = (atom.sign * atom.scale) * self.a[:, atom.index] \
-                    if atom.tag == "signed_unit" else self.a @ atom.densify()
+            image = None if self.a is None else atom_image(atom, self.a)
             entry = self._atoms[key] = [atom, image, None]
         return entry
 
@@ -240,12 +235,7 @@ class _AtomCache:
         return entry[2]
 
     def matrix(self, active):
-        grads = np.array([self.grad(self.entry(a)) for a in active.atoms])
-        if active._idx is not None:
-            return active._coef[:, None] * grads[:, active._idx].T
-        if active._rows is not None:
-            return active._rows @ grads.T
-        return np.array([a.densify().ravel() for a in active.atoms]) @ grads.T
+        return pairing_matrix(active, np.array([self.grad(self.entry(a)) for a in active.atoms]))
 
 
 class _AffineImage:
@@ -477,23 +467,17 @@ class _Policy:
 
 
 class _Atoms(_Policy):
-    """FW, AFW, PFW and EFW, over an atom-tracking active set.
+    """FW over an atom-tracking active set; AFW, PFW and EFW subclass it (see ``CAPABILITIES``).
 
-    FW steps toward the LMO atom s, AFW may step away from the active atom
-    v maximizing <g, v> instead, PFW moves weight from v to s, and EFW
-    re-optimizes all the weights (``_correct``) and moves x at alpha 1, so
-    it evaluates f afresh where the others track A x (``_AffineImage``) on
-    a quadratic form.  A variant is fully corrective where its capability
-    declares a corral tolerance (EFW, and WolfeMNP on its own instance).
-    Under an inexact oracle a direction that does not descend is a step of
-    size 0: the error budget shrinks with k.
+    On a quadratic form A x is tracked (``_AffineImage``).  Under an inexact
+    oracle a direction that does not descend is a step of size 0: the error
+    budget shrinks with k.
     """
+
+    corrective = False  # _Corrective evaluates f afresh at each iterate, with no tracked A x
 
     def __init__(self, instance, config, inexact=None, initial_active=None):
         super().__init__(instance, config)
-        corral_tol = CAPABILITIES[config.variant].corral_tol
-        self.corrective = corral_tol is not None
-        self.away, self.pairwise = config.variant == "AFW", config.variant == "PFW"
         self.inexact = inexact
         if initial_active is not None:
             self.active = initial_active.copy()
@@ -505,9 +489,7 @@ class _Atoms(_Policy):
         design = None if self.corrective else design_of(self.obj)
         cache = self.cache = _AtomCache(self.obj, design)
         self.image = None if design is None else _AffineImage(cache, self.x, active=self.active)
-        self.corral_tol = corral_tol and corral_tol(config.gap_tol)
-        self.evals = self.cycles = 0  # evaluations at iterates without an image; corral cycles
-        self.settled = False  # whether the last correction ended within its cycle cap
+        self.evals = 0  # evaluations at iterates without an image
 
     def observe(self):
         x, image = self.x, self.image
@@ -527,34 +509,15 @@ class _Atoms(_Policy):
     def resync(self):
         return self.image is not None and self.image.steps > 0 and self.image.resync(self.x)
 
+    def direction(self, s, x, g):
+        """(kind, d, <g, d>, alpha_max, away atom, its position) of the step from x: toward s."""
+        d = s - x
+        return "FW", d, float(np.vdot(g, d)), 1.0, None, None
+
     def step(self):
         x, g, active, s_atom = self.x, self.g, self.active, self.s_atom
-        if self.corrective:
-            # once a correction has settled the weights, s holding weight
-            # leaves nothing to correct; a round that leaves x where it was
-            # (the corral turned s away) would only repeat itself: both end the run
-            if not self.settled or active.find(s_atom) is None:
-                used, self.settled = _correct(active, s_atom, self.cache, self.corral_tol)
-                self.cycles += used
-            self.target = reconstruct_point(active)
-            d = self.target - x
-            if not d.any():
-                return None
-            return "FullCorrective", float(np.vdot(g, d)), _norm(d), 1.0, 1.0, None, None, None
         s = self.s if self.exact else s_atom.densify()
-        v_atom = pos_v = None
-        if self.away or self.pairwise:
-            v_atom, w_v, pos_v = select_away_vertex(active, g)
-        if self.pairwise:
-            kind, d, alpha_max = "Pairwise", s - v_atom.densify(), float(w_v)
-        else:
-            kind, d, alpha_max = "FW", s - x, 1.0
-        dg = float(np.vdot(g, d))
-        if self.away:
-            d_aw = x - v_atom.densify()
-            dg_aw = float(np.vdot(g, d_aw))
-            if -dg_aw > -dg and w_v < 1.0:
-                kind, d, dg, alpha_max = "Away", d_aw, dg_aw, away_step_cap(w_v)
+        kind, d, dg, alpha_max, v_atom, pos_v = self.direction(s, x, g)
         if self.inexact is not None and dg >= 0.0:
             return kind, dg, _norm(d), alpha_max, 0.0, None, None, None
         # g is finite (the LMO checked it), so d = 0 gives dg = 0: only then is d scanned
@@ -566,18 +529,15 @@ class _Atoms(_Policy):
         s_entry = ad = None
         if self.image is not None:
             s_entry = None if toward is None else self.cache.entry(s_atom)
-            v_entry = None if kind == "FW" else self.cache.entry(v_atom)
+            v_entry = None if v_atom is None else self.cache.entry(v_atom)
             ad = self.image.direction(s_entry, v_entry)
         pos_s = None if toward is None else \
             active.find(toward, None if s_entry is None else s_entry[0])
-        self.ends = s, d, ad, StepDescriptor(kind, toward, None if kind == "FW" else v_atom,
-                                             (pos_s, pos_v))
+        self.ends = s, d, ad, StepDescriptor(kind, toward, v_atom, (pos_s, pos_v))
         return kind, dg, _norm(d), alpha_max, None, d, ad, dg
 
     def move(self, alpha):
-        if self.corrective:
-            self.x = self.target
-        elif alpha != 0.0:  # 0 is the inexact oracle's stall, which leaves x
+        if alpha != 0.0:  # 0 is the inexact oracle's stall, which leaves x
             s, d, ad, descriptor = self.ends
             apply_step(self.active, descriptor, alpha)
             kind = descriptor.kind
@@ -588,14 +548,32 @@ class _Atoms(_Policy):
     def meta(self):
         image = self.image
         if image is None:
-            meta = {"grad_passes": self.evals + self.cache.passes}
-            if self.corrective:
-                meta["correction_cycles"] = self.cycles
-        else:
-            meta = dict(grad_passes=image.grad_passes, affine_resyncs=image.resyncs,
-                        affine_drift_max=image.drift_max, grad_drift_max=image.grad_drift_max,
-                        active_drift_max=image.active_drift_max)
-        return meta
+            return {"grad_passes": self.evals + self.cache.passes}
+        return dict(grad_passes=image.grad_passes, affine_resyncs=image.resyncs,
+                    affine_drift_max=image.drift_max, grad_drift_max=image.grad_drift_max,
+                    active_drift_max=image.active_drift_max)
+
+
+class _Away(_Atoms):
+    """AFW: the FW step, or the step away from the active atom v maximizing <g, v> if steeper."""
+
+    def direction(self, s, x, g):
+        v_atom, w_v, pos_v = select_away_vertex(self.active, g)
+        fw = super().direction(s, x, g)
+        d = x - v_atom.densify()
+        dg = float(np.vdot(g, d))
+        if -dg > -fw[2] and w_v < 1.0:
+            return "Away", d, dg, away_step_cap(w_v), v_atom, pos_v
+        return fw
+
+
+class _Pairwise(_Atoms):
+    """PFW: weight moves from the active atom v maximizing <g, v> to s, at most v's weight."""
+
+    def direction(self, s, x, g):
+        v_atom, w_v, pos_v = select_away_vertex(self.active, g)
+        d = s - v_atom.densify()
+        return "Pairwise", d, float(np.vdot(g, d)), float(w_v), v_atom, pos_v
 
 
 def _cycle_cap(atoms):
@@ -603,28 +581,51 @@ def _cycle_cap(atoms):
     return max(200, 40 * atoms)
 
 
-def _correct(active, s_atom, cache, corral_tol):
-    """EFW's round: s joins at weight 0, then f is minimized over the hull of the active atoms.
+class _Corrective(_Atoms):
+    """EFW (and WolfeMNP on its own instance): s joins at weight 0, f is minimized over
+    the hull of the active atoms, and x moves there at alpha 1, with no tracked A x.
 
-    Wolfe's corral method (``minnorm.corral_weights``), warm started from
-    the current weights, runs down to a weights' FW gap of ``corral_tol`` on
-    the weights' gradient M lam (``_AtomCache.matrix``): a hull that
-    contains the optimum is corrected to it in one round.  Returns the
-    corral cycles used and whether they stopped short of their cap (the
-    weights settled).
+    Wolfe's corral method (``minnorm.corral_weights``), warm started from the
+    weights, runs down to a weights' FW gap of the capability's corral
+    tolerance on their gradient M lam (``_AtomCache.matrix``).
     """
-    from .minnorm import corral_weights
 
-    if active.find(s_atom) is None:
-        active._append(s_atom, 0.0)
-    mat = cache.matrix(active)
-    if not np.isfinite(mat).all():
-        raise NumericalError("non-finite gradient at an active atom")
-    cap = _cycle_cap(len(active))
-    lam, used = corral_weights(mat, active.weights, corral_tol, cap)
-    active.weights = lam  # one weight per atom: the atoms' index arrays stay valid
-    active._prune_and_renormalize()
-    return used, used < cap
+    corrective = True
+    cycles, settled = 0, False  # corral cycles; whether the last round stopped short of its cap
+
+    def __init__(self, instance, config, *args):
+        super().__init__(instance, config, *args)
+        self.corral_tol = CAPABILITIES[config.variant].corral_tol(config.gap_tol)
+
+    def step(self):
+        from .minnorm import corral_weights
+
+        active, s_atom = self.active, self.s_atom
+        # once a correction has settled the weights, s holding weight
+        # leaves nothing to correct; a round that leaves x where it was
+        # (the corral turned s away) would only repeat itself: both end the run
+        if not self.settled or active.find(s_atom) is None:
+            if active.find(s_atom) is None:
+                active._append(s_atom, 0.0)
+            mat = self.cache.matrix(active)
+            if not np.isfinite(mat).all():
+                raise NumericalError("non-finite gradient at an active atom")
+            cap = _cycle_cap(len(active))
+            lam, used = corral_weights(mat, active.weights, self.corral_tol, cap)
+            active.weights = lam  # one weight per atom: the atoms' index arrays stay valid
+            active._prune_and_renormalize()
+            self.cycles, self.settled = self.cycles + used, used < cap
+        self.target = reconstruct_point(active)
+        d = self.target - self.x
+        if not d.any():
+            return None
+        return "FullCorrective", float(np.vdot(self.g, d)), _norm(d), 1.0, 1.0, None, None, None
+
+    def move(self, alpha):
+        self.x = self.target
+
+    def meta(self):
+        return {**super().meta(), "correction_cycles": self.cycles}
 
 
 class _Face(_Policy):
@@ -754,12 +755,13 @@ def _on_blocks(instance):
 
 
 _POLYTOPE = Capability(lambda inst: getattr(inst.region, "polytopal", False),
-                       "a polytopal region", True, True, _Atoms.run)
+                       "a polytopal region", True, True, _Away.run)
 CAPABILITIES = {
     "FW": Capability(lambda inst: True, "", True, True, _Atoms.run),
     "AFW": _POLYTOPE,
-    "PFW": _POLYTOPE,
-    "EFW": _POLYTOPE._replace(inexact=False, corral_tol=lambda gap_tol: max(1e-10, 0.1 * gap_tol)),
+    "PFW": _POLYTOPE._replace(runs=_Pairwise.run),
+    "EFW": _POLYTOPE._replace(inexact=False, runs=_Corrective.run,
+                              corral_tol=lambda gap_tol: max(1e-10, 0.1 * gap_tol)),
     "FDFW": Capability(lambda inst: all(hasattr(inst.region, op) for op in rg.FACE_OPERATIONS),
                        "a region with minimal-face operations (a simplex or a box)", False,
                        False, _Face.run),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fwkit import cli
 from fwkit import diagnostics as dg
+from fwkit import objectives as ob
 from fwkit.errors import InputError
 
 
@@ -234,6 +235,32 @@ def test_gen_byte_identical_and_runnable(tmp_path):
     assert ks[0] == 0 and ks == sorted(ks)
 
 
+@pytest.mark.parametrize("family,params,files", [
+    ("matcomp", ["m=7", "n=5", "rank=2"], {"observations"}),
+    ("svm_dual", ["count=9", "dim=3"], {"points", "labels"})])
+def test_gen_data_files_read_back_into_the_same_instance(tmp_path, family, params, files):
+    argv = ["gen", "--family", family, "--seed", "4", "--out", str(tmp_path / family)]
+    for param in params:
+        argv += ["--param", param]
+    assert cli.main(argv) == 0
+    path = str(tmp_path / (family + ".config.json"))
+    cfg = json.loads(open(path).read())
+    assert set(cfg["problem"]["data"]) == files
+    obj = cli._prepare(path)[4].objective
+    if family == "matcomp":
+        ref = ob.build_instance("matcomp", seed=4, m=7, n=5, rank=2).objective
+        for attr in ("rows", "cols", "values"):
+            assert np.array_equal(getattr(obj, attr), getattr(ref, attr))
+    else:
+        labels = np.load(tmp_path / "svm_dual.labels.npy")
+        assert labels.shape == (9,) and set(labels.tolist()) <= {-1.0, 1.0}
+        pts = np.load(tmp_path / "svm_dual.points.npy")
+        assert np.array_equal(obj.a, (pts * labels[:, None]).T)
+    assert cli.main(["run", "--config", path]) == 0
+    report = json.loads(open(str(tmp_path / family) + ".run.report.json").read())
+    assert report["family"] == family
+
+
 def test_gen_max_clique_from_params(tmp_path):
     prefix = tmp_path / "clique"
     assert cli.main(["gen", "--family", "max_clique", "--param", "n=6",
@@ -358,6 +385,22 @@ def test_run_refuses_a_solver_field_it_does_not_know(tmp_path, capsys, variant):
                        solver={"variant": variant, "efw_inner_tol": 1e-6}, checks=[])
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
     assert "unknown solver field 'efw_inner_tol'" in capsys.readouterr().err
+    assert not os.path.exists(cfg["output"]["prefix"] + ".trace.csv")
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("output", "fromat", "json"), ("config", "chekcs", ["lower_bound"]),
+    ("problem", "sead", 3), ("inexact", "delat", 0.5)])
+def test_run_refuses_an_unknown_key_in_every_block(tmp_path, capsys, block, key, value):
+    # a misspelled delta would otherwise run the inexact schedule with delta 0
+    cfg_path = tmp_path / "typo.json"
+    cfg = write_config(cfg_path, solver={"inexact": {"mode": "decaying", "delta": 1.0}},
+                       checks=[])
+    {"config": cfg, "problem": cfg["problem"], "output": cfg["output"],
+     "inexact": cfg["solver"]["inexact"]}[block][key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "unknown %s field %r" % (block, key) in capsys.readouterr().err
     assert not os.path.exists(cfg["output"]["prefix"] + ".trace.csv")
 
 

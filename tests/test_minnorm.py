@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwkit.errors import InputError
 from fwkit.minnorm import corral_step, hull_distance, solve_wolfe_mnp
@@ -97,6 +99,28 @@ def test_minor_cycle_blocked_by_a_weight_zero_atom_still_descends():
     assert keep.tolist() == [True, False, False]
     assert new.tolist() == [1.0]
     assert 0.5 * lam @ mat @ lam == pytest.approx(-0.58, abs=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_no_minor_cycle_raises_phi_on_a_symmetric_indefinite_matrix(k, seed, zero_weight):
+    # phi(lam) = 1/2 lam^T M lam, whose gradient is M lam; M has eigenvalues of both signs
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    eig = rng.standard_normal(k)
+    eig[0], eig[1] = abs(eig[0]) + 0.1, -abs(eig[1]) - 0.1
+    mat = (q * eig) @ q.T
+    mat = 0.5 * (mat + mat.T)
+    lam = rng.random(k) + 0.01
+    if zero_weight:
+        lam[-1] = 0.0
+    lam /= lam.sum()
+    new, keep = corral_step(mat, lam.copy())
+    full = new if keep is None else np.zeros(k)
+    if keep is not None:
+        full[keep] = new
+    assert (full >= 0.0).all() and full.sum() == pytest.approx(1.0, abs=1e-12)
+    assert 0.5 * full @ mat @ full <= 0.5 * lam @ mat @ lam + 1e-12 * np.abs(mat).max()
 
 
 @pytest.mark.parametrize("seed, records", [(0, 5), (2, 4), (6, 4), (8, 4), (10, 4)])

@@ -337,6 +337,29 @@ def test_base_polytope_max_step_enumeration():
     assert not region.contains(x + (alpha + 1e-6) * d, 1e-12)
 
 
+def test_hull_membership_retries_with_slack_only_for_boundary_points(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["bounds"][0][0])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    hull = VertexHull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cases = [([0.2, 0.3], 1e-6, True, [0]),  # inside: the exact LP decides
+             ([0.5, 0.5 + 5e-7], 1e-6, True, [0, -1e-6]),  # past the edge, within tol
+             ([0.5, 0.5 + 5e-7], 1e-9, False, [0, -1e-9]),  # the same point, past tol
+             ([0.5, 0.6], 1e-6, False, [0, -1e-6])]  # outside
+    for x, tol, inside, bounds in cases:
+        calls.clear()
+        assert hull.contains(np.array(x), tol) is inside
+        assert calls == bounds
+    assert hull.contains(np.zeros(3)) is False  # the wrong shape
+
+
 def test_minimal_face_simplex_support():
     atoms = minimal_face_vertices(Simplex(3), np.array([0.5, 0.5, 0.0]))
     assert sorted(a.index for a in atoms) == [0, 1]
@@ -396,6 +419,50 @@ def test_the_variants_a_region_runs_follow_its_declarations_not_its_class():
     assert ProductRegion([Simplex(2), box]).polytopal
     assert not ProductRegion([Simplex(2), L2Ball(1.0, 2)]).polytopal
     assert not ProductRegion([Simplex(2), plain]).polytopal
+
+
+class _NoMaxStep:
+    """A simplex that declares three face operations but not ``max_step``; counts its LMO calls."""
+
+    def __init__(self, region):
+        self.region, self.lmo_calls = region, 0
+
+    def lmo(self, g):
+        self.lmo_calls += 1
+        return self.region.lmo(g)
+
+    def __getattr__(self, name):
+        if name == "max_step":
+            raise AttributeError(name)
+        return getattr(self.region, name)
+
+
+def test_fdfw_refuses_a_region_without_max_step_before_any_work():
+    # an in-face step stops at the face's boundary, so FDFW calls max_step;
+    # this f takes in-face steps on the plain simplex
+    obj = ShiftedNormSquare(np.array([0.6, 0.5, 0.3, -0.2, -0.1, 0.0]))
+    region = _NoMaxStep(Simplex(6))
+    assert all(hasattr(region, op) for op in regions.FACE_OPERATIONS if op != "max_step")
+    with pytest.raises(CapabilityError, match="FDFW needs a region with minimal-face"):
+        solve(ProblemInstance(obj, region, 2.0, 2.0, np.sqrt(2.0)),
+              SolverConfig(variant="FDFW", stepsize=ExactLine()))
+    assert region.lmo_calls == 0
+
+
+def test_fdfw_on_an_linf_ball_is_fdfw_on_the_equal_box():
+    rng = np.random.default_rng(21)
+    n, eps = 6, 0.5
+    obj = ShiftedNormSquare(rng.uniform(-1.0, 1.0, n))  # optimum: the center clipped to the box
+    config = SolverConfig(variant="FDFW", stepsize=ExactLine(), max_iter=200, gap_tol=1e-12)
+
+    def run(region):
+        report = solve(ProblemInstance(obj, region, 2.0, 2.0, 2.0 * eps * np.sqrt(n)), config)
+        return ([(r.k, r.kind, r.alpha.hex(), r.f.hex(), r.gap.hex(), r.support_size, r.good)
+                 for r in report.records], report.termination, report.x_final.tobytes())
+
+    ball = run(LinfBall(eps, n))
+    assert ball == run(Box(-eps * np.ones(n), eps * np.ones(n)))
+    assert {"InFace", "Drop"} & {rec[1] for rec in ball[0]}
 
 
 def test_diameters_closed_forms():
@@ -606,6 +673,29 @@ def enumerable_regions(draw):
                  for v in range(u + 1, n) if rng.random() < 0.6]
         return BasePolytope(graph_cut_oracle(n, edges), n)
     return VertexHull(rng.standard_normal((draw(st.integers(1, 8)), n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.floats(0.1, 3.0), st.data())
+def test_an_linf_ball_is_the_equal_box_bit_for_bit(n, eps, data):
+    ball, box = LinfBall(eps, n), Box(-eps * np.ones(n), eps * np.ones(n))
+    # zero gradient entries of either sign, which the LMO sends to -eps
+    g = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3),
+                                    min_size=n, max_size=n)))
+    s = ball.lmo(g).densify()
+    assert s.tobytes() == box.lmo(g).densify().tobytes()
+    assert s.tobytes() == np.where(g >= 0.0, -eps, eps).tobytes()
+    # points at, inside and just past the faces, and directions along and off them
+    x = eps * np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 1.0, 1.0 + 1e-10,
+                                                           -1.0 - 1e-8]),
+                                          min_size=n, max_size=n)))
+    tol = data.draw(st.sampled_from([0.0, 1e-12, 1e-9]))
+    assert ball.contains(x, tol) == box.contains(x, tol) == bool(np.max(np.abs(x)) <= eps + tol)
+    d = g if np.any(g) else np.ones(n)
+    if ball.contains(x, 0.0):
+        assert ball.max_step(x, d) == box.max_step(x, d)
+    assert ball.vertices().tobytes() == box.vertices().tobytes()
+    assert ball.diameter() == 2.0 * eps * np.sqrt(n)
 
 
 @settings(max_examples=300, deadline=None)
