@@ -115,8 +115,10 @@ class _QuadraticForm:
         return val, grad
 
     def value(self, x, ax):
-        """The value of ``eval(x, ax=ax)`` without its gradient."""
-        return self._value_and_wr(_finite(x), ax)[0]
+        """The value of ``eval(x, ax=ax)`` without its gradient.  Unlike ``eval`` it does
+        not check x: its caller is a solver, whose x is its own convex combination of
+        atoms that were already checked."""
+        return self._value_and_wr(x, ax)[0]
 
     def curvature_along(self, d, ad=None):
         """<d, Hessian d> = 2 s <A d, W A d>; ``ad``, when given, is the image A d."""

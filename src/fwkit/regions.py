@@ -21,6 +21,7 @@ and the box (so the l-inf ball) declare all five, with tol 1e-12.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import eigh
@@ -55,12 +56,20 @@ def _max_pairwise_distance(pts):
     return float(np.sqrt(best))
 
 
-def _check_gradient(g, shape):
+_NON_FINITE_GRADIENT = "gradient has non-finite entries"
+
+
+def _gradient_of_shape(g, shape):
     g = np.asarray(g, dtype=float)
     if g.shape != shape:
         raise InputError("gradient shape %s does not match region %s" % (g.shape, shape))
+    return g
+
+
+def _check_gradient(g, shape):
+    g = _gradient_of_shape(g, shape)
     if not all_finite(g):
-        raise InputError("gradient has non-finite entries")
+        raise InputError(_NON_FINITE_GRADIENT)
     return g
 
 
@@ -125,8 +134,11 @@ class L1Ball:
         self.shape = (self.n,)
 
     def lmo(self, g):
-        g = _check_gradient(g, self.shape)
+        g = _gradient_of_shape(g, self.shape)
         i = int(np.abs(g).argmax())
+        # the argmax picks the first NaN, else an infinity: g is finite iff g[i] is
+        if not math.isfinite(g[i]):
+            raise InputError(_NON_FINITE_GRADIENT)
         return SignedUnitAtom.trusted(i, 1 if g[i] <= 0 else -1, self.tau, self.n)
 
     def diameter(self):

@@ -105,8 +105,39 @@ class IterationRecord:
     dnorm: float = 0.0     # ||direction||
     alpha_max: float = 0.0
     good: bool = False
-    support: object = None  # frozenset of coordinates, when cheap to store
+    support: object = None  # frozenset of coordinates, built when first read (_Support)
     x: object = None        # iterate copy, only when store_points is set
+
+
+class _Support:
+    """A support held as the bytes of its mask |x| > 1e-12; its frozenset is built when first read.
+
+    A record reads the frozenset through ``IterationRecord.support``, and
+    every record handed the same holder shares that one frozenset.
+    """
+
+    __slots__ = ("_mask", "_set")
+
+    def __init__(self, mask):
+        self._mask, self._set = mask, None
+
+    def frozen(self):
+        if self._set is None:
+            self._set = frozenset(np.frombuffer(self._mask, dtype=bool).nonzero()[0].tolist())
+            self._mask = None
+        return self._set
+
+
+def _read_support(slot):
+    """``IterationRecord.support`` over the field's slot: a ``_Support`` held there reads as
+    its frozenset.  The dataclass's __init__, __eq__, __repr__ and pickling all go through it."""
+    def read(rec):
+        held = slot.__get__(rec)
+        return held.frozen() if type(held) is _Support else held
+    return property(read, slot.__set__)
+
+
+IterationRecord.support = _read_support(IterationRecord.support)
 
 
 @dataclass
@@ -143,10 +174,10 @@ class _Tracer:
     """Collects records and termination bookkeeping for one run.
 
     A record's support is the frozenset {i : |x_i| > 1e-12} of its iterate
-    (None for matrices and past ``_SUPPORT_MAX`` entries).  Most steps keep
-    the support of the step before, so the tracer keeps the last support
-    mask: while a new mask has the same bytes, the record shares the last
-    record's frozenset, and one is built only when the support moves.
+    (None for matrices and past ``_SUPPORT_MAX`` entries).  The tracer keeps
+    the bytes of the last support mask, and each new mask gets one
+    ``_Support`` holder, shared by the records while the mask's bytes stay
+    the same; a frozenset is built only when a record's support is read.
     """
 
     def __init__(self, config):
@@ -155,16 +186,15 @@ class _Tracer:
         self.good_steps = 0
         self.t0 = time.perf_counter_ns()
         self._mask = None  # bytes of the last support mask |x| > tol
-        self._support = None  # the frozenset built from that mask
+        self._support = None  # the _Support holding that mask
 
     def _support_of(self, x):
         if x.ndim != 1 or x.size > _SUPPORT_MAX:
             return None
-        mask = np.abs(x) > _SUPPORT_TOL
-        key = mask.tobytes()
+        key = (np.abs(x) > _SUPPORT_TOL).tobytes()
         if key != self._mask:
             self._mask = key
-            self._support = frozenset(mask.nonzero()[0].tolist())
+            self._support = _Support(key)
         return self._support
 
     def make(self, k, f, gap, support_size, x, support=None):
@@ -275,6 +305,7 @@ class _AffineImage:
         self.track = self.a.size >= _TRACK_GRADIENT_MIN if track is None else track
         self.active = active
         self.g = None  # tracked gradient at x; None until first evaluated
+        self._buf = None  # where move combines atom gradients, made with the tracked g
         self._ends = None, None  # cache entries of the step ``direction`` priced last
         self.steps = 0  # steps since A x was last computed from x
         self.resyncs = 0
@@ -296,7 +327,7 @@ class _AffineImage:
         if self.g is None:
             f, g = self._eval(x, self.ax)
             if self.track:
-                self.g = g
+                self.g, self._buf = g, np.empty_like(g)
             return f, g
         return self.obj.value(x, self.ax), self.g
 
@@ -311,7 +342,8 @@ class _AffineImage:
 
         A x and g move in place, with the elementwise operations (and so
         the bits) of ``ax + alpha ad`` and the formulas above; they are this
-        object's own arrays, never cached ones.
+        object's own arrays, never cached ones.  The atom gradients are
+        combined in one buffer, made with the tracked g.
         """
         s, v = self._ends
         grad = self.cache.grad
@@ -321,16 +353,16 @@ class _AffineImage:
                 self.g = grad(s).copy()
         else:
             self.ax += alpha * ad
-            g = self.g
+            g, buf = self.g, self._buf
             if g is not None:
                 if kind == "FW":
                     g *= 1.0 - alpha
-                    g += alpha * grad(s)
+                    g += np.multiply(alpha, grad(s), out=buf)
                 elif kind == "Away":
                     g *= 1.0 + alpha
-                    g -= alpha * grad(v)
+                    g -= np.multiply(alpha, grad(v), out=buf)
                 else:
-                    g += alpha * (grad(s) - grad(v))
+                    g += np.multiply(alpha, np.subtract(grad(s), grad(v), out=buf), out=buf)
         self.steps += 1
         if self.steps >= _RESYNC_EVERY:
             self.resync(x)
@@ -541,7 +573,11 @@ class _Atoms(_Policy):
             s, d, ad, descriptor = self.ends
             apply_step(self.active, descriptor, alpha)
             kind = descriptor.kind
-            self.x = s.copy() if kind == "FW" and alpha >= 1.0 else self.x + alpha * d
+            if kind == "FW" and alpha >= 1.0:
+                self.x = s.copy()
+            else:  # in place, with the bits of x + alpha d: d is this step's own array
+                d *= alpha
+                self.x += d
             if self.image is not None:
                 self.image.move(kind, alpha, ad, self.x)
 

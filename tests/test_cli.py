@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_run_exit_zero_and_trace_layout(tmp_path):
                       "support_size", "elapsed_ns"]
     ks = [int(r["k"]) for r in rows]
     assert ks == sorted(ks) and len(set(ks)) == len(ks)
-    report = json.loads(open(prefix + ".report.json").read())
+    report = json.loads(Path(prefix + ".report.json").read_text())
     assert report["checks"][0]["pass"] is True
     assert report["termination"] in ("GapTol", "MaxIter")
     # 17-significant-digit floats round-trip exactly
@@ -82,7 +83,7 @@ def test_run_max_iter_one_terminates_maxiter(tmp_path):
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
     rows = read_trace(cfg["output"]["prefix"])
     assert len(rows) >= 1
-    report = json.loads(open(cfg["output"]["prefix"] + ".report.json").read())
+    report = json.loads(Path(cfg["output"]["prefix"] + ".report.json").read_text())
     assert report["termination"] == "MaxIter"
 
 
@@ -113,7 +114,7 @@ def test_run_json_trace_format(tmp_path):
     cfg = write_config(cfg_path, output={"prefix": str(tmp_path / "out" / "j"),
                                          "format": "json"})
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
-    rows = json.loads(open(cfg["output"]["prefix"] + ".trace.json").read())
+    rows = json.loads(Path(cfg["output"]["prefix"] + ".trace.json").read_text())
     assert rows[0]["k"] == 0
 
 
@@ -186,7 +187,8 @@ def test_compare_measures_wolfe_mnp_rows_against_the_instances_f_star(tmp_path, 
     out = tmp_path / "t.csv"
     assert cli.main(["compare", "--configs", *paths, "--out", str(out)]) == 0
     assert references == ["min_norm_point", "min_norm_point"]
-    rows = list(csv.DictReader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["solver"] for r in rows] == ["WolfeMNP", "AFW"]
     assert [r["status"] for r in rows] == ["ok", "ok"]
     for row in rows:
@@ -244,7 +246,7 @@ def test_gen_data_files_read_back_into_the_same_instance(tmp_path, family, param
         argv += ["--param", param]
     assert cli.main(argv) == 0
     path = str(tmp_path / (family + ".config.json"))
-    cfg = json.loads(open(path).read())
+    cfg = json.loads(Path(path).read_text())
     assert set(cfg["problem"]["data"]) == files
     obj = cli._prepare(path)[4].objective
     if family == "matcomp":
@@ -257,7 +259,7 @@ def test_gen_data_files_read_back_into_the_same_instance(tmp_path, family, param
         pts = np.load(tmp_path / "svm_dual.points.npy")
         assert np.array_equal(obj.a, (pts * labels[:, None]).T)
     assert cli.main(["run", "--config", path]) == 0
-    report = json.loads(open(str(tmp_path / family) + ".run.report.json").read())
+    report = json.loads((tmp_path / (family + ".run.report.json")).read_text())
     assert report["family"] == family
 
 
@@ -302,7 +304,7 @@ def test_run_inexact_rate_on_the_default_decaying_schedule(tmp_path):
                                "inexact": {"delta": 1.0, "seed": 0}},
                        checks=["inexact_rate"])
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
-    report = json.loads(open(cfg["output"]["prefix"] + ".report.json").read())
+    report = json.loads(Path(cfg["output"]["prefix"] + ".report.json").read_text())
     assert [(c["check"], c["pass"]) for c in report["checks"]] == [("inexact_rate", True)]
 
 
@@ -357,7 +359,7 @@ def test_run_submodular_builtin_with_edge_file(tmp_path):
                          "max_iter": 400, "gap_tol": 1e-9},
                  checks=[])
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
-    report = json.loads(open(str(tmp_path / "out" / "cut") + ".report.json").read())
+    report = json.loads((tmp_path / "out" / "cut.report.json").read_text())
     assert report["termination"] == "GapTol"
 
 
@@ -486,7 +488,7 @@ def test_wolfe_mnp_runs_checks_on_f_star_or_l(tmp_path, check):
                        solver={"variant": "WolfeMNP", "stepsize": "diminishing"},
                        checks=[check])
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
-    report = json.loads(open(cfg["output"]["prefix"] + ".report.json").read())
+    report = json.loads(Path(cfg["output"]["prefix"] + ".report.json").read_text())
     assert report["termination"] == "GapTol"
     assert [(c["check"], c["pass"]) for c in report["checks"]] == [(check, True)]
 

@@ -6,7 +6,9 @@ and once with a planted change.
 """
 
 import importlib.util
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,6 +92,30 @@ def test_every_kind_of_field_is_compared(field):
     key = next(k for k in parent if k[4] == "WolfeMNP")
     assert [name for name, _ in identity.differences(parent[key], change[key])] == [field]
     assert identity.differences(parent[key], change[key], skip={field.split(".")[0]}) == []
+
+
+def test_a_support_held_in_a_private_slot_compares_by_value():
+    @dataclass(slots=True)
+    class Record:  # keeps its support as a list, and gives it as a frozenset
+        k: int
+        f: float
+        _held: list
+
+        @property
+        def support(self):
+            return frozenset(self._held)
+
+    inst = build_instance("simplex_distance", n=4)
+
+    def summary(*supports):
+        report = SimpleNamespace(records=[Record(k, 1.0, list(s)) for k, s in enumerate(supports)],
+                                 termination="GapTol", good_steps=0, meta={})
+        return identity.summarise(inst, report)
+
+    assert identity.record_attributes(Record(0, 1.0, [])) == ["f", "k", "support"]
+    assert identity.differences(summary({1}, {1, 2}), summary({1}, {2, 1})) == []
+    assert [name for name, _ in identity.differences(summary({1}, {1, 2}),
+                                                     summary({1}, {2}))] == ["support"]
 
 
 def test_constants_and_refusals_come_first():

@@ -45,6 +45,27 @@ def test_l1_lmo_sign_and_magnitude():
     assert np.allclose(atom.densify(), [0.0, 2.0])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+       st.lists(st.tuples(st.integers(0, 11), st.sampled_from([np.nan, np.inf, -np.inf])),
+                max_size=4))
+def test_l1_lmo_refuses_every_non_finite_gradient_and_keeps_its_atom(values, planted):
+    # finite entries span the whole float range (squares past 1e154 overflow);
+    # planted NaNs and infinities land anywhere, mixed
+    g = np.array(values)
+    for pos, bad in planted:
+        g[pos % len(g)] = bad
+    ball = L1Ball(1.5, len(g))
+    if planted:
+        with pytest.raises(InputError, match="^gradient has non-finite entries$"):
+            ball.lmo(g)
+        return
+    # reference: the first coordinate of largest |g_i|, signed against g_i
+    i = max(range(len(values)), key=lambda j: abs(values[j]))
+    atom = ball.lmo(g)
+    assert (atom.index, atom.sign, atom.scale) == (i, 1 if values[i] <= 0 else -1, 1.5)
+
+
 def test_nuclear_lmo_vs_dense_svd():
     # oracle: dense SVD of the 2x2 gradient; the atom's linear value must
     # match the optimum -sigma_max to high accuracy (vector residue is

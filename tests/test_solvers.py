@@ -1,5 +1,6 @@
 import copy
 import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -633,6 +634,45 @@ def test_records_share_a_support_while_it_does_not_move(case):
         assert rec.support == _support_set(rec.x)
         if prev is not None and rec.support == prev.support:
             assert rec.support is prev.support
+
+
+def test_records_build_their_support_set_when_it_is_read(monkeypatch):
+    built = []
+
+    def counted(items=()):
+        built.append(frozenset(items))
+        return built[-1]
+
+    inst = build_instance("lasso", m=40, n=120, seed=3)
+    config = cfg("PFW", ExactLine(), max_iter=300, gap_tol=1e-12, store_points=True)
+    monkeypatch.setattr(solvers, "frozenset", counted, raising=False)
+    records = solve(inst, config).records
+    assert built == []
+    supports = [rec.support for rec in records]
+    assert 1 < len(built) < len(records)  # one set per support the run moved to
+    for prev, rec, support in zip([None] + records, records, supports):
+        assert support == _support_set(rec.x)
+        assert rec.support is support  # a second read builds nothing
+        if prev is not None and support == prev.support:
+            assert support is prev.support
+    assert len(built) == len({id(s) for s in supports})
+
+
+def test_record_supports_are_given_assigned_and_pickled_as_frozensets():
+    rec = solvers.IterationRecord(0, "FW", 0.5, 1.0, 0.1, 2, 0, support=frozenset({1, 4}))
+    assert rec.support == frozenset({1, 4})
+    rec.support = frozenset({7})
+    assert rec.support == frozenset({7})
+    assert rec == solvers.IterationRecord(0, "FW", 0.5, 1.0, 0.1, 2, 0, support=frozenset({7}))
+
+    inst = build_instance("lasso", m=40, n=120, seed=3)
+    report = solve(inst, cfg("PFW", ExactLine(), max_iter=60, store_points=True))
+    clone = pickle.loads(pickle.dumps(report))  # before any support was read
+    assert [type(r.support) for r in clone.records] == [frozenset] * len(report.records)
+    assert [r.support for r in clone.records] == [_support_set(r.x) for r in report.records]
+    report.records[1].support = frozenset({99})
+    assert report.records[1].support == frozenset({99})
+    assert report.records[0].support == _support_set(report.records[0].x)
 
 
 def test_bcfw_counts_one_block_evaluation_per_block_and_moved_step():

@@ -14,9 +14,10 @@ workloads (``perfbench/workloads.py`` of the working tree) for seeds 1 and
 (keyed as workload ``fixed``).
 
 Per solve it compares the instance's L, mu and D as ``float.hex()``, the
-refusal's error class, the record count, every record field but the wall
-time as float bits (kinds, ``good`` and supports as values), the
-termination, ``good_steps``, the bytes of ``x_final`` and every meta entry.
+refusal's error class, the record count, every public record attribute
+(``record_attributes``) but the wall time as float bits (kinds, ``good``
+and supports as values, read through the attribute), the termination,
+``good_steps``, the bytes of ``x_final`` and every meta entry.
 It prints the first differing field of each solve that differs, then a
 count per variant, and exits 1 on any difference in a field that
 ``--skip`` does not name.  A field is a record field (``f``, ``kind``,
@@ -27,8 +28,8 @@ meta`` skips every meta entry.
 
 import argparse
 import collections
-import dataclasses
 import hashlib
+import inspect
 import os
 import pickle
 import subprocess
@@ -67,6 +68,15 @@ def canon(value):
     return ("object", type(value).__name__)
 
 
+def record_attributes(record):
+    """The public attributes a record is read by, slots and properties alike: a value a
+    record keeps in a private slot (a support held as its mask) compares by what its
+    public attribute gives."""
+    cls = type(record)
+    return sorted(name for name in dir(cls)
+                  if not name.startswith("_") and inspect.isdatadescriptor(getattr(cls, name)))
+
+
 def summarise(instance, report=None, error=None):
     """One solve's comparable summary: its instance constants and its report, or its refusal."""
     out = {"L": canon(instance.L), "mu": canon(instance.mu), "D": canon(instance.D),
@@ -74,16 +84,16 @@ def summarise(instance, report=None, error=None):
     if report is None:
         return out
     records = report.records
-    for field in dataclasses.fields(records[0]) if records else ():
-        if field.name == "elapsed_ns":
+    for name in record_attributes(records[0]) if records else ():
+        if name == "elapsed_ns":
             continue
-        col = [getattr(r, field.name) for r in records]
+        col = [getattr(r, name) for r in records]
         if isinstance(col[0], float):
-            out[field.name] = np.array(col, dtype=float).view(np.uint64)
+            out[name] = np.array(col, dtype=float).view(np.uint64)
         else:
             unique = {id(v): v for v in col}  # records share support sets: reduce each once
             reduced = {key: canon(v) for key, v in unique.items()}
-            out[field.name] = [reduced[id(v)] for v in col]
+            out[name] = [reduced[id(v)] for v in col]
     out.update(records=len(records), termination=report.termination,
                good_steps=int(report.good_steps), x_final=canon(report.meta.get("x_final")))
     out.update(("meta." + k, canon(v)) for k, v in report.meta.items() if k != "x_final")
