@@ -13,6 +13,7 @@ variable FWKIT_THREADS caps compare's parallelism (default 1).
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import os
 import sys
@@ -70,7 +71,10 @@ def _validate(cfg, base_dir="."):
         for key in block:
             if key not in _KEYS[name]:
                 _fail("unknown %s field %r" % (name, key))
-    for check in cfg.get("checks", []):
+    checks = cfg.get("checks", [])
+    if not isinstance(checks, list) or not all(isinstance(check, str) for check in checks):
+        _fail("checks must be a JSON list of check names")
+    for check in checks:
         if check not in dg.CHECKS:
             _fail("unknown check %r" % check)
     out = cfg["output"]
@@ -85,22 +89,30 @@ def _validate(cfg, base_dir="."):
         path = os.path.join(base_dir, rel)
         if not os.path.exists(path):
             _fail("referenced data file %r does not exist" % rel)
-        data[key] = path
-    return prob, sol, cfg.get("checks", []), out, params, data
+        data[key] = os.path.realpath(path)  # so compare can tell one file from another
+    return prob, sol, checks, out, params, data
 
 
-def _prepare(path, needs_f_star=False):
+def _prepare(path, needs_f_star=False, shared=None):
     """A config file's validated blocks, instance, solver config and inexact oracle.
 
     The family, variant and stepsize are refused where they are declared
     (``build_instance``, ``check_capability``, ``rule_from_name``).  A
     check whose hypothesis the run's ``planned_meta`` does not meet, or an
     f* reference for the checks that cannot run on the instance, is
-    refused here, before any solve.
+    refused here, before any solve.  ``shared`` is another config's
+    ``_prepare``, whose instance this one runs on: its problem block, with
+    the data files resolved, must be this one's.
     """
     cfg = _load_config(path)
     prob, sol, checks, out, params, data = _validate(cfg, os.path.dirname(path) or ".")
-    instance = _build_problem(prob, params, data)
+    if shared is None:
+        instance = _build_problem(prob, params, data)
+    elif prob != shared[0]:
+        _fail("compare needs a shared problem block (data files resolved), and %s has another"
+              % path)
+    else:
+        instance = shared[4]
     check_capability(instance, sol.get("variant"), inexact=bool(sol.get("inexact")))
     config, inexact = _solver_config(sol, instance), _maybe_inexact(sol, instance)
     meta = planned_meta(instance, config, inexact)
@@ -161,12 +173,11 @@ def _maybe_inexact(sol, instance):
     return rg.make_inexact_lmo(instance.region, schedule)
 
 
-def _ensure_f_star(instance, report, needed):
-    if not needed or report.meta.get("f_star") is not None:
-        return report
-    bound, _ = reference_f_star(instance, gap_tol=1e-12, max_iter=200000)
-    report.meta["f_star"] = bound
-    return report
+def _f_star(instance):
+    """The instance's f*, else the certified bound of one long ``reference_f_star`` run."""
+    if instance.f_star is not None:
+        return instance.f_star
+    return reference_f_star(instance, gap_tol=1e-12, max_iter=200000)[0]
 
 
 def _fmt(x):
@@ -222,7 +233,8 @@ def cmd_run(args):
     os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
     try:
         report = solve(instance, config, inexact=inexact)
-        report = _ensure_f_star(instance, report, _reads_f_star(checks))
+        if _reads_f_star(checks):
+            report.meta["f_star"] = _f_star(instance)
         # each function is looked up per call, where a caller may wrap it
         results = [getattr(dg, dg.CHECKS[name].function)(report) for name in checks]
     except FwkitError as exc:
@@ -233,11 +245,11 @@ def cmd_run(args):
     return 0 if report.termination != "NumericalError" and all(c.ok for c in results) else 3
 
 
-def _compare_one(path):
-    prob, sol, checks, out, instance, config, inexact = _prepare(path, needs_f_star=True)
+def _compare_one(prepared, f_star):
+    prob, sol, checks, out, instance, config, inexact = prepared
     report = solve(instance, config, inexact=inexact)
-    report = _ensure_f_star(instance, report, True)
-    final_h = report.records[-1].f - report.meta["f_star"]
+    report.meta["f_star"] = f_star
+    final_h = report.records[-1].f - f_star
     q = float("nan")
     try:
         q = dg.fit_geometric_rate(report, good_only=True).q
@@ -248,20 +260,18 @@ def _compare_one(path):
     frac = report.good_steps / total
     return {"solver": sol["variant"], "iters_to_tol": reached,
             "final_h": final_h, "fitted_q": q, "good_fraction": frac,
-            "failed": report.termination == "NumericalError",
-            "problem": json.dumps(prob, sort_keys=True)}
+            "failed": report.termination == "NumericalError"}
 
 
 def cmd_compare(args):
     threads = max(1, int(os.environ.get("FWKIT_THREADS", "1")))
     try:
-        problems = {json.dumps(_load_config(path).get("problem"), sort_keys=True)
-                    for path in args.configs}
-        if len(problems) > 1:
-            print("config error: compare needs a shared problem block", file=sys.stderr)
-            return 2
+        # each config is refused as run refuses it; all run on the first one's instance
+        first = _prepare(args.configs[0], needs_f_star=True)
+        runs = [first] + [_prepare(path, True, first) for path in args.configs[1:]]
+        f_star = _f_star(first[4])
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_compare_one, args.configs))
+            rows = list(pool.map(_compare_one, runs, itertools.repeat(f_star)))
     except (ConfigError, InputError, CapabilityError, KeyError, TypeError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -170,62 +170,36 @@ def _norm(d):
     return math.sqrt(v.dot(v))
 
 
-class _Tracer:
-    """Collects records and termination bookkeeping for one run.
+class _Supports:
+    """The support of each iterate: the frozenset {i : |x_i| > 1e-12} (None
+    for matrices and past ``_SUPPORT_MAX`` entries), held by a ``_Support``.
 
-    A record's support is the frozenset {i : |x_i| > 1e-12} of its iterate
-    (None for matrices and past ``_SUPPORT_MAX`` entries).  The tracer keeps
-    the bytes of the last support mask, and each new mask gets one
-    ``_Support`` holder, shared by the records while the mask's bytes stay
-    the same; a frozenset is built only when a record's support is read.
+    The bytes of the last mask are kept, and each new mask gets one holder,
+    shared by the records while the mask's bytes stay the same.
     """
 
-    def __init__(self, config):
-        self.config = config
-        self.records = []
-        self.good_steps = 0
-        self.t0 = time.perf_counter_ns()
-        self._mask = None  # bytes of the last support mask |x| > tol
-        self._support = None  # the _Support holding that mask
+    __slots__ = ("_mask", "_held")
 
-    def _support_of(self, x):
+    def __init__(self):
+        self._mask = self._held = None
+
+    def of(self, x):
         if x.ndim != 1 or x.size > _SUPPORT_MAX:
             return None
-        key = (np.abs(x) > _SUPPORT_TOL).tobytes()
-        if key != self._mask:
-            self._mask = key
-            self._support = _Support(key)
-        return self._support
+        mask = (np.abs(x) > _SUPPORT_TOL).tobytes()
+        if mask != self._mask:
+            self._mask, self._held = mask, _Support(mask)
+        return self._held
 
-    def make(self, k, f, gap, support_size, x, support=None):
-        ns = time.perf_counter_ns() - self.t0
-        return IterationRecord(k, "stop", 0.0, float(f), float(gap), int(support_size), ns,
-                               0.0, 0.0, 0.0, False,
-                               self._support_of(x) if support is None else support,
-                               x.copy() if self.config.store_points else None)
 
-    def push(self, rec, terminal=False):
-        if terminal or rec.k % self.config.record_every == 0:
-            self.records.append(rec)
-
-    def mark_step(self, rec, kind, alpha, dg, dnorm, alpha_max):
-        # an away, pairwise or in-face step that reaches alpha_max is recorded as a "Drop";
-        # a block step is judged as an FW step (alpha_max 1: good iff alpha > 0)
-        rec.alpha = float(alpha)
-        rec.dg = float(dg)
-        rec.dnorm = float(dnorm)
-        rec.alpha_max = float(alpha_max)
-        if kind == "FW" or kind.startswith("Block"):
-            rec.good = alpha >= 1.0 or 0.0 < alpha < alpha_max
-        elif kind == "FullCorrective":
-            rec.good = True
-        else:
-            rec.good = 0.0 < alpha < alpha_max
-            if alpha >= alpha_max:
-                kind = "Drop"
-        rec.kind = kind
-        if rec.good:
-            self.good_steps += 1
+def _judged(kind, alpha, alpha_max):
+    """(kind recorded, good) of a step: an away, pairwise or in-face step that reaches
+    alpha_max is recorded as a "Drop"; a block step is judged as an FW step (alpha_max 1)."""
+    if kind == "FullCorrective":
+        return kind, True
+    if kind == "FW" or kind.startswith("Block"):
+        return kind, alpha >= 1.0 or 0.0 < alpha < alpha_max
+    return "Drop" if alpha >= alpha_max else kind, 0.0 < alpha < alpha_max
 
 
 class _AtomCache:
@@ -433,12 +407,17 @@ def _drive(instance, config, policy):
     within 10 ``gap_tol``, else ``NumericalError``) where the gap is within
     ``gap_tol`` or no step moves x, once the policy has re-synced.  A zero
     step from the rule is a ``NumericalError`` where the next pass repeats it.
+    Each record is built once: for x_k, what the step moves (the time, the
+    support, the ``store_points`` copy) is taken before it, the rest after.
     """
-    tracer, termination, k = _Tracer(config), "MaxIter", 0
+    records, good_steps, termination, k = [], 0, "MaxIter", 0
+    supports, t0 = _Supports(), time.perf_counter_ns()
     try:
         while True:
             f, g, gap, support_size, support = policy.observe()
-            rec = tracer.make(k, f, gap, support_size, policy.x, support)
+            ns = time.perf_counter_ns() - t0
+            held = supports.of(policy.x) if support is None else support
+            kept = policy.x.copy() if config.store_points else None
             if gap > config.gap_tol and k >= config.max_iter:
                 break
             step = policy.step() if gap > config.gap_tol else None
@@ -455,13 +434,19 @@ def _drive(instance, config, policy):
                     termination = "NumericalError"
                     break
             policy.move(alpha)
-            tracer.mark_step(rec, kind, alpha, dg, dnorm, alpha_max)
-            tracer.push(rec)
+            kind, good = _judged(kind, alpha, alpha_max)
+            if good:
+                good_steps += 1
+            if k % config.record_every == 0:
+                records.append(IterationRecord(k, kind, float(alpha), float(f), float(gap),
+                                               int(support_size), ns, float(dg), float(dnorm),
+                                               float(alpha_max), good, held, kept))
             k += 1
-        tracer.push(rec, terminal=True)
+        records.append(IterationRecord(k, "stop", 0.0, float(f), float(gap), int(support_size),
+                                       ns, 0.0, 0.0, 0.0, False, held, kept))
     except NumericalError:
         termination = "NumericalError"
-    return SolveReport(tracer.records, policy.active, termination, tracer.good_steps,
+    return SolveReport(records, policy.active, termination, good_steps,
                        {**planned_meta(instance, config, policy.inexact), "x_final": policy.x,
                         **policy.meta()})
 
@@ -709,8 +694,10 @@ class _Blocks(_Policy):
     """Block coordinate FW (Lacoste-Julien et al., 2013): a random block steps each pass.
 
     A step on block i changes only its value, gradient, LMO vertex, gap term
-    and support, so these are cached per block; its support set is rebuilt
-    only when the bytes of its mask |x_i| > 1e-12 change.  f and the gap sum
+    and support, so these are cached per block, the support as the bytes of
+    its mask |x_i| > 1e-12 and their count of entries.  The blocks are
+    contiguous and in order, so their masks joined are x's: a new ``_Support``
+    holds them only when a block's mask changes.  f and the gap sum
     the terms in block order, as ``BlockSeparable.eval`` does; the rules get
     the full-length g and direction, as block slices' dot products round
     apart.  A block that does not descend steps by 0, and a zero from the
@@ -730,7 +717,7 @@ class _Blocks(_Policy):
         self.g = np.zeros(self.obj.shape)
         self.slices = [region.block_slice(i) for i in range(m)]
         self.kinds = ["Block(%d)" % i for i in range(m)]
-        self.vals, self.verts, self.gaps, self.sups, self.masks = ([None] * m for _ in range(5))
+        self.vals, self.verts, self.gaps, self.masks, self.counts = ([None] * m for _ in range(5))
         self.block_evals, self.support = m, None
         # one rng.integers(m) per pass, drawn 64 at a time
         self.draws = (i for _ in itertools.repeat(None)
@@ -747,19 +734,18 @@ class _Blocks(_Policy):
             mask = np.abs(xi) > _SUPPORT_TOL
             key = mask.tobytes()
             if key != self.masks[i]:
-                self.masks[i], self.support = key, None
-                self.sups[i] = frozenset((mask.nonzero()[0] + sl.start).tolist())
+                self.masks[i], self.counts[i], self.support = key, np.count_nonzero(mask), None
 
     def observe(self):
         if self.vals[0] is None:  # the first pass evaluates every block
             self._update(range(self.m))
         if self.support is None and self.x.size <= _SUPPORT_MAX:
-            self.support = frozenset().union(*self.sups)  # records share it while it stays
+            self.support = _Support(b"".join(self.masks))  # records share it while it stays
         f = gap = 0.0
         for i in range(self.m):
             f += self.vals[i]
             gap += self.gaps[i]
-        return f, self.g, gap, sum(map(len, self.sups)), self.support
+        return f, self.g, gap, sum(self.counts), self.support
 
     def step(self):
         i = self.i = next(self.draws)

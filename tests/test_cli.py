@@ -186,7 +186,7 @@ def test_compare_measures_wolfe_mnp_rows_against_the_instances_f_star(tmp_path, 
     monkeypatch.setattr(cli, "reference_f_star", counted)
     out = tmp_path / "t.csv"
     assert cli.main(["compare", "--configs", *paths, "--out", str(out)]) == 0
-    assert references == ["min_norm_point", "min_norm_point"]
+    assert references == ["min_norm_point"]  # one f* reference, read by both rows
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["solver"] for r in rows] == ["WolfeMNP", "AFW"]
@@ -214,6 +214,70 @@ def test_compare_respects_thread_env(tmp_path, monkeypatch):
         paths.append(str(p))
     out = tmp_path / "t.csv"
     assert cli.main(["compare", "--configs", *paths, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_compare_takes_one_f_star_reference_for_all_its_configs(tmp_path, monkeypatch,
+                                                                threads):
+    # lasso has no known f*: the table's rows all read one reference run's bound
+    monkeypatch.setenv("FWKIT_THREADS", threads)
+    problem = {"family": "lasso", "seed": 3, "params": {"m": 20, "n": 50}}
+    paths = []
+    for variant, step in (("FW", "diminishing"), ("AFW", "exact"), ("PFW", "armijo")):
+        p = tmp_path / ("%s.json" % variant)
+        write_config(p, problem=problem, checks=[],
+                     solver={"variant": variant, "stepsize": step, "max_iter": 300})
+        paths.append(str(p))
+    references = []
+    real_reference = cli.reference_f_star
+
+    def counted(instance, **kwargs):
+        references.append(instance.family)
+        return real_reference(instance, **kwargs)
+
+    monkeypatch.setattr(cli, "reference_f_star", counted)
+    table = tmp_path / "table.csv"
+    assert cli.main(["compare", "--configs", *paths, "--out", str(table)]) == 0
+    assert references == ["lasso"]
+    lines = table.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["FW", "AFW", "PFW"]
+    for path, line in zip(paths, lines[1:]):
+        one = tmp_path / "one.csv"
+        assert cli.main(["compare", "--configs", path, "--out", str(one)]) == 0
+        assert one.read_text().splitlines() == [lines[0], line]
+    assert len(references) == 4
+
+
+def test_compare_refuses_configs_whose_data_files_differ(tmp_path):
+    # the same problem block beside other data: the shared instance would misstate a row
+    for name, seed in (("a", "7"), ("b", "8")):
+        assert cli.main(["gen", "--family", "lasso", "--param", "m=6", "--param", "n=9",
+                         "--seed", seed, "--out", str(tmp_path / name / "lasso")]) == 0
+    shared = (tmp_path / "a" / "lasso.config.json").read_text()
+    (tmp_path / "b" / "lasso.config.json").write_text(shared)
+    paths = [str(tmp_path / name / "lasso.config.json") for name in ("a", "b")]
+    out = tmp_path / "t.csv"
+    assert cli.main(["compare", "--configs", *paths, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert cli.main(["compare", "--configs", paths[0], paths[0], "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("checks", [{"lower_bound": 1}, "lower_bound", None, 5])
+def test_cli_refuses_checks_that_are_not_a_list_of_names(tmp_path, monkeypatch, capsys,
+                                                         checks):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a refused config")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    cfg_path = tmp_path / "c.json"
+    cfg = write_config(cfg_path)
+    cfg_path.write_text(json.dumps({**cfg, "checks": checks}))  # a dict would merge
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert cli.main(["compare", "--configs", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("checks must be a JSON list of check names") == 2
+    assert not os.path.exists(cfg["output"]["prefix"] + ".trace.csv")
+    assert not out.exists()
 
 
 def test_gen_byte_identical_and_runnable(tmp_path):

@@ -500,7 +500,9 @@ def _bcfw_full_evaluation(instance, config):
     """BCFW that evaluates f and runs every block LMO on each iteration.
 
     The reference for ``solve_bcfw``, whose per-block caches must reproduce
-    its (records, termination, x_final) bit for bit.
+    its (records, termination, good steps, x_final) bit for bit.  Its
+    records are built here, their supports afresh from x: a block step is
+    good exactly when it moves x.
     """
     obj, region = instance.objective, instance.region
     m = len(region.blocks)
@@ -510,7 +512,7 @@ def _bcfw_full_evaluation(instance, config):
     rng = np.random.default_rng(config.seed)
     x = np.concatenate([b.lmo(rng.standard_normal(b.shape)).densify()
                         for b in region.blocks])
-    tracer = solvers._Tracer(config)
+    records, good_steps = [], 0
     termination = "MaxIter"
     k = 0
     while True:
@@ -522,13 +524,14 @@ def _bcfw_full_evaluation(instance, config):
             a = b.lmo(g[sl])
             block_atoms.append(a)
             gap += float(g[sl] @ x[sl] - g[sl] @ a.densify())
-        rec = tracer.make(k, f, gap, int(np.sum(np.abs(x) > 1e-12)), x)
+        state = dict(k=k, f=float(f), gap=gap, support_size=int(np.sum(np.abs(x) > 1e-12)),
+                     elapsed_ns=0, support=_support_set(x))
         if gap <= config.gap_tol:
             termination = "GapTol"
-            tracer.push(rec, terminal=True)
+            records.append(solvers.IterationRecord(kind="stop", alpha=0.0, **state))
             break
         if k >= config.max_iter:
-            tracer.push(rec, terminal=True)
+            records.append(solvers.IterationRecord(kind="stop", alpha=0.0, **state))
             break
         i = int(rng.integers(m))
         sl = region.block_slice(i)
@@ -543,10 +546,13 @@ def _bcfw_full_evaluation(instance, config):
         if alpha > 0.0:
             x = x.copy()
             x[sl] = x[sl] + alpha * d_bl
-        tracer.mark_step(rec, "Block(%d)" % i, alpha, dg, np.linalg.norm(d_bl), 1.0)
-        tracer.push(rec)
+            good_steps += 1
+        if k % config.record_every == 0:
+            records.append(solvers.IterationRecord(
+                kind="Block(%d)" % i, alpha=float(alpha), dg=dg,
+                dnorm=float(np.linalg.norm(d_bl)), alpha_max=1.0, good=alpha > 0.0, **state))
         k += 1
-    return tracer.records, termination, x
+    return records, termination, good_steps, x
 
 
 def _record_bits(rec):
@@ -584,9 +590,10 @@ def block_products(draw):
 @given(block_products())
 def test_bcfw_block_caches_reproduce_the_full_evaluation_bit_for_bit(case):
     inst, config = case
-    records, termination, x = _bcfw_full_evaluation(inst, config)
+    records, termination, good_steps, x = _bcfw_full_evaluation(inst, config)
     report = solve(inst, config)
     assert report.termination == termination
+    assert report.good_steps == good_steps
     assert [_record_bits(r) for r in report.records] == [_record_bits(r) for r in records]
     assert report.x_final.tobytes() == x.tobytes()
 
@@ -636,15 +643,15 @@ def test_records_share_a_support_while_it_does_not_move(case):
             assert rec.support is prev.support
 
 
-def test_records_build_their_support_set_when_it_is_read(monkeypatch):
+def _supports_built_when_read(monkeypatch, inst, config):
+    """Solve, checking that no support set is built until a record's is read, and that
+    records of equal masks share one."""
     built = []
 
     def counted(items=()):
         built.append(frozenset(items))
         return built[-1]
 
-    inst = build_instance("lasso", m=40, n=120, seed=3)
-    config = cfg("PFW", ExactLine(), max_iter=300, gap_tol=1e-12, store_points=True)
     monkeypatch.setattr(solvers, "frozenset", counted, raising=False)
     records = solve(inst, config).records
     assert built == []
@@ -656,6 +663,21 @@ def test_records_build_their_support_set_when_it_is_read(monkeypatch):
         if prev is not None and support == prev.support:
             assert support is prev.support
     assert len(built) == len({id(s) for s in supports})
+    return records
+
+
+def test_records_build_their_support_set_when_it_is_read(monkeypatch):
+    inst = build_instance("lasso", m=40, n=120, seed=3)
+    config = cfg("PFW", ExactLine(), max_iter=300, gap_tol=1e-12, store_points=True)
+    _supports_built_when_read(monkeypatch, inst, config)
+
+
+def test_bcfw_records_build_their_support_set_when_it_is_read(monkeypatch):
+    # the blocks' masks, joined, are held like every other policy's support
+    inst = build_instance("product", b=4, n=12)
+    config = cfg("BCFW", ExactLine(), max_iter=300, gap_tol=1e-12, seed=5, store_points=True)
+    for rec in _supports_built_when_read(monkeypatch, inst, config):
+        assert rec.support_size == len(rec.support)  # the sum of the blocks' counts
 
 
 def test_record_supports_are_given_assigned_and_pickled_as_frozensets():
