@@ -30,15 +30,23 @@ from .stepsizes import rule_from_name
 
 # the solver block's numeric fields; an absent one keeps SolverConfig's default
 _SOLVER_FIELDS = {"max_iter": int, "gap_tol": float, "seed": int, "record_every": int}
+# each data key's reader; the file it reads is the family parameter of that name
+_READERS = {"design": np.load, "response": np.load, "points": np.load, "labels": np.load,
+            "edges": ob.load_edge_list, "observations": ob.load_observations}
 # the keys each block takes; any other is refused by name
 _KEYS = {"config": ("problem", "solver", "checks", "output"),
          "problem": ("family", "seed", "params", "data"), "output": ("prefix", "format"),
          "solver": ("variant", "stepsize", "inexact", *_SOLVER_FIELDS),
-         "inexact": ("mode", "delta", "kappa_upper", "seed")}
+         "inexact": ("mode", "delta", "kappa_upper", "seed"), "data": tuple(_READERS)}
 
 
 class ConfigError(Exception):
     pass
+
+
+# what refuses a config, or a file it names, before any solve: exit 2
+_CONFIG_ERRORS = (ConfigError, InputError, CapabilityError, KeyError, TypeError, ValueError,
+                  OSError)
 
 
 def _fail(msg):
@@ -64,8 +72,9 @@ def _validate(cfg, base_dir="."):
             _fail("config lacks the %r block" % key)
     prob, sol = cfg["problem"], cfg["solver"]
     inexact = isinstance(sol, dict) and sol.get("inexact") or {}
+    data = isinstance(prob, dict) and prob.get("data") or {}
     for name, block in (("config", cfg), ("problem", prob), ("solver", sol),
-                        ("output", cfg["output"]), ("inexact", inexact)):
+                        ("output", cfg["output"]), ("inexact", inexact), ("data", data)):
         if not isinstance(block, dict):
             _fail("the %s block must be a JSON object" % name)
         for key in block:
@@ -84,7 +93,6 @@ def _validate(cfg, base_dir="."):
     if out.get("format", "csv") not in ("csv", "json"):
         _fail("output format must be csv or json")
     params = dict(prob.get("params", {}))
-    data = prob.get("data", {})
     for key, rel in data.items():
         path = os.path.join(base_dir, rel)
         if not os.path.exists(path):
@@ -132,26 +140,13 @@ def _reads_f_star(checks):
 
 
 def _build_problem(prob, params, data):
-    """The problem block's instance, with ``data``'s files loaded as the parameters they hold.
+    """The problem block's instance, each of ``data``'s files read as the parameter it names.
 
     Inline parameters go to ``build_instance`` as they are: it converts
-    them, and names a missing one.
+    them, and names a missing one or one the family does not take.
     """
-    family = prob.get("family")
-    seed = int(prob.get("seed", 0))
-    kwargs = dict(params)
-    if family == "lasso" and "design" in data:
-        kwargs["design"] = np.load(data["design"])
-        kwargs["response"] = np.load(data["response"])
-    if family in ("max_clique", "base_polytope_norm") and "edges" in data:
-        kwargs["edges"] = ob.load_edge_list(data["edges"], weighted=family != "max_clique")
-    if family == "matcomp" and "observations" in data:
-        kwargs["observations"] = ob.load_observations(data["observations"])
-    if family in ("meb_dual", "svm_dual", "min_norm_point"):
-        for key in ("points", "labels") if family == "svm_dual" else ("points",):
-            if key in data:
-                kwargs[key] = np.load(data[key])
-    return ob.build_instance(family, seed=seed, **kwargs)
+    kwargs = {**params, **{key: _READERS[key](path) for key, path in data.items()}}
+    return ob.build_instance(prob.get("family"), seed=int(prob.get("seed", 0)), **kwargs)
 
 
 def _solver_config(sol, instance):
@@ -226,7 +221,7 @@ def _write_report(report, check_results, prefix):
 def cmd_run(args):
     try:
         prob, sol, checks, out, instance, config, inexact = _prepare(args.config)
-    except (ConfigError, InputError, CapabilityError, KeyError, TypeError, ValueError) as exc:
+    except _CONFIG_ERRORS as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     prefix = out["prefix"]
@@ -272,7 +267,7 @@ def cmd_compare(args):
         f_star = _f_star(first[4])
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_compare_one, runs, itertools.repeat(f_star)))
-    except (ConfigError, InputError, CapabilityError, KeyError, TypeError, ValueError) as exc:
+    except _CONFIG_ERRORS as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except FwkitError as exc:
@@ -312,6 +307,8 @@ def cmd_gen(args):
         prefix = args.out
         os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
         rng = np.random.default_rng(seed)
+        # an edge list is copied beside the config, which then runs from any directory
+        edges = ob.load_edge_list(params.pop("edges_file")) if "edges_file" in params else None
         prob = {"family": family, "seed": seed, "params": dict(params)}
         data = {}
         base = os.path.basename(prefix)
@@ -323,15 +320,9 @@ def cmd_gen(args):
         elif family == "max_clique":
             n = int(params.get("n", 8))
             p = float(params.get("p", 0.5))
-            if "edges_file" in params:
-                edges = ob.load_edge_list(params.pop("edges_file"), weighted=False)
-            else:
+            if edges is None:
                 edges = [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)
                          if rng.random() < p]
-            with open(prefix + ".edges.txt", "w") as fh:
-                for u, v, _ in edges:
-                    fh.write("%d %d\n" % (u + 1, v + 1))
-            data = {"edges": base + ".edges.txt"}
             prob["params"] = {"n": n}
         elif family == "matcomp":
             instance = ob.build_instance(family, seed=seed, **params)
@@ -353,6 +344,11 @@ def cmd_gen(args):
                 np.save(prefix + ".labels.npy", labels)
                 data["labels"] = base + ".labels.npy"
             prob["params"] = {}
+        if edges is not None:  # weight 1 is the reader's default
+            with open(prefix + ".edges.txt", "w") as fh:
+                for u, v, w in edges:
+                    fh.write("%d %d%s\n" % (u + 1, v + 1, "" if w == 1.0 else " " + _fmt(w)))
+            data["edges"] = base + ".edges.txt"
         # BCFW + diminishing stalls short of gap_tol 1e-6 within 1000 passes
         variant, stepsize = {"product": ("BCFW", "exact"),
                              "min_norm_point": ("WolfeMNP", "diminishing")}.get(
@@ -366,7 +362,7 @@ def cmd_gen(args):
                   "output": {"prefix": base + ".run", "format": "csv"}}
         with open(prefix + ".config.json", "w") as fh:
             json.dump(config, fh, indent=1, sort_keys=True)
-    except (ConfigError, InputError, KeyError, ValueError) as exc:
+    except _CONFIG_ERRORS as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     return 0

@@ -16,6 +16,7 @@ products) into ``ProblemInstance`` records carrying L, mu, diameter, and
 the optimum when known analytically.
 """
 
+import inspect
 from functools import cached_property
 
 import numpy as np
@@ -270,15 +271,17 @@ def design_of(obj):
 
 
 class ProblemInstance:
-    """Objective + region + known constants of one benchmark problem."""
+    """Objective + region + known constants of one benchmark problem; L, mu and D default to
+    the objective's ``lipschitz_upper()``, ``strong_convexity_lower()`` and the region's
+    ``diameter()``."""
 
-    def __init__(self, objective, region, L, mu, D, f_star=None, x_star=None,
+    def __init__(self, objective, region, L=None, mu=None, D=None, f_star=None, x_star=None,
                  family=None, meta=None):
         self.objective = objective
         self.region = region
-        self.L = float(L)
-        self.mu = float(mu)
-        self.D = float(D)
+        self.L = float(objective.lipschitz_upper() if L is None else L)
+        self.mu = float(objective.strong_convexity_lower() if mu is None else mu)
+        self.D = float(region.diameter() if D is None else D)
         self.f_star = None if f_star is None else float(f_star)
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
         self.family = family
@@ -369,228 +372,228 @@ def graph_cut_oracle(n, edges):
     return oracle
 
 
-def load_edge_list(path, weighted=True, one_indexed=True):
-    """Parse 'u v [weight]' lines into (u, v, weight) triples (0-based)."""
-    edges = []
+def _read_triples(path, default=None):
+    """(a - 1, b - 1, float(c)) per 'a b [c]' line of 1-based indices, skipping blank and
+    '#' lines; an absent c is ``default``, and refused where that is None."""
+    triples = []
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
-            u, v = int(parts[0]), int(parts[1])
-            if one_indexed:
-                u, v = u - 1, v - 1
-            w = float(parts[2]) if weighted and len(parts) > 2 else 1.0
-            edges.append((u, v, w))
-    return edges
-
-
-def load_observations(path, one_indexed=True):
-    """Parse 'i j value' lines into (i, j, value) triples (0-based)."""
-    obs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+            if not parts or parts[0].startswith("#"):
                 continue
-            i, j, v = line.split()
-            i, j = int(i), int(j)
-            if one_indexed:
-                i, j = i - 1, j - 1
-            obs.append((i, j, float(v)))
-    return obs
+            a, b, *c = parts
+            if not c and default is None:
+                raise InputError("%s: line %r lacks its value" % (path, line.strip()))
+            triples.append((int(a) - 1, int(b) - 1, float(c[0]) if c else default))
+    return triples
 
 
-def _simplex_interior_distance(z):
-    """Distance from an interior simplex point to the relative boundary."""
-    n = z.size
-    return float(np.min(z) * np.sqrt(n / (n - 1.0)))
+def load_edge_list(path):
+    """Parse 'u v [weight]' lines (1-based, weight 1 when absent) into 0-based (u, v, weight)."""
+    return _read_triples(path, default=1.0)
 
 
-# the families ``build_instance`` builds
-FAMILIES = ("lasso", "meb_dual", "svm_dual", "max_clique", "matcomp",
-            "simplex_distance", "interior_quadratic", "boundary_quadratic",
-            "ball_quadratic", "product", "base_polytope_norm", "min_norm_point")
+def load_observations(path):
+    """Parse 'i j value' lines (1-based) into 0-based (i, j, value) triples."""
+    return _read_triples(path)
+
+
+def _missing(family, key, when=""):
+    return InputError("%s%s needs the parameter %r" % (family, when, key))
+
+
+# One builder per family: its signature after ``rng`` is the family's parameter list, with
+# its defaults; a parameter without a default is required.  Each returns the instance,
+# whose L, mu and D ``ProblemInstance`` derives unless the builder states them (three
+# norm-square families state L = mu = 2: they are built hundreds of times per set-up).
+
+def _lasso(rng, m=None, n=None, tau=1.0, noise=0.01, support=None, design=None,
+           response=None):
+    """Least squares on the l1 ball: a given design (which sets m and n) and response, or a
+    seeded 20 x 50 design and a response planted on min(5, n) coordinates by default."""
+    tau = float(tau)
+    if (design is None) != (response is None):
+        raise InputError("lasso takes a design and a response together")
+    if design is None:
+        m, n = int(20 if m is None else m), int(50 if n is None else n)
+        support = int(max(1, min(5, n)) if support is None else support)
+        a = rng.standard_normal((m, n))
+        # planted solution: `support` coordinates, signs random, 1-norm 0.9 tau
+        idx = rng.choice(n, size=support, replace=False)
+        x_plant = np.zeros(n)
+        x_plant[idx] = rng.choice([-1.0, 1.0], size=support) * (0.9 * tau / support)
+        obj = LeastSquares(a, a @ x_plant + float(noise) * rng.standard_normal(m))
+    else:
+        obj = LeastSquares(design, response)  # which checks the design is a finite matrix
+        if any(v is not None and int(v) != size for v, size in zip((m, n), obj.a.shape)):
+            raise InputError("lasso's design is %d x %d; m and n must match it" % obj.a.shape)
+        n = obj.shape[0]
+    return ProblemInstance(obj, rg.L1Ball(tau, n), meta={"tau": tau})
+
+
+def _meb_dual(rng, points):
+    """Minimum enclosing ball dual on the simplex, over the rows of ``points``."""
+    pts = np.asarray(points, dtype=float)  # (count, dim)
+    b = np.array([float(p @ p) for p in pts])
+    return ProblemInstance(FactoredQuadratic(pts.T, b=-b, c=0.0, sign=+1),
+                           rg.Simplex(len(pts)), meta={"points": pts})
+
+
+def _svm_dual(rng, points, labels):
+    """Hard-margin SVM dual on the simplex."""
+    pts = np.asarray(points, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    return ProblemInstance(FactoredQuadratic((pts * labels[:, None]).T, sign=+1),
+                           rg.Simplex(len(pts)))
+
+
+def _max_clique(rng, edges, n):
+    """The clique program of an n-node graph on the simplex, in minimization form."""
+    n = int(n)
+    adj = np.zeros((n, n))
+    for e in edges:
+        u, v = int(e[0]), int(e[1])
+        adj[u, v] = adj[v, u] = 1.0
+    return ProblemInstance(Quadratic(-(adj + 0.5 * np.eye(n))), rg.Simplex(n),
+                           meta={"adjacency": adj, "convex": False})
+
+
+def _matcomp(rng, m=20, n=20, rank=2, density=0.3, delta=None, observations=None):
+    """Matrix completion on the nuclear ball of radius delta (2 rank by default)."""
+    m, n, rank, density = int(m), int(n), int(rank), float(density)
+    delta = float(2.0 * rank if delta is None else delta)
+    if observations is None:
+        u = rng.standard_normal((m, rank)) / np.sqrt(rank)
+        v = rng.standard_normal((n, rank)) / np.sqrt(rank)
+        target = u @ v.T
+        mask = rng.random((m, n)) < density
+        if not mask.any():
+            mask[0, 0] = True
+        observations = [(i, j, target[i, j]) for i, j in zip(*np.nonzero(mask))]
+    return ProblemInstance(MatrixCompletionLoss(observations, m, n),
+                           rg.NuclearBall(delta, m, n), meta={"delta": delta})
+
+
+def _simplex_distance(rng, n):
+    """Squared distance to the barycenter of the simplex: the tight Omega(1/k) example."""
+    n = int(n)
+    center = np.full(n, 1.0 / n)
+    return ProblemInstance(ShiftedNormSquare(center), rg.Simplex(n), 2.0, 2.0, f_star=0.0,
+                           x_star=center)
+
+
+def _interior_quadratic(rng, n, offset=0.5):
+    """A strongly convex quadratic with its optimum inside the simplex."""
+    n, offset = int(n), float(offset)
+    # optimum: barycenter nudged toward a seeded interior point
+    w = rng.random(n) + 0.25
+    z = (1.0 - offset) * np.full(n, 1.0 / n) + offset * (w / w.sum())
+    a = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    # z's distance to the simplex's relative boundary
+    return ProblemInstance(LeastSquares(a, a @ z), rg.Simplex(n), f_star=0.0, x_star=z,
+                           meta={"interior_distance": float(np.min(z) * np.sqrt(n / (n - 1.0)))})
+
+
+def _boundary_quadratic(rng, n, support=None, grad_scale=1.0):
+    """A strongly convex quadratic with its optimum on the face of the first ``support``."""
+    n = int(n)
+    support = int(max(2, n // 3) if support is None else support)
+    grad_scale = float(grad_scale)
+    a = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    x_star = np.zeros(n)
+    w = rng.random(support) + 0.5
+    x_star[:support] = w / w.sum()
+    g_star = np.zeros(n)
+    g_star[support:] = grad_scale * (0.5 + rng.random(n - support))
+    # f = ||A x - y||^2 with y chosen so grad(x*) = g*; KKT holds on the face
+    obj = LeastSquares(a, a @ x_star - np.linalg.solve(a.T, g_star) / 2.0)
+    return ProblemInstance(obj, rg.Simplex(n), f_star=obj.eval(x_star)[0], x_star=x_star,
+                           meta={"support": list(range(support))})
+
+
+def _ball_quadratic(rng, n, eps=1.0, c=0.0):
+    """Squared distance over the ball of radius eps, whose gradient norm stays above c."""
+    n, eps, c = int(n), float(eps), float(c)
+    direction = rng.standard_normal(n)
+    direction /= np.linalg.norm(direction)
+    dist = eps + c / 2.0 if c > 0 else eps
+    z = dist * direction
+    return ProblemInstance(ShiftedNormSquare(z), rg.L2Ball(eps, n), f_star=(dist - eps) ** 2,
+                           x_star=eps * direction if c > 0 else z,
+                           meta={"grad_lower_bound": c})
+
+
+def _product(rng, n, b=3):
+    """Squared distance to the barycenters of b simplices of n vertices, block by block."""
+    b, n = int(b), int(n)
+    blocks = [rg.Simplex(n) for _ in range(b)]
+    centers = [np.full(n, 1.0 / n) for _ in range(b)]
+    parts = [ShiftedNormSquare(cnt) for cnt in centers]
+    return ProblemInstance(BlockSeparable(parts), rg.ProductRegion(blocks), 2.0, 2.0,
+                           f_star=0.0, x_star=np.concatenate(centers),
+                           meta={"block_L": [2.0] * b,
+                                 "block_D": [blk.diameter() for blk in blocks]})
+
+
+def _min_norm_point(rng, points):
+    """f = 1/2 ||x||^2, as Wolfe's method minimizes, over the hull of the rows of ``points``."""
+    region = rg.VertexHull(np.asarray(points, dtype=float))
+    return ProblemInstance(ShiftedNormSquare(np.zeros(region.n), scale=0.5), region)
+
+
+def _base_polytope_norm(rng, n, oracle="cardinality_cap", cap=None, edges=None, costs=None):
+    """||x||^2 over the base polytope of a built-in submodular function of n elements."""
+    n = int(n)
+    if oracle == "cardinality_cap":
+        fn = cardinality_cap_oracle(n, max(1, n // 2) if cap is None else cap)
+    elif oracle == "graph_cut":
+        if edges is None:
+            raise _missing("base_polytope_norm", "edges", " with the graph_cut oracle")
+        fn = graph_cut_oracle(n, edges)
+    elif oracle == "modular":
+        if costs is None:
+            raise _missing("base_polytope_norm", "costs", " with the modular oracle")
+        fn = modular_oracle(costs)
+    else:
+        raise InputError("unknown submodular oracle %r" % (oracle,))
+    return ProblemInstance(ShiftedNormSquare(np.zeros(n)), rg.BasePolytope(fn, n), 2.0, 2.0)
+
+
+# the families ``build_instance`` builds, each named by its builder
+FAMILIES = {builder.__name__[1:]: builder for builder in (
+    _lasso, _meb_dual, _svm_dual, _max_clique, _matcomp, _simplex_distance,
+    _interior_quadratic, _boundary_quadratic, _ball_quadratic, _product,
+    _base_polytope_norm, _min_norm_point)}
+
+
+def _parameters(builder):
+    """(names, required names) of a builder's parameters after ``rng``."""
+    params = list(inspect.signature(builder).parameters.values())[1:]
+    return {p.name for p in params}, [p.name for p in params if p.default is p.empty]
+
+
+_PARAMETERS = {name: _parameters(builder) for name, builder in FAMILIES.items()}
 
 
 def build_instance(family, seed=0, **params):
     """Seeded construction of one benchmark problem family (one of ``FAMILIES``).
 
-    A parameter the family needs and ``params`` lacks raises ``InputError``.
+    A parameter the family does not take, or one it needs and ``params``
+    lacks, raises ``InputError`` naming it.
     """
-    rng = np.random.default_rng(seed)
-
-    def need(key, when=""):
+    builder = FAMILIES.get(family) if isinstance(family, str) else None
+    if builder is None:
+        raise InputError("unknown problem family %r" % (family,))
+    names, required = _PARAMETERS[family]
+    for key in params:
+        if key not in names:
+            raise InputError("%s takes no parameter %r" % (family, key))
+    for key in required:
         if key not in params:
-            raise InputError("%s%s needs the parameter %r" % (family, when, key))
-        return params[key]
-
-    if family == "lasso":
-        m = int(params.get("m", 20))
-        n = int(params.get("n", 50))
-        tau = float(params.get("tau", 1.0))
-        noise = float(params.get("noise", 0.01))
-        support = int(params.get("support", max(1, min(5, n))))
-        a = params.get("design")
-        b = params.get("response")
-        if a is None:
-            a = rng.standard_normal((m, n))
-            # planted solution: `support` coordinates, signs random, 1-norm 0.9 tau
-            idx = rng.choice(n, size=support, replace=False)
-            x_plant = np.zeros(n)
-            x_plant[idx] = rng.choice([-1.0, 1.0], size=support) * (0.9 * tau / support)
-            b = a @ x_plant + noise * rng.standard_normal(m)
-        else:
-            a = np.asarray(a, dtype=float)
-            b = np.asarray(b, dtype=float)
-        obj = LeastSquares(a, b)
-        region = rg.L1Ball(tau, n)
-        return ProblemInstance(obj, region, obj.lipschitz_upper(),
-                               obj.strong_convexity_lower(), region.diameter(),
-                               family="lasso", meta={"tau": tau})
-    if family == "meb_dual":
-        pts = np.asarray(need("points"), dtype=float)  # (count, dim)
-        a = pts.T
-        b = np.array([float(p @ p) for p in pts])
-        obj = FactoredQuadratic(a, b=-b, c=0.0, sign=+1)
-        region = rg.Simplex(len(pts))
-        return ProblemInstance(obj, region, obj.lipschitz_upper(),
-                               obj.strong_convexity_lower(), region.diameter(),
-                               family="meb_dual", meta={"points": pts})
-    if family == "svm_dual":
-        pts = np.asarray(need("points"), dtype=float)
-        labels = np.asarray(need("labels"), dtype=float)
-        a = (pts * labels[:, None]).T
-        obj = FactoredQuadratic(a, sign=+1)
-        region = rg.Simplex(len(pts))
-        return ProblemInstance(obj, region, obj.lipschitz_upper(),
-                               obj.strong_convexity_lower(), region.diameter(),
-                               family="svm_dual")
-    if family == "max_clique":
-        edges = need("edges")
-        n = int(need("n"))
-        adj = np.zeros((n, n))
-        for e in edges:
-            u, v = int(e[0]), int(e[1])
-            adj[u, v] = adj[v, u] = 1.0
-        obj = Quadratic(-(adj + 0.5 * np.eye(n)))  # minimization form of the clique program
-        region = rg.Simplex(n)
-        return ProblemInstance(obj, region, obj.lipschitz_upper(), 0.0,
-                               region.diameter(), family="max_clique",
-                               meta={"adjacency": adj, "convex": False})
-    if family == "matcomp":
-        m = int(params.get("m", 20))
-        n = int(params.get("n", 20))
-        rank = int(params.get("rank", 2))
-        density = float(params.get("density", 0.3))
-        delta = float(params.get("delta", 2.0 * rank))
-        obs = params.get("observations")
-        if obs is None:
-            u = rng.standard_normal((m, rank)) / np.sqrt(rank)
-            v = rng.standard_normal((n, rank)) / np.sqrt(rank)
-            target = u @ v.T
-            mask = rng.random((m, n)) < density
-            if not mask.any():
-                mask[0, 0] = True
-            obs = [(i, j, target[i, j]) for i, j in zip(*np.nonzero(mask))]
-        obj = MatrixCompletionLoss(obs, m, n)
-        region = rg.NuclearBall(delta, m, n)
-        return ProblemInstance(obj, region, 2.0, 0.0, region.diameter(),
-                               family="matcomp", meta={"delta": delta})
-    if family == "simplex_distance":
-        n = int(need("n"))
-        center = np.full(n, 1.0 / n)
-        obj = ShiftedNormSquare(center)
-        region = rg.Simplex(n)
-        return ProblemInstance(obj, region, 2.0, 2.0, region.diameter(),
-                               f_star=0.0, x_star=center, family="simplex_distance")
-    if family == "interior_quadratic":
-        n = int(need("n"))
-        offset = float(params.get("offset", 0.5))
-        # optimum: barycenter nudged toward a seeded interior point
-        w = rng.random(n) + 0.25
-        z = (1.0 - offset) * np.full(n, 1.0 / n) + offset * (w / w.sum())
-        a = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
-        obj = LeastSquares(a, a @ z)
-        region = rg.Simplex(n)
-        return ProblemInstance(obj, region, obj.lipschitz_upper(),
-                               obj.strong_convexity_lower(), region.diameter(),
-                               f_star=0.0, x_star=z, family="interior_quadratic",
-                               meta={"interior_distance": _simplex_interior_distance(z)})
-    if family == "boundary_quadratic":
-        n = int(need("n"))
-        support = int(params.get("support", max(2, n // 3)))
-        grad_scale = float(params.get("grad_scale", 1.0))
-        a = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
-        x_star = np.zeros(n)
-        w = rng.random(support) + 0.5
-        x_star[:support] = w / w.sum()
-        g_star = np.zeros(n)
-        g_star[support:] = grad_scale * (0.5 + rng.random(n - support))
-        # f = ||A x - y||^2 with y chosen so grad(x*) = g*; KKT holds on the face
-        y = a @ x_star - np.linalg.solve(a.T, g_star) / 2.0
-        obj = LeastSquares(a, y)
-        f_star, _ = obj.eval(x_star)
-        region = rg.Simplex(n)
-        return ProblemInstance(obj, region, obj.lipschitz_upper(),
-                               obj.strong_convexity_lower(), region.diameter(),
-                               f_star=f_star, x_star=x_star, family="boundary_quadratic",
-                               meta={"support": list(range(support))})
-    if family == "ball_quadratic":
-        n = int(need("n"))
-        eps = float(params.get("eps", 1.0))
-        c = float(params.get("c", 0.0))
-        direction = rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
-        dist = eps + c / 2.0 if c > 0 else eps
-        z = dist * direction
-        obj = ShiftedNormSquare(z)
-        region = rg.L2Ball(eps, n)
-        x_star = eps * direction if c > 0 else z
-        f_star = (dist - eps) ** 2
-        return ProblemInstance(obj, region, 2.0, 2.0, region.diameter(),
-                               f_star=f_star, x_star=x_star, family="ball_quadratic",
-                               meta={"grad_lower_bound": c})
-    if family == "product":
-        b = int(params.get("b", params.get("blocks", 3)))
-        n = int(need("n"))
-        blocks = [rg.Simplex(n) for _ in range(b)]
-        centers = [np.full(n, 1.0 / n) for _ in range(b)]
-        parts = [ShiftedNormSquare(cnt) for cnt in centers]
-        obj = BlockSeparable(parts)
-        region = rg.ProductRegion(blocks)
-        return ProblemInstance(obj, region, 2.0, 2.0, region.diameter(),
-                               f_star=0.0, x_star=np.concatenate(centers),
-                               family="product",
-                               meta={"block_L": [2.0] * b,
-                                     "block_D": [blk.diameter() for blk in blocks]})
-    if family == "min_norm_point":
-        pts = np.asarray(need("points"), dtype=float)
-        region = rg.VertexHull(pts)
-        obj = ShiftedNormSquare(np.zeros(pts.shape[1]), scale=0.5)  # as Wolfe's method minimizes
-        return ProblemInstance(obj, region, 1.0, 1.0, region.diameter(),
-                               family="min_norm_point")
-    if family == "base_polytope_norm":
-        oracle_name = params.get("oracle", "cardinality_cap")
-        n = int(need("n"))
-        if oracle_name == "cardinality_cap":
-            oracle = cardinality_cap_oracle(n, params.get("cap", max(1, n // 2)))
-        elif oracle_name == "graph_cut":
-            edges = params.get("edges")
-            if edges is None:
-                when = " with the graph_cut oracle and no edges"
-                edges = load_edge_list(need("edges_file", when))
-            oracle = graph_cut_oracle(n, edges)
-        elif oracle_name == "modular":
-            oracle = modular_oracle(need("costs"))
-        else:
-            raise InputError("unknown submodular oracle %r" % oracle_name)
-        region = rg.BasePolytope(oracle, n)
-        obj = ShiftedNormSquare(np.zeros(n))
-        return ProblemInstance(obj, region, 2.0, 2.0, region.diameter(),
-                               family="base_polytope_norm")
-    raise InputError("unknown problem family %r" % family)
+            raise _missing(family, key)
+    instance = builder(np.random.default_rng(seed), **params)
+    instance.family = family
+    return instance
 
 
 def compose_with_linear(obj, m):

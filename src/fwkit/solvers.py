@@ -710,8 +710,8 @@ class _Blocks(_Policy):
         super().__init__(*args)
         region = self.region
         m = self.m = len(region.blocks)
-        if isinstance(self.rule, (Diminishing, BlockDiminishing)):
-            self.rule = BlockDiminishing(m=m)
+        if isinstance(self.rule, Diminishing) or self.rule == BlockDiminishing():
+            self.rule = BlockDiminishing(m=m)  # a rule with its own m runs as given
         self.x = np.concatenate([b.lmo(self.rng.standard_normal(b.shape)).densify()
                                  for b in region.blocks])
         self.g = np.zeros(self.obj.shape)

@@ -14,7 +14,7 @@ so they evaluate nothing, and otherwise by evaluating f at each probe.
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -86,13 +86,14 @@ class Diminishing:
 
 @dataclass
 class BlockDiminishing:
-    """2m/(k+2m) schedule for block coordinate runs with m blocks."""
+    """2m/(k+2m) schedule for m blocks; m None is the block count under BCFW, 1 elsewhere."""
 
-    m: int = 1
+    m: Optional[int] = None
     name: ClassVar[str] = "block_diminishing"
 
     def step(self, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
-        return min(2.0 * self.m / (k + 2.0 * self.m), alpha_max)
+        m = 1 if self.m is None else self.m
+        return min(2.0 * m / (k + 2.0 * m), alpha_max)
 
 
 @dataclass
@@ -214,13 +215,12 @@ def compute_step(rule, k, obj, x, g, d, alpha_max, f, ad=None, slope=None):
     return rule.step(k, obj, x, g, d, alpha_max, f, ad=ad, slope=slope)
 
 
-def rule_from_name(name, L=None, m=1):
-    """Stepsize rule from its ``RULES`` name; L seeds the Lipschitz rules, m counts blocks."""
+def rule_from_name(name, L=None):
+    """Stepsize rule from its ``RULES`` name; L seeds the Lipschitz rules."""
     rule = RULES.get(name) if isinstance(name, str) else None
     if rule is None:
         raise InputError("unknown stepsize rule %r" % (name,))
     if rule is LipschitzDep and L is None:
         raise InputError("the Lipschitz rule needs a constant")
-    kwargs = {LipschitzDep: {"L": L}, BacktrackingL: {"L0": L or 1.0},
-              BlockDiminishing: {"m": m}}
+    kwargs = {LipschitzDep: {"L": L}, BacktrackingL: {"L0": L or 1.0}}
     return rule(**kwargs.get(rule, {}))

@@ -427,6 +427,65 @@ def test_run_submodular_builtin_with_edge_file(tmp_path):
     assert report["termination"] == "GapTol"
 
 
+def test_run_refuses_a_parameter_the_family_does_not_take(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg = write_config(cfg_path, problem={"family": "simplex_distance", "seed": 0,
+                                          "params": {"n": 12, "tua": 1.0}})
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: simplex_distance takes no parameter 'tua'" in err
+    assert "Traceback" not in err and not os.path.exists(cfg["output"]["prefix"] + ".trace.csv")
+
+
+def _lasso_data(tmp_path):
+    rng = np.random.default_rng(3)
+    np.save(tmp_path / "a.npy", rng.standard_normal((6, 9)))
+    np.save(tmp_path / "b.npy", rng.standard_normal(6))
+    return {"design": "a.npy", "response": "b.npy"}
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"desing": "a.npy"}, "unknown data field 'desing'"),
+    ({"points": "a.npy"}, "lasso takes no parameter 'points'"),
+])
+def test_run_refuses_a_data_file_it_cannot_give_the_family(tmp_path, capsys, extra, message):
+    data = _lasso_data(tmp_path)
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path, problem={"family": "lasso", "seed": 0, "params": {}, "data": data})
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0  # the design sets n = 9
+    write_config(cfg_path, problem={"family": "lasso", "seed": 0, "params": {},
+                                    "data": {**data, **extra}})
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_run_exits_two_on_a_data_path_that_is_a_directory(tmp_path, capsys):
+    (tmp_path / "d.npy").mkdir()
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path, problem={"family": "lasso", "seed": 0, "params": {},
+                                    "data": {**_lasso_data(tmp_path), "design": "d.npy"}})
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [Errno 21] Is a directory" in err and "Traceback" not in err
+
+
+def test_gen_copies_a_base_polytope_edges_file_beside_its_config(tmp_path, monkeypatch):
+    (tmp_path / "graph.txt").write_text("1 2 2.0\n2 3 0.1\n3 4\n1 4 1.5\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "--family", "base_polytope_norm", "--param", "n=4",
+                     "--param", "oracle=graph_cut", "--param", "edges_file=graph.txt",
+                     "--out", "sub/cut"]) == 0
+    cfg = json.loads((tmp_path / "sub" / "cut.config.json").read_text())
+    assert cfg["problem"]["params"] == {"n": 4, "oracle": "graph_cut"}
+    assert ob.load_edge_list(tmp_path / "sub" / "cut.edges.txt") == \
+        ob.load_edge_list(tmp_path / "graph.txt")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert cli.main(["run", "--config", "../sub/cut.config.json"]) == 0
+    assert (tmp_path / "sub" / "cut.run.report.json").exists()
+
+
 def test_gen_min_norm_point_runs_wolfe(tmp_path):
     prefix = tmp_path / "mnp"
     assert cli.main(["gen", "--family", "min_norm_point", "--param", "count=12",

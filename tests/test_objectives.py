@@ -1,4 +1,6 @@
+import inspect
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,12 +283,61 @@ def test_build_instance_deterministic():
     ("meb_dual", {}, "points"),
     ("svm_dual", {"points": np.eye(2)}, "labels"),
     ("interior_quadratic", {}, "n"),
-    ("base_polytope_norm", {"oracle": "graph_cut", "n": 3}, "edges_file"),
+    ("base_polytope_norm", {"oracle": "graph_cut", "n": 3}, "edges"),
     ("base_polytope_norm", {"oracle": "modular", "n": 3}, "costs"),
 ])
 def test_missing_parameter_is_an_input_error_naming_it(family, params, missing):
     with pytest.raises(InputError, match="%s.*'%s'" % (family, missing)):
         build_instance(family, **params)
+
+
+@pytest.mark.parametrize("family, params, unknown", [
+    ("lasso", {"tua": 2.0}, "tua"),
+    ("product", {"n": 3, "blocks": 2}, "blocks"),
+    ("base_polytope_norm", {"n": 3, "oracle": "graph_cut", "edges_file": "g.txt"}, "edges_file"),
+    ("lasso", {"points": np.eye(2)}, "points"),
+])
+def test_build_instance_refuses_a_parameter_the_family_does_not_take(family, params, unknown):
+    with pytest.raises(InputError, match="^%s takes no parameter '%s'$" % (family, unknown)):
+        build_instance(family, **params)
+
+
+def test_a_lasso_design_sets_the_dimension():
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((10, 30)), rng.standard_normal(10)
+    inst = build_instance("lasso", design=a, response=b)
+    assert inst.region.n == 30 and inst.objective.shape == (30,)
+    assert build_instance("lasso", m=10, n=30, design=a, response=b).region.n == 30
+    for shape in ({"n": 50}, {"m": 20}, {"m": 30, "n": 10}):
+        with pytest.raises(InputError, match="10 x 30"):
+            build_instance("lasso", design=a, response=b, **shape)
+    with pytest.raises(InputError, match="together"):
+        build_instance("lasso", design=a)
+
+
+def test_instances_derive_the_constants_they_are_not_given():
+    obj, region = ShiftedNormSquare(np.full(4, 0.25), scale=0.5), Simplex(4)
+    inst = ProblemInstance(obj, region)
+    assert (inst.L, inst.mu, inst.D) == (1.0, 1.0, region.diameter())
+    assert ProblemInstance(obj, region, 3.0, 0.0, np.nan).L == 3.0
+
+
+def test_readme_lists_each_family_as_its_builder_declares_it():
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    for family, builder in objectives.FAMILIES.items():
+        params = list(inspect.signature(builder).parameters.values())[1:]
+        entry = "- `%s(%s)`" % (family, ", ".join(str(p) for p in params))
+        assert any(line.startswith(entry + " ") for line in lines), entry
+
+
+def test_data_file_readers_share_one_parser(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("# comment\n1 2 0.5\n\n  3 4\n")
+    assert objectives.load_edge_list(path) == [(0, 1, 0.5), (2, 3, 1.0)]
+    with pytest.raises(InputError, match="lacks its value"):
+        objectives.load_observations(path)
+    path.write_text("1 2 3.5\n2 1 -1\n")
+    assert objectives.load_observations(path) == [(0, 1, 3.5), (1, 0, -1.0)]
 
 
 def test_each_quadratic_form_computes_its_spectrum_once(monkeypatch):

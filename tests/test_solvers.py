@@ -18,7 +18,7 @@ from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
 from fwkit.regions import Box, L1Ball, NuclearBall, ProductRegion, Simplex
 from fwkit.solvers import SolverConfig, reference_f_star, solve
 from fwkit.stepsizes import (Armijo, BacktrackingL, BlockDiminishing, Diminishing,
-                             ExactLine, LipschitzDep, compute_step)
+                             ExactLine, LipschitzDep, compute_step, rule_from_name)
 
 
 def cfg(variant, rule, **kw):
@@ -462,6 +462,17 @@ def test_bcfw_judges_block_steps_by_the_fw_rule():
     assert report.good_steps == sum(r.good for r in steps) == 21
 
 
+def test_bcfw_runs_an_explicit_block_count_as_given():
+    # on 4 blocks: m = 7 steps 2m/(k+2m) = 14/15 at k = 1, while Diminishing and a
+    # BlockDiminishing without m (the CLI's block_diminishing) run m = 4, 8/9
+    inst = build_instance("product", b=4, n=5)
+    for rule, alpha in ((BlockDiminishing(m=7), 14 / 15), (BlockDiminishing(), 8 / 9),
+                        (Diminishing(), 8 / 9), (rule_from_name("block_diminishing"), 8 / 9)):
+        report = solve(inst, cfg("BCFW", rule, max_iter=3, seed=0))
+        assert report.records[1].alpha == alpha, rule
+    assert BlockDiminishing().step(1, None, None, None, None, np.inf, None) == 2 / 3
+
+
 def test_bcfw_with_per_block_lipschitz_rule_is_monotone():
     inst = build_instance("product", b=3, n=4)
     report = solve(inst, cfg("BCFW", LipschitzDep(inst.L), max_iter=300,
@@ -507,7 +518,7 @@ def _bcfw_full_evaluation(instance, config):
     obj, region = instance.objective, instance.region
     m = len(region.blocks)
     rule = copy.deepcopy(config.stepsize)
-    if isinstance(rule, (Diminishing, BlockDiminishing)):
+    if isinstance(rule, Diminishing) or rule == BlockDiminishing():
         rule = BlockDiminishing(m=m)
     rng = np.random.default_rng(config.seed)
     x = np.concatenate([b.lmo(rng.standard_normal(b.shape)).densify()
