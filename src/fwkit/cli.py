@@ -230,8 +230,7 @@ def cmd_run(args):
         report = solve(instance, config, inexact=inexact)
         if _reads_f_star(checks):
             report.meta["f_star"] = _f_star(instance)
-        # each function is looked up per call, where a caller may wrap it
-        results = [getattr(dg, dg.CHECKS[name].function)(report) for name in checks]
+        results = [dg.CHECKS[name].function(report) for name in checks]
     except FwkitError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 3
@@ -309,7 +308,6 @@ def cmd_gen(args):
         rng = np.random.default_rng(seed)
         # an edge list is copied beside the config, which then runs from any directory
         edges = ob.load_edge_list(params.pop("edges_file")) if "edges_file" in params else None
-        prob = {"family": family, "seed": seed, "params": dict(params)}
         data = {}
         base = os.path.basename(prefix)
         if family == "lasso":
@@ -318,12 +316,11 @@ def cmd_gen(args):
             np.save(prefix + ".response.npy", instance.objective.b)
             data = {"design": base + ".design.npy", "response": base + ".response.npy"}
         elif family == "max_clique":
-            n = int(params.get("n", 8))
-            p = float(params.get("p", 0.5))
+            params["n"] = n = int(params.get("n", 8))
             if edges is None:
+                p = float(params.pop("p", 0.5))
                 edges = [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)
                          if rng.random() < p]
-            prob["params"] = {"n": n}
         elif family == "matcomp":
             instance = ob.build_instance(family, seed=seed, **params)
             obj = instance.objective
@@ -331,11 +328,10 @@ def cmd_gen(args):
                 for i, j, v in zip(obj.rows, obj.cols, obj.values):
                     fh.write("%d %d %s\n" % (i + 1, j + 1, _fmt(v)))
             data = {"observations": base + ".obs.txt"}
-            prob["params"] = {"m": obj.m, "n": obj.n,
-                              "delta": instance.meta["delta"]}
+            params = {"m": obj.m, "n": obj.n, "delta": instance.meta["delta"]}
         elif family in ("meb_dual", "svm_dual", "min_norm_point"):
-            count = int(params.get("count", 20))
-            dim = int(params.get("dim", 3))
+            count = int(params.pop("count", 20))
+            dim = int(params.pop("dim", 3))
             pts = rng.standard_normal((count, dim))
             np.save(prefix + ".points.npy", pts)
             data = {"points": base + ".points.npy"}
@@ -343,12 +339,16 @@ def cmd_gen(args):
                 labels = rng.choice([-1.0, 1.0], size=count)
                 np.save(prefix + ".labels.npy", labels)
                 data["labels"] = base + ".labels.npy"
-            prob["params"] = {}
         if edges is not None:  # weight 1 is the reader's default
             with open(prefix + ".edges.txt", "w") as fh:
                 for u, v, w in edges:
                     fh.write("%d %d%s\n" % (u + 1, v + 1, "" if w == 1.0 else " " + _fmt(w)))
             data["edges"] = base + ".edges.txt"
+        # what gen read itself is gone from params: the rest is built as run builds it, so
+        # a parameter the family does not take is refused before any config is written
+        prob = {"family": family, "seed": seed, "params": params}
+        _build_problem(prob, params, {key: os.path.join(os.path.dirname(prefix), rel)
+                                      for key, rel in data.items()})
         # BCFW + diminishing stalls short of gap_tol 1e-6 within 1000 passes
         variant, stepsize = {"product": ("BCFW", "exact"),
                              "min_norm_point": ("WolfeMNP", "diminishing")}.get(

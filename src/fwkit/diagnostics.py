@@ -11,34 +11,22 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .atoms import ActiveSet, DenseAtom, SignedUnitAtom
 from .errors import InputError
+from .objectives import ProblemInstance, compose_with_linear
+from .regions import Simplex, VertexHull
+from .solvers import SolverConfig, solve
+from .stepsizes import Diminishing
 
 _H_SLACK = 1e-9
 
 
 class Check(NamedTuple):
-    """A check's function in this module, whether it reads f*, and its hypothesis or None."""
+    """A check's function, whether it reads f*, and its hypothesis or None."""
 
-    function: str
+    function: object
     reads_f_star: bool
     hypothesis: tuple = None  # (report.meta key, the value it must hold, wording)
-
-
-# the checks by name: the CLI validates, fetches f* and dispatches from here,
-# and each function refuses a report outside its hypothesis with ``require``
-CHECKS = {
-    "sublinear_bound": Check("verify_sublinear_bound", True),
-    "lower_bound": Check("lower_bound_check", True,
-                         ("family", "simplex_distance", "the simplex distance family")),
-    "inexact_rate": Check("inexact_rate_check", True,
-                          ("inexact_mode", "decaying", "a decaying inexact oracle")),
-    "strongly_convex_domain": Check("strongly_convex_domain_check", True,
-                                    ("family", "ball_quadratic", "the ball quadratic family")),
-    "min_gap_rate": Check("min_gap_rate_check", False),
-    "nonconvex_min_gap": Check("nonconvex_min_gap_check", False),
-    "per_step_guarantees": Check("per_step_guarantees", True,
-                                 ("stepsize", "lipschitz", "the Lipschitz rule")),
-}
 
 
 def require(name, meta):
@@ -74,78 +62,69 @@ class RateFit:
     """Fitted per-(good-)step geometric factor and fit quality."""
 
 
-def _gaps_with_index(report, f_star=None):
-    f_star = report.meta.get("f_star") if f_star is None else f_star
-    if f_star is None:
-        raise InputError("check needs a known f_star")
-    ks = np.array([r.k for r in report.records])
-    hs = np.array([r.f - f_star for r in report.records])
-    return ks, hs
+def _column(records, name):
+    return np.array([getattr(r, name) for r in records])
+
+
+def _steps(records):
+    """Indices i of a trace's steps: record i is not ``stop`` and record i + 1 is that of k + 1."""
+    ks = _column(records, "k")
+    return np.flatnonzero((ks[1:] == ks[:-1] + 1)
+                          & np.array([r.kind != "stop" for r in records[:-1]], dtype=bool))
+
+
+def _verdict(name, ks, slack):
+    """Check ``name`` on the judged ``ks``: its bound holds where ``slack >= 0``, so a NaN
+    slack fails.  The margin is the least slack (inf when no k is judged, NaN when a
+    slack is NaN); a failure names the first k whose slack fails."""
+    failed = ~(slack >= 0.0)
+    first = int(ks[np.argmax(failed)]) if failed.any() else None
+    return CheckResult(name, first is None, float(np.min(slack)) if slack.size else np.inf, first)
 
 
 def _below(name, ks, values, bound):
-    """Check ``name``: values[k] <= bound(k) + 1e-9 at every recorded k >= 1.
-
-    The margin is the least slack, infinite on a trace without such k; a
-    failure names the first k past its bound.
-    """
-    mask = ks >= 1
-    excess = values[mask] - (bound(ks[mask]) + _H_SLACK)
-    margin = float(-np.max(excess)) if excess.size else np.inf
-    ok = bool(np.all(excess <= 0.0))
-    return CheckResult(name, ok, margin, None if ok else int(ks[mask][np.argmax(excess > 0.0)]))
+    """Check ``name``: values[k] <= bound(k) + 1e-9 at every recorded k >= 1."""
+    judged = ks >= 1
+    ks = ks[judged]
+    # the negated excess: a value exactly on its bound reads margin -0.0
+    return _verdict(name, ks, -(values[judged] - (bound(ks) + _H_SLACK)))
 
 
-def _bounded_growth(ks, weighted):
-    """(ok, margin, first violating k): ``weighted`` past k = 20 stays within
-    twice its largest value over k = 1..20 (plus 1e-9)."""
+def _bounded_growth(name, ks, weighted):
+    """Check ``name``: ``weighted`` past k = 20 stays within twice its largest
+    value over k = 1..20 (plus 1e-9)."""
     head = weighted[(ks >= 1) & (ks <= 20)]
     if head.size == 0:
         raise InputError("trace too short")
-    limit = 2.0 * float(np.max(head)) + _H_SLACK
     late = ks > 20
-    tail = weighted[late]
-    ok = bool(np.all(tail <= limit))
-    margin = float(limit - np.max(tail)) if tail.size else np.inf
-    return ok, margin, None if ok else int(ks[late][np.argmax(tail > limit)])
+    return _verdict(name, ks[late], 2.0 * float(np.max(head)) + _H_SLACK - weighted[late])
 
 
-def verify_sublinear_bound(report, L=None, D=None, f_star=None):
+def verify_sublinear_bound(report):
     """h_k <= 2 L D^2 / (k + 2) for every recorded k >= 1."""
-    L = report.meta["L"] if L is None else L
-    D = report.meta["D"] if D is None else D
-    ks, hs = _gaps_with_index(report, f_star)
-    return _below("sublinear_bound", ks, hs, lambda k: 2.0 * L * D ** 2 / (k + 2.0))
+    L, D = report.meta["L"], report.meta["D"]
+    return _below("sublinear_bound", _column(report.records, "k"), report.primal_gaps(),
+                  lambda k: 2.0 * L * D ** 2 / (k + 2.0))
 
 
-def fit_geometric_rate(report, good_only=True, f_star=None):
+def fit_geometric_rate(report, good_only=True):
     """Least-squares geometric fit of h over the trailing half of the trace.
 
     The abscissa is the cumulative good-step count when ``good_only`` is
     set, the iteration index otherwise; the window truncates at the first
-    nonpositive gap.
+    nonpositive gap.  q is inf when the fitted gap grows past the float range
+    in one step.
     """
-    f_star = report.meta.get("f_star") if f_star is None else f_star
-    if f_star is None:
-        raise InputError("rate fit needs a known f_star")
-    hs = []
-    ts = []
-    t = 0
-    for r in report.records:
-        h = r.f - f_star
-        if h <= 0.0:
-            break
-        hs.append(h)
-        ts.append(t)
-        if good_only:
-            t += 1 if r.good else 0
-        else:
-            t += 1
-    if len(hs) < 3:
+    hs = report.primal_gaps()
+    end = np.flatnonzero(hs <= 0.0)
+    hs = hs[:end[0]] if end.size else hs
+    if hs.size < 3:
         raise InputError("trace too short for a rate fit")
-    lo = len(hs) // 2
-    y = np.log(np.array(hs[lo:]))
-    x = np.array(ts[lo:], dtype=float)
+    good = _column(report.records[:hs.size], "good")
+    ts = np.cumsum(good) - good if good_only else np.arange(hs.size)
+    lo = hs.size // 2
+    y = np.log(hs[lo:])
+    x = ts[lo:].astype(float)
     if np.ptp(x) == 0.0:
         raise InputError("no steps of the requested type in the window")
     slope, intercept = np.polyfit(x, y, 1)
@@ -153,7 +132,9 @@ def fit_geometric_rate(report, good_only=True, f_star=None):
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return RateFit(q=float(np.exp(slope)), r2=r2, window=(lo, len(hs)))
+    with np.errstate(over="ignore"):
+        q = float(np.exp(slope))
+    return RateFit(q=q, r2=r2, window=(lo, hs.size))
 
 
 def simplex_multipliers(x, g):
@@ -196,90 +177,75 @@ def lower_bound_check(report, n=None):
     """
     require("lower_bound", report.meta)
     n = len(report.meta["x_final"]) if n is None else n
-    ks, hs = _gaps_with_index(report)
-    ok = True
-    margin = np.inf
-    first = None
-    for k, h in zip(ks, hs):
-        if k > n - 2:
-            continue
-        bound = 1.0 / (k + 1.0) - 1.0 / n - 1e-12
-        margin = min(margin, h - bound)
-        if h < bound and first is None:
-            ok = False
-            first = int(k)
-    return CheckResult("lower_bound", ok, float(margin), first)
+    ks, hs = _column(report.records, "k"), report.primal_gaps()
+    judged = ks <= n - 2
+    ks = ks[judged]
+    return _verdict("lower_bound", ks, hs[judged] - (1.0 / (ks + 1.0) - 1.0 / n - 1e-12))
 
 
-def inexact_rate_check(report, delta=None, kappa_upper=None):
+def inexact_rate_check(report):
     """h_k <= 2 kappa (1 + delta) / (k + 2) for decaying-error oracle runs."""
     require("inexact_rate", report.meta)
-    delta = report.meta["inexact_delta"] if delta is None else delta
-    kappa_upper = report.meta["inexact_kappa"] if kappa_upper is None else kappa_upper
-    ks, hs = _gaps_with_index(report)
-    return _below("inexact_rate", ks, hs, lambda k: 2.0 * kappa_upper * (1.0 + delta) / (k + 2.0))
+    scale = 2.0 * report.meta["inexact_kappa"] * (1.0 + report.meta["inexact_delta"])
+    return _below("inexact_rate", _column(report.records, "k"), report.primal_gaps(),
+                  lambda k: scale / (k + 2.0))
 
 
 def strongly_convex_domain_check(report):
     """k^2 h_k boundedness on ball instances; geometric rate when the gradient
     is bounded away from zero."""
     require("strongly_convex_domain", report.meta)
-    ks, hs = _gaps_with_index(report)
-    ok, margin, first = _bounded_growth(ks, ks.astype(float) ** 2 * hs)
-    if ok and report.meta.get("grad_lower_bound", 0.0) > 0.0:
-        fit = fit_geometric_rate(report, good_only=True)
-        if not fit.q < 1.0:
-            return CheckResult("strongly_convex_domain", False, float(1.0 - fit.q))
-    return CheckResult("strongly_convex_domain", ok, margin, first)
+    ks = _column(report.records, "k")
+    result = _bounded_growth("strongly_convex_domain", ks,
+                             ks.astype(float) ** 2 * report.primal_gaps())
+    if result.ok and report.meta.get("grad_lower_bound", 0.0) > 0.0:
+        q = fit_geometric_rate(report, good_only=True).q
+        if not q < 1.0:
+            return CheckResult("strongly_convex_domain", False, float(1.0 - q))
+    return result
 
 
-def min_gap_rate_check(report, kappa_upper=None, slack=0.1):
-    """min_{i<=k} G(x_i) <= (9 kappa / 2k) (1 + slack) for diminishing FW."""
-    kappa = report.meta["L"] * report.meta["D"] ** 2 if kappa_upper is None else kappa_upper
-    ks = np.array([r.k for r in report.records])
-    running = np.minimum.accumulate(np.array([r.gap for r in report.records]))
-    return _below("min_gap_rate", ks, running,
-                  lambda k: 9.0 * kappa / (2.0 * k) * (1.0 + slack))
+def min_gap_rate_check(report):
+    """min_{i<=k} G(x_i) <= (9 kappa / 2k) (1 + 0.1) for diminishing FW, with kappa = L D^2."""
+    kappa = report.meta["L"] * report.meta["D"] ** 2
+    running = np.minimum.accumulate(_column(report.records, "gap"))
+    return _below("min_gap_rate", _column(report.records, "k"), running,
+                  lambda k: 9.0 * kappa / (2.0 * k) * (1.0 + 0.1))
 
 
 def nonconvex_min_gap_check(report):
     """Boundedness proxy for min-gap * sqrt(k) on non-convex runs (``_bounded_growth``);
     a failure names the first k past the bound."""
-    ks = np.array([r.k for r in report.records])
-    running = np.minimum.accumulate(np.array([r.gap for r in report.records]))
-    ok, margin, first = _bounded_growth(ks, running * np.sqrt(np.maximum(ks, 1)))
-    return CheckResult("nonconvex_min_gap", ok, margin, first)
+    ks = _column(report.records, "k")
+    running = np.minimum.accumulate(_column(report.records, "gap"))
+    return _bounded_growth("nonconvex_min_gap", ks, running * np.sqrt(np.maximum(ks, 1)))
 
 
-def per_step_guarantees(report, L=None, f_star=None):
+def per_step_guarantees(report):
     """Per-step decrease and halving guarantees along a Lipschitz-rule trace.
 
-    For consecutive records: a step with alpha < alpha_max must satisfy
+    For each step: one with alpha < alpha_max must satisfy
     f_next <= f - <g,d>^2 / (2 L ||d||^2); a full FW step (alpha = 1) must
-    satisfy h_next <= min(L ||d||^2, h) / 2.  Both with 1e-10 slack.
-    Requires a contiguous trace (record_every = 1).
+    satisfy h_next <= min(L ||d||^2, h) / 2, judged when f* is known.  Both
+    with 1e-10 slack.  Requires a contiguous trace (record_every = 1).
     """
     require("per_step_guarantees", report.meta)
-    L = report.meta["L"] if L is None else L
-    f_star = report.meta.get("f_star") if f_star is None else f_star
-    recs = report.records
-    worst = np.inf
-    first = None
-    for prev, nxt in zip(recs[:-1], recs[1:]):
-        if nxt.k != prev.k + 1 or prev.kind == "stop" or prev.alpha <= 0.0:
-            continue
-        if prev.alpha < prev.alpha_max:
-            allowed = prev.f - prev.dg ** 2 / (2.0 * L * prev.dnorm ** 2) + 1e-10
-            worst = min(worst, allowed - nxt.f)
-            if nxt.f > allowed and first is None:
-                first = prev.k
-        elif prev.kind == "FW" and prev.alpha == 1.0 and f_star is not None:
-            h_prev = prev.f - f_star
-            allowed = 0.5 * min(L * prev.dnorm ** 2, h_prev) + 1e-10
-            worst = min(worst, allowed - (nxt.f - f_star))
-            if nxt.f - f_star > allowed and first is None:
-                first = prev.k
-    return CheckResult("per_step_guarantees", first is None, float(worst), first)
+    L, recs = report.meta["L"], report.records
+    i = _steps(recs)
+    alpha, alpha_max = _column(recs, "alpha")[i], _column(recs, "alpha_max")[i]
+    short = (alpha > 0.0) & (alpha < alpha_max)
+    full = ((alpha == 1.0) & ~short & (_column(recs, "kind")[i] == "FW")
+            & (report.meta.get("f_star") is not None))
+    # Python's scalar ** squares these: numpy's vector square can round otherwise in the last bit
+    dg2, dn2 = (np.array([getattr(r, name) ** 2 for r in recs]) for name in ("dg", "dnorm"))
+    f, slack = _column(recs, "f"), np.empty(i.size)
+    j = i[short]
+    slack[short] = f[j] - dg2[j] / (2.0 * L * dn2[j]) + 1e-10 - f[j + 1]
+    if full.any():
+        h, j = report.primal_gaps(), i[full]
+        slack[full] = 0.5 * np.minimum(L * dn2[j], h[j]) + 1e-10 - h[j + 1]
+    judged = short | full
+    return _verdict("per_step_guarantees", _column(recs, "k")[i[judged]], slack[judged])
 
 
 def affine_invariance_harness(instance, p, variants=("FW", "AFW", "PFW", "EFW"),
@@ -291,12 +257,6 @@ def affine_invariance_harness(instance, p, variants=("FW", "AFW", "PFW", "EFW"),
     inverse map), starting both at corresponding vertices.  Index-based tie
     breaking makes the trajectories agree up to rounding.
     """
-    from .atoms import ActiveSet, DenseAtom, SignedUnitAtom
-    from .objectives import ProblemInstance, compose_with_linear
-    from .regions import Simplex, VertexHull
-    from .solvers import SolverConfig, solve
-    from .stepsizes import Diminishing
-
     region = instance.region
     if not isinstance(region, Simplex):
         raise InputError("the harness maps simplex instances")
@@ -326,32 +286,35 @@ def affine_invariance_harness(instance, p, variants=("FW", "AFW", "PFW", "EFW"),
     return deviations
 
 
-def interior_contraction_check(report, rate=None):
+def interior_contraction_check(report):
     """Good steps must contract h by 1 - (mu/L) (dist/D)^2 (plus 1e-6 slack).
 
     Applies to interior-optimum runs; ratios are judged only while the
     incoming gap exceeds 1e-13 to stay clear of float cancellation.
     """
     meta = report.meta
-    if rate is None:
-        dist = meta.get("interior_distance")
-        if dist is None:
-            raise InputError("report lacks the interior distance")
-        rate = 1.0 - (meta["mu"] / meta["L"]) * (dist / meta["D"]) ** 2
-    f_star = meta.get("f_star")
-    if f_star is None:
-        raise InputError("check needs f_star")
-    recs = report.records
-    worst = np.inf
-    first = None
-    for prev, nxt in zip(recs[:-1], recs[1:]):
-        if nxt.k != prev.k + 1 or prev.kind == "stop" or not prev.good:
-            continue
-        h_prev = prev.f - f_star
-        if h_prev <= 1e-13:
-            continue
-        ratio = (nxt.f - f_star) / h_prev
-        worst = min(worst, rate + 1e-6 - ratio)
-        if ratio > rate + 1e-6 and first is None:
-            first = prev.k
-    return CheckResult("interior_contraction", first is None, float(worst), first)
+    dist = meta.get("interior_distance")
+    if dist is None:
+        raise InputError("report lacks the interior distance")
+    rate = 1.0 - (meta["mu"] / meta["L"]) * (dist / meta["D"]) ** 2
+    recs, h = report.records, report.primal_gaps()
+    i = _steps(recs)
+    i = i[_column(recs, "good")[i] & ~(h[i] <= 1e-13)]  # a NaN h is judged, and fails
+    return _verdict("interior_contraction", _column(recs, "k")[i], rate + 1e-6 - h[i + 1] / h[i])
+
+
+# the checks by name: the CLI validates, fetches f* and dispatches from here,
+# and each function refuses a report outside its hypothesis with ``require``
+CHECKS = {
+    "sublinear_bound": Check(verify_sublinear_bound, True),
+    "lower_bound": Check(lower_bound_check, True,
+                         ("family", "simplex_distance", "the simplex distance family")),
+    "inexact_rate": Check(inexact_rate_check, True,
+                          ("inexact_mode", "decaying", "a decaying inexact oracle")),
+    "strongly_convex_domain": Check(strongly_convex_domain_check, True,
+                                    ("family", "ball_quadratic", "the ball quadratic family")),
+    "min_gap_rate": Check(min_gap_rate_check, False),
+    "nonconvex_min_gap": Check(nonconvex_min_gap_check, False),
+    "per_step_guarantees": Check(per_step_guarantees, True,
+                                 ("stepsize", "lipschitz", "the Lipschitz rule")),
+}

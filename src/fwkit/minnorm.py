@@ -199,17 +199,17 @@ def solve_wolfe_mnp(vertices, config):
     return report
 
 
-def hull_distance(points_a, points_b, gap_tol=None):
+def hull_distance(points_a, points_b):
     """Euclidean distance between the convex hulls of two vertex sets.
 
-    Computed as the norm of the min-norm point of the Minkowski difference.
+    Computed as the norm of the min-norm point of the Minkowski difference,
+    to a gap of 1e-14 times the largest squared coordinate difference (at least 1).
     """
     a = np.asarray(points_a, dtype=float)
     b = np.asarray(points_b, dtype=float)
     diffs = (a[:, None, :] - b[None, :, :]).reshape(-1, a.shape[1])
     scale = max(1.0, float(np.max(np.abs(diffs))) ** 2)
-    tol = gap_tol if gap_tol is not None else 1e-14 * scale
     config = SolverConfig(variant="WolfeMNP", max_iter=10 * len(diffs) + 10,
-                          gap_tol=tol)
+                          gap_tol=1e-14 * scale)
     report = solve_wolfe_mnp(diffs, config)
     return float(np.linalg.norm(report.meta["x_final"]))

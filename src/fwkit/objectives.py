@@ -227,11 +227,9 @@ class MatrixCompletionLoss:
 class BlockSeparable:
     """Sum of independent objectives on the blocks of a product region."""
 
-    def __init__(self, objectives, sizes=None):
+    def __init__(self, objectives):
         self.parts = list(objectives)
-        if sizes is None:
-            sizes = [p.shape[0] for p in self.parts]
-        self.sizes = list(sizes)
+        self.sizes = [p.shape[0] for p in self.parts]
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
         self.shape = (int(self.offsets[-1]),)
 
@@ -544,6 +542,11 @@ def _min_norm_point(rng, points):
 def _base_polytope_norm(rng, n, oracle="cardinality_cap", cap=None, edges=None, costs=None):
     """||x||^2 over the base polytope of a built-in submodular function of n elements."""
     n = int(n)
+    for name, value, reader in (("cap", cap, "cardinality_cap"), ("edges", edges, "graph_cut"),
+                                ("costs", costs, "modular")):
+        if value is not None and oracle != reader:
+            raise InputError("base_polytope_norm reads %r only with the %s oracle, not with %r"
+                             % (name, reader, oracle))
     if oracle == "cardinality_cap":
         fn = cardinality_cap_oracle(n, max(1, n // 2) if cap is None else cap)
     elif oracle == "graph_cut":

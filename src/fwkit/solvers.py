@@ -797,7 +797,7 @@ CAPABILITIES = {
 REFERENCE_VARIANT = "AFW"
 
 
-def reference_f_star(instance, gap_tol=1e-12, max_iter=100000, seed=1):
+def reference_f_star(instance, gap_tol=1e-12, max_iter=100000):
     """Reference optimal value from a long away-step run of ``REFERENCE_VARIANT``.
 
     Convex instances get the certified lower bound max over the trace of
@@ -806,7 +806,7 @@ def reference_f_star(instance, gap_tol=1e-12, max_iter=100000, seed=1):
     nothing) get the best objective value observed instead.
     """
     config = SolverConfig(variant=REFERENCE_VARIANT, stepsize=ExactLine(), max_iter=max_iter,
-                          gap_tol=gap_tol, seed=seed, record_every=1)
+                          gap_tol=gap_tol, seed=1, record_every=1)
     report = solve(instance, config)
     if instance.meta.get("convex", True):
         bound = max(r.f - r.gap for r in report.records)

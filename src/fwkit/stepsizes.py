@@ -164,14 +164,12 @@ class LipschitzDep:
 class BacktrackingL:
     """The Lipschitz step with a doubling estimate ``lhat`` of L.
 
-    Each step starts from the last estimate shrunk once by ``down`` and
-    multiplies it by ``up`` until the quadratic model at the induced step
-    overestimates f; the accepted estimate is kept for the next step.
+    Each step starts from the last estimate halved once and doubles it
+    until the quadratic model at the induced step overestimates f; the
+    accepted estimate is kept for the next step.
     """
 
     L0: float = 1.0
-    up: float = 2.0
-    down: float = 0.5
     name: ClassVar[str] = "backtracking"
     lhat: float = field(init=False)
 
@@ -188,14 +186,14 @@ class BacktrackingL:
             return 0.0
         phi, _ = _line(obj, x, d, f, slope, ad)
         dd = float(np.vdot(d, d))
-        lhat = max(self.lhat * self.down, 1e-12)
+        lhat = max(self.lhat * 0.5, 1e-12)
         for _ in range(60):
             alpha = min(-slope / (lhat * dd), alpha_max)
             model = f + alpha * slope + 0.5 * lhat * alpha * alpha * dd
             if phi(alpha) <= model + 1e-12 * max(1.0, abs(f)):
                 self.lhat = lhat
                 return alpha
-            lhat *= self.up
+            lhat *= 2.0
         raise NumericalError("backtracking could not certify a Lipschitz estimate")
 
 

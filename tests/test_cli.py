@@ -103,9 +103,12 @@ def test_run_failing_check_exits_three(tmp_path, monkeypatch):
 
     cfg_path = tmp_path / "f3.json"
     write_config(cfg_path)
-    monkeypatch.setattr(cli.dg, "verify_sublinear_bound",
-                        lambda report, **kw: CheckResult("sublinear_bound",
-                                                         False, -1.0, 1))
+
+    def failing(report):
+        return CheckResult("sublinear_bound", False, -1.0, 1)
+
+    monkeypatch.setitem(cli.dg.CHECKS, "sublinear_bound",
+                        cli.dg.CHECKS["sublinear_bound"]._replace(function=failing))
     assert cli.main(["run", "--config", str(cfg_path)]) == 3
 
 
@@ -345,6 +348,26 @@ def test_gen_invalid_family_exits_two(tmp_path):
     assert cli.main(["gen", "--family", "wat", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("family,params,key", [
+    ("simplex_distance", ["n=5", "nn=3"], "nn"),
+    ("meb_dual", ["count=5", "cnt=3"], "cnt"),
+    ("max_clique", ["n=5", "q=0.2"], "q"),
+    ("max_clique", ["n=4", "edges_file=graph.txt", "p=0.2"], "p"),  # p draws no edges here
+    ("lasso", ["m=4", "n=6", "edges_file=graph.txt"], "edges")])
+def test_gen_refuses_a_parameter_that_neither_it_nor_the_family_reads(tmp_path, monkeypatch,
+                                                                      capsys, family, params,
+                                                                      key):
+    (tmp_path / "graph.txt").write_text("1 2\n2 3\n")
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen", "--family", family, "--out", "g"]
+    for param in params:
+        argv += ["--param", param]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "takes no parameter %r" % key in err and "Traceback" not in err
+    assert not (tmp_path / "g.config.json").exists()
+
+
 def test_run_inexact_oracle_with_rate_check(tmp_path):
     cfg_path = tmp_path / "inexact.json"
     write_config(cfg_path,
@@ -406,9 +429,9 @@ def test_a_check_refuses_a_report_against_its_hypothesis(tmp_path, name):
     report.meta.update(inexact_mode="decaying", inexact_delta=0.0, inexact_kappa=1.0)
     report.meta[key] = "not " + value
     with pytest.raises(InputError, match=wording):
-        getattr(dg, dg.CHECKS[name].function)(report)
+        dg.CHECKS[name].function(report)
     report.meta[key] = value  # the hypothesis met, the check runs
-    assert getattr(dg, dg.CHECKS[name].function)(report).check == name
+    assert dg.CHECKS[name].function(report).check == name
 
 
 def test_run_submodular_builtin_with_edge_file(tmp_path):

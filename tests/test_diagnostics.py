@@ -1,11 +1,16 @@
+import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwkit.diagnostics import (CHECKS, CheckResult, active_set_radius,
                                affine_invariance_harness, fit_geometric_rate,
-                               inexact_rate_check, lower_bound_check,
+                               inexact_rate_check, interior_contraction_check,
+                               lower_bound_check,
                                min_gap_rate_check, nonconvex_min_gap_check,
                                per_step_guarantees, simplex_multipliers,
                                strongly_convex_domain_check,
@@ -64,6 +69,14 @@ def test_fit_geometric_rate_truncates_at_nonpositive():
     hs = [0.5 ** k for k in range(30)] + [0.0, -1.0]
     fit = fit_geometric_rate(synth_report(hs), good_only=False)
     assert fit.window[1] == 30
+
+
+def test_fit_geometric_rate_reads_inf_past_the_float_range():
+    # log h rises by about 744 in one step, and exp of that slope is past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = fit_geometric_rate(synth_report([1.0, 1.0, 5e-324, 1.0]), good_only=False)
+    assert fit.q == np.inf and fit.window == (2, 4)
 
 
 def test_fit_geometric_rate_contrasts_fw_and_afw():
@@ -261,6 +274,217 @@ def test_readme_lists_each_check_as_the_registry_declares_it():
     lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
     for name, check in CHECKS.items():
         hypothesis = "none" if check.hypothesis is None else "`%s` is `%s`" % check.hypothesis[:2]
-        row = "| `%s` | `%s` | %s | %s |" % (name, check.function,
+        row = "| `%s` | `%s` | %s | %s |" % (name, check.function.__name__,
                                              "yes" if check.reads_f_star else "no", hypothesis)
         assert row in lines, row
+
+
+# The reference the checks are held to: each check's verdict written as its own
+# loop or excess, with the rate fit's abscissa counted step by step.
+
+def _ref_below(name, ks, values, bound):
+    mask = ks >= 1
+    excess = values[mask] - (bound(ks[mask]) + 1e-9)
+    margin = float(-np.max(excess)) if excess.size else np.inf
+    ok = bool(np.all(excess <= 0.0))
+    return CheckResult(name, ok, margin, None if ok else int(ks[mask][np.argmax(excess > 0.0)]))
+
+
+def _ref_bounded_growth(name, ks, weighted):
+    head = weighted[(ks >= 1) & (ks <= 20)]
+    if head.size == 0:
+        raise InputError("trace too short")
+    limit = 2.0 * float(np.max(head)) + 1e-9
+    late = ks > 20
+    tail = weighted[late]
+    ok = bool(np.all(tail <= limit))
+    margin = float(limit - np.max(tail)) if tail.size else np.inf
+    return CheckResult(name, ok, margin, None if ok else int(ks[late][np.argmax(tail > limit)]))
+
+
+def _ref_lower_bound(ks, hs, n):
+    ok, margin, first = True, np.inf, None
+    for k, h in zip(ks, hs):
+        if k > n - 2:
+            continue
+        bound = 1.0 / (k + 1.0) - 1.0 / n - 1e-12
+        margin = min(margin, h - bound)
+        if h < bound and first is None:
+            ok, first = False, int(k)
+    return CheckResult("lower_bound", ok, float(margin), first)
+
+
+def _ref_per_step(recs, L, f_star):
+    worst, first = np.inf, None
+    for prev, nxt in zip(recs[:-1], recs[1:]):
+        if nxt.k != prev.k + 1 or prev.kind == "stop" or prev.alpha <= 0.0:
+            continue
+        if prev.alpha < prev.alpha_max:
+            allowed = prev.f - prev.dg ** 2 / (2.0 * L * prev.dnorm ** 2) + 1e-10
+            worst = min(worst, allowed - nxt.f)
+            if nxt.f > allowed and first is None:
+                first = prev.k
+        elif prev.kind == "FW" and prev.alpha == 1.0 and f_star is not None:
+            allowed = 0.5 * min(L * prev.dnorm ** 2, prev.f - f_star) + 1e-10
+            worst = min(worst, allowed - (nxt.f - f_star))
+            if nxt.f - f_star > allowed and first is None:
+                first = prev.k
+    return CheckResult("per_step_guarantees", first is None, float(worst), first)
+
+
+def _ref_interior(recs, rate, f_star):
+    worst, first = np.inf, None
+    for prev, nxt in zip(recs[:-1], recs[1:]):
+        if nxt.k != prev.k + 1 or prev.kind == "stop" or not prev.good:
+            continue
+        h_prev = prev.f - f_star
+        if h_prev <= 1e-13:
+            continue
+        ratio = (nxt.f - f_star) / h_prev
+        worst = min(worst, rate + 1e-6 - ratio)
+        if ratio > rate + 1e-6 and first is None:
+            first = prev.k
+    return CheckResult("interior_contraction", first is None, float(worst), first)
+
+
+def _ref_fit(recs, f_star, good_only):
+    hs, ts, t = [], [], 0
+    for r in recs:
+        if r.f - f_star <= 0.0:
+            break
+        hs.append(r.f - f_star)
+        ts.append(t)
+        t += (1 if r.good else 0) if good_only else 1
+    if len(hs) < 3:
+        raise InputError("trace too short for a rate fit")
+    lo = len(hs) // 2
+    y, x = np.log(np.array(hs[lo:])), np.array(ts[lo:], dtype=float)
+    if np.ptp(x) == 0.0:
+        raise InputError("no steps of the requested type in the window")
+    slope, intercept = np.polyfit(x, y, 1)
+    with np.errstate(over="ignore"):  # q is inf past the float range
+        q = float(np.exp(slope))
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
+    return q, r2, (lo, len(hs))
+
+
+def reference(name, report):
+    """Check ``name``'s result on ``report`` by the reference above."""
+    meta, recs = report.meta, report.records
+    ks = np.array([r.k for r in recs])
+    hs = np.array([r.f - meta["f_star"] for r in recs])
+    running = np.minimum.accumulate(np.array([r.gap for r in recs]))
+    if name == "sublinear_bound":
+        return _ref_below(name, ks, hs, lambda k: 2.0 * meta["L"] * meta["D"] ** 2 / (k + 2.0))
+    if name == "inexact_rate":
+        kappa, delta = meta["inexact_kappa"], meta["inexact_delta"]
+        return _ref_below(name, ks, hs, lambda k: 2.0 * kappa * (1.0 + delta) / (k + 2.0))
+    if name == "min_gap_rate":
+        kappa = meta["L"] * meta["D"] ** 2
+        return _ref_below(name, ks, running, lambda k: 9.0 * kappa / (2.0 * k) * (1.0 + 0.1))
+    if name == "nonconvex_min_gap":
+        return _ref_bounded_growth(name, ks, running * np.sqrt(np.maximum(ks, 1)))
+    if name == "strongly_convex_domain":
+        return _ref_bounded_growth(name, ks, ks.astype(float) ** 2 * hs)
+    if name == "lower_bound":
+        return _ref_lower_bound(ks, hs, len(meta["x_final"]))
+    if name == "per_step_guarantees":
+        return _ref_per_step(recs, meta["L"], meta["f_star"])
+    rate = 1.0 - (meta["mu"] / meta["L"]) * (meta["interior_distance"] / meta["D"]) ** 2
+    return _ref_interior(recs, rate, meta["f_star"])
+
+
+_FUNCTIONS = {**{name: check.function for name, check in CHECKS.items()},
+              "interior_contraction": interior_contraction_check}
+
+
+def _outcome(call):
+    try:
+        res = call()
+    except InputError as exc:
+        return str(exc)
+    return res.ok, float(res.margin).hex(), res.k_violation
+
+
+@st.composite
+def traces(draw):
+    """Records with violations, ``stop`` records, gaps in k (as ``record_every`` > 1
+    leaves), negative h and, in short traces, no judged k; none of them NaN."""
+    unit = st.floats(0.0, 1.0)
+    records, k, floor = [], 0, draw(st.integers(0, 100)) / 100.0  # a floor keeps min-gap up
+    for _ in range(draw(st.integers(1, 60))):
+        alpha_max = draw(st.sampled_from([1.0, 0.5, 2.0]))
+        records.append(IterationRecord(
+            k=k, kind=draw(st.sampled_from(["FW", "FW", "Away", "Pairwise", "Drop", "stop"])),
+            alpha=draw(st.sampled_from([0.0, 1.0, alpha_max, 0.3])),
+            f=draw(st.floats(-0.5, 3.0)) / (k + 1.0),
+            gap=floor + draw(st.integers(0, 400)) / 100.0 / (k + 1.0),
+            support_size=1, elapsed_ns=0, dg=-draw(unit), dnorm=0.5 + draw(unit),
+            alpha_max=alpha_max, good=draw(st.booleans())))
+        k += draw(st.sampled_from([1, 1, 1, 2, 3]))
+    meta = {"f_star": 0.0, "L": 0.2 + draw(unit), "D": 0.5 + draw(unit), "mu": 0.1 * draw(unit),
+            "interior_distance": draw(unit), "inexact_kappa": 0.2 + draw(unit),
+            "inexact_delta": draw(unit), "x_final": np.zeros(draw(st.integers(2, 30))),
+            "family": "synthetic", "stepsize": "lipschitz", "inexact_mode": "decaying"}
+    return SolveReport(records, None, "MaxIter", sum(r.good for r in records), meta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces())
+def test_each_check_returns_its_reference_verdict(report):
+    for name, function in _FUNCTIONS.items():
+        hypothesis = CHECKS[name].hypothesis if name in CHECKS else None
+        meta = dict(report.meta, **({} if hypothesis is None else {hypothesis[0]: hypothesis[1]}))
+        rep = dataclasses.replace(report, meta=meta)
+        assert _outcome(lambda: function(rep)) == _outcome(lambda: reference(name, rep)), name
+    unknown = dataclasses.replace(report, meta=dict(report.meta, f_star=None))
+    assert _outcome(lambda: per_step_guarantees(unknown)) == \
+        _outcome(lambda: _ref_per_step(report.records, report.meta["L"], None))
+    for good_only in (True, False):
+        try:
+            fit = fit_geometric_rate(report, good_only=good_only)
+            got = float(fit.q).hex(), float(fit.r2).hex(), fit.window
+        except InputError as exc:
+            got = str(exc)
+        try:
+            q, r2, window = _ref_fit(report.records, 0.0, good_only)
+            want = q.hex(), float(r2).hex(), window
+        except InputError as exc:
+            want = str(exc)
+        assert got == want, good_only
+
+
+def _nan_trace(field, family):
+    """A 30-record trace of ``family`` that passes every bound check, and that trace
+    with ``field`` NaN at k = 3."""
+    records = [IterationRecord(k=k, kind="FW", alpha=0.5, f=1.0 / (k + 1.0), gap=0.5 ** k,
+                               support_size=1, elapsed_ns=0, dnorm=1.0, alpha_max=1.0,
+                               good=True) for k in range(30)]
+    meta = {"f_star": 0.0, "L": 1.0, "D": 1.0, "mu": 1.0, "interior_distance": 0.1,
+            "inexact_kappa": 1.0, "inexact_delta": 0.0, "x_final": np.zeros(30),
+            "family": family, "stepsize": "lipschitz", "inexact_mode": "decaying"}
+    nan = list(records)
+    nan[3] = dataclasses.replace(records[3], **{field: float("nan")})
+    return (SolveReport(records, None, "MaxIter", 30, meta),
+            SolveReport(nan, None, "MaxIter", 30, meta))
+
+
+# check -> (the field turned NaN at k = 3, the k of its first NaN slack): the steps name
+# the step into the NaN, and the growth checks the first k past 20, whose limit is NaN
+_NAN_CASES = {"sublinear_bound": ("f", 3), "inexact_rate": ("f", 3), "lower_bound": ("f", 3),
+              "strongly_convex_domain": ("f", 21), "per_step_guarantees": ("f", 2),
+              "interior_contraction": ("f", 2), "min_gap_rate": ("gap", 3),
+              "nonconvex_min_gap": ("gap", 21)}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_CASES))
+def test_a_nan_trace_fails_every_bound_check_at_its_first_nan_slack(name):
+    field, k = _NAN_CASES[name]
+    hypothesis = CHECKS[name].hypothesis if name in CHECKS else None
+    family = hypothesis[1] if hypothesis and hypothesis[0] == "family" else "synthetic"
+    clean, nan = _nan_trace(field, family)
+    assert _FUNCTIONS[name](clean).ok
+    result = _FUNCTIONS[name](nan)
+    assert not result.ok and np.isnan(result.margin) and result.k_violation == k

@@ -302,6 +302,17 @@ def test_build_instance_refuses_a_parameter_the_family_does_not_take(family, par
         build_instance(family, **params)
 
 
+@pytest.mark.parametrize("oracle, params, unread", [
+    ("modular", {"costs": [1, 2, 0.5, 1], "cap": 2}, "cap"),
+    ("modular", {"costs": [1, 2, 0.5, 1], "edges": [(0, 1, 1.0)]}, "edges"),
+    ("cardinality_cap", {"costs": [1, 2, 0.5, 1]}, "costs"),
+    ("graph_cut", {"edges": [(0, 1, 1.0)], "cap": 2}, "cap"),
+])
+def test_base_polytope_norm_refuses_a_parameter_its_oracle_does_not_read(oracle, params, unread):
+    with pytest.raises(InputError, match="'%s'.*not with '%s'" % (unread, oracle)):
+        build_instance("base_polytope_norm", n=4, oracle=oracle, **params)
+
+
 def test_a_lasso_design_sets_the_dimension():
     rng = np.random.default_rng(8)
     a, b = rng.standard_normal((10, 30)), rng.standard_normal(10)
