@@ -24,8 +24,7 @@ from .objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                          ShiftedNormSquare, build_instance)
 from .regions import (BasePolytope, Box, InexactSchedule, L1Ball, L2Ball,
                       LinfBall, NuclearBall, ProductRegion, Simplex,
-                      VertexHull, base_polytope_greedy, face_away_vertex,
-                      fw_gap, make_inexact_lmo, minimal_face_vertices,
+                      VertexHull, base_polytope_greedy, fw_gap, make_inexact_lmo,
                       pyramidal_width_bruteforce, top_singular_triple)
 from .solvers import (CAPABILITIES, IterationRecord, SolveReport,
                       SolverConfig, check_capability, reference_f_star, solve)

@@ -296,6 +296,19 @@ def _parse_params(pairs):
     return params
 
 
+def _write_triples(path, triples, default=None):
+    """``triples`` as 1-based 'u v [value]' lines; a value equal to ``default`` is left out."""
+    with open(path, "w") as fh:
+        for u, v, w in triples:
+            fh.write("%d %d%s\n" % (u + 1, v + 1, "" if w == default else " " + _fmt(w)))
+
+
+# the data keys gen writes as text, with their file suffix and writer; np.save writes the
+# rest.  An edge's weight 1 is left out: it is the edge reader's default.
+_WRITERS = {"observations": (".obs.txt", _write_triples),
+            "edges": (".edges.txt", lambda path, edges: _write_triples(path, edges, 1.0))}
+
+
 def cmd_gen(args):
     try:
         params = _parse_params(args.param)
@@ -304,17 +317,13 @@ def cmd_gen(args):
             _fail("unknown problem family %r" % family)
         seed = int(args.seed)
         prefix = args.out
-        os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
         rng = np.random.default_rng(seed)
         # an edge list is copied beside the config, which then runs from any directory
         edges = ob.load_edge_list(params.pop("edges_file")) if "edges_file" in params else None
-        data = {}
-        base = os.path.basename(prefix)
+        values = {}  # each data key's value, written beside the config once the problem builds
         if family == "lasso":
             instance = ob.build_instance(family, seed=seed, **params)
-            np.save(prefix + ".design.npy", instance.objective.a)
-            np.save(prefix + ".response.npy", instance.objective.b)
-            data = {"design": base + ".design.npy", "response": base + ".response.npy"}
+            values = {"design": instance.objective.a, "response": instance.objective.b}
         elif family == "max_clique":
             params["n"] = n = int(params.get("n", 8))
             if edges is None:
@@ -324,31 +333,27 @@ def cmd_gen(args):
         elif family == "matcomp":
             instance = ob.build_instance(family, seed=seed, **params)
             obj = instance.objective
-            with open(prefix + ".obs.txt", "w") as fh:
-                for i, j, v in zip(obj.rows, obj.cols, obj.values):
-                    fh.write("%d %d %s\n" % (i + 1, j + 1, _fmt(v)))
-            data = {"observations": base + ".obs.txt"}
+            values = {"observations": list(zip(obj.rows, obj.cols, obj.values))}
             params = {"m": obj.m, "n": obj.n, "delta": instance.meta["delta"]}
         elif family in ("meb_dual", "svm_dual", "min_norm_point"):
             count = int(params.pop("count", 20))
             dim = int(params.pop("dim", 3))
-            pts = rng.standard_normal((count, dim))
-            np.save(prefix + ".points.npy", pts)
-            data = {"points": base + ".points.npy"}
+            values = {"points": rng.standard_normal((count, dim))}
             if family == "svm_dual":
-                labels = rng.choice([-1.0, 1.0], size=count)
-                np.save(prefix + ".labels.npy", labels)
-                data["labels"] = base + ".labels.npy"
-        if edges is not None:  # weight 1 is the reader's default
-            with open(prefix + ".edges.txt", "w") as fh:
-                for u, v, w in edges:
-                    fh.write("%d %d%s\n" % (u + 1, v + 1, "" if w == 1.0 else " " + _fmt(w)))
-            data["edges"] = base + ".edges.txt"
+                values["labels"] = rng.choice([-1.0, 1.0], size=count)
+        if edges is not None:
+            values["edges"] = edges
         # what gen read itself is gone from params: the rest is built as run builds it, so
-        # a parameter the family does not take is refused before any config is written
+        # a parameter the family does not take is refused before any file is written
         prob = {"family": family, "seed": seed, "params": params}
-        _build_problem(prob, params, {key: os.path.join(os.path.dirname(prefix), rel)
-                                      for key, rel in data.items()})
+        ob.build_instance(family, seed=seed, **params, **values)
+        os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
+        base = os.path.basename(prefix)
+        data = {}
+        for key, value in values.items():
+            suffix, write = _WRITERS.get(key, (".%s.npy" % key, np.save))
+            write(prefix + suffix, value)
+            data[key] = base + suffix
         # BCFW + diminishing stalls short of gap_tol 1e-6 within 1000 passes
         variant, stepsize = {"product": ("BCFW", "exact"),
                              "min_norm_point": ("WolfeMNP", "diminishing")}.get(

@@ -92,12 +92,14 @@ def _below(name, ks, values, bound):
 
 def _bounded_growth(name, ks, weighted):
     """Check ``name``: ``weighted`` past k = 20 stays within twice its largest
-    value over k = 1..20 (plus 1e-9)."""
-    head = weighted[(ks >= 1) & (ks <= 20)]
+    value over k = 1..20 (plus 1e-9).  A NaN over k = 1..20 sets no limit, so
+    it is judged too, and fails."""
+    window = (ks >= 1) & (ks <= 20)
+    head = weighted[window]
     if head.size == 0:
         raise InputError("trace too short")
-    late = ks > 20
-    return _verdict(name, ks[late], 2.0 * float(np.max(head)) + _H_SLACK - weighted[late])
+    judged = (ks > 20) | (window & np.isnan(weighted))
+    return _verdict(name, ks[judged], 2.0 * float(np.max(head)) + _H_SLACK - weighted[judged])
 
 
 def verify_sublinear_bound(report):

@@ -184,7 +184,7 @@ class ShiftedNormSquare(_QuadraticForm):
 
     def __init__(self, center, scale=1):
         super().__init__(t=center, s=scale)
-        self.center = self._t
+        self.center, self.scale = self._t, scale
 
 
 class MatrixCompletionLoss:

@@ -2,9 +2,8 @@
 
 Every region answers ``lmo(g)`` with an extreme point minimizing ``<g, z>``
 (ties broken toward the lowest coordinate/vertex index), knows its own
-diameter and maximal feasible step along a direction, and can test
-membership.  The module also provides the greedy oracle for submodular
-base polytopes, the Frank-Wolfe gap, minimal-face selectors, a brute-force
+diameter, and can test membership.  The module also provides the greedy
+oracle for submodular base polytopes, the Frank-Wolfe gap, a brute-force
 pyramidal width, and a wrapper that degrades an exact oracle into an
 adversarial inexact one.
 
@@ -14,9 +13,9 @@ polytopal when its blocks are).  In-face FW (FDFW) needs the
 ``FACE_OPERATIONS``: ``face_away_vertex(x, g, tol)`` (the vertex of x's
 minimal face maximizing <g, v>), ``face_support(x, tol)`` (the support a
 record counts), ``snap_to_face(x, tol)`` (x put on the faces it is within
-tol of) and ``max_step``, where an in-face step stops.  ``minimal_face(x,
-tol)`` is optional and serves ``minimal_face_vertices`` only.  The simplex
-and the box (so the l-inf ball) declare all five, with tol 1e-12.
+tol of) and ``max_step(x, d)``, where an in-face step stops.  Only the
+simplex and the box (so the l-inf ball) have faces this cheap; they declare
+all four, with tol 1e-12.
 """
 
 import functools
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .atoms import DenseAtom, RankOneAtom, SignedUnitAtom
-from .errors import CapabilityError, ContractViolation, InputError, NumericalError, all_finite
+from .errors import CapabilityError, InputError, NumericalError, all_finite
 
 _RESIDUAL_BOUND = 1e-10  # relative residual past which a singular triple is refused
 _PAIR_BLOCK = 1 << 16  # float64 entries in one block of pairwise differences (512 KiB)
@@ -107,9 +106,6 @@ class Simplex:
     def vertices(self):
         return np.eye(self.n)
 
-    def minimal_face(self, x, tol=_FACE_TOL):
-        return [SignedUnitAtom(i, +1, 1.0, self.n) for i in range(self.n) if x[i] > tol]
-
     def face_away_vertex(self, x, g, tol=_FACE_TOL):
         support = np.flatnonzero(x > tol)
         return SignedUnitAtom.trusted(int(support[int(g[support].argmax())]), 1, 1.0, self.n)
@@ -148,32 +144,6 @@ class L1Ball:
         x = np.asarray(x, dtype=float)
         return x.shape == self.shape and np.abs(x).sum() <= self.tau + tol
 
-    def max_step(self, x, d):
-        x, d = _step_inputs(x, d, self.shape)
-        # ||x + a d||_1 is piecewise linear convex in a; walk its breakpoints.
-        # One within rounding of the sphere counts as inside, so a direction
-        # along a face of the sphere walks the whole face.
-        phi0 = np.abs(x).sum()
-        if phi0 > self.tau + 1e-9:
-            raise ContractViolation("x is infeasible")
-        inside = self.tau * (1.0 + 1e-12)
-        bps = sorted({float(-xi / di) for xi, di in zip(x, d)
-                      if di != 0.0 and -xi / di > 0.0})
-        prev_a, prev_phi = 0.0, phi0
-        for a in bps + [None]:
-            if a is None:
-                slope = float(np.sum(np.sign(x + (prev_a + 1.0) * d) * d))
-                if slope <= 0:
-                    return np.inf
-            else:
-                phi = float(np.abs(x + a * d).sum())
-                if phi <= inside:
-                    prev_a, prev_phi = a, phi
-                    continue
-                slope = (phi - prev_phi) / (a - prev_a)
-            # x on the sphere to rounding (prev_phi above tau) may step 0, never back
-            return max(prev_a + (self.tau - prev_phi) / slope, prev_a)
-
     def vertices(self):
         vs, i = np.zeros((2 * self.n, self.n)), np.arange(self.n)
         vs[2 * i, i], vs[2 * i + 1, i] = self.tau, -self.tau  # +tau e_i, then -tau e_i
@@ -203,14 +173,6 @@ class L2Ball:
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)
         return x.shape == self.shape and np.linalg.norm(x) <= self.eps + tol
-
-    def max_step(self, x, d):
-        x, d = _step_inputs(x, d, self.shape)
-        dd = float(d @ d)
-        xd = float(x @ d)
-        slack = self.eps ** 2 - float(x @ x)
-        disc = xd * xd + dd * max(slack, 0.0)
-        return (-xd + np.sqrt(disc)) / dd
 
 
 class Box:
@@ -254,9 +216,6 @@ class Box:
             raise CapabilityError("vertex enumeration limited to n <= 16")
         corners = np.array(list(itertools.product((False, True), repeat=self.n)))
         return np.where(corners, self.upper, self.lower)
-
-    def minimal_face(self, x, tol=_FACE_TOL):
-        return BoxFace(self, x, tol)
 
     def face_away_vertex(self, x, g, tol=_FACE_TOL):
         """The face's vertex maximizing <g, v>, coordinatewise: a coordinate of x within
@@ -308,32 +267,6 @@ class NuclearBall:
         if x.shape != self.shape:
             return False
         return float(np.linalg.svd(x, compute_uv=False).sum()) <= self.delta + tol
-
-    def max_step(self, x, d):
-        # nuclear norm along a ray has no closed form; bisect the convex scalar
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(d, dtype=float)
-        if not np.any(d):
-            raise InputError("direction must be nonzero")
-
-        def nn(a):
-            return float(np.linalg.svd(x + a * d, compute_uv=False).sum())
-
-        hi = 1.0
-        while nn(hi) <= self.delta and hi < 1e12:
-            hi *= 2.0
-        if nn(hi) <= self.delta:
-            return hi
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if nn(mid) <= self.delta:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        return lo
 
 
 def top_singular_triple(a):
@@ -459,23 +392,6 @@ class BasePolytope:
                 return None
         return np.array(list(seen.values()))
 
-    def max_step(self, x, d):
-        x, d = _step_inputs(x, d, self.shape)
-        if self.n > 16:
-            raise CapabilityError("ratio test enumeration limited to n <= 16")
-        if abs(d.sum()) > 1e-9 * np.abs(d).max():  # d leaves the hyperplane sum x = const
-            return 0.0
-        alpha = np.inf
-        flat = 1e-12 * np.abs(d).sum()  # a facet d runs along to rounding does not block it
-        for k in range(1, self.n):
-            for subset in itertools.combinations(range(self.n), k):
-                idx = list(subset)
-                dsum = d[idx].sum()
-                if dsum > flat:
-                    slack = self.oracle(frozenset(subset)) - x[idx].sum()
-                    alpha = min(alpha, max(slack, 0.0) / dsum)
-        return alpha
-
 
 def _greedy_order(w):
     """Elements by decreasing weight, ties by lower index first."""
@@ -543,15 +459,6 @@ class ProductRegion:
             return False
         return all(b.contains(x[self.block_slice(i)], tol) for i, b in enumerate(self.blocks))
 
-    def max_step(self, x, d):
-        x, d = _step_inputs(x, d, self.shape)
-        alpha = np.inf
-        for i, b in enumerate(self.blocks):
-            db = d[self.block_slice(i)]
-            if np.any(db != 0.0):
-                alpha = min(alpha, b.max_step(x[self.block_slice(i)], db))
-        return alpha
-
 
 class VertexHull:
     """Convex hull of an explicit vertex list (rows of ``points``)."""
@@ -615,34 +522,6 @@ def fw_gap(region, x, g):
     g = np.asarray(g, dtype=float)
     s = region.lmo(g).densify()
     return float(np.vdot(g, x) - np.vdot(g, s))
-
-
-class BoxFace:
-    """Minimal face of a box at x, a lazy vertex selector: its 2^free corners are never listed."""
-
-    def __init__(self, box, x, tol=_FACE_TOL):
-        self.box, self.x, self.tol = box, np.asarray(x, dtype=float), tol
-
-    def away_vertex(self, g):
-        return self.box.face_away_vertex(self.x, np.asarray(g, dtype=float), self.tol)
-
-
-def _face_operation(region, name):
-    if not hasattr(region, name):
-        raise CapabilityError("%s declares no minimal faces" % type(region).__name__)
-    return getattr(region, name)
-
-
-def minimal_face_vertices(region, x, tol=_FACE_TOL):
-    """Vertices of x's minimal face: the unit atoms on x's support on a simplex, a lazy
-    ``BoxFace`` selector on a box; ``CapabilityError`` where the region declares none."""
-    return _face_operation(region, "minimal_face")(np.asarray(x, dtype=float), tol)
-
-
-def face_away_vertex(region, x, g, tol=_FACE_TOL):
-    """Away vertex over the minimal face of x (ties: lowest coordinate index)."""
-    return _face_operation(region, "face_away_vertex")(np.asarray(x, dtype=float),
-                                                       np.asarray(g, dtype=float), tol)
 
 
 def _is_face(points, subset_mask):

@@ -28,7 +28,7 @@ from . import regions as rg
 from .atoms import ActiveSet, StepDescriptor, apply_step, atom_image, atoms_equal, \
     away_step_cap, pairing_matrix, reconstruct_point, select_away_vertex
 from .errors import CapabilityError, InputError, NumericalError
-from .objectives import BlockSeparable, design_of
+from .objectives import BlockSeparable, ShiftedNormSquare, design_of
 from .stepsizes import BlockDiminishing, Diminishing, ExactLine, compute_step
 
 # steps between recomputations of a tracked image A x from x (see _AffineImage)
@@ -770,6 +770,13 @@ class _Blocks(_Policy):
         return {"blocks": self.m, "block_evals": self.block_evals}
 
 
+def _min_norm(instance):
+    """f = 1/2 ||x||^2 over an explicit vertex list: the one instance Wolfe's method solves."""
+    obj = instance.objective
+    return (isinstance(instance.region, rg.VertexHull) and isinstance(obj, ShiftedNormSquare)
+            and obj.scale == 0.5 and not np.any(obj.center))
+
+
 def _on_blocks(instance):
     region, obj = instance.region, instance.objective
     return (isinstance(region, rg.ProductRegion) and isinstance(obj, BlockSeparable)
@@ -789,9 +796,10 @@ CAPABILITIES = {
                        False, _Face.run),
     "BCFW": Capability(_on_blocks, "a product region and a BlockSeparable objective on "
                        "its blocks", False, False, _Blocks.run),
-    "WolfeMNP": Capability(lambda inst: isinstance(inst.region, rg.VertexHull),
-                           "an explicit vertex list (a VertexHull region)", False, False,
-                           _wolfe_mnp, lambda gap_tol: 0.1 * gap_tol),
+    "WolfeMNP": Capability(_min_norm, "f = 1/2 ||x||^2 (a ShiftedNormSquare with a zero "
+                           "center and scale 1/2) over a VertexHull region; EFW solves any "
+                           "other objective over a hull", False, False, _wolfe_mnp,
+                           lambda gap_tol: 0.1 * gap_tol),
 }
 
 REFERENCE_VARIANT = "AFW"

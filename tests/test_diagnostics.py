@@ -291,15 +291,20 @@ def _ref_below(name, ks, values, bound):
 
 
 def _ref_bounded_growth(name, ks, weighted):
-    head = weighted[(ks >= 1) & (ks <= 20)]
+    window = (ks >= 1) & (ks <= 20)
+    head = weighted[window]
     if head.size == 0:
         raise InputError("trace too short")
+    for k, w in zip(ks[window], head):
+        if np.isnan(w):  # no limit: the check fails at the first NaN that would set it
+            return CheckResult(name, False, np.nan, int(k))
     limit = 2.0 * float(np.max(head)) + 1e-9
     late = ks > 20
     tail = weighted[late]
     ok = bool(np.all(tail <= limit))
     margin = float(limit - np.max(tail)) if tail.size else np.inf
-    return CheckResult(name, ok, margin, None if ok else int(ks[late][np.argmax(tail > limit)]))
+    return CheckResult(name, ok, margin,
+                       None if ok else int(ks[late][np.argmax(~(tail <= limit))]))
 
 
 def _ref_lower_bound(ks, hs, n):
@@ -432,8 +437,8 @@ def traces(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(traces())
-def test_each_check_returns_its_reference_verdict(report):
+@given(traces(), st.integers(0, 59), st.sampled_from(["f", "gap"]))
+def test_each_check_returns_its_reference_verdict(report, at, field):
     for name, function in _FUNCTIONS.items():
         hypothesis = CHECKS[name].hypothesis if name in CHECKS else None
         meta = dict(report.meta, **({} if hypothesis is None else {hypothesis[0]: hypothesis[1]}))
@@ -454,14 +459,23 @@ def test_each_check_returns_its_reference_verdict(report):
         except InputError as exc:
             want = str(exc)
         assert got == want, good_only
+    # the growth checks on the trace with f or the gap NaN at one record, short traces too
+    records = list(report.records)
+    at %= len(records)
+    records[at] = dataclasses.replace(records[at], **{field: float("nan")})
+    for name in ("nonconvex_min_gap", "strongly_convex_domain"):
+        hypothesis = CHECKS[name].hypothesis
+        rep = dataclasses.replace(report, records=records, meta=dict(
+            report.meta, **({} if hypothesis is None else {hypothesis[0]: hypothesis[1]})))
+        assert _outcome(lambda: _FUNCTIONS[name](rep)) == _outcome(lambda: reference(name, rep))
 
 
-def _nan_trace(field, family):
-    """A 30-record trace of ``family`` that passes every bound check, and that trace
-    with ``field`` NaN at k = 3."""
+def _nan_trace(field, family, length):
+    """A trace of ``length`` records of ``family`` that passes every bound check, and
+    that trace with ``field`` NaN at k = 3."""
     records = [IterationRecord(k=k, kind="FW", alpha=0.5, f=1.0 / (k + 1.0), gap=0.5 ** k,
                                support_size=1, elapsed_ns=0, dnorm=1.0, alpha_max=1.0,
-                               good=True) for k in range(30)]
+                               good=True) for k in range(length)]
     meta = {"f_star": 0.0, "L": 1.0, "D": 1.0, "mu": 1.0, "interior_distance": 0.1,
             "inexact_kappa": 1.0, "inexact_delta": 0.0, "x_final": np.zeros(30),
             "family": family, "stepsize": "lipschitz", "inexact_mode": "decaying"}
@@ -472,11 +486,11 @@ def _nan_trace(field, family):
 
 
 # check -> (the field turned NaN at k = 3, the k of its first NaN slack): the steps name
-# the step into the NaN, and the growth checks the first k past 20, whose limit is NaN
+# the step into the NaN, and the others the NaN's own k
 _NAN_CASES = {"sublinear_bound": ("f", 3), "inexact_rate": ("f", 3), "lower_bound": ("f", 3),
-              "strongly_convex_domain": ("f", 21), "per_step_guarantees": ("f", 2),
+              "strongly_convex_domain": ("f", 3), "per_step_guarantees": ("f", 2),
               "interior_contraction": ("f", 2), "min_gap_rate": ("gap", 3),
-              "nonconvex_min_gap": ("gap", 21)}
+              "nonconvex_min_gap": ("gap", 3)}
 
 
 @pytest.mark.parametrize("name", sorted(_NAN_CASES))
@@ -484,7 +498,8 @@ def test_a_nan_trace_fails_every_bound_check_at_its_first_nan_slack(name):
     field, k = _NAN_CASES[name]
     hypothesis = CHECKS[name].hypothesis if name in CHECKS else None
     family = hypothesis[1] if hypothesis and hypothesis[0] == "family" else "synthetic"
-    clean, nan = _nan_trace(field, family)
-    assert _FUNCTIONS[name](clean).ok
-    result = _FUNCTIONS[name](nan)
-    assert not result.ok and np.isnan(result.margin) and result.k_violation == k
+    for length in (30, 15):  # 15 records judge no k past 20
+        clean, nan = _nan_trace(field, family, length)
+        assert _FUNCTIONS[name](clean).ok
+        result = _FUNCTIONS[name](nan)
+        assert not result.ok and np.isnan(result.margin) and result.k_violation == k

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwkit.errors import InputError
+from fwkit.errors import CapabilityError, InputError
 from fwkit.minnorm import corral_step, hull_distance, solve_wolfe_mnp
-from fwkit.objectives import FactoredQuadratic, ProblemInstance, build_instance
+from fwkit.objectives import (FactoredQuadratic, ProblemInstance, Quadratic,
+                              ShiftedNormSquare, build_instance)
 from fwkit.regions import Simplex, VertexHull
 from fwkit.solvers import SolverConfig, solve
 from fwkit.stepsizes import ExactLine
@@ -190,6 +191,24 @@ def test_solve_reaches_the_module_attribute_at_call_time(monkeypatch):
     report = solve(build_instance("min_norm_point", points=pts), mnp_config())
     assert calls == [3]
     assert np.allclose(report.meta["x_final"], [1.5, 1.5], atol=1e-12)
+
+
+def test_wolfe_mnp_refuses_every_objective_but_half_the_squared_norm():
+    # Wolfe's method minimizes 1/2 ||x||^2 over the points whatever f is: on
+    # ||x - 3 1||^2 over a hull it once ended GapTol with f = 45.0 at its
+    # x_final, where EFW reaches 18.7
+    pts = np.random.default_rng(0).standard_normal((20, 5))
+    region = VertexHull(pts)
+    for obj in (ShiftedNormSquare(np.full(5, 3.0)), ShiftedNormSquare(np.zeros(5)),
+                ShiftedNormSquare(np.full(5, 3.0), scale=0.5), Quadratic(0.5 * np.eye(5))):
+        inst = ProblemInstance(obj, region)
+        with pytest.raises(CapabilityError, match="EFW solves any other objective"):
+            solve(inst, mnp_config())
+    shifted = ProblemInstance(ShiftedNormSquare(np.full(5, 3.0)), region)
+    efw = solve(shifted, SolverConfig(variant="EFW", max_iter=500, gap_tol=1e-10))
+    assert efw.termination == "GapTol" and efw.records[-1].f == pytest.approx(18.7, abs=0.05)
+    mnp = ProblemInstance(ShiftedNormSquare(np.zeros(5), scale=0.5), region)
+    assert solve(mnp, mnp_config()).termination == "GapTol"
 
 
 def test_the_diameter_is_computed_only_for_a_built_instance(monkeypatch):

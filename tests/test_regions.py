@@ -13,9 +13,7 @@ from fwkit.solvers import SolverConfig, solve
 from fwkit.stepsizes import ExactLine
 from fwkit.regions import (BasePolytope, Box, InexactSchedule, L1Ball, L2Ball,
                            LinfBall, NuclearBall, ProductRegion, Simplex,
-                           base_polytope_greedy, face_away_vertex,
-                           fw_gap, make_inexact_lmo,
-                           VertexHull, minimal_face_vertices)
+                           base_polytope_greedy, fw_gap, make_inexact_lmo, VertexHull)
 
 
 def all_orderings_vertices(oracle, n):
@@ -321,7 +319,6 @@ def test_max_feasible_step_simplex_ratio():
 def test_max_feasible_step_box_and_ball():
     box = Box([0.0, 0.0], [1.0, 1.0])
     assert box.max_step(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == pytest.approx(0.5)
-    assert L2Ball(1.0, 2).max_step(np.zeros(2), np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
 def test_max_feasible_step_zero_direction_rejected():
@@ -331,28 +328,11 @@ def test_max_feasible_step_zero_direction_rejected():
 
 @pytest.mark.parametrize("region,x,d", [
     (Simplex(4), np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.1, -0.3, 0.1, 0.1])),
-    (L1Ball(2.0, 3), np.array([0.5, -0.5, 0.0]), np.array([1.0, -0.5, 0.25])),
-    (L2Ball(1.0, 3), np.array([0.2, 0.1, 0.0]), np.array([1.0, 1.0, -0.5])),
     (LinfBall(1.0, 3), np.array([0.5, 0.0, -0.5]), np.array([1.0, -1.0, 0.5])),
     (Box(np.zeros(3), np.ones(3)), np.array([0.25, 0.5, 0.75]), np.array([1.0, 0.5, -0.25])),
-    (NuclearBall(2.0, 2, 2), 0.5 * np.eye(2), np.array([[1.0, 0.2], [0.0, -0.5]])),
-    (ProductRegion([Simplex(2), Simplex(3)]),
-     np.array([0.5, 0.5, 0.6, 0.4, 0.0]),
-     np.array([0.5, -0.5, -0.2, 0.1, 0.1])),
 ])
 def test_max_step_lands_on_boundary(region, x, d):
     assert region.contains(x, 1e-9)
-    alpha = region.max_step(x, d)
-    assert region.contains(x + alpha * d, 1e-9)
-    assert not region.contains(x + (alpha + 1e-6) * d, 1e-12)
-
-
-def test_base_polytope_max_step_enumeration():
-    oracle = cardinality_cap_oracle(3, 2)
-    region = BasePolytope(oracle, 3)
-    x = base_polytope_greedy(oracle, np.array([3.0, 2.0, 1.0]))
-    x = 0.5 * x + 0.5 * base_polytope_greedy(oracle, np.array([1.0, 2.0, 3.0]))
-    d = np.array([1.0, 0.0, -1.0])
     alpha = region.max_step(x, d)
     assert region.contains(x + alpha * d, 1e-9)
     assert not region.contains(x + (alpha + 1e-6) * d, 1e-12)
@@ -381,25 +361,12 @@ def test_hull_membership_retries_with_slack_only_for_boundary_points(monkeypatch
     assert hull.contains(np.zeros(3)) is False  # the wrong shape
 
 
-def test_minimal_face_simplex_support():
-    atoms = minimal_face_vertices(Simplex(3), np.array([0.5, 0.5, 0.0]))
-    assert sorted(a.index for a in atoms) == [0, 1]
-    atoms = minimal_face_vertices(Simplex(3), np.array([1.0, 0.0, 0.0]))
-    assert [a.index for a in atoms] == [0]
-
-
 def test_minimal_face_box_away_vertex():
     # oracle: coordinatewise maximization over the face x0 = 1
     box = Box([0.0, 0.0], [1.0, 1.0])
-    away = face_away_vertex(box, np.array([1.0, 0.3]), np.array([0.0, 1.0]))
-    assert np.allclose(away.densify(), [1.0, 1.0])
-    sel = minimal_face_vertices(box, np.array([1.0, 0.3]))
-    assert np.allclose(sel.away_vertex(np.array([0.0, -1.0])).densify(), [1.0, 0.0])
-
-
-def test_minimal_face_unsupported_region():
-    with pytest.raises(CapabilityError):
-        minimal_face_vertices(L2Ball(1.0, 2), np.zeros(2))
+    x = np.array([1.0, 0.3])
+    assert np.allclose(box.face_away_vertex(x, np.array([0.0, 1.0])).densify(), [1.0, 1.0])
+    assert np.allclose(box.face_away_vertex(x, np.array([0.0, -1.0])).densify(), [1.0, 0.0])
 
 
 class _Declared:
@@ -410,7 +377,7 @@ class _Declared:
         self.__dict__.update(declared)
 
     def __getattr__(self, name):
-        if name in ("polytopal", "minimal_face") or name in regions.FACE_OPERATIONS:
+        if name == "polytopal" or name in regions.FACE_OPERATIONS:
             raise AttributeError(name)
         return getattr(self.box, name)
 
@@ -418,7 +385,7 @@ class _Declared:
 def test_the_variants_a_region_runs_follow_its_declarations_not_its_class():
     box = Box([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0])
     obj = ShiftedNormSquare(np.array([2.0, 0.1, -1.0]))
-    # the three operations FDFW calls, without the optional minimal_face
+    # the four operations FDFW calls
     faces = {op: getattr(box, op) for op in regions.FACE_OPERATIONS}
 
     def inst(region):
@@ -428,8 +395,6 @@ def test_the_variants_a_region_runs_follow_its_declarations_not_its_class():
     for variant in ("AFW", "FDFW"):
         with pytest.raises(CapabilityError):
             solve(inst(plain), SolverConfig(variant=variant))
-    with pytest.raises(CapabilityError):
-        minimal_face_vertices(plain, np.zeros(3))
     for variant, declared in (("AFW", {"polytopal": True}), ("FDFW", faces)):
         config = SolverConfig(variant=variant, stepsize=ExactLine(), gap_tol=1e-10)
         ref = solve(inst(box), config)
@@ -768,41 +733,20 @@ def steps_from_feasible_points(draw):
     """(region, x, d): a region that defines ``max_step``, a feasible x and a nonzero d.
 
     x is a random point of the region, often on its boundary (zero weights,
-    clipped coordinates, a full-radius ball point); d is a Gaussian vector or
-    a solver's direction (toward a vertex, away from one, or between two).
+    clipped coordinates); d is a Gaussian vector or a solver's direction
+    (toward a vertex, away from one, or between two).
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 5))
     edge = draw(st.booleans())  # push x onto the boundary
-    kind = draw(st.sampled_from(["simplex", "l1", "l2", "linf", "box", "nuclear",
-                                 "product", "cut", "cap"]))
-    if kind in ("simplex", "cut", "cap", "product"):
-        if kind == "simplex":
-            region = Simplex(n)
-        elif kind == "product":
-            region = ProductRegion([Simplex(int(rng.integers(1, 4))),
-                                    Box(-np.ones(2), np.ones(2)), L2Ball(1.0, 2)])
-        elif kind == "cut":
-            edges = [(u, v, float(rng.uniform(0.5, 2.0))) for u in range(n)
-                     for v in range(u + 1, n) if rng.random() < 0.6]
-            region = BasePolytope(graph_cut_oracle(n, edges), n)
-        else:
-            region = BasePolytope(cardinality_cap_oracle(n, int(rng.integers(1, n + 1))), n)
+    kind = draw(st.sampled_from(["simplex", "linf", "box"]))
+    if kind == "simplex":
+        region = Simplex(n)
         verts = np.array([region.lmo(rng.standard_normal(region.shape)).densify()
                           for _ in range(4)])
         w = rng.random(4) * (rng.random(4) < (0.5 if edge else 1.0))
         w[0] += 0.1
         x = (w / w.sum()) @ verts
-    elif kind == "nuclear":
-        region = NuclearBall(float(rng.uniform(0.5, 2.0)), 2, 3)
-        x = rng.standard_normal((2, 3))
-        x *= region.delta * (1.0 if edge else rng.random()) / np.linalg.svd(x, compute_uv=False).sum()
-    elif kind in ("l1", "l2"):
-        size = float(rng.uniform(0.1, 3.0))
-        region = L1Ball(size, n) if kind == "l1" else L2Ball(size, n)
-        x = rng.standard_normal(n) * (rng.random(n) < 0.7)
-        norm = np.abs(x).sum() if kind == "l1" else np.linalg.norm(x)
-        x *= 0.0 if norm == 0.0 else size * (1.0 if edge else rng.random()) / norm
     else:
         if kind == "linf":
             region = LinfBall(float(rng.uniform(0.1, 3.0)), n)
