@@ -326,10 +326,15 @@ def test_max_feasible_step_zero_direction_rejected():
         Simplex(2).max_step(np.array([0.5, 0.5]), np.zeros(2))
 
 
+# Case ids keep the numbers they had when the table also held the l1, l2,
+# nuclear and product cases, so each case keeps its name.
 @pytest.mark.parametrize("region,x,d", [
-    (Simplex(4), np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.1, -0.3, 0.1, 0.1])),
-    (LinfBall(1.0, 3), np.array([0.5, 0.0, -0.5]), np.array([1.0, -1.0, 0.5])),
-    (Box(np.zeros(3), np.ones(3)), np.array([0.25, 0.5, 0.75]), np.array([1.0, 0.5, -0.25])),
+    pytest.param(Simplex(4), np.array([0.4, 0.3, 0.2, 0.1]),
+                 np.array([0.1, -0.3, 0.1, 0.1]), id="region0-x0-d0"),
+    pytest.param(LinfBall(1.0, 3), np.array([0.5, 0.0, -0.5]),
+                 np.array([1.0, -1.0, 0.5]), id="region3-x3-d3"),
+    pytest.param(Box(np.zeros(3), np.ones(3)), np.array([0.25, 0.5, 0.75]),
+                 np.array([1.0, 0.5, -0.25]), id="region4-x4-d4"),
 ])
 def test_max_step_lands_on_boundary(region, x, d):
     assert region.contains(x, 1e-9)
