@@ -141,24 +141,24 @@ class RankOneAtom(_Keyed):
         return "RankOneAtom(scale=%g, %dx%d)" % (self.scale, self.u.size, self.v.size)
 
 
-def atoms_equal(a, b, tol=ATOM_TOL):
-    """Structural equality: same tag and fields within ``tol``."""
+def atoms_equal(a, b):
+    """Structural equality: same tag and fields within ``ATOM_TOL``."""
     if a.tag != b.tag or a.shape != b.shape:
         return False
     if a.tag == "dense":
-        return bool(np.max(np.abs(a.vector - b.vector)) <= tol)
+        return bool(np.max(np.abs(a.vector - b.vector)) <= ATOM_TOL)
     if a.tag == "signed_unit":
-        return a.index == b.index and a.sign == b.sign and abs(a.scale - b.scale) <= tol
+        return a.index == b.index and a.sign == b.sign and abs(a.scale - b.scale) <= ATOM_TOL
     # rank-one: u v^T == u' v'^T also when both factors are negated
-    if abs(a.scale - b.scale) > tol:
+    if abs(a.scale - b.scale) > ATOM_TOL:
         return False
     du = np.max(np.abs(a.u - b.u))
     dv = np.max(np.abs(a.v - b.v))
-    if du <= tol and dv <= tol:
+    if du <= ATOM_TOL and dv <= ATOM_TOL:
         return True
     du = np.max(np.abs(a.u + b.u))
     dv = np.max(np.abs(a.v + b.v))
-    return du <= tol and dv <= tol
+    return du <= ATOM_TOL and dv <= ATOM_TOL
 
 
 class StepDescriptor:

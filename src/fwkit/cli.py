@@ -13,6 +13,8 @@ variable FWKIT_THREADS caps compare's parallelism (default 1).
 
 import argparse
 import concurrent.futures
+import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -28,16 +30,24 @@ from .solvers import REFERENCE_VARIANT, SolverConfig, check_capability, planned_
     reference_f_star, solve
 from .stepsizes import rule_from_name
 
-# the solver block's numeric fields; an absent one keeps SolverConfig's default
-_SOLVER_FIELDS = {"max_iter": int, "gap_tol": float, "seed": int, "record_every": int}
-# each data key's reader; the file it reads is the family parameter of that name
-_READERS = {"design": np.load, "response": np.load, "points": np.load, "labels": np.load,
-            "edges": ob.load_edge_list, "observations": ob.load_observations}
+# the solver block's numeric fields, SolverConfig's int and float ones (absent: its default)
+_SOLVER_FIELDS = {f.name: f.type for f in dataclasses.fields(SolverConfig)
+                  if f.type in (int, float)}
+# each data key's file suffix (gen writes the file beside its config), reader and writer;
+# the file is read as the family parameter of that name
+_DATA = {"design": (".design.npy", np.load, np.save),
+         "response": (".response.npy", np.load, np.save),
+         "points": (".points.npy", np.load, np.save), "labels": (".labels.npy", np.load, np.save),
+         "edges": (".edges.txt", ob.EDGES.load, ob.EDGES.save),
+         "observations": (".obs.txt", ob.OBSERVATIONS.load, ob.OBSERVATIONS.save)}
 # the keys each block takes; any other is refused by name
 _KEYS = {"config": ("problem", "solver", "checks", "output"),
          "problem": ("family", "seed", "params", "data"), "output": ("prefix", "format"),
          "solver": ("variant", "stepsize", "inexact", *_SOLVER_FIELDS),
-         "inexact": ("mode", "delta", "kappa_upper", "seed"), "data": tuple(_READERS)}
+         "inexact": tuple(inspect.signature(rg.InexactSchedule).parameters), "data": tuple(_DATA)}
+# the columns of a trace and of compare's table, in order
+_TRACE_COLUMNS = ("k", "step_kind", "alpha", "f", "h", "gap", "support_size", "elapsed_ns")
+_COMPARE_COLUMNS = ("solver", "iters_to_tol", "final_h", "fitted_q", "good_fraction", "status")
 
 
 class ConfigError(Exception):
@@ -145,7 +155,7 @@ def _build_problem(prob, params, data):
     Inline parameters go to ``build_instance`` as they are: it converts
     them, and names a missing one or one the family does not take.
     """
-    kwargs = {**params, **{key: _READERS[key](path) for key, path in data.items()}}
+    kwargs = {**params, **{key: _DATA[key][1](path) for key, path in data.items()}}
     return ob.build_instance(prob.get("family"), seed=int(prob.get("seed", 0)), **kwargs)
 
 
@@ -161,10 +171,9 @@ def _maybe_inexact(sol, instance):
     block = sol.get("inexact")
     if not block:
         return None
-    schedule = rg.InexactSchedule(
-        mode=block.get("mode", "decaying"), delta=float(block.get("delta", 0.0)),
-        kappa_upper=block.get("kappa_upper", instance.curvature_upper),
-        seed=int(block.get("seed", 0)))
+    # the block's keys are the schedule's parameters, some with the CLI's own defaults
+    schedule = rg.InexactSchedule(**{"mode": "decaying", "delta": 0.0,
+                                     "kappa_upper": instance.curvature_upper, **block})
     return rg.make_inexact_lmo(instance.region, schedule)
 
 
@@ -179,26 +188,24 @@ def _fmt(x):
     return "%.17g" % x
 
 
+def _write_csv(path, columns, rows):
+    """``rows``, dicts keyed by ``columns``, as CSV lines of their values under a header."""
+    with open(path, "w") as fh:
+        for line in [columns] + [[row[key] for key in columns] for row in rows]:
+            fh.write(",".join(map(str, line)) + "\n")
+
+
 def _write_trace(report, prefix, fmt):
-    rows = []
     f_star = report.meta.get("f_star")
-    for r in report.records:
-        h = "" if f_star is None else _fmt(r.f - f_star)
-        rows.append({"k": r.k, "step_kind": r.kind, "alpha": _fmt(r.alpha),
-                     "f": _fmt(r.f), "h": h, "gap": _fmt(r.gap),
-                     "support_size": r.support_size, "elapsed_ns": r.elapsed_ns})
+    rows = [dict(zip(_TRACE_COLUMNS, (r.k, r.kind, _fmt(r.alpha), _fmt(r.f),
+                                      "" if f_star is None else _fmt(r.f - f_star),
+                                      _fmt(r.gap), r.support_size, r.elapsed_ns)))
+            for r in report.records]
     if fmt == "csv":
-        path = prefix + ".trace.csv"
-        with open(path, "w") as fh:
-            fh.write("k,step_kind,alpha,f,h,gap,support_size,elapsed_ns\n")
-            for row in rows:
-                fh.write("%(k)d,%(step_kind)s,%(alpha)s,%(f)s,%(h)s,%(gap)s,"
-                         "%(support_size)d,%(elapsed_ns)d\n" % row)
+        _write_csv(prefix + ".trace.csv", _TRACE_COLUMNS, rows)
     else:
-        path = prefix + ".trace.json"
-        with open(path, "w") as fh:
+        with open(prefix + ".trace.json", "w") as fh:
             json.dump(rows, fh, indent=1, sort_keys=True)
-    return path
 
 
 def _write_report(report, check_results, prefix):
@@ -212,10 +219,8 @@ def _write_report(report, check_results, prefix):
         "variant": report.meta.get("variant"),
         "checks": [c.as_json() for c in check_results],
     }
-    path = prefix + ".report.json"
-    with open(path, "w") as fh:
+    with open(prefix + ".report.json", "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
-    return path
 
 
 def cmd_run(args):
@@ -252,9 +257,9 @@ def _compare_one(prepared, f_star):
     reached = next((r.k for r in report.records if r.gap <= config.gap_tol), "")
     total = max(1, len([r for r in report.records if r.kind != "stop"]))
     frac = report.good_steps / total
-    return {"solver": sol["variant"], "iters_to_tol": reached,
-            "final_h": final_h, "fitted_q": q, "good_fraction": frac,
-            "failed": report.termination == "NumericalError"}
+    status = "failed" if report.termination == "NumericalError" else "ok"
+    return dict(zip(_COMPARE_COLUMNS, (sol["variant"], reached, _fmt(final_h), _fmt(q),
+                                       _fmt(frac), status)))
 
 
 def cmd_compare(args):
@@ -273,14 +278,8 @@ def cmd_compare(args):
         print("solver error: %s" % exc, file=sys.stderr)
         return 3
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    with open(args.out, "w") as fh:
-        fh.write("solver,iters_to_tol,final_h,fitted_q,good_fraction,status\n")
-        for row in rows:
-            fh.write("%s,%s,%s,%s,%s,%s\n" % (
-                row["solver"], row["iters_to_tol"], _fmt(row["final_h"]),
-                _fmt(row["fitted_q"]), _fmt(row["good_fraction"]),
-                "failed" if row["failed"] else "ok"))
-    return 3 if any(row["failed"] for row in rows) else 0
+    _write_csv(args.out, _COMPARE_COLUMNS, rows)
+    return 3 if any(row["status"] == "failed" for row in rows) else 0
 
 
 def _parse_params(pairs):
@@ -296,25 +295,10 @@ def _parse_params(pairs):
     return params
 
 
-def _write_triples(path, triples, default=None):
-    """``triples`` as 1-based 'u v [value]' lines; a value equal to ``default`` is left out."""
-    with open(path, "w") as fh:
-        for u, v, w in triples:
-            fh.write("%d %d%s\n" % (u + 1, v + 1, "" if w == default else " " + _fmt(w)))
-
-
-# the data keys gen writes as text, with their file suffix and writer; np.save writes the
-# rest.  An edge's weight 1 is left out: it is the edge reader's default.
-_WRITERS = {"observations": (".obs.txt", _write_triples),
-            "edges": (".edges.txt", lambda path, edges: _write_triples(path, edges, 1.0))}
-
-
 def cmd_gen(args):
     try:
         params = _parse_params(args.param)
         family = args.family
-        if family not in ob.FAMILIES:
-            _fail("unknown problem family %r" % family)
         seed = int(args.seed)
         prefix = args.out
         rng = np.random.default_rng(seed)
@@ -351,18 +335,17 @@ def cmd_gen(args):
         base = os.path.basename(prefix)
         data = {}
         for key, value in values.items():
-            suffix, write = _WRITERS.get(key, (".%s.npy" % key, np.save))
+            suffix, _, write = _DATA[key]
             write(prefix + suffix, value)
             data[key] = base + suffix
         # BCFW + diminishing stalls short of gap_tol 1e-6 within 1000 passes
         variant, stepsize = {"product": ("BCFW", "exact"),
                              "min_norm_point": ("WolfeMNP", "diminishing")}.get(
                                  family, ("FW", "diminishing"))
-        solver_block = {"variant": variant,
-                        "stepsize": stepsize, "max_iter": 1000,
-                        "gap_tol": 1e-6, "seed": 0, "record_every": 1}
+        defaults = SolverConfig(gap_tol=1e-6)
         config = {"problem": {**prob, "data": data} if data else prob,
-                  "solver": solver_block,
+                  "solver": {"variant": variant, "stepsize": stepsize,
+                             **{key: getattr(defaults, key) for key in _SOLVER_FIELDS}},
                   "checks": [],
                   "output": {"prefix": base + ".run", "format": "csv"}}
         with open(prefix + ".config.json", "w") as fh:

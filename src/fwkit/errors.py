@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all fwkit modules, and the finiteness test behind input checks."""
+"""Exception hierarchy shared by all fwkit modules, and the finiteness and size tests behind
+input checks."""
 
 import math
 
@@ -27,6 +28,13 @@ class NumericalError(FwkitError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+def count_in(value, what, low=1, high=math.inf):
+    """``value`` as an int, refused outside [low, high]: a region's or family's size check."""
+    if not low <= int(value) <= high:
+        raise InputError("%s must be in [%d, %s], got %r" % (what, low, high, value))
+    return int(value)
 
 
 def all_finite(v):

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import regions as rg
-from .errors import InputError, all_finite
+from .errors import InputError, all_finite, count_in
 
 
 def _finite(v, what="input point"):
@@ -64,6 +64,8 @@ class _QuadraticForm:
         self.a = None if a is None else _finite(a, "design")
         self._w = None if w is None else _finite(w, "weight")
         self._t = None if t is None else _finite(t, "target")
+        if any(part is not None and part.size == 0 for part in (self.a, self._w, self._t)):
+            raise InputError("a quadratic form's design, weight and target must be nonempty")
         if self._w is not None:
             if self.a is not None or self._t is not None:
                 raise InputError("a weighted form takes no design and no target")
@@ -193,18 +195,17 @@ class MatrixCompletionLoss:
     def __init__(self, observations, m, n):
         self.m = int(m)
         self.n = int(n)
-        rows, cols, vals = [], [], []
-        for i, j, u in observations:
-            if not (0 <= i < m and 0 <= j < n):
-                raise InputError("observation index out of range")
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(u))
-        if not rows:
+        table = np.array([(i, j, u) for i, j, u in observations], dtype=float)
+        if not table.size:
             raise InputError("need at least one observation")
-        self.rows = np.array(rows)
-        self.cols = np.array(cols)
-        self.values = np.array(vals)
+        i, j, values = table.T.copy()  # the rows of a C-order copy: each one contiguous
+        if not (np.all((0 <= i) & (i < self.m)) and np.all((0 <= j) & (j < self.n))):
+            raise InputError("observation index out of range")
+        if np.any(table[:, :2] % 1.0):
+            raise InputError("observation indices must be whole numbers")
+        if not all_finite(values):
+            raise InputError("observation values must be finite")
+        self.rows, self.cols, self.values = i.astype(int), j.astype(int), values
         self.shape = (self.m, self.n)
 
     def eval(self, x):
@@ -370,30 +371,35 @@ def graph_cut_oracle(n, edges):
     return oracle
 
 
-def _read_triples(path, default=None):
-    """(a - 1, b - 1, float(c)) per 'a b [c]' line of 1-based indices, skipping blank and
-    '#' lines; an absent c is ``default``, and refused where that is None."""
-    triples = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            a, b, *c = parts
-            if not c and default is None:
-                raise InputError("%s: line %r lacks its value" % (path, line.strip()))
-            triples.append((int(a) - 1, int(b) - 1, float(c[0]) if c else default))
-    return triples
+class _Triples:
+    """A file of 'a b [c]' lines, one per 0-based triple (a - 1, b - 1, c): the indices are
+    1-based, blank and '#' lines are skipped, and c is left out where it is ``default`` (an
+    edge's weight 1); a None default makes every c required."""
+
+    def __init__(self, default=None):
+        self.default = default
+
+    def load(self, path):
+        triples = []
+        with open(path) as fh:
+            for line in fh:
+                parts = line.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
+                a, b, *c = parts
+                if not c and self.default is None:
+                    raise InputError("%s: line %r lacks its value" % (path, line.strip()))
+                triples.append((int(a) - 1, int(b) - 1, float(c[0]) if c else self.default))
+        return triples
+
+    def save(self, path, triples):
+        with open(path, "w") as fh:
+            for a, b, c in triples:
+                fh.write("%d %d%s\n" % (a + 1, b + 1, "" if c == self.default else " %.17g" % c))
 
 
-def load_edge_list(path):
-    """Parse 'u v [weight]' lines (1-based, weight 1 when absent) into 0-based (u, v, weight)."""
-    return _read_triples(path, default=1.0)
-
-
-def load_observations(path):
-    """Parse 'i j value' lines (1-based) into 0-based (i, j, value) triples."""
-    return _read_triples(path)
+EDGES, OBSERVATIONS = _Triples(1.0), _Triples()
+load_edge_list, load_observations = EDGES.load, OBSERVATIONS.load
 
 
 def _missing(family, key, when=""):
@@ -413,8 +419,9 @@ def _lasso(rng, m=None, n=None, tau=1.0, noise=0.01, support=None, design=None,
     if (design is None) != (response is None):
         raise InputError("lasso takes a design and a response together")
     if design is None:
-        m, n = int(20 if m is None else m), int(50 if n is None else n)
-        support = int(max(1, min(5, n)) if support is None else support)
+        m = count_in(20 if m is None else m, "lasso's m")
+        n = count_in(50 if n is None else n, "lasso's n")
+        support = count_in(min(5, n) if support is None else support, "lasso's support", 1, n)
         a = rng.standard_normal((m, n))
         # planted solution: `support` coordinates, signs random, 1-norm 0.9 tau
         idx = rng.choice(n, size=support, replace=False)
@@ -447,18 +454,20 @@ def _svm_dual(rng, points, labels):
 
 def _max_clique(rng, edges, n):
     """The clique program of an n-node graph on the simplex, in minimization form."""
-    n = int(n)
+    n = count_in(n, "max_clique's n")
+    ends = np.array([(int(e[0]), int(e[1])) for e in edges], dtype=np.intp).reshape(-1, 2)
+    if not np.all((0 <= ends) & (ends < n)):
+        raise InputError("edge endpoint out of range")
     adj = np.zeros((n, n))
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        adj[u, v] = adj[v, u] = 1.0
+    adj[ends.ravel(), ends[:, ::-1].ravel()] = 1.0  # u v and v u of each edge
     return ProblemInstance(Quadratic(-(adj + 0.5 * np.eye(n))), rg.Simplex(n),
                            meta={"adjacency": adj, "convex": False})
 
 
 def _matcomp(rng, m=20, n=20, rank=2, density=0.3, delta=None, observations=None):
     """Matrix completion on the nuclear ball of radius delta (2 rank by default)."""
-    m, n, rank, density = int(m), int(n), int(rank), float(density)
+    m, n = count_in(m, "matcomp's m"), count_in(n, "matcomp's n")
+    rank, density = int(rank), float(density)
     delta = float(2.0 * rank if delta is None else delta)
     if observations is None:
         u = rng.standard_normal((m, rank)) / np.sqrt(rank)
@@ -474,7 +483,7 @@ def _matcomp(rng, m=20, n=20, rank=2, density=0.3, delta=None, observations=None
 
 def _simplex_distance(rng, n):
     """Squared distance to the barycenter of the simplex: the tight Omega(1/k) example."""
-    n = int(n)
+    n = count_in(n, "simplex_distance's n")
     center = np.full(n, 1.0 / n)
     return ProblemInstance(ShiftedNormSquare(center), rg.Simplex(n), 2.0, 2.0, f_star=0.0,
                            x_star=center)
@@ -482,7 +491,7 @@ def _simplex_distance(rng, n):
 
 def _interior_quadratic(rng, n, offset=0.5):
     """A strongly convex quadratic with its optimum inside the simplex."""
-    n, offset = int(n), float(offset)
+    n, offset = count_in(n, "interior_quadratic's n", 2), float(offset)
     # optimum: barycenter nudged toward a seeded interior point
     w = rng.random(n) + 0.25
     z = (1.0 - offset) * np.full(n, 1.0 / n) + offset * (w / w.sum())
@@ -494,8 +503,9 @@ def _interior_quadratic(rng, n, offset=0.5):
 
 def _boundary_quadratic(rng, n, support=None, grad_scale=1.0):
     """A strongly convex quadratic with its optimum on the face of the first ``support``."""
-    n = int(n)
-    support = int(max(2, n // 3) if support is None else support)
+    n = count_in(n, "boundary_quadratic's n")
+    support = count_in(max(2, n // 3) if support is None else support,
+                       "boundary_quadratic's support", 1, n)
     grad_scale = float(grad_scale)
     a = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
     x_star = np.zeros(n)
@@ -511,7 +521,7 @@ def _boundary_quadratic(rng, n, support=None, grad_scale=1.0):
 
 def _ball_quadratic(rng, n, eps=1.0, c=0.0):
     """Squared distance over the ball of radius eps, whose gradient norm stays above c."""
-    n, eps, c = int(n), float(eps), float(c)
+    n, eps, c = count_in(n, "ball_quadratic's n"), float(eps), float(c)
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
     dist = eps + c / 2.0 if c > 0 else eps

@@ -10,12 +10,12 @@ adversarial inexact one.
 A region declares what ``solvers.CAPABILITIES`` asks of it.  AFW, PFW and
 EFW need ``polytopal`` True: the hull of finitely many atoms (a product is
 polytopal when its blocks are).  In-face FW (FDFW) needs the
-``FACE_OPERATIONS``: ``face_away_vertex(x, g, tol)`` (the vertex of x's
-minimal face maximizing <g, v>), ``face_support(x, tol)`` (the support a
-record counts), ``snap_to_face(x, tol)`` (x put on the faces it is within
-tol of) and ``max_step(x, d)``, where an in-face step stops.  Only the
-simplex and the box (so the l-inf ball) have faces this cheap; they declare
-all four, with tol 1e-12.
+``FACE_OPERATIONS``: ``face_away_vertex(x, g)`` (the array of the vertex of
+x's minimal face maximizing <g, v>: FDFW holds no atoms), ``face_support(x)``
+(the support a record counts), ``snap_to_face(x)`` (x put on the faces it is
+within 1e-12 of) and ``max_step(x, d)``, where an in-face step stops.  Only
+the simplex and the box (so the l-inf ball) have faces this cheap; they
+declare all four.
 """
 
 import functools
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .atoms import DenseAtom, RankOneAtom, SignedUnitAtom
-from .errors import CapabilityError, InputError, NumericalError, all_finite
+from .errors import CapabilityError, InputError, NumericalError, all_finite, count_in
 
 _RESIDUAL_BOUND = 1e-10  # relative residual past which a singular triple is refused
 _PAIR_BLOCK = 1 << 16  # float64 entries in one block of pairwise differences (512 KiB)
@@ -78,9 +78,7 @@ class Simplex:
     polytopal = True
 
     def __init__(self, n):
-        if n < 1:
-            raise InputError("simplex dimension must be >= 1")
-        self.n = int(n)
+        self.n = count_in(n, "simplex dimension")
         self.shape = (self.n,)
 
     def lmo(self, g):
@@ -106,15 +104,15 @@ class Simplex:
     def vertices(self):
         return np.eye(self.n)
 
-    def face_away_vertex(self, x, g, tol=_FACE_TOL):
-        support = np.flatnonzero(x > tol)
-        return SignedUnitAtom.trusted(int(support[int(g[support].argmax())]), 1, 1.0, self.n)
+    def face_away_vertex(self, x, g):
+        support = np.flatnonzero(x > _FACE_TOL)
+        return np.eye(1, self.n, int(support[int(g[support].argmax())]))[0]
 
-    def face_support(self, x, tol=_FACE_TOL):
-        return int(np.sum(x > tol))
+    def face_support(self, x):
+        return int(np.sum(x > _FACE_TOL))
 
-    def snap_to_face(self, x, tol=_FACE_TOL):
-        x = np.maximum(np.where(np.abs(x) <= tol, 0.0, x), 0.0)
+    def snap_to_face(self, x):
+        x = np.maximum(np.where(np.abs(x) <= _FACE_TOL, 0.0, x), 0.0)
         x /= x.sum()
         return x
 
@@ -126,7 +124,7 @@ class L1Ball:
 
     def __init__(self, tau, n):
         self.tau = _size(tau, "tau")
-        self.n = int(n)
+        self.n = count_in(n, "l1 ball dimension")
         self.shape = (self.n,)
 
     def lmo(self, g):
@@ -157,7 +155,7 @@ class L2Ball:
 
     def __init__(self, eps, n):
         self.eps = _size(eps, "eps")
-        self.n = int(n)
+        self.n = count_in(n, "l2 ball dimension")
         self.shape = (self.n,)
 
     def lmo(self, g):
@@ -189,7 +187,7 @@ class Box:
             raise InputError("box bounds must be finite")
         if np.any(self.lower > self.upper):
             raise InputError("box requires lower <= upper componentwise")
-        self.n = self.lower.size
+        self.n = count_in(self.lower.size, "box dimension")
         self.shape = (self.n,)
 
     def lmo(self, g):
@@ -217,20 +215,20 @@ class Box:
         corners = np.array(list(itertools.product((False, True), repeat=self.n)))
         return np.where(corners, self.upper, self.lower)
 
-    def face_away_vertex(self, x, g, tol=_FACE_TOL):
-        """The face's vertex maximizing <g, v>, coordinatewise: a coordinate of x within
-        tol of a bound stays at it, a free one goes to the bound g points at."""
+    def face_away_vertex(self, x, g):
+        """The face's vertex maximizing <g, v>, coordinatewise: a coordinate of x on
+        a bound stays at it, a free one goes to the bound g points at."""
         v = np.where(g > 0.0, self.upper, self.lower)
-        v = np.where(np.abs(x - self.lower) <= tol, self.lower, v)
-        return DenseAtom(np.where(np.abs(x - self.upper) <= tol, self.upper, v))
+        v = np.where(np.abs(x - self.lower) <= _FACE_TOL, self.lower, v)
+        return np.where(np.abs(x - self.upper) <= _FACE_TOL, self.upper, v)
 
-    def face_support(self, x, tol=_FACE_TOL):
+    def face_support(self, x):
         """The free coordinates of x, plus one."""
-        return int(np.sum((x > self.lower + tol) & (x < self.upper - tol))) + 1
+        return int(np.sum((x > self.lower + _FACE_TOL) & (x < self.upper - _FACE_TOL))) + 1
 
-    def snap_to_face(self, x, tol=_FACE_TOL):
-        x = np.where(np.abs(x - self.lower) <= tol, self.lower, x)
-        return np.where(np.abs(x - self.upper) <= tol, self.upper, x)
+    def snap_to_face(self, x):
+        x = np.where(np.abs(x - self.lower) <= _FACE_TOL, self.lower, x)
+        return np.where(np.abs(x - self.upper) <= _FACE_TOL, self.upper, x)
 
 
 class LinfBall(Box):
@@ -238,7 +236,8 @@ class LinfBall(Box):
 
     def __init__(self, eps, n):
         self.eps = _size(eps, "eps")
-        super().__init__(-self.eps * np.ones(int(n)), self.eps * np.ones(int(n)))
+        ones = np.ones(count_in(n, "l-inf ball dimension"))
+        super().__init__(-self.eps * ones, self.eps * ones)
 
     def diameter(self):
         return 2.0 * self.eps * np.sqrt(self.n)
@@ -251,8 +250,8 @@ class NuclearBall:
 
     def __init__(self, delta, m, n):
         self.delta = _size(delta, "delta")
-        self.m = int(m)
-        self.n = int(n)
+        self.m = count_in(m, "nuclear ball row count")
+        self.n = count_in(n, "nuclear ball column count")
         self.shape = (self.m, self.n)
 
     def lmo(self, g):
@@ -326,7 +325,7 @@ class BasePolytope:
     polytopal = True
 
     def __init__(self, oracle, n):
-        self.n = int(n)
+        self.n = count_in(n, "base polytope dimension")
         self.shape = (self.n,)
         val = oracle(frozenset())
         if abs(val) > 1e-12:
@@ -473,7 +472,7 @@ class VertexHull:
         if not np.all(np.isfinite(pts)):
             raise InputError("vertices have non-finite entries")
         self.points = pts
-        self.n = pts.shape[1]
+        self.n = count_in(pts.shape[1], "vertex dimension")
         self.shape = (self.n,)
 
     def lmo(self, g):
@@ -625,17 +624,15 @@ class InexactLMO:
         except CapabilityError:
             return None
 
-    def query(self, g, x):
+    def query(self, g):
         """Returns (exact_atom, served_atom) and advances the call counter."""
         k = self.calls
         self.calls += 1
         exact = self.region.lmo(g)
         delta_k = self.schedule.value(k)
-        if delta_k <= 0.0:
+        if delta_k <= 0.0 or self._verts is None:
             return exact, exact
         verts = self._verts
-        if verts is None:
-            return exact, exact
         g = np.asarray(g, dtype=float)
         vals = verts @ g
         base = float(np.vdot(g, exact.densify()))

@@ -271,16 +271,15 @@ class _AffineImage:
     atoms.
     """
 
-    def __init__(self, cache, x, track=None, active=None):
+    def __init__(self, cache, x, active=None):
         self.obj = cache.obj
         self.a = cache.a
         self.cache = cache
         self.ax = self.a @ x
-        self.track = self.a.size >= _TRACK_GRADIENT_MIN if track is None else track
+        self.track = self.a.size >= _TRACK_GRADIENT_MIN
         self.active = active
         self.g = None  # tracked gradient at x; None until first evaluated
         self._buf = None  # where move combines atom gradients, made with the tracked g
-        self._ends = None, None  # cache entries of the step ``direction`` priced last
         self.steps = 0  # steps since A x was last computed from x
         self.resyncs = 0
         self.drift_max = 0.0
@@ -308,18 +307,16 @@ class _AffineImage:
     def direction(self, s, v):
         """A d for a step from x or v to s or x: ``s`` and ``v`` are the cache
         entries of the toward and away atoms, None for x."""
-        self._ends = s, v
         return (self.ax if s is None else s[1]) - (self.ax if v is None else v[1])
 
-    def move(self, kind, alpha, ad, x):
-        """Follow the step last priced by ``direction``, of size alpha, to x.
+    def move(self, kind, alpha, ad, x, s, v):
+        """Take the step of size alpha to x whose ``direction(s, v)`` is ``ad``.
 
         A x and g move in place, with the elementwise operations (and so
         the bits) of ``ax + alpha ad`` and the formulas above; they are this
         object's own arrays, never cached ones.  The atom gradients are
         combined in one buffer, made with the tracked g.
         """
-        s, v = self._ends
         grad = self.cache.grad
         if kind == "FW" and alpha >= 1.0:
             self.ax = s[1].copy()
@@ -516,7 +513,7 @@ class _Atoms(_Policy):
         else:
             f, g = image.value_and_grad(x)
         if self.inexact is not None:
-            exact_atom, s_atom = self.inexact.query(g, x)
+            exact_atom, s_atom = self.inexact.query(g)
         else:
             exact_atom = s_atom = self.region.lmo(g)
         s = exact_atom.densify()
@@ -543,19 +540,20 @@ class _Atoms(_Policy):
         # the step's atoms are looked up once: in the cache (for their
         # images) and in the active set, whose position apply_step takes
         toward = None if kind == "Away" else s_atom
-        s_entry = ad = None
+        s_entry = v_entry = ad = None
         if self.image is not None:
             s_entry = None if toward is None else self.cache.entry(s_atom)
             v_entry = None if v_atom is None else self.cache.entry(v_atom)
             ad = self.image.direction(s_entry, v_entry)
         pos_s = None if toward is None else \
             active.find(toward, None if s_entry is None else s_entry[0])
-        self.ends = s, d, ad, StepDescriptor(kind, toward, v_atom, (pos_s, pos_v))
+        self.ends = (s, d, ad, StepDescriptor(kind, toward, v_atom, (pos_s, pos_v)),
+                     s_entry, v_entry)
         return kind, dg, _norm(d), alpha_max, None, d, ad, dg
 
     def move(self, alpha):
         if alpha != 0.0:  # 0 is the inexact oracle's stall, which leaves x
-            s, d, ad, descriptor = self.ends
+            s, d, ad, descriptor, s_entry, v_entry = self.ends
             apply_step(self.active, descriptor, alpha)
             kind = descriptor.kind
             if kind == "FW" and alpha >= 1.0:
@@ -564,7 +562,7 @@ class _Atoms(_Policy):
                 d *= alpha
                 self.x += d
             if self.image is not None:
-                self.image.move(kind, alpha, ad, self.x)
+                self.image.move(kind, alpha, ad, self.x, s_entry, v_entry)
 
     def meta(self):
         image = self.image
@@ -674,7 +672,7 @@ class _Face(_Policy):
         x, g, region = self.x, self.g, self.region
         d_fw = self.s - x
         dg_fw = float(np.vdot(g, d_fw))
-        d_aw = x - region.face_away_vertex(x, g).densify()
+        d_aw = x - region.face_away_vertex(x, g)
         dg_aw = float(np.vdot(g, d_aw))
         if -dg_aw > -dg_fw and np.any(d_aw):
             kind, d, dg, alpha_max = "InFace", d_aw, dg_aw, region.max_step(x, d_aw)

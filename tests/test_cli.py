@@ -371,6 +371,36 @@ def test_gen_refuses_a_parameter_that_neither_it_nor_the_family_reads(tmp_path, 
     assert [path.name for path in tmp_path.iterdir()] == ["graph.txt"]
 
 
+@pytest.mark.parametrize("family,param", [("simplex_distance", "n=0"),
+                                         ("interior_quadratic", "n=1")])
+def test_gen_refuses_a_size_the_family_cannot_build(tmp_path, monkeypatch, capsys, family,
+                                                    param):
+    # these once raised ZeroDivisionError: a traceback and exit 1
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "--family", family, "--param", param, "--out", "g"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: %s's n must be in" % family in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line", ["0 3", "1 4"])
+def test_gen_and_run_refuse_a_max_clique_edge_outside_its_nodes(tmp_path, monkeypatch, capsys,
+                                                                line):
+    # node 0 of a 1-based file once wrapped to node n - 1, and node n + 1 raised IndexError
+    (tmp_path / "g.txt").write_text("1 2\n%s\n" % line)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "--family", "max_clique", "--param", "n=3",
+                     "--param", "edges_file=g.txt", "--out", "clique"]) == 2
+    err = capsys.readouterr().err
+    assert "edge endpoint out of range" in err and "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["g.txt"]
+    write_config(tmp_path / "c.json", problem={"family": "max_clique", "seed": 0,
+                                               "params": {"n": 3}, "data": {"edges": "g.txt"}},
+                 checks=[])
+    assert cli.main(["run", "--config", "c.json"]) == 2
+    assert "edge endpoint out of range" in capsys.readouterr().err
+
+
 def test_run_inexact_oracle_with_rate_check(tmp_path):
     cfg_path = tmp_path / "inexact.json"
     write_config(cfg_path,

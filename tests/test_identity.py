@@ -73,7 +73,8 @@ def test_a_planted_one_ulp_change_in_a_record_is_caught(capsys):
     assert identity.compare(parent, change, skip={"f"}) == 0
 
 
-@pytest.mark.parametrize("field", ["x_final", "meta.corral", "support", "termination"])
+@pytest.mark.parametrize("field", ["x_final", "meta.corral", "support", "termination",
+                                   "active_set"])
 def test_every_kind_of_field_is_compared(field):
     def plant(variant, report):
         if variant != "WolfeMNP":
@@ -85,6 +86,9 @@ def test_every_kind_of_field_is_compared(field):
             report.meta["corral"] = report.meta["corral"][::-1]
         elif field == "support":
             report.records[0].support = frozenset({99})
+        elif field == "active_set":  # one weight one ulp up, with the records and x alone
+            weights = report.active_set.weights
+            weights[0] = np.nextafter(weights[0], np.inf)
         else:
             report.termination = "MaxIter"
 
@@ -109,7 +113,7 @@ def test_a_support_held_in_a_private_slot_compares_by_value():
 
     def summary(*supports):
         report = SimpleNamespace(records=[Record(k, 1.0, list(s)) for k, s in enumerate(supports)],
-                                 termination="GapTol", good_steps=0, meta={})
+                                 termination="GapTol", good_steps=0, meta={}, active_set=None)
         return identity.summarise(inst, report)
 
     assert identity.record_attributes(Record(0, 1.0, [])) == ["f", "k", "support"]
@@ -131,7 +135,7 @@ def test_the_fixed_matrix_holds_the_regions_the_benchmark_never_runs(capsys):
         [("box", "FDFW", False)] * 2
         + [(region, variant, False) for region in ("box", "linf", "hull", "product")
            for variant in ("AFW", "PFW")]
-        + [("interior", "EFW", True)])
+        + [("interior", "EFW", True), ("matcomp", "FW", False), ("max_clique", "AFW", False)])
     # FDFW on a box, whose minimal-face operations the box declares
     name, inst, config, start = jobs[0]
     summary = identity._summary(inst, config, start)

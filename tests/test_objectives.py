@@ -479,3 +479,74 @@ def test_all_finite_is_exact_and_silent_on_overflow():
             assert all_finite(np.array(v, dtype=float)) is want
         assert all_finite(np.full((3, 4), 1e300).T)
         assert not all_finite(np.array([[1.0, np.nan], [2.0, 3.0]]).T)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("simplex_distance", {"n": 0}),
+    ("interior_quadratic", {"n": 0}),
+    ("interior_quadratic", {"n": 1}),
+    ("boundary_quadratic", {"n": 1}),
+    ("boundary_quadratic", {"n": 5, "support": 0}),
+    ("lasso", {"m": 0}),
+    ("lasso", {"n": 0}),
+    ("lasso", {"n": 4, "support": 5}),
+    ("max_clique", {"n": 0, "edges": []}),
+    ("matcomp", {"m": 0}),
+    ("ball_quadratic", {"n": 0}),
+    ("base_polytope_norm", {"n": 0}),
+    ("min_norm_point", {"points": np.zeros((3, 0))}),
+])
+def test_a_size_the_family_cannot_build_is_an_input_error(family, params):
+    # these raised ZeroDivisionError, numpy's ValueError or IndexError, or built
+    # 0-dimensional instances
+    with pytest.raises(InputError):
+        build_instance(family, **params)
+
+
+@pytest.mark.parametrize("form", [lambda: LeastSquares(np.zeros((0, 3)), np.zeros(0)),
+                                  lambda: Quadratic(np.zeros((0, 0))),
+                                  lambda: ShiftedNormSquare(np.zeros(0))],
+                         ids=["design", "weight", "target"])
+def test_an_empty_quadratic_form_is_refused(form):
+    with pytest.raises(InputError, match="nonempty"):
+        form()
+
+
+@pytest.mark.parametrize("edge", [(-1, 2, 1.0), (0, 3, 1.0)])
+def test_max_clique_refuses_an_edge_endpoint_outside_its_nodes(edge):
+    # -1 (a "0" in a 1-based edges file) once wrapped to node n - 1; n raised IndexError
+    with pytest.raises(InputError, match="edge endpoint out of range"):
+        build_instance("max_clique", n=3, edges=[(0, 1, 1.0), edge])
+
+
+def test_max_clique_sets_each_edge_both_ways():
+    adj = build_instance("max_clique", n=4, edges=[(0, 2, 1.0), (3, 1, 1.0), (2, 0, 1.0)]).meta[
+        "adjacency"]
+    assert np.array_equal(adj, adj.T) and np.array_equal(np.argwhere(adj),
+                                                         [[0, 2], [1, 3], [2, 0], [3, 1]])
+
+
+@pytest.mark.parametrize("triple, match", [
+    ((0, 1, np.nan), "values must be finite"),
+    ((0, 1, np.inf), "values must be finite"),
+    ((0, 1, -np.inf), "values must be finite"),
+    ((0.5, 1, 2.0), "whole numbers"),
+    ((0, 1.25, 2.0), "whole numbers"),
+])
+def test_matrix_completion_refuses_a_non_finite_value_or_a_fractional_index(triple, match):
+    # NaN was accepted, and its solve failed at the first LMO; 0.5 was truncated to 0
+    with pytest.raises(InputError, match=match):
+        MatrixCompletionLoss([(1, 0, 1.0), triple], 2, 2)
+    with pytest.raises(InputError, match=match):
+        build_instance("matcomp", m=2, n=2, observations=[triple])
+
+
+def test_matrix_completion_reads_any_iterable_of_triples():
+    pairs = [(1, 0, 0.5), (0, 1, -2.0)]
+    loss = MatrixCompletionLoss(iter(pairs), 2, 3)
+    assert loss.rows.tolist() == [1, 0] and loss.cols.tolist() == [0, 1]
+    assert loss.rows.dtype == np.array([1]).dtype and loss.values.tolist() == [0.5, -2.0]
+    assert loss.values.flags.c_contiguous
+    for bad, match in (([], "at least one"), ([(2, 0, 1.0)], "out of range")):
+        with pytest.raises(InputError, match=match):
+            MatrixCompletionLoss(bad, 2, 3)

@@ -8,6 +8,7 @@ A they move the gradient with the gradients at the atoms.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,7 +391,8 @@ def test_tracked_gradient_follows_random_steps(case, data):
     atom = region.lmo(draw_vector())
     active = ActiveSet.from_atom(atom)
     x = atom.densify().copy()
-    image = solvers._AffineImage(solvers._AtomCache(obj, obj.a), x, track=True)
+    with mock.patch.object(solvers, "_TRACK_GRADIENT_MIN", 0):  # g is tracked on any A
+        image = solvers._AffineImage(solvers._AtomCache(obj, obj.a), x)
     image.value_and_grad(x)
     growth = 1.0
     steps = data.draw(st.integers(1, solvers._RESYNC_EVERY + 8))  # crosses a re-sync
@@ -412,11 +414,12 @@ def test_tracked_gradient_follows_random_steps(case, data):
         if not np.any(d):
             continue
         alpha = alpha_max * data.draw(st.sampled_from([1.0, 0.5, 1e-3]) | st.floats(1e-3, 1.0))
-        ad = image.direction(None if kind == "Away" else image.cache.entry(s_atom),
-                             None if kind == "FW" else image.cache.entry(v_atom))
+        s_entry = None if kind == "Away" else image.cache.entry(s_atom)
+        v_entry = None if kind == "FW" else image.cache.entry(v_atom)
+        ad = image.direction(s_entry, v_entry)
         apply_step(active, step, alpha)
         x = s_atom.densify().copy() if kind == "FW" and alpha >= 1.0 else x + alpha * d
-        image.move(kind, alpha, ad, x)
+        image.move(kind, alpha, ad, x, s_entry, v_entry)
         growth = 1.0 if image.steps == 0 else growth * (1.0 + alpha if kind == "Away" else 1.0)
         _, g = image.value_and_grad(x)
         want = obj.eval(x)[1]

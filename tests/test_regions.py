@@ -370,8 +370,8 @@ def test_minimal_face_box_away_vertex():
     # oracle: coordinatewise maximization over the face x0 = 1
     box = Box([0.0, 0.0], [1.0, 1.0])
     x = np.array([1.0, 0.3])
-    assert np.allclose(box.face_away_vertex(x, np.array([0.0, 1.0])).densify(), [1.0, 1.0])
-    assert np.allclose(box.face_away_vertex(x, np.array([0.0, -1.0])).densify(), [1.0, 0.0])
+    assert np.allclose(box.face_away_vertex(x, np.array([0.0, 1.0])), [1.0, 1.0])
+    assert np.allclose(box.face_away_vertex(x, np.array([0.0, -1.0])), [1.0, 0.0])
 
 
 class _Declared:
@@ -629,7 +629,7 @@ def test_inexact_zero_error_is_exact():
     rng = np.random.default_rng(0)
     for _ in range(20):
         g = rng.standard_normal(4)
-        exact, served = oracle.query(g, np.full(4, 0.25))
+        exact, served = oracle.query(g)
         assert exact is served
         assert served.index == int(np.argmin(g))
 
@@ -639,7 +639,7 @@ def test_inexact_picks_worst_admissible_vertex():
     region = Simplex(2)
     oracle = make_inexact_lmo(region, InexactSchedule("constant", 0.2))
     g = np.array([0.4, 0.5])
-    exact, served = oracle.query(g, np.array([1.0, 0.0]))
+    exact, served = oracle.query(g)
     assert exact.index == 0
     assert np.allclose(served.densify(), [0.0, 1.0])
 
@@ -788,3 +788,17 @@ def test_max_step_is_the_exact_exit_along_d(case):
     assume((beyond - alpha) * float(np.abs(d).max()) > 1e-9 * size)
     smallest = float(np.abs(d[d != 0.0]).min())
     assert not region.contains(x + beyond * d, 1e-3 * (beyond - alpha) * smallest)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Simplex(0), lambda: L1Ball(1.0, 0), lambda: L2Ball(1.0, 0), lambda: Box([], []),
+    lambda: LinfBall(1.0, 0), lambda: LinfBall(1.0, -1), lambda: NuclearBall(1.0, 0, 3),
+    lambda: NuclearBall(1.0, 3, 0), lambda: BasePolytope(lambda subset: 0.0, 0),
+    lambda: VertexHull(np.zeros((3, 0)))],
+    ids=["simplex", "l1", "l2", "box", "linf", "linf-negative", "nuclear-rows", "nuclear-cols",
+         "base", "hull"])
+def test_no_region_is_zero_dimensional(make):
+    # only the simplex refused a dimension below 1; a negative l-inf ball size raised
+    # numpy's ValueError
+    with pytest.raises(InputError, match=r"must be in \[1, inf\], got -?[01]$"):
+        make()

@@ -17,13 +17,14 @@ Per solve it compares the instance's L, mu and D as ``float.hex()``, the
 refusal's error class, the record count, every public record attribute
 (``record_attributes``) but the wall time as float bits (kinds, ``good``
 and supports as values, read through the attribute), the termination,
-``good_steps``, the bytes of ``x_final`` and every meta entry.
-It prints the first differing field of each solve that differs, then a
-count per variant, and exits 1 on any difference in a field that
+``good_steps``, the bytes of ``x_final``, the returned active set (each
+atom's class and public fields, and the weights, as bits) and every meta
+entry.  It prints the first differing field of each solve that differs,
+then a count per variant, and exits 1 on any difference in a field that
 ``--skip`` does not name.  A field is a record field (``f``, ``kind``,
 ...), ``records`` (the count), ``termination``, ``good_steps``,
-``x_final``, ``error``, ``L``, ``mu``, ``D`` or ``meta.<key>``; ``--skip
-meta`` skips every meta entry.
+``x_final``, ``active_set``, ``error``, ``L``, ``mu``, ``D`` or
+``meta.<key>``; ``--skip meta`` skips every meta entry.
 """
 
 import argparse
@@ -77,6 +78,18 @@ def record_attributes(record):
                   if not name.startswith("_") and inspect.isdatadescriptor(getattr(cls, name)))
 
 
+def active_set_summary(active):
+    """An active set (or None) as the class and public slots of each atom, as bits, and the
+    bits of its weights."""
+    if active is None:
+        return None
+    atoms = tuple((type(atom).__name__,) + tuple(
+        (name, canon(getattr(atom, name))) for cls in type(atom).__mro__
+        for name in getattr(cls, "__slots__", ()) if not name.startswith("_"))
+        for atom in active.atoms)
+    return atoms, canon(np.array(active.weights, dtype=float))
+
+
 def summarise(instance, report=None, error=None):
     """One solve's comparable summary: its instance constants and its report, or its refusal."""
     out = {"L": canon(instance.L), "mu": canon(instance.mu), "D": canon(instance.D),
@@ -95,7 +108,8 @@ def summarise(instance, report=None, error=None):
             reduced = {key: canon(v) for key, v in unique.items()}
             out[name] = [reduced[id(v)] for v in col]
     out.update(records=len(records), termination=report.termination,
-               good_steps=int(report.good_steps), x_final=canon(report.meta.get("x_final")))
+               good_steps=int(report.good_steps), x_final=canon(report.meta.get("x_final")),
+               active_set=active_set_summary(report.active_set))
     out.update(("meta." + k, canon(v)) for k, v in report.meta.items() if k != "x_final")
     return out
 
@@ -132,8 +146,9 @@ def fixed_jobs():
     """[(job name, instance, config, initial active set or None)]: solves outside the benchmark.
 
     FDFW on a box; AFW and PFW on a box, an l-inf ball, a vertex hull and a
-    product of simplices; EFW from a given active set.  Least squares on the
-    box and the ball track A x; the hull and the product do not.
+    product of simplices; EFW from a given active set; FW + exact on a small
+    matrix completion (rank-one atoms) and AFW on a max-clique program.  Least
+    squares on the box and the ball track A x; the others do not.
     """
     import fwkit as fw
 
@@ -162,6 +177,12 @@ def fixed_jobs():
                          np.array([0.5, 0.3, 0.2]))
     jobs.append(("interior/EFW+exact from 3 atoms", interior, config("EFW", fw.ExactLine()),
                  start))
+    matcomp = fw.build_instance("matcomp", m=6, n=5, seed=4)
+    clique = fw.build_instance("max_clique", n=12, edges=[
+        (u, v, 1.0) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.5])
+    jobs += [("matcomp/FW+exact", matcomp, fw.SolverConfig("FW", fw.ExactLine(), max_iter=200,
+                                                           gap_tol=1e-8), None),
+             ("max_clique/AFW+armijo", clique, config("AFW", fw.Armijo(), 1), None)]
     return jobs
 
 
