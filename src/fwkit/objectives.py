@@ -382,14 +382,19 @@ class _Triples:
     def load(self, path):
         triples = []
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 parts = line.split()
                 if not parts or parts[0].startswith("#"):
                     continue
-                a, b, *c = parts
-                if not c and self.default is None:
-                    raise InputError("%s: line %r lacks its value" % (path, line.strip()))
-                triples.append((int(a) - 1, int(b) - 1, float(c[0]) if c else self.default))
+                where = "%s, line %d %r" % (path, number, line.strip())
+                if len(parts) == 2 and self.default is None:
+                    raise InputError("%s lacks its value" % where)
+                try:
+                    a, b, *c = parts
+                    triples.append((int(a) - 1, int(b) - 1, float(c[0]) if c else self.default))
+                except ValueError as exc:
+                    raise InputError("%s is not 'a b [c]' with integer a and b and a number c "
+                                     "(%s)" % (where, exc)) from None
         return triples
 
     def save(self, path, triples):
@@ -448,6 +453,9 @@ def _svm_dual(rng, points, labels):
     """Hard-margin SVM dual on the simplex."""
     pts = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=float)
+    if labels.ndim != 1 or len(labels) != len(pts):
+        raise InputError("svm_dual takes a vector of one label per point: %d points, %d labels"
+                         % (len(pts), labels.size))
     return ProblemInstance(FactoredQuadratic((pts * labels[:, None]).T, sign=+1),
                            rg.Simplex(len(pts)))
 

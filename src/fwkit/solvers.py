@@ -18,7 +18,9 @@ gradient, so sparsity bounds hold from the start.
 import copy
 import itertools
 import math
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -203,23 +205,25 @@ def _judged(kind, alpha, alpha_max):
 
 
 class _AtomCache:
-    """One solve's entries [atom, image A v or None, gradient of f at v or None].
+    """One solve's view of entries [atom, image A v or None, gradient of f at v or None].
 
     The image is made with the entry when the solve tracks A x (``a`` is
     given).  The gradient is filled on first use, on the image when there
-    is one, else by ``eval(v)``; ``passes`` counts these evaluations.  A
-    lookup goes by the atom's memoised key, confirmed with ``atoms_equal``
-    unless it finds that very atom.
+    is one, else by ``eval(v)``; ``passes`` counts the evaluations this view
+    made.  A lookup goes by the atom's memoised key, confirmed with
+    ``atoms_equal`` unless it finds that very atom.  The entries live in
+    ``table``, a solve's own dict unless one is given: solves that track
+    A x on one objective share its table (``_shared_table``).
 
     f is quadratic, so on weights lam that sum to one f(sum_j lam_j v_j) has
     the gradient M lam with M_ij = <v_i, grad f(v_j)>.  ``matrix`` builds M
     over an active set (``atoms.pairing_matrix``).
     """
 
-    def __init__(self, obj, a=None):
+    def __init__(self, obj, a=None, table=None):
         self.obj = obj
         self.a = a
-        self._atoms = {}  # atom key -> [atom, image or None, gradient or None]
+        self._atoms = {} if table is None else table  # atom key -> entry
         self.passes = 0
 
     def entry(self, atom):
@@ -242,6 +246,29 @@ class _AtomCache:
         return pairing_matrix(active, np.array([self.grad(self.entry(a)) for a in active.atoms]))
 
 
+# the entry table of the last objective solved with a tracked A x; dropping the
+# objective frees it
+_TABLES = weakref.WeakKeyDictionary()
+_TABLES_LOCK = threading.Lock()
+
+
+def _shared_table(obj):
+    """The ``_AtomCache`` entries of the solves that track A x on ``obj``.
+
+    A solve that tracks A x on another objective starts a new table, and so
+    frees this one.  An entry's image and gradient are the same gemv on the
+    same inputs whichever solve makes them, so a solve reads the bits it
+    would have made itself.  Solves running at once on one objective may
+    both fill one entry, with the same bits: only the lookup here is locked.
+    """
+    with _TABLES_LOCK:
+        table = _TABLES.get(obj)
+        if table is None:
+            _TABLES.clear()
+            table = _TABLES[obj] = {}
+        return table
+
+
 class _AffineImage:
     """The image A x of the iterate, and its gradient, kept beside x for f seen through A.
 
@@ -255,8 +282,8 @@ class _AffineImage:
         Away      g' = (1 + alpha) g - alpha grad(v)
         Pairwise  g' = g + alpha (grad(s) - grad(v))
 
-    Each atom's gradient costs one A^T r pass, made once per solve by the
-    cache; the value comes from A x in O(m) (``value``).  On a small A an
+    Each atom's gradient costs one A^T r pass, made once per objective by
+    the cache; the value comes from A x in O(m) (``value``).  On a small A an
     A^T r pass is cheaper than moving g, so below ``_TRACK_GRADIENT_MIN``
     entries only A x is tracked and every iteration evaluates the gradient.
 
@@ -267,8 +294,8 @@ class _AffineImage:
     drifted from the point the set represents: ``active_drift_max`` is the
     largest ||x - reconstruct_point(active)||.
     ``evals`` counts the evaluations at iterates (the first, re-syncs, and
-    every iteration when g is not tracked); ``grad_passes`` adds those at
-    atoms.
+    every iteration when g is not tracked); ``grad_passes`` adds those the
+    solve made at atoms.
     """
 
     def __init__(self, cache, x, active=None):
@@ -501,7 +528,8 @@ class _Atoms(_Policy):
             self.active = ActiveSet.from_atom(atom)
             self.x = atom.densify().copy()
         design = None if self.corrective else design_of(self.obj)
-        cache = self.cache = _AtomCache(self.obj, design)
+        table = None if design is None else _shared_table(self.obj)
+        cache = self.cache = _AtomCache(self.obj, design, table)
         self.image = None if design is None else _AffineImage(cache, self.x, active=self.active)
         self.evals = 0  # evaluations at iterates without an image
 

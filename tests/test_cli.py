@@ -526,6 +526,21 @@ def test_run_exits_two_on_a_data_path_that_is_a_directory(tmp_path, capsys):
     assert "config error: [Errno 21] Is a directory" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("family, params, key, text", [
+    ("matcomp", {"m": 3, "n": 3}, "observations", "1 1 0.5\n1 2 x\n"),
+    ("max_clique", {"n": 3}, "edges", "1 2\n1.5 3\n"),
+])
+def test_run_exits_two_on_a_malformed_data_line_naming_it(tmp_path, capsys, family, params,
+                                                         key, text):
+    (tmp_path / "d.txt").write_text(text)
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path, problem={"family": family, "seed": 0, "params": params,
+                                    "data": {key: "d.txt"}})
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "d.txt, line 2 %r is not" % text.splitlines()[1] in err and "Traceback" not in err
+
+
 def test_gen_copies_a_base_polytope_edges_file_beside_its_config(tmp_path, monkeypatch):
     (tmp_path / "graph.txt").write_text("1 2 2.0\n2 3 0.1\n3 4\n1 4 1.5\n")
     monkeypatch.chdir(tmp_path)

@@ -351,6 +351,30 @@ def test_data_file_readers_share_one_parser(tmp_path):
     assert objectives.load_observations(path) == [(0, 1, 3.5), (1, 0, -1.0)]
 
 
+@pytest.mark.parametrize("reader, text, line, cause", [
+    (objectives.EDGES, "1 2\n1.5 3\n", "line 2 '1.5 3'", "'1.5'"),
+    (objectives.EDGES, "# graph\n4\n", "line 2 '4'", "not enough values"),
+    (objectives.OBSERVATIONS, "1 2 0.5\n\n1 2 x\n", "line 3 '1 2 x'", "'x'"),
+    (objectives.OBSERVATIONS, "1 b 0.5\n", "line 1 '1 b 0.5'", "'b'"),
+])
+def test_a_malformed_data_line_is_an_input_error_naming_file_and_line(tmp_path, reader, text,
+                                                                      line, cause):
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    with pytest.raises(InputError) as err:
+        reader.load(path)
+    assert str(err.value).startswith("%s, %s is not" % (path, line))
+    assert cause in str(err.value)
+
+
+def test_svm_dual_refuses_labels_that_do_not_match_the_points():
+    for labels in ([1.0, -1.0], [1.0, -1.0, 1.0, 1.0], [[1.0, -1.0, 1.0]]):
+        with pytest.raises(InputError, match="label per point: 3 points, %d labels"
+                           % np.size(labels)):
+            build_instance("svm_dual", points=np.eye(3), labels=labels)
+    assert build_instance("svm_dual", points=np.eye(3), labels=[1.0, -1.0, 1.0]).region.n == 3
+
+
 def test_each_quadratic_form_computes_its_spectrum_once(monkeypatch):
     calls = []
     sigma_extremes = objectives._sigma_extremes

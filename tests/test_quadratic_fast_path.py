@@ -7,6 +7,10 @@ also keep A x beside x and move it with atom images, and on a large enough
 A they move the gradient with the gradients at the atoms.
 """
 
+import concurrent.futures
+import gc
+import sys
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 
@@ -22,7 +26,7 @@ from fwkit.atoms import (ActiveSet, StepDescriptor, apply_step, away_step_cap,
 from fwkit.errors import ContractViolation, InputError, NumericalError
 from fwkit.objectives import (BlockSeparable, FactoredQuadratic, LeastSquares,
                               ProblemInstance, Quadratic, ShiftedNormSquare)
-from fwkit.regions import L1Ball, Simplex, top_singular_triple
+from fwkit.regions import Box, L1Ball, Simplex, VertexHull, top_singular_triple
 from fwkit.stepsizes import (RULES, Armijo, BacktrackingL, BlockDiminishing, Diminishing,
                              ExactLine, LipschitzDep, _line, compute_step)
 
@@ -489,18 +493,108 @@ def test_gradient_passes_fall_to_one_per_atom_plus_resyncs():
     assert report.meta["grad_passes"] <= 1 + report.meta["affine_resyncs"] + 2 * len(coords)
 
 
-def test_no_gradient_cache_outlives_a_solve():
+def test_a_second_solve_on_one_objective_makes_fewer_gradient_passes():
     inst = fw.build_instance("lasso", m=40, n=120, tau=1.0, seed=4)
     obj = inst.objective
     attrs = dict(vars(obj))
     config = fw.SolverConfig(variant="AFW", stepsize=ExactLine(), max_iter=2000,
                              gap_tol=1e-6, seed=4)
     first, second = fw.solve(inst, config), fw.solve(inst, config)
-    for key in ("grad_passes", "affine_resyncs", "grad_drift_max", "affine_drift_max"):
+    assert second.meta["grad_passes"] < first.meta["grad_passes"]
+    for key in ("affine_resyncs", "grad_drift_max", "affine_drift_max"):
         assert first.meta[key] == second.meta[key]
     assert [r.f for r in first.records] == [r.f for r in second.records]
     assert vars(obj).keys() == attrs.keys()
     assert all(vars(obj)[key] is value for key, value in attrs.items())
+
+
+# --- the atom table of consecutive solves on one objective -----------------
+
+
+def _table_instance(kind, seed):
+    """A design of at least ``_TRACK_GRADIENT_MIN`` entries: lasso 40 x 120 on the l1 ball
+    (signed-unit atoms), or 64 x 64 least squares over a box or a vertex hull (dense atoms)."""
+    if kind == "lasso":
+        return fw.build_instance("lasso", m=40, n=120, tau=1.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    obj = LeastSquares(rng.standard_normal((64, 64)), 4.0 * rng.standard_normal(64))
+    region = (Box(-np.ones(64), np.ones(64)) if kind == "box"
+              else VertexHull(rng.standard_normal((40, 64))))
+    return ProblemInstance(obj, region)
+
+
+def _outcome(report):
+    """A report's records but their wall times, x_final, active set, termination and meta but
+    its grad_passes, with floats and arrays as their bits."""
+    records = [(r.k, r.kind, _bits([r.alpha, r.f, r.gap, r.dg, r.dnorm, r.alpha_max]),
+                r.support_size, r.good, r.support) for r in report.records]
+    active = report.active_set
+    atoms = [(type(a).__name__, _bits(a.densify())) for a in active.atoms]
+    meta = {key: value for key, value in report.meta.items()
+            if key not in ("grad_passes", "x_final")}
+    return (records, _bits(report.x_final), atoms, _bits(active.weights), report.termination,
+            meta)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["lasso", "box", "hull"]), st.integers(0, 10 ** 6),
+       st.lists(st.tuples(st.sampled_from(["FW", "AFW", "PFW"]),
+                          st.sampled_from([ExactLine(), Armijo(), BacktrackingL(L0=10.0),
+                                           Diminishing()]),
+                          st.integers(0, 10 ** 6)), min_size=2, max_size=4))
+def test_solves_sharing_an_atom_table_repeat_solves_on_a_fresh_objective(kind, seed, runs):
+    inst = _table_instance(kind, seed)
+    assert inst.objective.a.size >= solvers._TRACK_GRADIENT_MIN
+    configs = [fw.SolverConfig(variant=variant, stepsize=rule, max_iter=150, gap_tol=1e-9,
+                               seed=run_seed) for variant, rule, run_seed in runs]
+    shared = [fw.solve(inst, config) for config in configs]
+    for config, report in zip(configs, shared):
+        fresh = fw.solve(_table_instance(kind, seed), config)
+        assert _outcome(report) == _outcome(fresh)
+        assert report.meta["grad_passes"] <= fresh.meta["grad_passes"]
+
+
+def test_an_atom_table_dies_with_its_objective_or_the_next_objective_solved():
+    config = fw.SolverConfig(variant="AFW", stepsize=ExactLine(), max_iter=200, gap_tol=1e-6,
+                             seed=4)
+
+    def solved(seed):
+        """A lasso instance solved once, and a weak reference to one gradient in its table."""
+        inst = fw.build_instance("lasso", m=40, n=120, tau=1.0, seed=seed)
+        fw.solve(inst, config)
+        table = solvers._shared_table(inst.objective)
+        return inst, weakref.ref(next(e[2] for e in table.values() if e[2] is not None))
+
+    first, gradient = solved(4)
+    gc.collect()
+    assert gradient() is not None
+    second, second_gradient = solved(5)  # while first's objective lives on
+    gc.collect()
+    assert gradient() is None and second_gradient() is not None
+    del second
+    gc.collect()
+    assert second_gradient() is None
+
+
+def test_concurrent_solves_on_one_objective_repeat_their_sequential_runs():
+    # more threads than cores and a short switch interval interleave the
+    # solves' lookups and fills of the one table
+    configs = [fw.SolverConfig(variant=variant, stepsize=rule, max_iter=300, gap_tol=1e-9,
+                               seed=seed)
+               for seed, (variant, rule) in enumerate(
+                   [("FW", ExactLine()), ("AFW", ExactLine()), ("PFW", ExactLine()),
+                    ("AFW", BacktrackingL(L0=10.0)), ("PFW", Armijo()), ("FW", Diminishing())])]
+    expected = [_outcome(fw.solve(_table_instance("lasso", 6), config)) for config in configs]
+    inst = _table_instance("lasso", 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            futures = [pool.submit(fw.solve, inst, config) for config in configs]
+            outcomes = [_outcome(future.result(timeout=120)) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == expected
 
 
 def test_small_designs_evaluate_the_gradient_every_iteration():
