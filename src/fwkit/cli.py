@@ -8,7 +8,7 @@ Subcommands:
 Configs are single JSON documents; see the README for the schema.  Exit
 codes: 0 all requested checks passed, 2 config/schema error, 3 numerical
 or check failure (partial outputs are still written).  The environment
-variable FWKIT_THREADS caps compare's parallelism (default 1).
+variable FWKIT_THREADS, a whole number >= 1, caps compare's parallelism (default 1).
 """
 
 import argparse
@@ -263,13 +263,15 @@ def _compare_one(prepared, f_star):
 
 
 def cmd_compare(args):
-    threads = max(1, int(os.environ.get("FWKIT_THREADS", "1")))
     try:
+        threads = os.environ.get("FWKIT_THREADS", "1")
+        if not threads.strip().isdecimal() or int(threads) < 1:
+            _fail("FWKIT_THREADS must be a whole number >= 1, got %r" % threads)
         # each config is refused as run refuses it; all run on the first one's instance
         first = _prepare(args.configs[0], needs_f_star=True)
         runs = [first] + [_prepare(path, True, first) for path in args.configs[1:]]
         f_star = _f_star(first[4])
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=int(threads)) as pool:
             rows = list(pool.map(_compare_one, runs, itertools.repeat(f_star)))
     except _CONFIG_ERRORS as exc:
         print("config error: %s" % exc, file=sys.stderr)

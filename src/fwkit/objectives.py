@@ -391,6 +391,8 @@ class _Triples:
                     raise InputError("%s lacks its value" % where)
                 try:
                     a, b, *c = parts
+                    if len(c) > 1:
+                        raise ValueError("%d fields" % len(parts))
                     triples.append((int(a) - 1, int(b) - 1, float(c[0]) if c else self.default))
                 except ValueError as exc:
                     raise InputError("%s is not 'a b [c]' with integer a and b and a number c "

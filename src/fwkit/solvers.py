@@ -35,12 +35,15 @@ from .stepsizes import BlockDiminishing, Diminishing, ExactLine, compute_step
 
 # steps between recomputations of a tracked image A x from x (see _AffineImage)
 _RESYNC_EVERY = 64
-# entries of A from which _AffineImage tracks the gradient too (see there).
-# Tracked over evaluated run time, median of paired runs on a 2-vCPU Xeon VM
-# (4 MiB L2, BLAS on one thread): 1.03-1.05 on AFW/PFW at 900 entries
-# (n = 30 simplex quadratics), 0.96-1.02 at 4800 and 0.89-1.08 from 1e4 to
-# 1e5 on lasso FW/AFW/PFW (A in cache, an A^T r pass ~20 us), and 0.47 (FW),
-# 0.74 (AFW), 0.96 (PFW) at 4e5 (lasso 200x2000), where A leaves the cache.
+# entries of A from which a solve tracks A x and g (_AffineImage); a smaller A
+# is evaluated at every iterate.  Per-iteration time, 2-vCPU Xeon VM, BLAS on one
+# thread.  Tracking g and A x over tracking A x alone, paired runs: 1.03-1.05 on
+# AFW/PFW at 900 entries (n = 30 simplex quadratics), 0.96-1.02 at 4800 and
+# 0.89-1.08 from 1e4 to 1e5 on lasso FW/AFW/PFW (A in cache, an A^T r pass ~20
+# us), 0.47 (FW), 0.74 (AFW), 0.96 (PFW) at 4e5 (lasso 200x2000, out of cache).
+# Tracking A x alone over evaluating, process CPU time, 15 alternating pairs in
+# one process: 1.01-1.10 from 144 to 3600 entries (simplex quadratics, lasso
+# 40x60 and 60x60), 1.02 (AFW) and 0.96 (FW) on a 1000 x 4 least squares.
 _TRACK_GRADIENT_MIN = 4096
 
 
@@ -211,19 +214,19 @@ class _AtomCache:
     given).  The gradient is filled on first use, on the image when there
     is one, else by ``eval(v)``; ``passes`` counts the evaluations this view
     made.  A lookup goes by the atom's memoised key, confirmed with
-    ``atoms_equal`` unless it finds that very atom.  The entries live in
-    ``table``, a solve's own dict unless one is given: solves that track
-    A x on one objective share its table (``_shared_table``).
+    ``atoms_equal`` unless it finds that very atom.  Solves that track A x
+    on one objective share its table of entries (``_shared_table``); any
+    other solve keeps its own dict.
 
     f is quadratic, so on weights lam that sum to one f(sum_j lam_j v_j) has
     the gradient M lam with M_ij = <v_i, grad f(v_j)>.  ``matrix`` builds M
     over an active set (``atoms.pairing_matrix``).
     """
 
-    def __init__(self, obj, a=None, table=None):
+    def __init__(self, obj, a=None):
         self.obj = obj
         self.a = a
-        self._atoms = {} if table is None else table  # atom key -> entry
+        self._atoms = {} if a is None else _shared_table(obj)  # atom key -> entry
         self.passes = 0
 
     def entry(self, atom):
@@ -283,19 +286,19 @@ class _AffineImage:
         Pairwise  g' = g + alpha (grad(s) - grad(v))
 
     Each atom's gradient costs one A^T r pass, made once per objective by
-    the cache; the value comes from A x in O(m) (``value``).  On a small A an
-    A^T r pass is cheaper than moving g, so below ``_TRACK_GRADIENT_MIN``
-    entries only A x is tracked and every iteration evaluates the gradient.
+    the cache; the value comes from A x in O(m) (``value``, the bits of
+    ``eval``'s f).  Only a design of at least ``_TRACK_GRADIENT_MIN``
+    entries is tracked: on a smaller A a solve evaluates f and g at every
+    iterate.
 
-    Rounding drift is bounded by recomputing A x (and g) from x every
+    Rounding drift is bounded by recomputing A x and g from x every
     ``_RESYNC_EVERY`` steps; ``drift_max`` and ``grad_drift_max`` are the
     largest ||A x (tracked) - A x|| and ||g (tracked) - g|| seen at a re-sync.
     Given the solve's active set, a re-sync also measures how far x has
     drifted from the point the set represents: ``active_drift_max`` is the
     largest ||x - reconstruct_point(active)||.
-    ``evals`` counts the evaluations at iterates (the first, re-syncs, and
-    every iteration when g is not tracked); ``grad_passes`` adds those the
-    solve made at atoms.
+    ``evals`` counts the evaluations at iterates (the first and the
+    re-syncs); ``grad_passes`` adds those the solve made at atoms.
     """
 
     def __init__(self, cache, x, active=None):
@@ -303,32 +306,20 @@ class _AffineImage:
         self.a = cache.a
         self.cache = cache
         self.ax = self.a @ x
-        self.track = self.a.size >= _TRACK_GRADIENT_MIN
+        self.g = self.obj.eval(x, ax=self.ax)[1]  # the tracked gradient at x
+        self._buf = np.empty_like(self.g)  # where move combines atom gradients
         self.active = active
-        self.g = None  # tracked gradient at x; None until first evaluated
-        self._buf = None  # where move combines atom gradients, made with the tracked g
         self.steps = 0  # steps since A x was last computed from x
         self.resyncs = 0
-        self.drift_max = 0.0
-        self.grad_drift_max = 0.0
-        self.active_drift_max = 0.0
-        self.evals = 0
+        self.drift_max = self.grad_drift_max = self.active_drift_max = 0.0
+        self.evals = 1
 
     @property
     def grad_passes(self):
         return self.evals + self.cache.passes
 
-    def _eval(self, x, ax):
-        self.evals += 1
-        return self.obj.eval(x, ax=ax)
-
     def value_and_grad(self, x):
-        """(f, g) at x: from the tracked state when g is tracked, else one evaluation."""
-        if self.g is None:
-            f, g = self._eval(x, self.ax)
-            if self.track:
-                self.g, self._buf = g, np.empty_like(g)
-            return f, g
+        """(f, g) at x, from the tracked state."""
         return self.obj.value(x, self.ax), self.g
 
     def direction(self, s, v):
@@ -342,38 +333,36 @@ class _AffineImage:
         A x and g move in place, with the elementwise operations (and so
         the bits) of ``ax + alpha ad`` and the formulas above; they are this
         object's own arrays, never cached ones.  The atom gradients are
-        combined in one buffer, made with the tracked g.
+        combined in one buffer.
         """
         grad = self.cache.grad
         if kind == "FW" and alpha >= 1.0:
             self.ax = s[1].copy()
-            if self.g is not None:
-                self.g = grad(s).copy()
+            self.g = grad(s).copy()
         else:
             self.ax += alpha * ad
             g, buf = self.g, self._buf
-            if g is not None:
-                if kind == "FW":
-                    g *= 1.0 - alpha
-                    g += np.multiply(alpha, grad(s), out=buf)
-                elif kind == "Away":
-                    g *= 1.0 + alpha
-                    g -= np.multiply(alpha, grad(v), out=buf)
-                else:
-                    g += np.multiply(alpha, np.subtract(grad(s), grad(v), out=buf), out=buf)
+            if kind == "FW":
+                g *= 1.0 - alpha
+                g += np.multiply(alpha, grad(s), out=buf)
+            elif kind == "Away":
+                g *= 1.0 + alpha
+                g -= np.multiply(alpha, grad(v), out=buf)
+            else:
+                g += np.multiply(alpha, np.subtract(grad(s), grad(v), out=buf), out=buf)
         self.steps += 1
         if self.steps >= _RESYNC_EVERY:
             self.resync(x)
 
     def resync(self, x):
-        """Recompute A x (and g) from x, recording their drift; returns True."""
+        """Recompute A x and g from x, recording their drift; returns True."""
         exact = self.a @ x
         self.drift_max = max(self.drift_max, _norm(self.ax - exact))
         self.ax = exact
-        if self.g is not None:
-            g = self._eval(x, exact)[1]
-            self.grad_drift_max = max(self.grad_drift_max, _norm(self.g - g))
-            self.g = g
+        self.evals += 1
+        g = self.obj.eval(x, ax=exact)[1]
+        self.grad_drift_max = max(self.grad_drift_max, _norm(self.g - g))
+        self.g = g
         if self.active is not None:
             self.active_drift_max = max(self.active_drift_max,
                                         _norm(x - reconstruct_point(self.active)))
@@ -510,9 +499,10 @@ class _Policy:
 class _Atoms(_Policy):
     """FW over an atom-tracking active set; AFW, PFW and EFW subclass it (see ``CAPABILITIES``).
 
-    On a quadratic form A x is tracked (``_AffineImage``).  Under an inexact
-    oracle a direction that does not descend is a step of size 0: the error
-    budget shrinks with k.
+    On a quadratic form whose design has at least ``_TRACK_GRADIENT_MIN``
+    entries, A x and its gradient are tracked (``_AffineImage``).  Under an
+    inexact oracle a direction that does not descend is a step of size 0: the
+    error budget shrinks with k.
     """
 
     corrective = False  # _Corrective evaluates f afresh at each iterate, with no tracked A x
@@ -528,8 +518,9 @@ class _Atoms(_Policy):
             self.active = ActiveSet.from_atom(atom)
             self.x = atom.densify().copy()
         design = None if self.corrective else design_of(self.obj)
-        table = None if design is None else _shared_table(self.obj)
-        cache = self.cache = _AtomCache(self.obj, design, table)
+        if design is not None and design.size < _TRACK_GRADIENT_MIN:
+            design = None  # evaluated at every iterate, as an objective without a design
+        cache = self.cache = _AtomCache(self.obj, design)
         self.image = None if design is None else _AffineImage(cache, self.x, active=self.active)
         self.evals = 0  # evaluations at iterates without an image
 

@@ -219,6 +219,24 @@ def test_compare_respects_thread_env(tmp_path, monkeypatch):
     assert cli.main(["compare", "--configs", *paths, "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+def test_compare_refuses_a_thread_count_that_is_not_a_whole_number_from_one(
+        tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("FWKIT_THREADS", threads)
+    started = []
+    monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor",
+                        lambda *a, **k: started.append("pool"))
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: started.append("solve"))
+    p = tmp_path / "c.json"
+    write_config(p, checks=[])
+    out = tmp_path / "t.csv"
+    assert cli.main(["compare", "--configs", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: FWKIT_THREADS must be a whole number >= 1, got %r"
+                          % threads)
+    assert "Traceback" not in err and not out.exists() and started == []
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_compare_takes_one_f_star_reference_for_all_its_configs(tmp_path, monkeypatch,
                                                                 threads):
@@ -529,6 +547,8 @@ def test_run_exits_two_on_a_data_path_that_is_a_directory(tmp_path, capsys):
 @pytest.mark.parametrize("family, params, key, text", [
     ("matcomp", {"m": 3, "n": 3}, "observations", "1 1 0.5\n1 2 x\n"),
     ("max_clique", {"n": 3}, "edges", "1 2\n1.5 3\n"),
+    ("matcomp", {"m": 3, "n": 3}, "observations", "1 1 0.5\n1 2 3 4\n"),
+    ("max_clique", {"n": 3}, "edges", "1 2\n1 2 3 4\n"),
 ])
 def test_run_exits_two_on_a_malformed_data_line_naming_it(tmp_path, capsys, family, params,
                                                          key, text):

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fwkit import solvers
 from fwkit.objectives import build_instance
 from fwkit.solvers import SolverConfig, solve
 from fwkit.stepsizes import ExactLine, LipschitzDep
@@ -71,6 +72,24 @@ def test_a_planted_one_ulp_change_in_a_record_is_caught(capsys):
     assert "EFW       1 of 1 solves differ" in out
     # naming the field to skip lets the rest compare equal
     assert identity.compare(parent, change, skip={"f"}) == 0
+
+
+def test_differing_solves_report_termination_changes_and_the_largest_final_f_move(capsys):
+    def plant(variant, report):
+        if variant == "EFW":  # the last f one ulp up
+            rec = report.records[-1]
+            rec.f = float(np.nextafter(rec.f, np.inf))
+        elif variant == "PFW":
+            report.termination = "MaxIter"
+
+    parent, change = _summaries(), _summaries(plant)
+    assert identity.compare(parent, change) == 2
+    lines = capsys.readouterr().out.splitlines()
+    efw = next(parent[k] for k in parent if k[4] == "EFW")
+    f = np.asarray(efw["f"], dtype=np.uint64).view(np.float64)
+    move = (np.nextafter(f[-1], np.inf) - f[-1]) / abs(f[0])
+    assert lines[-2:] == ["termination changed in 1 of 2 differing solves",
+                          "largest |f_final change| / |f_0| among them: %.3g" % move]
 
 
 @pytest.mark.parametrize("field", ["x_final", "meta.corral", "support", "termination",
@@ -135,7 +154,13 @@ def test_the_fixed_matrix_holds_the_regions_the_benchmark_never_runs(capsys):
         [("box", "FDFW", False)] * 2
         + [(region, variant, False) for region in ("box", "linf", "hull", "product")
            for variant in ("AFW", "PFW")]
-        + [("interior", "EFW", True), ("matcomp", "FW", False), ("max_clique", "AFW", False)])
+        + [("interior", "EFW", True), ("matcomp", "FW", False), ("max_clique", "AFW", False),
+           ("box64", "AFW", False)])
+    # the 64 x 64 least squares is the one fixed job that tracks A x and the gradient
+    name, inst, config, start = jobs[-1]
+    assert inst.objective.a.size == solvers._TRACK_GRADIENT_MIN
+    assert "affine_resyncs" in solve(inst, config).meta
+    assert all(job[1].objective.a.size < solvers._TRACK_GRADIENT_MIN for job in jobs[2:6])
     # FDFW on a box, whose minimal-face operations the box declares
     name, inst, config, start = jobs[0]
     summary = identity._summary(inst, config, start)

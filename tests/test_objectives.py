@@ -356,6 +356,8 @@ def test_data_file_readers_share_one_parser(tmp_path):
     (objectives.EDGES, "# graph\n4\n", "line 2 '4'", "not enough values"),
     (objectives.OBSERVATIONS, "1 2 0.5\n\n1 2 x\n", "line 3 '1 2 x'", "'x'"),
     (objectives.OBSERVATIONS, "1 b 0.5\n", "line 1 '1 b 0.5'", "'b'"),
+    (objectives.EDGES, "1 2\n1 2 3 4\n", "line 2 '1 2 3 4'", "(4 fields)"),
+    (objectives.OBSERVATIONS, "1 2 0.5\n1 2 3 4\n", "line 2 '1 2 3 4'", "(4 fields)"),
 ])
 def test_a_malformed_data_line_is_an_input_error_naming_file_and_line(tmp_path, reader, text,
                                                                       line, cause):

@@ -2,9 +2,9 @@
 
 With the objective value at x in hand, the exact, Armijo and backtracking
 rules probe phi(alpha) = f + alpha <g,d> + alpha^2 c / 2 instead of
-evaluating f; for objectives of the form ||A x - b||^2 the atomic solvers
-also keep A x beside x and move it with atom images, and on a large enough
-A they move the gradient with the gradients at the atoms.
+evaluating f; for objectives of the form ||A x - b||^2 with a large enough A
+the atomic solvers also keep A x and the gradient beside x and move them
+with the images and gradients at the atoms.
 """
 
 import concurrent.futures
@@ -12,7 +12,6 @@ import gc
 import sys
 import weakref
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -395,9 +394,7 @@ def test_tracked_gradient_follows_random_steps(case, data):
     atom = region.lmo(draw_vector())
     active = ActiveSet.from_atom(atom)
     x = atom.densify().copy()
-    with mock.patch.object(solvers, "_TRACK_GRADIENT_MIN", 0):  # g is tracked on any A
-        image = solvers._AffineImage(solvers._AtomCache(obj, obj.a), x)
-    image.value_and_grad(x)
+    image = solvers._AffineImage(solvers._AtomCache(obj, obj.a), x)  # tracks g on any A
     growth = 1.0
     steps = data.draw(st.integers(1, solvers._RESYNC_EVERY + 8))  # crosses a re-sync
     for _ in range(steps):
@@ -597,15 +594,37 @@ def test_concurrent_solves_on_one_objective_repeat_their_sequential_runs():
     assert outcomes == expected
 
 
+_TRACKED_KEYS = ("affine_resyncs", "affine_drift_max", "grad_drift_max", "active_drift_max")
+
+
 def test_small_designs_evaluate_the_gradient_every_iteration():
+    # below _TRACK_GRADIENT_MIN entries nothing is tracked: one evaluation per record
     inst = fw.build_instance("boundary_quadratic", n=12, seed=2)
     assert inst.objective.a.size < solvers._TRACK_GRADIENT_MIN
-    report = fw.solve(inst, fw.SolverConfig(variant="AFW", stepsize=ExactLine(),
-                                            max_iter=500, gap_tol=1e-8))
-    assert report.meta["grad_drift_max"] == 0.0
-    # one pass per loop turn: every record, plus a turn per GapTol re-sync
-    assert len(report.records) <= report.meta["grad_passes"] <= len(report.records) + 1
+    config = fw.SolverConfig(variant="AFW", stepsize=ExactLine(), max_iter=500, gap_tol=1e-8)
+    report = fw.solve(inst, config)
+    assert not set(_TRACKED_KEYS) & report.meta.keys()
+    assert report.meta["grad_passes"] == len(report.records)
+    inst = _table_instance("box", 2)
+    assert inst.objective.a.size == solvers._TRACK_GRADIENT_MIN
+    assert set(_TRACKED_KEYS) <= fw.solve(inst, config).meta.keys()
     inst = fw.build_instance("simplex_distance", n=8)
     report = fw.solve(inst, fw.SolverConfig(variant="FW", stepsize=ExactLine(),
                                             max_iter=50, gap_tol=1e-8))
     assert report.meta["grad_passes"] == len(report.records)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["boundary_quadratic", "interior_quadratic", "lasso"]),
+       st.integers(2, 30), st.integers(0, 10 ** 6), st.sampled_from(["FW", "AFW", "PFW"]),
+       st.sampled_from([ExactLine(), Armijo(), BacktrackingL(L0=10.0), Diminishing()]))
+def test_small_design_records_hold_f_at_their_iterates_bit_for_bit(family, n, seed, variant,
+                                                                    rule):
+    params = {"m": n, "n": 2 * n} if family == "lasso" else {"n": n}
+    inst = fw.build_instance(family, seed=seed, **params)
+    obj = inst.objective
+    assert obj.a.size < solvers._TRACK_GRADIENT_MIN
+    report = fw.solve(inst, fw.SolverConfig(variant=variant, stepsize=rule, max_iter=300,
+                                            gap_tol=1e-10, seed=seed, store_points=True))
+    assert [r.f.hex() for r in report.records] == \
+        [obj.eval(r.x)[0].hex() for r in report.records]

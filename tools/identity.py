@@ -20,11 +20,14 @@ and supports as values, read through the attribute), the termination,
 ``good_steps``, the bytes of ``x_final``, the returned active set (each
 atom's class and public fields, and the weights, as bits) and every meta
 entry.  It prints the first differing field of each solve that differs,
-then a count per variant, and exits 1 on any difference in a field that
-``--skip`` does not name.  A field is a record field (``f``, ``kind``,
-...), ``records`` (the count), ``termination``, ``good_steps``,
-``x_final``, ``active_set``, ``error``, ``L``, ``mu``, ``D`` or
-``meta.<key>``; ``--skip meta`` skips every meta entry.
+then a count per variant and, where solves differ, how many of them changed
+their termination and the largest |f_final change| / |f_0| among them (f_0
+and f_final the parent's first and both trees' last record f), and exits 1
+on any difference in a field that ``--skip`` does not name.  A field is a
+record field (``f``, ``kind``, ...), ``records`` (the count),
+``termination``, ``good_steps``, ``x_final``, ``active_set``, ``error``,
+``L``, ``mu``, ``D`` or ``meta.<key>``; ``--skip meta`` skips every meta
+entry.
 """
 
 import argparse
@@ -147,8 +150,11 @@ def fixed_jobs():
 
     FDFW on a box; AFW and PFW on a box, an l-inf ball, a vertex hull and a
     product of simplices; EFW from a given active set; FW + exact on a small
-    matrix completion (rank-one atoms) and AFW on a max-clique program.  Least
-    squares on the box and the ball track A x; the others do not.
+    matrix completion (rank-one atoms) and AFW on a max-clique program.  The
+    box and the ball hold a 10 x 6 least squares, evaluated at every
+    iterate; AFW + exact on a 64 x 64 least squares over a box tracks A x
+    and the gradient on dense atoms (a design of ``_TRACK_GRADIENT_MIN``
+    entries).
     """
     import fwkit as fw
 
@@ -183,6 +189,9 @@ def fixed_jobs():
     jobs += [("matcomp/FW+exact", matcomp, fw.SolverConfig("FW", fw.ExactLine(), max_iter=200,
                                                            gap_tol=1e-8), None),
              ("max_clique/AFW+armijo", clique, config("AFW", fw.Armijo(), 1), None)]
+    lsq64 = fw.LeastSquares(rng.standard_normal((64, 64)), 4.0 * rng.standard_normal(64))
+    box64 = fw.ProblemInstance(lsq64, fw.Box(-np.ones(64), np.ones(64)))
+    jobs.append(("box64/AFW+exact", box64, config("AFW", fw.ExactLine()), None))
     return jobs
 
 
@@ -219,10 +228,20 @@ def _emit(tree, out_path):
                              "--src", str(Path(tree) / "src")], env=env)
 
 
+def _final_f_move(parent, change):
+    """|f_final change| / |f_0| between two summaries with records (|f_0| taken as 1 where
+    f_0 is 0)."""
+    f_parent, f_change = (np.asarray(s["f"], dtype=np.uint64).view(np.float64)
+                          for s in (parent, change))
+    return abs(float(f_change[-1]) - float(f_parent[-1])) / (abs(float(f_parent[0])) or 1.0)
+
+
 def compare(parent, change, skip=()):
-    """Print the first differing field per solve and a count per variant; the number differing."""
+    """Print the first differing field per solve, a count per variant and, where solves
+    differ, their termination changes and largest final f move; the number differing."""
     counts = collections.Counter()
     differing = collections.Counter()
+    in_both = []  # the differing solves that both trees ran
     for key in sorted(set(parent) | set(change), key=lambda k: (k[0], k[1], k[2])):
         counts[key[4]] += 1
         if key not in parent or key not in change:
@@ -231,11 +250,21 @@ def compare(parent, change, skip=()):
             diffs = differences(parent[key], change[key], skip)
         if diffs:
             differing[key[4]] += 1
+            if key in parent and key in change:
+                in_both.append(key)
             print("%s seed %d job %d %s: %s (%s), %d field(s) differ"
                   % (key[0], key[1], key[2], key[3], diffs[0][0], diffs[0][1], len(diffs)))
     for variant in sorted(counts):
         print("%-9s %d of %d solves differ" % (variant, differing[variant], counts[variant]))
-    return sum(differing.values())
+    total = sum(differing.values())
+    if total:
+        ended = sum(parent[key].get("termination") != change[key].get("termination")
+                    for key in in_both)
+        moves = [_final_f_move(parent[key], change[key]) for key in in_both
+                 if len(parent[key].get("f", ())) and len(change[key].get("f", ()))]
+        print("termination changed in %d of %d differing solves" % (ended, total))
+        print("largest |f_final change| / |f_0| among them: %.3g" % max(moves, default=0.0))
+    return total
 
 
 def main(argv=None):
